@@ -21,7 +21,7 @@ from .geom import (AngularIntervalSet, ArcOnCircle, Circle3, Tolerances,
                    intersect_interval_sets, max_distance_to_arc)
 from .mesh import (MeshBuilder, SpindleFrame, TriangleMesh, build_body_mesh,
                    export_obj, export_ply, import_obj, import_ply,
-                   inspect_mesh, mesh_area, mesh_volume, spindle_point)
+                   inspect_mesh, mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
                      bounding_box, contains, mc_volume)
 from .polyhedron import (DiameterGraph, DualPair, EdgeArc, ExtremalityReport,
@@ -55,7 +55,7 @@ __all__ = [
     # meshes
     "MeshBuilder", "SpindleFrame", "TriangleMesh", "build_body_mesh",
     "export_obj", "export_ply", "import_obj", "import_ply", "inspect_mesh",
-    "mesh_area", "mesh_volume", "spindle_point",
+    "mesh_area", "mesh_volume",
     # errors
     "DegenerateInputError", "DomainError", "GeometryError", "MeshError",
     "NotExtremalError", "StructureError",

@@ -21,8 +21,8 @@ import numpy as np
 from . import formulas
 from .errors import DomainError, MeshError, NotExtremalError, StructureError
 from .geom import Tolerances
-from .mesh import build_body_mesh, export_obj, export_ply, inspect_mesh, \
-    mesh_area, mesh_volume
+from .mesh import build_body_mesh, export_obj, export_ply, mesh_area, \
+    mesh_volume
 from .oracle import McConfig, body_from_structure, mc_volume
 from .polyhedron import Structure, analyze_config, angle_pairs, \
     check_extremal, config_from_generator, config_from_json_dict
@@ -114,9 +114,8 @@ def mesh_payload(structure: Structure, refine: int, bodies) -> dict:
     out = {"refine": refine, "bodies": {}}
     for kind, idx in bodies:
         mesh = build_body_mesh(structure, kind, refine, wedge_index=idx)
-        stats = inspect_mesh(mesh)
         label = kind if idx is None else f"{kind}:{idx}"
-        out["bodies"][label] = dict(stats.to_dict(),
+        out["bodies"][label] = dict(mesh.stats.to_dict(),
                                     volume=mesh_volume(mesh),
                                     surface_area=mesh_area(mesh))
     return out
@@ -159,7 +158,7 @@ def cmd_mesh(args) -> int:
         writer = export_obj if args.format == "obj" else export_ply
         writer(mesh, args.out)
     payload = dict(_meta(args, tol),
-                   mesh=dict(inspect_mesh(mesh).to_dict(),
+                   mesh=dict(mesh.stats.to_dict(),
                              volume=mesh_volume(mesh),
                              surface_area=mesh_area(mesh),
                              refine=args.refine,
@@ -260,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--batch", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads over the sample chunks; no effect unless "
+                        "--samples > --batch")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("mesh", help="triangulate a body and report metrics")
@@ -286,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--batch", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads over the sample chunks; no effect unless "
+                        "--samples > --batch")
     p.add_argument("--refine", type=int, default=64)
     p.set_defaults(func=cmd_report)
 

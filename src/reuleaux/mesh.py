@@ -15,7 +15,7 @@ triangle-area sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,18 @@ from .polyhedron import DualPair, PointConfig, Structure
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup with outward orientation."""
+    """Indexed triangle soup with outward orientation.
+
+    ``stats`` holds the closure statistics of a mesh that has already been
+    checked.  Only ``build_body_mesh`` sets it, after making both arrays
+    read-only, so the statistics cannot go stale; a mesh constructed any
+    other way, ``dataclasses.replace`` included, starts without stats and is
+    checked by ``mesh_volume`` and ``mesh_area``.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
+    stats: MeshStats | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -78,26 +86,31 @@ def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
 def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
     """Connectivity and orientation statistics; never raises."""
     t = mesh.triangles
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     n = mesh.n_vertices
-    keys = directed[:, 0] * n + directed[:, 1]
-    oriented = np.unique(keys).size == keys.size
-    und = np.sort(directed, axis=1)
-    und_keys = und[:, 0] * n + und[:, 1]
-    uniq, counts = np.unique(und_keys, return_counts=True)
+    tail = t.ravel()
+    head = t[:, [1, 2, 0]].ravel()
+    keys = np.sort(tail * n + head)
+    oriented = not np.any(keys[1:] == keys[:-1])
+    und_keys = np.sort(np.minimum(tail, head) * n + np.maximum(tail, head))
+    # a run of equal sorted keys is one edge, its length the edge's use count
+    new_edge = np.ones(und_keys.size, dtype=bool)
+    new_edge[1:] = und_keys[1:] != und_keys[:-1]
+    first = np.flatnonzero(new_edge)
+    uniq = und_keys[first]
+    counts = np.diff(first, append=und_keys.size)
     watertight = bool(np.all(counts == 2))
     bad = ()
     if not watertight:
         bad_keys = uniq[counts != 2][:16]
         bad = tuple((int(k // n), int(k % n)) for k in bad_keys)
-    used = np.unique(t)
-    euler = int(used.size - uniq.size + t.shape[0])
+    # the shift lets malformed negative ids be counted instead of raising
+    used = int(np.count_nonzero(np.bincount(tail - tail.min(initial=0))))
     areas = triangle_areas(mesh)
     return MeshStats(
         watertight=watertight,
         oriented=oriented,
-        euler_characteristic=euler,
-        n_vertices=int(used.size),
+        euler_characteristic=used - uniq.size + t.shape[0],
+        n_vertices=used,
         n_edges=int(uniq.size),
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
@@ -105,12 +118,13 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
     )
 
 
-def _require_closed(mesh: TriangleMesh) -> None:
-    stats = inspect_mesh(mesh)
+def _require_closed(mesh: TriangleMesh) -> MeshStats:
+    stats = mesh.stats if mesh.stats is not None else inspect_mesh(mesh)
     if not stats.watertight:
         raise MeshError(f"mesh is not watertight; offending edges {stats.bad_edges}")
     if not stats.oriented:
         raise MeshError("mesh orientation is inconsistent")
+    return stats
 
 
 def mesh_volume(mesh: TriangleMesh) -> float:
@@ -192,11 +206,6 @@ class SpindleFrame:
         axial = w @ self.v
         trans = np.linalg.norm(w - axial[:, None] * self.v, axis=1)
         return trans + math.cos(self.theta_prime / 2.0) - np.sqrt(1.0 - axial ** 2)
-
-
-def spindle_point(cfg: PointConfig, pair: DualPair, s: float, t: float) -> np.ndarray:
-    """Single point of the spindle patch of ``pair`` at parameters (s, t)."""
-    return SpindleFrame(cfg, pair).point(float(s), float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -354,30 +363,23 @@ def _stitch_rings(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     if m == 1:
         j = np.arange(k)
         return np.stack([np.full(k, inner[0]), outer[j], outer[(j + 1) % k]], axis=1)
-    tris = []
-    i = j = 0
-    while i < m or j < k:
-        take_outer = j < k and (i == m or (j + 1) * m <= (i + 1) * k)
-        if take_outer:
-            tris.append((inner[i % m], outer[j], outer[(j + 1) % k]))
-            j += 1
-        else:
-            tris.append((inner[i % m], outer[j % k], inner[(i + 1) % m]))
-            i += 1
-    return np.asarray(tris, dtype=np.int64)
+    # merge the outer steps (j+1)*m with the inner steps (i+1)*k; a tie goes
+    # to the outer step, which the stable sort keeps first
+    steps = np.concatenate([np.arange(1, k + 1) * m, np.arange(1, m + 1) * k])
+    outer_step = np.argsort(steps, kind="stable") < k
+    j = np.cumsum(outer_step) - outer_step
+    i = np.cumsum(~outer_step) - ~outer_step
+    third = np.where(outer_step, outer[(j + 1) % k], inner[(i + 1) % m])
+    return np.stack([inner[i], outer[j % k], third], axis=1)
 
 
 def _loop_solid_angle(dirs: np.ndarray) -> float:
     """Signed solid angle subtended by a closed loop of unit directions."""
     d = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    a = d[0]
-    total = 0.0
-    for k in range(1, len(d) - 1):
-        b, c = d[k], d[k + 1]
-        num = float(a @ np.cross(b, c))
-        den = 1.0 + float(a @ b) + float(b @ c) + float(a @ c)
-        total += 2.0 * math.atan2(num, den)
-    return total
+    a, b, c = d[0], d[1:-1], d[2:]
+    num = np.cross(b, c) @ a
+    den = 1.0 + b @ a + np.einsum("ij,ij->i", b, c) + c @ a
+    return float(2.0 * np.arctan2(num, den).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +551,9 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
     else:
         raise ValueError(f"unknown body kind {kind!r}")
     mesh = mesher.builder.build()
-    _require_closed(mesh)
+    mesh.vertices.flags.writeable = False
+    mesh.triangles.flags.writeable = False
+    object.__setattr__(mesh, "stats", _require_closed(mesh))
     return mesh
 
 
@@ -560,10 +564,10 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
     """ASCII OBJ with v/f records and 1-based indices."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# reuleaux mesh\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for a, b, c in mesh.triangles + 1:
-            fh.write(f"f {a} {b} {c}\n")
+        fh.write(("v %.17g %.17g %.17g\n" * mesh.n_vertices)
+                 % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * mesh.n_triangles)
+                 % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
 def import_obj(path: str) -> TriangleMesh:
@@ -589,10 +593,10 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
         fh.write("property float64 x\nproperty float64 y\nproperty float64 z\n")
         fh.write(f"element face {mesh.n_triangles}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(("%.17g %.17g %.17g\n" * mesh.n_vertices)
+                 % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(("3 %d %d %d\n" * mesh.n_triangles)
+                 % tuple(mesh.triangles.ravel().tolist()))
 
 
 def import_ply(path: str) -> TriangleMesh:

@@ -1,6 +1,7 @@
 """Tests for mesh generation, mesh metrics, and export round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from reuleaux.errors import MeshError
 from reuleaux.formulas import (surface_meissner, surface_reuleaux,
                                volume_meissner, volume_reuleaux, wedge_volume)
-from reuleaux.mesh import (MeshBuilder, SpindleFrame, TriangleMesh,
-                           build_body_mesh, export_obj, export_ply,
-                           import_obj, import_ply, inspect_mesh, mesh_area,
-                           mesh_volume, spindle_point, triangle_areas)
+import reuleaux.mesh
+from reuleaux import cli
+from reuleaux.mesh import (MeshBuilder, MeshStats, SpindleFrame, TriangleMesh,
+                           _stitch_rings, build_body_mesh, export_obj,
+                           export_ply, import_obj, import_ply, inspect_mesh,
+                           mesh_area, mesh_volume, triangle_areas)
 from reuleaux.polyhedron import angle_pairs
 
 RNG = np.random.default_rng(31337)
@@ -156,7 +159,7 @@ class TestSpindleParametrization:
 
     def test_spindle_point_helper(self, tetra_structure):
         pair = tetra_structure.pairs[0]
-        p = spindle_point(tetra_structure.config, pair, 0.0, 0.0)
+        p = SpindleFrame(tetra_structure.config, pair).point(0.0, 0.0)
         assert np.allclose(p, tetra_structure.config.points[pair.p_prime], atol=1e-12)
 
 
@@ -252,3 +255,124 @@ class TestExportImport:
         export_ply(empty, str(ply))
         assert import_obj(str(obj)).n_vertices == 0
         assert import_ply(str(ply)).n_triangles == 0
+
+
+# ---------------------------------------------------------------------------
+# Loop and np.unique versions kept as references for the vectorized kernels
+
+def _stitch_rings_loop(inner, outer):
+    m, k = len(inner), len(outer)
+    if m == 1:
+        j = np.arange(k)
+        return np.stack([np.full(k, inner[0]), outer[j], outer[(j + 1) % k]], axis=1)
+    tris = []
+    i = j = 0
+    while i < m or j < k:
+        take_outer = j < k and (i == m or (j + 1) * m <= (i + 1) * k)
+        if take_outer:
+            tris.append((inner[i % m], outer[j], outer[(j + 1) % k]))
+            j += 1
+        else:
+            tris.append((inner[i % m], outer[j % k], inner[(i + 1) % m]))
+            i += 1
+    return np.asarray(tris, dtype=np.int64)
+
+
+def _inspect_mesh_unique(mesh):
+    t = mesh.triangles
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    n = mesh.n_vertices
+    keys = directed[:, 0] * n + directed[:, 1]
+    oriented = np.unique(keys).size == keys.size
+    und = np.sort(directed, axis=1)
+    und_keys = und[:, 0] * n + und[:, 1]
+    uniq, counts = np.unique(und_keys, return_counts=True)
+    watertight = bool(np.all(counts == 2))
+    bad = ()
+    if not watertight:
+        bad_keys = uniq[counts != 2][:16]
+        bad = tuple((int(k // n), int(k % n)) for k in bad_keys)
+    used = np.unique(t)
+    areas = triangle_areas(mesh)
+    return MeshStats(
+        watertight=watertight,
+        oriented=oriented,
+        euler_characteristic=int(used.size - uniq.size + t.shape[0]),
+        n_vertices=int(used.size),
+        n_edges=int(uniq.size),
+        n_triangles=int(t.shape[0]),
+        min_triangle_area=float(areas.min()) if areas.size else 0.0,
+        bad_edges=bad,
+    )
+
+
+class TestKernelsAgainstReferences:
+    def test_stitch_rings_matches_the_loop(self):
+        for m in range(1, 49):
+            inner = np.arange(m, dtype=np.int64) + 1000
+            for k in range(3, 49):
+                outer = np.arange(k, dtype=np.int64) + 2000
+                assert np.array_equal(_stitch_rings(inner, outer),
+                                      _stitch_rings_loop(inner, outer)), (m, k)
+
+    def test_inspect_mesh_matches_unique(self, tetra_structure, pentad_structure):
+        meshes = [build_body_mesh(tetra_structure, "reuleaux", 8),
+                  build_body_mesh(pentad_structure, "meissner", 12),
+                  build_body_mesh(pentad_structure, "wedge", 5, wedge_index=0),
+                  _sphere_from_octants(6)]
+        base = meshes[0]
+        v, t = base.vertices, base.triangles
+        flipped = t.copy()
+        flipped[7] = flipped[7, ::-1]
+        meshes += [
+            TriangleMesh(vertices=v, triangles=t[:-1]),
+            TriangleMesh(vertices=v, triangles=flipped),
+            TriangleMesh(vertices=v, triangles=np.vstack([t, t[3:4]])),
+            TriangleMesh(vertices=v, triangles=t - 1),
+            TriangleMesh(vertices=np.zeros((0, 3)),
+                         triangles=np.zeros((0, 3), dtype=np.int64)),
+        ]
+        for mesh in meshes:
+            assert inspect_mesh(mesh) == _inspect_mesh_unique(mesh)
+        assert not inspect_mesh(meshes[-5]).watertight
+        assert not inspect_mesh(meshes[-4]).oriented
+        assert not inspect_mesh(meshes[-3]).watertight
+
+
+class TestCheckOnce:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def counting(mesh):
+            calls.append(mesh.n_triangles)
+            return inspect_mesh(mesh)
+        monkeypatch.setattr(reuleaux.mesh, "inspect_mesh", counting)
+        return calls
+
+    def test_cli_mesh_checks_once(self, checks, tmp_path):
+        assert cli.main(["mesh", "generator:tetra", "--body", "meissner",
+                         "--refine", "8", "--json", str(tmp_path / "m.json")]) == 0
+        assert len(checks) == 1
+
+    def test_full_report_checks_once_per_body(self, checks, tmp_path):
+        assert cli.main(["report", "generator:tetra", "--full", "--samples",
+                         "20000", "--batch", "20000", "--refine", "8",
+                         "--json", str(tmp_path / "r.json")]) == 0
+        assert len(checks) == 2
+
+    def test_imported_mesh_is_checked(self, checks, tetra_structure, tmp_path):
+        path = tmp_path / "body.obj"
+        export_obj(build_body_mesh(tetra_structure, "reuleaux", 8), str(path))
+        checks.clear()
+        mesh_volume(import_obj(str(path)))
+        assert len(checks) == 1
+
+    def test_built_mesh_is_read_only(self, tetra_structure):
+        mesh = build_body_mesh(tetra_structure, "reuleaux", 8)
+        assert mesh.stats == inspect_mesh(mesh)
+        with pytest.raises(ValueError):
+            mesh.triangles[0, 0] = 1
+        with pytest.raises(ValueError):
+            mesh.vertices[0, 0] = 1.0
+        assert replace(mesh, triangles=mesh.triangles[:-1]).stats is None
