@@ -23,7 +23,7 @@ from .mesh import (MeshBuilder, SpindleFrame, TriangleMesh, build_body_mesh,
                    export_obj, export_ply, import_obj, import_ply,
                    inspect_mesh, mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
-                     bounding_box, contains, mc_volume)
+                     bounding_box, mc_volume)
 from .polyhedron import (DiameterGraph, DualPair, EdgeArc, ExtremalityReport,
                          PointConfig, Structure, StructureReport,
                          analyze_config, angle_pairs, check_extremal,
@@ -51,7 +51,7 @@ __all__ = [
     "wedge_volume_via_flux",
     # Monte Carlo oracle
     "BodySpec", "McConfig", "McEstimate", "body_from_structure",
-    "bounding_box", "contains", "mc_volume",
+    "bounding_box", "mc_volume",
     # meshes
     "MeshBuilder", "SpindleFrame", "TriangleMesh", "build_body_mesh",
     "export_obj", "export_ply", "import_obj", "import_ply", "inspect_mesh",

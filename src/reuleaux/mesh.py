@@ -14,6 +14,7 @@ triangle-area sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .errors import MeshError, StructureError
 from .polyhedron import DualPair, PointConfig, Structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Indexed triangle soup with outward orientation.
 
@@ -31,7 +32,8 @@ class TriangleMesh:
     checked.  Only ``build_body_mesh`` sets it, after making both arrays
     read-only, so the statistics cannot go stale; a mesh constructed any
     other way, ``dataclasses.replace`` included, starts without stats and is
-    checked by ``mesh_volume`` and ``mesh_area``.
+    checked by ``mesh_volume`` and ``mesh_area``.  Two meshes are equal when
+    their vertex and triangle arrays are; ``stats`` is ignored.
     """
 
     vertices: np.ndarray
@@ -43,6 +45,12 @@ class TriangleMesh:
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TriangleMesh):
+            return NotImplemented
+        return (np.array_equal(self.vertices, other.vertices)
+                and np.array_equal(self.triangles, other.triangles))
 
     @property
     def n_vertices(self) -> int:
@@ -571,6 +579,11 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
 
 
 def import_obj(path: str) -> TriangleMesh:
+    """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
+
+    Raises MeshError naming the first face line with an index outside that
+    range (0, a relative negative index, or past the last vertex).
+    """
     verts, tris = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -580,9 +593,20 @@ def import_obj(path: str) -> TriangleMesh:
             if parts[0] == "v":
                 verts.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+                tris.append([int(p.split("/")[0]) for p in parts[1:4]])
+    t = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    bad = (t < 1) | (t > len(verts))
+    if bad.any():
+        # find the offending line only now, keeping the parse loop lean
+        row, col = np.argwhere(bad)[0]
+        with open(path, "r", encoding="utf-8") as fh:
+            face_lines = (k for k, line in enumerate(fh, start=1)
+                          if line.split()[:1] == ["f"])
+            lineno = next(itertools.islice(face_lines, row, None))
+        raise MeshError(f"OBJ line {lineno}: face index {t[row, col]} "
+                        f"outside 1..{len(verts)}")
     return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(-1, 3),
-                        triangles=np.array(tris, dtype=np.int64).reshape(-1, 3))
+                        triangles=t - 1)
 
 
 def export_ply(mesh: TriangleMesh, path: str) -> None:

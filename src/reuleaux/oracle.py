@@ -88,30 +88,38 @@ class McEstimate:
 
 
 def contains_many(body: BodySpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership for an (N, 3) array of sample points."""
+    """Vectorized membership for an (N, 3) array of sample points.
+
+    The ball test takes one center at a time and keeps only the points still
+    inside, so most samples leave after the first few centers.  The squared
+    distances must come from the row-wise ``einsum``: a hand-written column
+    sum or the expanded |p|^2 - 2 p.c + |c|^2 rounds differently and moves
+    points near a sphere across it (``tests/test_oracle.py`` keeps the
+    all-centers reference that pins this).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = body.config.points
-    diff = pts[:, None, :] - centers[None, :, :]
-    inside = (np.einsum("ijk,ijk->ij", diff, diff) <= 1.0).all(axis=1)
-    if body.kind == "reuleaux" or not inside.any():
-        return inside
-    sub = pts[inside]
+    inside = np.zeros(len(pts), dtype=bool)
+    idx = np.arange(len(pts))
+    sub = pts
+    for c in body.config.points:
+        d = sub - c
+        keep = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= 1.0)
+        idx = idx.take(keep)
+        sub = sub.take(keep, axis=0)
+        if not len(idx):
+            return inside
     if body.kind == "meissner":
         ok = np.ones(len(sub), dtype=bool)
         for arc in body.arcs:
             ok &= max_distance_to_arc_many(sub, arc) <= 1.0
             if not ok.any():
                 break
-        inside[np.flatnonzero(inside)] = ok
-    else:  # wedge
+        idx = idx[ok]
+    elif body.kind == "wedge":
         far = max_distance_to_arc_many(sub, body.arcs[body.wedge_index]) >= 1.0
-        inside[np.flatnonzero(inside)] = far
+        idx = idx[far]
+    inside[idx] = True
     return inside
-
-
-def contains(body: BodySpec, p) -> bool:
-    """Exact membership test for a single point."""
-    return bool(contains_many(body, np.asarray(p, dtype=float)[None, :])[0])
 
 
 def bounding_box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +152,9 @@ def bounding_box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
 def _chunk_hits(body: BodySpec, lo: np.ndarray, span: np.ndarray,
                 seed: int, chunk: int, size: int) -> int:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    pts = lo + rng.random((size, 3)) * span
+    pts = rng.random((size, 3))
+    pts *= span
+    pts += lo
     return int(contains_many(body, pts).sum())
 
 

@@ -246,6 +246,16 @@ class TestExportImport:
         face_line = next(l for l in header if l.startswith("element face"))
         assert int(face_line.split()[2]) == mesh.n_triangles
 
+    @pytest.mark.parametrize("face, index", [
+        ("f 0 2 3", 0), ("f 1 -1 3", -1), ("f 2 3 9", 9)])
+    def test_obj_face_index_out_of_range(self, tmp_path, face, index):
+        path = tmp_path / "bad.obj"
+        path.write_text("# tetrahedron\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                        f"f 1 3 2\n\n{face}\n")
+        with pytest.raises(MeshError, match=f"line 8: face index {index} "
+                                            r"outside 1\.\.4"):
+            import_obj(str(path))
+
     def test_empty_mesh_header_only(self, tmp_path):
         empty = TriangleMesh(vertices=np.zeros((0, 3)),
                              triangles=np.zeros((0, 3), dtype=np.int64))
@@ -376,3 +386,11 @@ class TestCheckOnce:
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 1.0
         assert replace(mesh, triangles=mesh.triangles[:-1]).stats is None
+
+    def test_equality_compares_arrays_and_ignores_stats(self, tetra_structure):
+        a = TriangleMesh(np.eye(3), [[0, 1, 2]])
+        assert a == TriangleMesh(np.eye(3), [[0, 1, 2]])
+        assert a != TriangleMesh(np.eye(3), [[0, 2, 1]])
+        assert a != TriangleMesh(2 * np.eye(3), [[0, 1, 2]])
+        built = build_body_mesh(tetra_structure, "reuleaux", 8)
+        assert built == TriangleMesh(built.vertices, built.triangles)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from reuleaux.formulas import volume_meissner, volume_reuleaux, wedge_volume
+from reuleaux.geom import max_distance_to_arc_many
 from reuleaux.oracle import (BodySpec, McConfig, body_from_structure,
-                             bounding_box, contains, contains_many, mc_volume)
-from reuleaux.polyhedron import angle_pairs
+                             bounding_box, contains_many, mc_volume)
+from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
+                                 config_from_generator)
 
 RNG = np.random.default_rng(555)
 
@@ -16,22 +18,25 @@ RNG = np.random.default_rng(555)
 class TestContains:
     def test_centroid_inside_both_bodies_outside_wedges(self, tetra_structure):
         centroid = tetra_structure.config.points.mean(axis=0)
-        assert contains(body_from_structure(tetra_structure, "reuleaux"), centroid)
-        assert contains(body_from_structure(tetra_structure, "meissner"), centroid)
+        assert contains_many(
+            body_from_structure(tetra_structure, "reuleaux"), centroid[None, :])[0]
+        assert contains_many(
+            body_from_structure(tetra_structure, "meissner"), centroid[None, :])[0]
         for i in range(3):
-            assert not contains(
-                body_from_structure(tetra_structure, "wedge", i), centroid)
+            assert not contains_many(
+                body_from_structure(tetra_structure, "wedge", i), centroid[None, :])[0]
 
     def test_vertices_belong_to_the_body(self, tetra_structure):
         body = body_from_structure(tetra_structure, "reuleaux")
         for p in tetra_structure.config.points:
-            assert contains(body, p)
+            assert contains_many(body, p[None, :])[0]
 
     def test_point_just_outside_some_ball_is_rejected(self, tetra_structure):
         pts = tetra_structure.config.points
         out = pts[0] + (1.0 + 1e-6) * (pts[1] - pts[0])
         for kind, idx in [("reuleaux", None), ("meissner", None), ("wedge", 0)]:
-            assert not contains(body_from_structure(tetra_structure, kind, idx), out)
+            assert not contains_many(
+                body_from_structure(tetra_structure, kind, idx), out[None, :])[0]
 
     def test_meissner_subset_of_reuleaux(self, pentad_structure):
         reuleaux = body_from_structure(pentad_structure, "reuleaux")
@@ -83,6 +88,101 @@ class TestBoundingBox:
             hits = pts[contains_many(wedge, pts)]
             assert len(hits) > 0
             assert np.all(hits >= lo - 1e-12) and np.all(hits <= hi + 1e-12)
+
+
+def contains_reference(body, points):
+    """The former kernel, kept as the reference: every sample against every
+    center in one (N, n, 3) block, then the arc tests on the survivors."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    diff = pts[:, None, :] - body.config.points[None, :, :]
+    inside = (np.einsum("ijk,ijk->ij", diff, diff) <= 1.0).all(axis=1)
+    if body.kind == "reuleaux" or not inside.any():
+        return inside
+    sub = pts[inside]
+    if body.kind == "meissner":
+        ok = np.ones(len(sub), dtype=bool)
+        for arc in body.arcs:
+            ok &= max_distance_to_arc_many(sub, arc) <= 1.0
+            if not ok.any():
+                break
+        inside[np.flatnonzero(inside)] = ok
+    else:
+        far = max_distance_to_arc_many(sub, body.arcs[body.wedge_index]) >= 1.0
+        inside[np.flatnonzero(inside)] = far
+    return inside
+
+
+def moved_pyramid_points():
+    """n = 6: a regular pentagon with longest diagonals 1 and an apex at unit
+    distance from its vertices, under a fixed proper rotation and shift."""
+    m = 5
+    radius = 0.5 / math.cos(math.pi / (2 * m))
+    angles = 2 * math.pi * np.arange(m) / m
+    base = np.column_stack([radius * np.cos(angles), radius * np.sin(angles),
+                            np.zeros(m)])
+    pts = np.vstack([base, [0.0, 0.0, math.sqrt(1.0 - radius * radius)]])
+    q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return pts @ q.T + np.array([0.3, -0.7, 0.5])
+
+
+def kernel_configs():
+    shift = np.array([1e3, -1e3, 1e3])
+    base = {"tetra": config_from_generator("tetra").points,
+            "pentad": config_from_generator("pentad").points,
+            "pyramid6": moved_pyramid_points()}
+    out = dict(base)
+    out.update({f"{name}+shift": pts + shift for name, pts in base.items()})
+    return out
+
+
+KERNEL_CONFIGS = kernel_configs()
+
+
+def probe_points(body, rng):
+    """Uniform points in the body's box, the vertices, and points within
+    1e-15 (relative) of each center's sphere, aimed at the box."""
+    lo, hi = bounding_box(body)
+    box = lo + rng.random((200_000, 3)) * (hi - lo)
+    centers = body.config.points
+    shells = []
+    for c in centers:
+        u = box[:5000] - c
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        shells.append(c + u * (1.0 + rng.uniform(-1e-15, 1e-15, (len(u), 1))))
+    return box, centers, np.vstack(shells)
+
+
+def every_body(structure):
+    return ([("reuleaux", None), ("meissner", None)]
+            + [("wedge", i) for i in range(len(structure.pairs))])
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    def test_masks_identical_on_every_body(self, name):
+        structure = analyze_config(PointConfig(KERNEL_CONFIGS[name]))
+        rng = np.random.default_rng(2024)
+        for kind, idx in every_body(structure):
+            body = body_from_structure(structure, kind, idx)
+            for pts in probe_points(body, rng):
+                expect = contains_reference(body, pts)
+                assert np.array_equal(contains_many(body, pts), expect), (kind, idx)
+            if kind == "reuleaux":
+                # the shells straddle the body's boundary: both answers occur
+                assert expect.any() and not expect.all()
+
+    @pytest.mark.parametrize("name, hits", [
+        ("tetra", (17540, 17437, 236, 114, 85)),
+        ("pentad", (17430, 17386, 10, 13, 113, 118)),
+    ])
+    def test_hit_counts_pinned(self, name, hits):
+        structure = analyze_config(config_from_generator(name))
+        mc = McConfig(seed=1, samples=1_000_000, batch=250_000)
+        got = tuple(mc_volume(body_from_structure(structure, kind, idx), mc).hit_count
+                    for kind, idx in every_body(structure))
+        assert got == hits
 
 
 class TestMcVolume:
