@@ -17,31 +17,27 @@ from .formulas import (AnglePair, BodyScalars, blaschke_defect_term,
                        surface_reuleaux, volume_meissner, volume_reuleaux,
                        wedge_volume, wedge_volume_via_flux)
 from .geom import (AngularIntervalSet, ArcOnCircle, Circle3, Tolerances,
-                   ball_constraint_interval, circle_of_sphere_pair,
-                   intersect_interval_sets, max_distance_to_arc)
+                   ball_constraint_interval, circle_of_sphere_pair)
 from .mesh import (MeshBuilder, SpindleFrame, TriangleMesh, build_body_mesh,
                    export_obj, export_ply, import_obj, import_ply,
                    inspect_mesh, mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
                      bounding_box, mc_volume)
-from .polyhedron import (DiameterGraph, DualPair, EdgeArc, ExtremalityReport,
-                         PointConfig, Structure, StructureReport,
-                         analyze_config, angle_pairs, check_extremal,
-                         config_from_generator, config_from_json_dict,
-                         diameter_graph, extract_edges, load_config,
+from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
+                         Structure, StructureReport, analyze_config,
+                         angle_pairs, check_extremal, config_from_generator,
+                         config_from_json_dict, extract_edges, load_config,
                          pair_duals, pentad_points, tetra_points)
 
 __all__ = [
     # geometry primitives
     "AngularIntervalSet", "ArcOnCircle", "Circle3", "Tolerances",
     "ball_constraint_interval", "circle_of_sphere_pair",
-    "intersect_interval_sets", "max_distance_to_arc",
     # structure
-    "DiameterGraph", "DualPair", "EdgeArc", "ExtremalityReport",
-    "PointConfig", "Structure", "StructureReport", "analyze_config",
-    "angle_pairs", "check_extremal", "config_from_generator",
-    "config_from_json_dict", "diameter_graph", "extract_edges", "load_config",
-    "pair_duals", "pentad_points", "tetra_points",
+    "DualPair", "EdgeArc", "ExtremalityReport", "PointConfig", "Structure",
+    "StructureReport", "analyze_config", "angle_pairs", "check_extremal",
+    "config_from_generator", "config_from_json_dict", "extract_edges",
+    "load_config", "pair_duals", "pentad_points", "tetra_points",
     # closed forms
     "AnglePair", "BodyScalars", "blaschke_defect_term", "blaschke_gap",
     "meissner_area_term", "meissner_scalars", "reuleaux_area_term",

@@ -82,10 +82,10 @@ def analyze_payload(structure: Structure) -> dict:
             "kept_endpoints": list(dp.kept.endpoints),
             "removed_support": list(dp.removed.support),
             "removed_endpoints": list(dp.removed.endpoints),
-            "theta": dp.theta,
-            "theta_prime": dp.theta_prime,
-            "phi": dp.phi,
-            "phi_prime": dp.phi_prime,
+            "theta": p.theta,
+            "theta_prime": p.theta_prime,
+            "phi": p.phi,
+            "phi_prime": p.phi_prime,
             "wedge_volume": formulas.wedge_volume(p),
         })
     return {

@@ -21,7 +21,7 @@ All functions are pure; angles are radians in (0, pi/3].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -52,62 +52,61 @@ def _sqrt(x: float) -> float:
 
 @dataclass(frozen=True)
 class AnglePair:
-    """Geodesic angle pair (theta, theta_prime) of one dual edge pair."""
+    """Geodesic angle pair (theta, theta_prime) of one dual edge pair.
+
+    Construction validates the pair and stores every derived angle once, so
+    each closed form reads the same values: the half-angle sines and cosines,
+    the dihedral angles ``phi`` (at the kept arc, sin(phi/2) =
+    sin(theta'/2)/cos(theta/2)) and ``phi_prime`` (at the removed arc,
+    sin(phi'/2) = sin(theta/2)/cos(theta'/2)), and
+    ``psi = asin(tan(theta/2)*tan(theta'/2))``.  All of them follow the one
+    ``_asin`` clamp policy.
+    """
 
     theta: float
     theta_prime: float
+    sin_half: float = field(init=False, compare=False, repr=False)
+    sin_half_prime: float = field(init=False, compare=False, repr=False)
+    cos_half: float = field(init=False, compare=False, repr=False)
+    cos_half_prime: float = field(init=False, compare=False, repr=False)
+    phi: float = field(init=False, compare=False, repr=False)
+    phi_prime: float = field(init=False, compare=False, repr=False)
+    psi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, t in (("theta", self.theta), ("theta_prime", self.theta_prime)):
             if not 0.0 < t <= math.pi / 3.0 + 1e-9:
                 raise DomainError(f"{name} must lie in (0, pi/3], got {t}")
-        s, sp = self.sin_half, self.sin_half_prime
+        s = math.sin(self.theta / 2.0)
+        sp = math.sin(self.theta_prime / 2.0)
         if s * s + sp * sp > 1.0 + _CLAMP:
             raise DomainError("sin(theta/2)^2 + sin(theta_prime/2)^2 exceeds 1")
-        if math.tan(self.theta / 2) * math.tan(self.theta_prime / 2) > 1.0 + _CLAMP:
+        tan_product = math.tan(self.theta / 2.0) * math.tan(self.theta_prime / 2.0)
+        if tan_product > 1.0 + _CLAMP:
             raise DomainError("tan(theta/2)*tan(theta_prime/2) exceeds 1")
-
-    @property
-    def sin_half(self) -> float:
-        return math.sin(self.theta / 2.0)
-
-    @property
-    def sin_half_prime(self) -> float:
-        return math.sin(self.theta_prime / 2.0)
-
-    @property
-    def cos_half(self) -> float:
-        return math.cos(self.theta / 2.0)
-
-    @property
-    def cos_half_prime(self) -> float:
-        return math.cos(self.theta_prime / 2.0)
-
-    @property
-    def phi(self) -> float:
-        """Dihedral angle at the kept arc: sin(phi/2) = sin(theta'/2)/cos(theta/2)."""
-        return 2.0 * _asin(self.sin_half_prime / self.cos_half)
-
-    @property
-    def phi_prime(self) -> float:
-        """Dihedral angle at the removed arc: sin(phi'/2) = sin(theta/2)/cos(theta'/2)."""
-        return 2.0 * _asin(self.sin_half / self.cos_half_prime)
+        c = math.cos(self.theta / 2.0)
+        cp = math.cos(self.theta_prime / 2.0)
+        for name, value in (("sin_half", s), ("sin_half_prime", sp),
+                            ("cos_half", c), ("cos_half_prime", cp),
+                            ("phi", 2.0 * _asin(sp / c)),
+                            ("phi_prime", 2.0 * _asin(s / cp)),
+                            ("psi", _asin(tan_product))):
+            object.__setattr__(self, name, value)
 
     def swapped(self) -> "AnglePair":
         return AnglePair(self.theta_prime, self.theta)
 
 
 def meissner_area_term(p: AnglePair) -> float:
-    """2*asin(sin(t/2)/cos(t'/2)) * t' * cos(t'/2); equals phi' * t' * cos(t'/2)."""
-    return (2.0 * _asin(p.sin_half / p.cos_half_prime)
-            * p.theta_prime * p.cos_half_prime)
+    """phi' * t' * cos(t'/2), with sin(phi'/2) = sin(t/2)/cos(t'/2)."""
+    return p.phi_prime * p.theta_prime * p.cos_half_prime
 
 
 def reuleaux_area_term(p: AnglePair) -> float:
     """Symmetric surface-area term of the unsmoothed body."""
-    return 4.0 * (_asin(p.sin_half / p.cos_half_prime) * p.sin_half_prime
-                  + _asin(p.sin_half_prime / p.cos_half) * p.sin_half
-                  - _asin(math.tan(p.theta / 2.0) * math.tan(p.theta_prime / 2.0)))
+    return 4.0 * (p.phi_prime / 2.0 * p.sin_half_prime
+                  + p.phi / 2.0 * p.sin_half
+                  - p.psi)
 
 
 def reuleaux_volume_term(p: AnglePair) -> float:
@@ -115,16 +114,15 @@ def reuleaux_volume_term(p: AnglePair) -> float:
     s, sp = p.sin_half, p.sin_half_prime
     root = _sqrt(1.0 - s * s - sp * sp)
     return 4.0 * (
-        _asin(sp / p.cos_half) * (s - s ** 3 / 3.0)
-        + _asin(s / p.cos_half_prime) * (sp - sp ** 3 / 3.0)
-        - (2.0 / 3.0) * _asin(math.tan(p.theta / 2.0) * math.tan(p.theta_prime / 2.0))
+        p.phi / 2.0 * (s - s ** 3 / 3.0)
+        + p.phi_prime / 2.0 * (sp - sp ** 3 / 3.0)
+        - (2.0 / 3.0) * p.psi
         - (1.0 / 3.0) * sp * s * root)
 
 
 def sliver_area(p: AnglePair) -> float:
     """Area of one sliver patch between the removed arc and a geodesic."""
-    return (2.0 * _asin(math.tan(p.theta / 2.0) * math.tan(p.theta_prime / 2.0))
-            - p.sin_half * p.phi)
+    return 2.0 * p.psi - p.sin_half * p.phi
 
 
 def spindle_area(p: AnglePair) -> float:
@@ -140,7 +138,7 @@ def sliver_flux(p: AnglePair) -> float:
     carries the same flux, so no separate operation is needed.
     """
     s = p.sin_half
-    return (2.0 * _asin(math.tan(p.theta / 2.0) * math.tan(p.theta_prime / 2.0))
+    return (2.0 * p.psi
             - 1.5 * p.phi * s
             + s ** 3 * p.phi / 2.0
             + s * math.cos(p.phi_prime / 2.0) * p.theta_prime / 2.0)
@@ -178,10 +176,10 @@ def blaschke_defect_term(p: AnglePair) -> float:
     s, sp = p.sin_half, p.sin_half_prime
     root = _sqrt(1.0 - s * s - sp * sp)
     return (4.0 / 3.0) * (
-        _asin(math.tan(p.theta / 2.0) * math.tan(p.theta_prime / 2.0))
+        p.psi
         - sp * s * root
-        - _asin(sp / p.cos_half) * s ** 3
-        - _asin(s / p.cos_half_prime) * sp ** 3)
+        - p.phi / 2.0 * s ** 3
+        - p.phi_prime / 2.0 * sp ** 3)
 
 
 @dataclass(frozen=True)

@@ -252,16 +252,6 @@ class AngularIntervalSet:
                 and self.intervals == other.intervals)
 
 
-def intersect_interval_sets(sets, eps: float = 1e-7) -> AngularIntervalSet:
-    """Intersection of several canonical interval sets."""
-    acc = AngularIntervalSet.full()
-    for s in sets:
-        acc = acc.intersect(s, eps)
-        if acc.is_empty:
-            break
-    return acc
-
-
 def circle_of_sphere_pair(b, c) -> Circle3:
     """Circle of points at distance 1 from both ``b`` and ``c``.
 
@@ -330,8 +320,3 @@ def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray
                             + b * math.sin(arc.end_angle))
     d2 = np.where(inside, d2_interior, np.maximum(d2_lo, d2_hi))
     return np.sqrt(np.maximum(d2, 0.0))
-
-
-def max_distance_to_arc(p, arc: ArcOnCircle) -> float:
-    """Max over q in the arc of |p - q|."""
-    return float(max_distance_to_arc_many(as_point(p)[None, :], arc)[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError, StructureError
-from .polyhedron import DualPair, PointConfig, Structure
+from .polyhedron import DualPair, PointConfig, Structure, _chord_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +163,8 @@ class SpindleFrame:
 
     def __init__(self, cfg: PointConfig, pair: DualPair):
         pts = cfg.points
-        self.theta_prime = pair.theta_prime
-        self.phi_prime = pair.phi_prime
+        self.theta_prime = pair.angles.theta_prime
+        self.phi_prime = pair.angles.phi_prime
         self.start = pts[pair.p]
         self.finish = pts[pair.q]
         self.pole_a = pts[pair.p_prime]
@@ -426,19 +426,21 @@ def _face_loops(structure: Structure) -> dict[int, list[tuple[int, bool]]]:
     return loops
 
 
-def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
+def _geodesic_points(pts: np.ndarray, sphere: int, ui: int, wi: int,
                      n: int) -> np.ndarray:
-    """Uniform geodesic samples from u to w on the unit sphere around center."""
+    """Uniform geodesic samples from pts[ui] to pts[wi] on the unit sphere
+    around pts[sphere]."""
+    center, u, w = pts[sphere], pts[ui], pts[wi]
     du = u - center
     dw = w - center
-    ang = 2.0 * math.asin(min(0.5 * float(np.linalg.norm(u - w)), 1.0))
+    ang = _chord_angle(pts, ui, wi)
     f = np.linspace(0.0, 1.0, n + 1)
-    pts = (np.sin((1.0 - f) * ang)[:, None] * du
+    out = (np.sin((1.0 - f) * ang)[:, None] * du
            + np.sin(f * ang)[:, None] * dw) / math.sin(ang)
-    pts += center
-    pts[0] = u
-    pts[-1] = w
-    return pts
+    out += center
+    out[0] = u
+    out[-1] = w
+    return out
 
 
 class _BodyMesher:
@@ -468,8 +470,8 @@ class _BodyMesher:
         lo, hi = (u, w) if u < w else (w, u)
 
         def sample():
-            return _geodesic_points(self.pts[sphere], self.pts[lo],
-                                    self.pts[hi], self.refine)[1:-1]
+            return _geodesic_points(self.pts, sphere, lo, hi,
+                                    self.refine)[1:-1]
         inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
         ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
         return ids if (u, w) == (lo, hi) else ids[::-1]
@@ -578,11 +580,20 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
                  % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
+def _obj_face_line(path: str, row: int) -> int:
+    """Line number of the ``row``-th face line of an OBJ file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        face_lines = (k for k, line in enumerate(fh, start=1)
+                      if line.split()[:1] == ["f"])
+        return next(itertools.islice(face_lines, row, None))
+
+
 def import_obj(path: str) -> TriangleMesh:
     """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
 
-    Raises MeshError naming the first face line with an index outside that
-    range (0, a relative negative index, or past the last vertex).
+    Raises MeshError naming the first face line with fewer than three
+    indices, or with an index outside that range (0, a relative negative
+    index, or past the last vertex).
     """
     verts, tris = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -594,17 +605,18 @@ def import_obj(path: str) -> TriangleMesh:
                 verts.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
                 tris.append([int(p.split("/")[0]) for p in parts[1:4]])
-    t = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    # the offending line is located only on error, keeping the parse lean
+    try:
+        t = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
+    except ValueError:
+        row = next(k for k, face in enumerate(tris) if len(face) < 3)
+        raise MeshError(f"OBJ line {_obj_face_line(path, row)}: face has "
+                        f"{len(tris[row])} indices, needs 3") from None
     bad = (t < 1) | (t > len(verts))
     if bad.any():
-        # find the offending line only now, keeping the parse loop lean
         row, col = np.argwhere(bad)[0]
-        with open(path, "r", encoding="utf-8") as fh:
-            face_lines = (k for k, line in enumerate(fh, start=1)
-                          if line.split()[:1] == ["f"])
-            lineno = next(itertools.islice(face_lines, row, None))
-        raise MeshError(f"OBJ line {lineno}: face index {t[row, col]} "
-                        f"outside 1..{len(verts)}")
+        raise MeshError(f"OBJ line {_obj_face_line(path, row)}: face index "
+                        f"{t[row, col]} outside 1..{len(verts)}")
     return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(-1, 3),
                         triangles=t - 1)
 
@@ -624,6 +636,11 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
 
 
 def import_ply(path: str) -> TriangleMesh:
+    """Read an ASCII PLY; face indices must lie in 0..vertex count - 1.
+
+    Raises MeshError naming the first face with fewer than three indices, or
+    with an index outside that range.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         n_v = n_f = 0
         for line in fh:
@@ -636,5 +653,16 @@ def import_ply(path: str) -> TriangleMesh:
                 break
         verts = [[float(p) for p in fh.readline().split()[:3]] for _ in range(n_v)]
         tris = [[int(p) for p in fh.readline().split()[1:4]] for _ in range(n_f)]
+    try:
+        t = np.array(tris, dtype=np.int64).reshape(n_f, 3)
+    except ValueError:
+        row = next(k for k, face in enumerate(tris) if len(face) < 3)
+        raise MeshError(f"PLY face {row}: {len(tris[row])} indices, "
+                        "needs 3") from None
+    bad = (t < 0) | (t >= n_v)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise MeshError(f"PLY face {row}: vertex index {t[row, col]} "
+                        f"outside 0..{n_v - 1}")
     return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(-1, 3),
-                        triangles=np.array(tris, dtype=np.int64).reshape(-1, 3))
+                        triangles=t)

@@ -30,11 +30,16 @@ from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
 
 @dataclass(frozen=True)
 class PointConfig:
-    """A finite labeled point set X in R^3 with its tolerance policy."""
+    """A finite labeled point set X in R^3 with its tolerance policy.
+
+    ``dist`` is the read-only matrix of pairwise distances, the one source of
+    every pair distance the structure checks compare against 1.
+    """
 
     points: np.ndarray
     labels: tuple[str, ...] | None = None
     tol: Tolerances = field(default_factory=Tolerances)
+    dist: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -46,28 +51,17 @@ class PointConfig:
             raise ValueError("coordinates must be finite")
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= self.tol.dist_eps:
+        if dist[np.triu_indices(pts.shape[0], k=1)].min() <= self.tol.dist_eps:
             raise ValueError("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != pts.shape[0]:
             raise ValueError("labels must match the number of points")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        for name, arr in (("points", pts), ("dist", dist)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class DiameterGraph:
-    """Pairs of points at distance exactly 1 within dist_eps."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
 
 
 @dataclass(frozen=True)
@@ -109,21 +103,19 @@ class DualPair:
     """A matched dual edge pair with its angle data.
 
     ``kept`` is the arc retained by the canonical Meissner surgery, ``removed``
-    the arc it replaces.  ``theta`` is the geodesic length between the kept
-    arc's endpoints, ``theta_prime`` the one between the removed arc's
-    endpoints; ``phi``/``phi_prime`` are the matching dihedral angles.  The
-    oriented endpoint indices (p, q) of the kept arc and (p_prime, q_prime) of
-    the removed arc satisfy the right-handedness convention
-    ``(P' - mid) x (Q' - mid) . (P - Q) > 0`` with mid the kept chord midpoint,
-    which fixes the rotation sense used by the spindle parametrization.
+    the arc it replaces.  ``angles.theta`` is the geodesic length between the
+    kept arc's endpoints, ``angles.theta_prime`` the one between the removed
+    arc's endpoints; ``angles.phi``/``angles.phi_prime`` are the matching
+    dihedral angles.  The oriented endpoint indices (p, q) of the kept arc and
+    (p_prime, q_prime) of the removed arc satisfy the right-handedness
+    convention ``(P' - mid) x (Q' - mid) . (P - Q) > 0`` with mid the kept
+    chord midpoint, which fixes the rotation sense used by the spindle
+    parametrization.
     """
 
     kept: EdgeArc
     removed: EdgeArc
-    theta: float
-    theta_prime: float
-    phi: float
-    phi_prime: float
+    angles: AnglePair
     p: int
     q: int
     p_prime: int
@@ -161,34 +153,16 @@ class Structure:
     report: StructureReport
 
 
-def diameter_graph(cfg: PointConfig) -> DiameterGraph:
-    """All unordered pairs at distance 1 within dist_eps."""
-    pts = cfg.points
-    eps = cfg.tol.dist_eps
-    edges = set()
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if abs(float(np.linalg.norm(pts[i] - pts[j])) - 1.0) <= eps:
-                edges.add((i, j))
-    return DiameterGraph(n=cfg.n, edges=frozenset(edges))
-
-
 def check_extremal(cfg: PointConfig) -> ExtremalityReport:
     """Diameter-1 check plus the 2n-2 diametric pair count."""
-    pts = cfg.points
     eps = cfg.tol.dist_eps
     n = cfg.n
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     iu = np.triu_indices(n, k=1)
-    diameter = float(dist[iu].max())
-    violations = []
-    for i, j in zip(*iu):
-        if dist[i, j] > 1.0 + eps:
-            violations.append(
-                f"pair ({i}, {j}) at distance {dist[i, j]:.12g} exceeds 1")
-    graph = diameter_graph(cfg)
-    count = len(graph.edges)
+    dist = cfg.dist[iu]
+    diameter = float(dist.max())
+    violations = [f"pair ({i}, {j}) at distance {d:.12g} exceeds 1"
+                  for i, j, d in zip(*iu, dist) if d > 1.0 + eps]
+    count = int(np.count_nonzero(np.abs(dist - 1.0) <= eps))
     if abs(diameter - 1.0) > eps:
         violations.append(f"diameter {diameter:.12g} is not 1")
     if count != 2 * n - 2:
@@ -222,11 +196,11 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     """
     pts = cfg.points
     tol = cfg.tol
+    on_sphere = np.abs(cfg.dist - 1.0) <= tol.match_eps
     edges: list[EdgeArc] = []
     for i in range(cfg.n):
         for j in range(i + 1, cfg.n):
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d > 1.0 + tol.dist_eps:
+            if cfg.dist[i, j] > 1.0 + tol.dist_eps:
                 continue
             circle = circle_of_sphere_pair(pts[i], pts[j])
             surviving = AngularIntervalSet.full()
@@ -242,14 +216,9 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
                 continue
             # Points of X on this circle (distance 1 from both centers)
             # split the surviving set: edges live on the circle minus X.
-            splits = []
-            for k in range(cfg.n):
-                if k in (i, j):
-                    continue
-                if (abs(float(np.linalg.norm(pts[k] - pts[i])) - 1.0) <= tol.match_eps
-                        and abs(float(np.linalg.norm(pts[k] - pts[j])) - 1.0)
-                        <= tol.match_eps):
-                    splits.append(circle.angle_of(pts[k]))
+            # The zero diagonal of dist keeps i and j themselves out.
+            splits = [circle.angle_of(pts[k])
+                      for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
             if surviving.is_full:
                 if not splits:
                     raise StructureError(
@@ -293,7 +262,7 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     pairs swap, and populate the angle data.
 
     Raises StructureError if any edge is unmatched or the pair count differs
-    from |X| - 1.
+    from |X| - 1, and DomainError if a pair's angles fail AnglePair's checks.
     """
     pts = cfg.points
     by_key = {}
@@ -324,14 +293,9 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
         elif orient == 0.0:
             raise StructureError(
                 f"degenerate orientation for dual pair {kept.support}/{removed.support}")
-        theta = _chord_angle(pts, p, q)
-        theta_prime = _chord_angle(pts, pp, qp)
-        phi = 2.0 * math.asin(min(math.sin(theta_prime / 2) / math.cos(theta / 2), 1.0))
-        phi_prime = 2.0 * math.asin(min(math.sin(theta / 2) / math.cos(theta_prime / 2), 1.0))
-        pairs.append(DualPair(kept=kept, removed=removed, theta=theta,
-                              theta_prime=theta_prime, phi=phi,
-                              phi_prime=phi_prime, p=p, q=q,
-                              p_prime=pp, q_prime=qp))
+        angles = AnglePair(_chord_angle(pts, p, q), _chord_angle(pts, pp, qp))
+        pairs.append(DualPair(kept=kept, removed=removed, angles=angles,
+                              p=p, q=q, p_prime=pp, q_prime=qp))
     if len(pairs) != cfg.n - 1:
         raise StructureError(
             f"found {len(pairs)} dual pairs, expected {cfg.n - 1}")
@@ -374,7 +338,8 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
 
 
 def analyze_config(cfg: PointConfig) -> Structure:
-    """Full validation pipeline; raises NotExtremalError or StructureError."""
+    """Full validation pipeline; raises NotExtremalError, StructureError or
+    DomainError."""
     extremality = check_extremal(cfg)
     if not extremality.is_extremal:
         raise NotExtremalError(extremality)
@@ -386,8 +351,8 @@ def analyze_config(cfg: PointConfig) -> Structure:
 
 
 def angle_pairs(structure: Structure) -> tuple[AnglePair, ...]:
-    """The (theta, theta_prime) list feeding all closed-form evaluations."""
-    return tuple(AnglePair(dp.theta, dp.theta_prime) for dp in structure.pairs)
+    """The angle pairs feeding all closed-form evaluations."""
+    return tuple(dp.angles for dp in structure.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ def test_c6_structure(tetra_structure, pentad_structure):
           and pent.report.dual_pair_count == 4
           and pent.report.vertex_classes.count("dangling") == 1
           and pent.report.euler_characteristic == 2)
-    tet_angle_err = max(max(abs(dp.theta - math.pi / 3),
-                            abs(dp.theta_prime - math.pi / 3))
+    tet_angle_err = max(max(abs(dp.angles.theta - math.pi / 3),
+                            abs(dp.angles.theta_prime - math.pi / 3))
                         for dp in tetra_structure.pairs)
     ok &= (tetra_structure.report.dual_pair_count == 3
            and tet_angle_err <= 1e-12)

@@ -68,6 +68,27 @@ class TestValidate:
         assert run(["validate", str(geo)]) == 2
         assert run(["validate", str(geo), "--tol-dist", "1e-5"]) == 0
 
+    @pytest.mark.parametrize("command, code", [
+        ("validate", 0), ("analyze", 4), ("mesh", 4), ("report", 4)])
+    def test_stretched_tetra_fails_every_structure_command(
+            self, tmp_path, capsys, command, code):
+        # diameters 1 + 5e-9 pass --tol-dist 1e-8, but theta then exceeds
+        # the pi/3 + 1e-9 that every angle pair must respect
+        geo = tmp_path / "stretched.json"
+        geo.write_text(json.dumps({"points": (tetra_points()
+                                              * (1 + 5e-9)).tolist()}))
+        out = tmp_path / "out.json"
+        assert run([command, str(geo), "--tol-dist", "1e-8",
+                    "--json", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+        else:
+            assert len(err) == 1
+            error = json.loads(err[0])["error"]
+            assert (error["exit_code"], error["kind"]) == (4, "domain")
+            assert error["message"].startswith("theta must lie in (0, pi/3]")
+
 
 class TestAnalyze:
     def test_values_against_formulas(self, tmp_path):

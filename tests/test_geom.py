@@ -9,8 +9,7 @@ from scipy.optimize import brentq
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
                            Tolerances, ball_constraint_interval,
-                           circle_of_sphere_pair, intersect_interval_sets,
-                           max_distance_to_arc, max_distance_to_arc_many,
+                           circle_of_sphere_pair, max_distance_to_arc_many,
                            reference_direction)
 
 RNG = np.random.default_rng(20260811)
@@ -159,7 +158,7 @@ class TestAngularIntervalSet:
                      for lo in RNG.uniform(0, TWO_PI, size=2)]
             a = AngularIntervalSet.from_raw(raw_a, 1e-7)
             b = AngularIntervalSet.from_raw(raw_b, 1e-7)
-            both = intersect_interval_sets([a, b], 1e-7)
+            both = a.intersect(b, 1e-7)
             for ang in grid:
                 expect = a.contains(ang, 1e-9) and b.contains(ang, 1e-9)
                 got = both.contains(ang, 1e-9)
@@ -175,7 +174,8 @@ class TestMaxDistanceToArc:
 
     def test_circle_center_sees_radius(self):
         arc = self._arc(0.3, 2.0)
-        assert max_distance_to_arc(arc.circle.center, arc) == pytest.approx(
+        center = arc.circle.center
+        assert max_distance_to_arc_many(center[None], arc)[0] == pytest.approx(
             arc.circle.radius, abs=1e-14)
 
     def test_on_axis_point_sees_hypotenuse_for_any_arc(self):
@@ -185,7 +185,8 @@ class TestMaxDistanceToArc:
         expect = math.hypot(h, circ.radius)
         for start, end in [(0.0, 0.5), (1.0, 4.0), (5.0, 7.0)]:
             arc = ArcOnCircle(circ, start, end)
-            assert max_distance_to_arc(p, arc) == pytest.approx(expect, abs=1e-13)
+            assert max_distance_to_arc_many(p[None], arc)[0] == pytest.approx(
+                expect, abs=1e-13)
 
     def test_matches_dense_sampling(self):
         psi = None
@@ -199,7 +200,7 @@ class TestMaxDistanceToArc:
             if psi is None or True:
                 psi = np.linspace(arc.start_angle, arc.end_angle, 1_000_001)
             dense = np.linalg.norm(circ.points(psi) - p, axis=1).max()
-            got = max_distance_to_arc(p, arc)
+            got = max_distance_to_arc_many(p[None], arc)[0]
             assert got >= dense - 1e-12
             assert got == pytest.approx(dense, abs=1e-9)
 
@@ -211,7 +212,7 @@ class TestMaxDistanceToArc:
             start = RNG.uniform(0, TWO_PI)
             arc = ArcOnCircle(circ, start, start + RNG.uniform(0.2, 6.0))
             p = RNG.normal(size=3) * 1.5
-            got = max_distance_to_arc(p, arc)
+            got = max_distance_to_arc_many(p[None], arc)[0]
             for q in (circ.point(arc.start_angle), circ.point(arc.end_angle)):
                 assert got >= np.linalg.norm(p - q) - 1e-12
 
@@ -220,4 +221,5 @@ class TestMaxDistanceToArc:
         pts = RNG.normal(size=(64, 3))
         many = max_distance_to_arc_many(pts, arc)
         for i in range(64):
-            assert many[i] == pytest.approx(max_distance_to_arc(pts[i], arc), abs=1e-14)
+            one = max_distance_to_arc_many(pts[i][None], arc)[0]
+            assert many[i] == pytest.approx(one, abs=1e-14)

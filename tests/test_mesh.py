@@ -256,6 +256,30 @@ class TestExportImport:
                                             r"outside 1\.\.4"):
             import_obj(str(path))
 
+    @pytest.mark.parametrize("faces, lineno", [
+        ("f 1 3 2\nf 1 2\n", 6), ("f 1 2\nf 2 3\nf 3 4\n", 5)])
+    def test_obj_face_with_two_indices(self, tmp_path, faces, lineno):
+        path = tmp_path / "short.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n" + faces)
+        with pytest.raises(MeshError, match=f"line {lineno}: face has 2 "
+                                            "indices, needs 3"):
+            import_obj(str(path))
+
+    @pytest.mark.parametrize("face, error", [
+        ("3 0 2 9", r"vertex index 9 outside 0\.\.3"),
+        ("3 0 -1 2", r"vertex index -1 outside 0\.\.3"),
+        ("2 0 2", "2 indices, needs 3")])
+    def test_ply_malformed_face(self, tmp_path, face, error):
+        path = tmp_path / "bad.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 4\n"
+                        "property float64 x\nproperty float64 y\n"
+                        "property float64 z\nelement face 2\n"
+                        "property list uchar int vertex_indices\nend_header\n"
+                        "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                        f"3 0 1 2\n{face}\n")
+        with pytest.raises(MeshError, match=f"PLY face 1: {error}"):
+            import_ply(str(path))
+
     def test_empty_mesh_header_only(self, tmp_path):
         empty = TriangleMesh(vertices=np.zeros((0, 3)),
                              triangles=np.zeros((0, 3), dtype=np.int64))

@@ -9,9 +9,8 @@ from reuleaux.errors import NotExtremalError, StructureError
 from reuleaux.polyhedron import (DualPair, PointConfig, Tolerances,
                                  analyze_config, angle_pairs, check_extremal,
                                  classify_vertices, config_from_generator,
-                                 config_from_json_dict, diameter_graph,
-                                 extract_edges, pair_duals, pentad_points,
-                                 tetra_points)
+                                 config_from_json_dict, extract_edges,
+                                 pair_duals, pentad_points, tetra_points)
 
 RNG = np.random.default_rng(4207)
 
@@ -27,16 +26,16 @@ def random_rigid_motion(rng):
 
 class TestDiameterGraph:
     def test_tetra_has_six_diametric_pairs(self):
-        g = diameter_graph(config_from_generator("tetra"))
-        assert len(g.edges) == 6
+        rep = check_extremal(config_from_generator("tetra"))
+        assert rep.diametric_pair_count == 6
 
     def test_pentad_has_eight_diametric_pairs(self):
-        g = diameter_graph(config_from_generator("pentad"))
-        assert len(g.edges) == 8
+        rep = check_extremal(config_from_generator("pentad"))
+        assert rep.diametric_pair_count == 8
 
     def test_scaled_tetra_has_none(self):
-        g = diameter_graph(PointConfig(points=0.999 * tetra_points()))
-        assert len(g.edges) == 0
+        rep = check_extremal(PointConfig(points=0.999 * tetra_points()))
+        assert rep.diametric_pair_count == 0
 
 
 class TestCheckExtremal:
@@ -115,8 +114,8 @@ class TestPairDuals:
         pairs = tetra_structure.pairs
         assert len(pairs) == 3
         for dp in pairs:
-            assert abs(dp.theta - math.pi / 3) < 1e-12
-            assert abs(dp.theta_prime - math.pi / 3) < 1e-12
+            assert abs(dp.angles.theta - math.pi / 3) < 1e-12
+            assert abs(dp.angles.theta_prime - math.pi / 3) < 1e-12
 
     def test_pentad_four_pairs(self, pentad_structure):
         assert len(pentad_structure.pairs) == 4
@@ -142,8 +141,8 @@ class TestPairDuals:
 
     def test_angles_within_pi_over_3(self, pentad_structure):
         for dp in pentad_structure.pairs:
-            assert 0.0 < dp.theta <= math.pi / 3 + 1e-9
-            assert 0.0 < dp.theta_prime <= math.pi / 3 + 1e-9
+            assert 0.0 < dp.angles.theta <= math.pi / 3 + 1e-9
+            assert 0.0 < dp.angles.theta_prime <= math.pi / 3 + 1e-9
 
     def test_dihedral_relation_against_geometry(self, pentad_structure):
         # phi is the actual dihedral angle about the kept chord
@@ -158,17 +157,19 @@ class TestPairDuals:
             w2 -= (w2 @ axis) * axis
             geo = math.acos(np.clip((w1 @ w2) / (np.linalg.norm(w1) * np.linalg.norm(w2)),
                                     -1.0, 1.0))
-            assert geo == pytest.approx(dp.phi, abs=1e-9)
-            assert math.sin(dp.phi / 2) * math.cos(dp.theta / 2) == pytest.approx(
-                math.sin(dp.theta_prime / 2), abs=1e-9)
+            a = dp.angles
+            assert geo == pytest.approx(a.phi, abs=1e-9)
+            assert math.sin(a.phi / 2) * math.cos(a.theta / 2) == pytest.approx(
+                math.sin(a.theta_prime / 2), abs=1e-9)
 
     def test_midpoint_identity_geometrically(self, tetra_structure, pentad_structure):
         # cos(t/2)cos(phi/2) = cos(t'/2)cos(phi'/2) = distance between chord midpoints
         for structure in (tetra_structure, pentad_structure):
             pts = structure.config.points
             for dp in structure.pairs:
-                lhs = math.cos(dp.theta / 2) * math.cos(dp.phi / 2)
-                rhs = math.cos(dp.theta_prime / 2) * math.cos(dp.phi_prime / 2)
+                a = dp.angles
+                lhs = math.cos(a.theta / 2) * math.cos(a.phi / 2)
+                rhs = math.cos(a.theta_prime / 2) * math.cos(a.phi_prime / 2)
                 mid_dist = np.linalg.norm(
                     0.5 * (pts[dp.p] + pts[dp.q])
                     - 0.5 * (pts[dp.p_prime] + pts[dp.q_prime]))
@@ -179,8 +180,9 @@ class TestPairDuals:
         # the kept arc subtends phi_prime about its axis, the removed arc phi
         for structure in (tetra_structure, pentad_structure):
             for dp in structure.pairs:
-                assert dp.kept.arc.span == pytest.approx(dp.phi_prime, abs=1e-9)
-                assert dp.removed.arc.span == pytest.approx(dp.phi, abs=1e-9)
+                a = dp.angles
+                assert dp.kept.arc.span == pytest.approx(a.phi_prime, abs=1e-9)
+                assert dp.removed.arc.span == pytest.approx(a.phi, abs=1e-9)
 
     def test_oriented_endpoints_are_right_handed(self, pentad_structure):
         pts = pentad_structure.config.points
@@ -210,16 +212,16 @@ class TestClassifyVertices:
 
     def test_face_membership_matches_diameter_degree(self, pentad_structure):
         # a vertex lies on the face of y exactly when |v - y| = 1
-        g = diameter_graph(pentad_structure.config)
-        for i, c in enumerate(pentad_structure.report.face_counts):
-            assert c == g.degree(i)
+        cfg = pentad_structure.config
+        degree = (np.abs(cfg.dist - 1.0) <= cfg.tol.dist_eps).sum(axis=1)
+        assert pentad_structure.report.face_counts == tuple(degree)
 
 
 class TestRigidMotionInvariance:
     @pytest.mark.parametrize("name", ["tetra", "pentad"])
     def test_structure_counts_and_angles_survive_motions(self, name):
         base = analyze_config(config_from_generator(name))
-        base_angles = sorted((dp.theta, dp.theta_prime) for dp in base.pairs)
+        base_angles = sorted((p.theta, p.theta_prime) for p in angle_pairs(base))
         for _ in range(5):
             rot, shift = random_rigid_motion(RNG)
             pts = config_from_generator(name).points @ rot.T + shift
@@ -229,7 +231,7 @@ class TestRigidMotionInvariance:
             assert len(moved.pairs) == len(base.pairs)
             assert moved.report.vertex_classes.count("dangling") == \
                 base.report.vertex_classes.count("dangling")
-            angles = sorted((dp.theta, dp.theta_prime) for dp in moved.pairs)
+            angles = sorted((p.theta, p.theta_prime) for p in angle_pairs(moved))
             assert np.allclose(angles, base_angles, atol=1e-9)
 
 
