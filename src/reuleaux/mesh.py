@@ -580,20 +580,22 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
                  % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
-def _obj_face_line(path: str, row: int) -> int:
-    """Line number of the ``row``-th face line of an OBJ file."""
+def _obj_line(path: str, tag: str, row: int) -> int:
+    """Line number of the ``row``-th ``tag`` (``v`` or ``f``) line of an OBJ
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
-        face_lines = (k for k, line in enumerate(fh, start=1)
-                      if line.split()[:1] == ["f"])
-        return next(itertools.islice(face_lines, row, None))
+        tagged = (k for k, line in enumerate(fh, start=1)
+                  if line.split()[:1] == [tag])
+        return next(itertools.islice(tagged, row, None))
 
 
 def import_obj(path: str) -> TriangleMesh:
     """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
 
-    Raises MeshError naming the first face line with fewer than three
-    indices, or with an index outside that range (0, a relative negative
-    index, or past the last vertex).
+    The mesh layer is triangle-only.  Raises MeshError naming the first
+    ``v`` line with fewer than three coordinates, the first face line with
+    other than three indices, or the first with an index outside that range
+    (0, a relative negative index, or past the last vertex).
     """
     verts, tris = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -604,21 +606,26 @@ def import_obj(path: str) -> TriangleMesh:
             if parts[0] == "v":
                 verts.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) for p in parts[1:4]])
+                tris.append([int(p.split("/")[0]) for p in parts[1:]])
     # the offending line is located only on error, keeping the parse lean
+    try:
+        v = np.array(verts, dtype=float).reshape(len(verts), 3)
+    except ValueError:
+        row = next(k for k, xyz in enumerate(verts) if len(xyz) < 3)
+        raise MeshError(f"OBJ line {_obj_line(path, 'v', row)}: vertex has "
+                        f"{len(verts[row])} coordinates, needs 3") from None
     try:
         t = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
     except ValueError:
-        row = next(k for k, face in enumerate(tris) if len(face) < 3)
-        raise MeshError(f"OBJ line {_obj_face_line(path, row)}: face has "
+        row = next(k for k, face in enumerate(tris) if len(face) != 3)
+        raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face has "
                         f"{len(tris[row])} indices, needs 3") from None
     bad = (t < 1) | (t > len(verts))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise MeshError(f"OBJ line {_obj_face_line(path, row)}: face index "
+        raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face index "
                         f"{t[row, col]} outside 1..{len(verts)}")
-    return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(-1, 3),
-                        triangles=t - 1)
+    return TriangleMesh(vertices=v, triangles=t - 1)
 
 
 def export_ply(mesh: TriangleMesh, path: str) -> None:

@@ -27,6 +27,9 @@ from .formulas import AnglePair
 from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
                    ball_constraint_interval, circle_of_sphere_pair)
 
+# (pair, center) entries per block of the vectorized candidate pass
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PointConfig:
@@ -49,8 +52,11 @@ class PointConfig:
             raise ValueError("at least 4 points are required")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        # huge finite coordinates overflow to inf, which the extremality
+        # check reports; numpy need not warn about it on stderr
+        with np.errstate(over="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         if dist[np.triu_indices(pts.shape[0], k=1)].min() <= self.tol.dist_eps:
             raise ValueError("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != pts.shape[0]:
@@ -186,67 +192,174 @@ def _match_vertex(cfg: PointConfig, p: np.ndarray) -> int:
     return i
 
 
-def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
-    """Edge arcs of B(X), one per connected boundary component.
+def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
+                    d: np.ndarray, tol: Tolerances, delta: np.ndarray,
+                    slack: float) -> np.ndarray:
+    """Per pair (i[p], j[p]): an upper bound on the longest arc of the circle
+    of the pair that lies in every ball of X, or 0 if some ball provably
+    misses the circle.
 
-    For each candidate support pair the circle of its sphere intersection is
-    trimmed against every other ball, then split where a point of X lies on
-    the circle interior to the surviving set (a dangling vertex cuts the arc
-    in two).  Components shorter than ang_eps are tangency noise and dropped.
+    Every constraint K*cos(psi - alpha) >= C is enlarged: C/K is taken from
+    C - delta over K +- delta, the half-angle widens by the direction error
+    3*delta/K plus ``slack``, an arc within ``slack`` of 2*pi - ang_eps is
+    full, and K ~ 0 (direction unknown) is full unless C is clearly positive.
+    """
+    center = 0.5 * (pts[i] + pts[j])
+    axis = (pts[i] - pts[j]) / d[:, None]
+    r = np.sqrt(1.0 - 0.25 * d * d)
+    # any orthonormal frame will do: arc lengths do not depend on it
+    rows = np.arange(len(d))
+    ref = np.argmin(np.abs(axis), axis=1)
+    u = np.eye(3)[ref] - axis[rows, ref][:, None] * axis
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    # axis x u, spelled out: np.cross has a large per-call overhead
+    v = (axis[:, [1, 2, 0]] * u[:, [2, 0, 1]]
+         - axis[:, [2, 0, 1]] * u[:, [1, 2, 0]])
+    w = pts[None, :, :] - center[:, None, :]
+    two_r = (2.0 * r)[:, None]
+    a = two_r * np.einsum("pkx,px->pk", w, u)
+    b = two_r * np.einsum("pkx,px->pk", w, v)
+    c = np.einsum("pkx,pkx->pk", w, w) + (r * r - 1.0)[:, None]
+    k = np.hypot(a, b)
+    dl = delta[:, None]
+    c_lo = c - dl
+    k_lo = k - dl - 1e-15
+    vague = k_lo <= 0.0
+    k_safe = np.where(vague, 1.0, k_lo)
+    empty = c_lo >= k + dl
+    ratio = np.where(c_lo > 0.0, c_lo / (k + dl), c_lo / k_safe)
+    half = (np.arccos(np.clip(ratio, -1.0, 1.0)) + 3.0 * dl / k_safe
+            + slack)
+    full = vague | (2.0 * half >= TWO_PI - tol.ang_eps - slack)
+    full[rows, i] = full[rows, j] = True
+    # the complement of each arc is one gap; full arcs have none
+    start = np.where(full, np.inf, (np.arctan2(b, a) + half) % TWO_PI)
+    end = np.where(full, -np.inf, start + (TWO_PI - 2.0 * half))
+    order = np.argsort(start, axis=1)
+    start = start[rows[:, None], order]
+    reach = np.maximum.accumulate(end[rows[:, None], order], axis=1)
+    last = reach[:, -1:]
+    # free arcs: from the furthest gap end so far (or the part of the circle
+    # after angle 0 that a gap wrapping past 2*pi covers) to the next start;
+    # the free arc crossing angle 0 runs from the last end to the first start
+    inner = np.where(np.isfinite(start[:, 1:]),
+                     start[:, 1:] - np.maximum(reach[:, :-1],
+                                               last - TWO_PI), 0.0)
+    longest = np.maximum(inner.max(axis=1, initial=0.0),
+                         start[:, 0] + TWO_PI - last[:, 0])
+    return np.where(empty.any(axis=1), 0.0, longest)
+
+
+def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
+    """Support pairs (i < j, in lexicographic order) whose circle may carry
+    an edge: a superset of the pairs whose exact trim ends non-empty.
+
+    For blocks of about _BLOCK (pair, center) entries over the pairs at
+    |x_i - x_j| <= 1 + dist_eps, one numpy pass computes every other
+    center's ball-constraint arc on the pair's circle, enlarged past the
+    rounding of either step (``_free_arc_bound``).  A pair is dropped when
+    some arc is provably empty, or when no free arc (one inside every
+    enlarged constraint) is longer than ang_eps - 2*slack.
+
+    Dropping is sound because the exact trim never closes a gap: every gap
+    of an intersection holds a gap of one of its operands, so every gap of
+    the surviving set holds some constraint's complement, which is longer
+    than ang_eps (a shorter complement makes ``from_raw`` return the full
+    circle, and the enlarged constraint is full then too).  So the surviving
+    set lies in the intersection of the constraints, hence in the enlarged
+    one.  A pair whose enlarged free arcs are all at most ang_eps long keeps
+    no interval longer than ang_eps, and ``from_raw`` discards the shorter
+    ones: its trim ends empty.
     """
     pts = cfg.points
     tol = cfg.tol
-    on_sphere = np.abs(cfg.dist - 1.0) <= tol.match_eps
+    n = cfg.n
+    i, j = np.nonzero(np.triu(cfg.dist <= 1.0 + tol.dist_eps, k=1))
+    d = cfg.dist[i, j]
+    eps = np.finfo(float).eps
+    # generous bounds on the absolute error of C and K (coordinates round
+    # to their magnitude, the pair's axis is a difference over d) and of
+    # the angles (acos, atan2 and n trim steps)
+    delta = (64.0 * eps * (1.0 + float(np.abs(pts).max()))
+             / np.minimum(d, 1.0))
+    slack = 64.0 * eps * TWO_PI * (n + 1)
+    bound = np.empty(len(d))
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(d), step):
+        blk = slice(s, s + step)
+        bound[blk] = _free_arc_bound(pts, i[blk], j[blk], d[blk], tol,
+                                     delta[blk], slack)
+    keep = bound > tol.ang_eps - 2.0 * slack
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
+                j: int) -> list[EdgeArc]:
+    """The exact trim-and-split of one support pair's circle."""
+    pts = cfg.points
+    tol = cfg.tol
+    circle = circle_of_sphere_pair(pts[i], pts[j])
+    surviving = AngularIntervalSet.full()
+    for k in range(cfg.n):
+        if k in (i, j):
+            continue
+        surviving = surviving.intersect(
+            ball_constraint_interval(circle, pts[k], tol.ang_eps),
+            tol.ang_eps)
+        if surviving.is_empty:
+            return []
+    # Points of X on this circle (distance 1 from both centers)
+    # split the surviving set: edges live on the circle minus X.
+    # The zero diagonal of dist keeps i and j themselves out.
+    splits = [circle.angle_of(pts[k])
+              for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
+    if surviving.is_full:
+        if not splits:
+            raise StructureError(
+                f"support pair ({i}, {j}) leaves a full circle with no "
+                "vertex on it")
+        cuts = sorted(a % TWO_PI for a in splits)
+        comps = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
+        comps.append((cuts[-1], cuts[0] + TWO_PI))
+    else:
+        comps = []
+        for lo, hi in surviving.components(tol.ang_eps):
+            inner = []
+            for s in splits:
+                rel = (s - lo) % TWO_PI
+                if tol.ang_eps < rel < (hi - lo) - tol.ang_eps:
+                    inner.append(lo + rel)
+            bounds = [lo] + sorted(inner) + [hi]
+            comps.extend(zip(bounds[:-1], bounds[1:]))
+    edges = []
+    for lo, hi in comps:
+        if hi - lo <= tol.ang_eps:
+            continue
+        u = _match_vertex(cfg, circle.point(lo))
+        w = _match_vertex(cfg, circle.point(hi))
+        edges.append(EdgeArc(
+            support=(i, j),
+            endpoints=(u, w),
+            arc=ArcOnCircle(circle, lo, hi),
+        ))
+    return edges
+
+
+def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
+    """Edge arcs of B(X), one per connected boundary component.
+
+    Two steps.  A vectorized pass (``_candidate_pairs``) keeps the support
+    pairs whose circle may carry an edge.  On each of those, in (i, j) order,
+    the circle of the sphere intersection is trimmed against every other
+    ball, then split where a point of X lies on the circle interior to the
+    surviving set (a dangling vertex cuts the arc in two).  Components
+    shorter than ang_eps are tangency noise and dropped.  The second step is
+    scalar on purpose: its float sequence fixes every arc angle.
+    """
+    on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
     edges: list[EdgeArc] = []
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if cfg.dist[i, j] > 1.0 + tol.dist_eps:
-                continue
-            circle = circle_of_sphere_pair(pts[i], pts[j])
-            surviving = AngularIntervalSet.full()
-            for k in range(cfg.n):
-                if k in (i, j):
-                    continue
-                surviving = surviving.intersect(
-                    ball_constraint_interval(circle, pts[k], tol.ang_eps),
-                    tol.ang_eps)
-                if surviving.is_empty:
-                    break
-            if surviving.is_empty:
-                continue
-            # Points of X on this circle (distance 1 from both centers)
-            # split the surviving set: edges live on the circle minus X.
-            # The zero diagonal of dist keeps i and j themselves out.
-            splits = [circle.angle_of(pts[k])
-                      for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
-            if surviving.is_full:
-                if not splits:
-                    raise StructureError(
-                        f"support pair ({i}, {j}) leaves a full circle with no "
-                        "vertex on it")
-                cuts = sorted(a % TWO_PI for a in splits)
-                comps = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
-                comps.append((cuts[-1], cuts[0] + TWO_PI))
-            else:
-                comps = []
-                for lo, hi in surviving.components(tol.ang_eps):
-                    inner = []
-                    for s in splits:
-                        rel = (s - lo) % TWO_PI
-                        if tol.ang_eps < rel < (hi - lo) - tol.ang_eps:
-                            inner.append(lo + rel)
-                    bounds = [lo] + sorted(inner) + [hi]
-                    comps.extend(zip(bounds[:-1], bounds[1:]))
-            for lo, hi in comps:
-                if hi - lo <= tol.ang_eps:
-                    continue
-                u = _match_vertex(cfg, circle.point(lo))
-                w = _match_vertex(cfg, circle.point(hi))
-                edges.append(EdgeArc(
-                    support=(i, j),
-                    endpoints=(u, w),
-                    arc=ArcOnCircle(circle, lo, hi),
-                ))
+    for i, j in _candidate_pairs(cfg):
+        edges.extend(_pair_edges(cfg, on_sphere, i, j))
     edges.sort(key=lambda e: (e.support, e.endpoint_set))
     return tuple(EdgeArc(e.support, e.endpoints, e.arc, index=k)
                  for k, e in enumerate(edges))

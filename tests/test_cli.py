@@ -56,6 +56,26 @@ class TestValidate:
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 5
 
+    def test_deeply_nested_json_exits_five(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert run(["validate", str(deep)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert (error["exit_code"], error["kind"]) == (5, "io")
+        assert "is not valid JSON" in error["message"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coordinates_print_one_error(self, tmp_path, capsys):
+        # the distance 2e308 overflows; a numpy RuntimeWarning would raise
+        geo = tmp_path / "huge.json"
+        geo.write_text(json.dumps({"points": [[1e308, 0, 0], [-1e308, 0, 0],
+                                              [0, 1, 0], [0, 0, 1]]}))
+        assert run(["analyze", str(geo)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["exit_code"], error["kind"]) == (2, "validation")
+
     def test_bad_schema_exits_two(self, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"points": [[1, 2], [3]]}))

@@ -265,6 +265,30 @@ class TestExportImport:
                                             "indices, needs 3"):
             import_obj(str(path))
 
+    @pytest.mark.parametrize("faces, lineno, count", [
+        ("f 1 3 2\nf 1 4 3 2\n", 7, 4), ("f 1 2 3 4 5\n", 6, 5)])
+    def test_obj_polygon_face(self, tmp_path, faces, lineno, count):
+        # a square pyramid whose base is one quad, then a pentagon
+        path = tmp_path / "quad.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
+                        + faces)
+        with pytest.raises(MeshError, match=f"line {lineno}: face has "
+                                            f"{count} indices, needs 3"):
+            import_obj(str(path))
+
+    @pytest.mark.parametrize("verts, lineno", [
+        # one short line: numpy alone would refuse the ragged rows
+        ("v 0 0 0\nv 1 0\nv 0 1 0\n", 3),
+        # every line short, 6 numbers: numpy alone would regroup them as
+        # two vertices without a word
+        ("v 0 0\nv 1 0\nv 0 1\n", 2)])
+    def test_obj_vertex_with_two_coordinates(self, tmp_path, verts, lineno):
+        path = tmp_path / "flat.obj"
+        path.write_text("# short vertex\n" + verts + "f 1 2 3\n")
+        with pytest.raises(MeshError, match=f"line {lineno}: vertex has 2 "
+                                            "coordinates, needs 3"):
+            import_obj(str(path))
+
     @pytest.mark.parametrize("face, error", [
         ("3 0 2 9", r"vertex index 9 outside 0\.\.3"),
         ("3 0 -1 2", r"vertex index -1 outside 0\.\.3"),
