@@ -56,8 +56,21 @@ def parse_body(text: str) -> tuple[str, int | None]:
     raise DomainError(f"--body must be reuleaux, meissner, or wedge:<i>, got {text!r}")
 
 
+def _finite(value):
+    """The payload with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write the payload as RFC 8259 JSON: a non-finite float becomes null."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -308,9 +321,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NotExtremalError as exc:
-        code = _fail(2, "validation", str(exc))
-        emit_json({"extremality": exc.report.to_dict()}, getattr(args, "json", None))
-        return code
+        # the report is written first, so an unwritable --json path gives
+        # one error, exit 5, as it does for validate
+        try:
+            emit_json({"extremality": exc.report.to_dict()},
+                      getattr(args, "json", None))
+        except OSError as io_exc:
+            return _fail(5, "io", str(io_exc))
+        return _fail(2, "validation", str(exc))
     except ValueError as exc:
         if isinstance(exc, DomainError):
             return _fail(4, "domain", str(exc))

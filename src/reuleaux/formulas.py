@@ -93,9 +93,6 @@ class AnglePair:
                             ("psi", _asin(tan_product))):
             object.__setattr__(self, name, value)
 
-    def swapped(self) -> "AnglePair":
-        return AnglePair(self.theta_prime, self.theta)
-
 
 def meissner_area_term(p: AnglePair) -> float:
     """phi' * t' * cos(t'/2), with sin(phi'/2) = sin(t/2)/cos(t'/2)."""

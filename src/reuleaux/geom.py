@@ -210,14 +210,6 @@ class AngularIntervalSet:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 
-    def contains(self, angle: float, slack: float = 0.0) -> bool:
-        a = angle % TWO_PI
-        for lo, hi in self.intervals:
-            for cand in (a, a + TWO_PI, a - TWO_PI):
-                if lo - slack <= cand <= hi + slack:
-                    return True
-        return False
-
     def intersect(self, other: "AngularIntervalSet",
                   eps: float) -> "AngularIntervalSet":
         if self.is_full:

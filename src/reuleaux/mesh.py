@@ -9,7 +9,7 @@ Watertightness comes from construction, not welding: every boundary polyline
 (edge arc, geodesic, single vertex) is sampled once into a shared vertex pool
 and all adjacent patches index the same records.  Mesh volume is the signed
 divergence-theorem sum of tetrahedra against the origin; area is the plain
-triangle-area sum.
+triangle-area sum, taken once, in the mesh's closure check.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ class TriangleMesh:
 
 @dataclass(frozen=True)
 class MeshStats:
+    """Closure statistics of one mesh, from its single check.
+
+    ``total_area`` is the triangle-area sum of the same pass that gives
+    ``min_triangle_area``; ``mesh_area`` reads it.  It takes no part in
+    equality and is not written by ``to_dict``.
+    """
+
     watertight: bool
     oriented: bool
     euler_characteristic: int
@@ -71,6 +78,7 @@ class MeshStats:
     n_triangles: int
     min_triangle_area: float
     bad_edges: tuple[tuple[int, int], ...]
+    total_area: float = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -84,15 +92,35 @@ class MeshStats:
         }
 
 
+def _corners(mesh: TriangleMesh) -> list[np.ndarray]:
+    """Triangle corner coordinates as contiguous columns: one (3, n) block
+    per axis, whose rows are the corners 0, 1 and 2 of the n triangles."""
+    t = mesh.triangles.T
+    return [np.ascontiguousarray(mesh.vertices[:, axis])[t] for axis in range(3)]
+
+
 def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
-    v = mesh.vertices
-    t = mesh.triangles
-    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    """Half the norm of (v1 - v0) x (v2 - v0), per triangle.
+
+    Column arithmetic in the operation order of ``np.cross`` and
+    ``np.linalg.norm(axis=1)``, whose squares sum (x + y) + z."""
+    (ax, ux, wx), (ay, uy, wy), (az, uz, wz) = _corners(mesh)
+    for a, u, w in ((ax, ux, wx), (ay, uy, wy), (az, uz, wz)):
+        u -= a
+        w -= a
+    sq = uy * wz - uz * wy
+    sq *= sq
+    ny = uz * wx - ux * wz
+    sq += ny * ny
+    nz = ux * wy - uy * wx
+    sq += nz * nz
+    return 0.5 * np.sqrt(sq)
 
 
 def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
-    """Connectivity and orientation statistics; never raises."""
+    """Connectivity, orientation and area statistics; never raises."""
+    # the areas come first, before the key arrays below hold memory
+    areas = triangle_areas(mesh)
     t = mesh.triangles
     n = mesh.n_vertices
     tail = t.ravel()
@@ -113,7 +141,6 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         bad = tuple((int(k // n), int(k % n)) for k in bad_keys)
     # the shift lets malformed negative ids be counted instead of raising
     used = int(np.count_nonzero(np.bincount(tail - tail.min(initial=0))))
-    areas = triangle_areas(mesh)
     return MeshStats(
         watertight=watertight,
         oriented=oriented,
@@ -123,6 +150,7 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
+        total_area=float(areas.sum()),
     )
 
 
@@ -136,17 +164,21 @@ def _require_closed(mesh: TriangleMesh) -> MeshStats:
 
 
 def mesh_volume(mesh: TriangleMesh) -> float:
-    """Signed volume sum det(v0, v1, v2)/6; positive for outward orientation."""
+    """Signed volume sum det(v0, v1, v2)/6; positive for outward orientation.
+
+    Column arithmetic in the operation order of ``np.cross`` and
+    ``np.einsum("ij,ij->i")``, whose dot product sums (x + z) + y."""
     _require_closed(mesh)
-    v = mesh.vertices
-    t = mesh.triangles
-    return float(np.einsum("ij,ij->i", v[t[:, 0]],
-                           np.cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = _corners(mesh)
+    dot = ax * (by * cz - bz * cy)
+    dot += az * (bx * cy - by * cx)
+    dot += ay * (bz * cx - bx * cz)
+    return float(dot.sum() / 6.0)
 
 
 def mesh_area(mesh: TriangleMesh) -> float:
-    _require_closed(mesh)
-    return float(triangle_areas(mesh).sum())
+    """Triangle-area sum, read from the mesh's single closure check."""
+    return _require_closed(mesh).total_area
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +240,6 @@ class SpindleFrame:
                 * (self.eta(s) - self.mid)
                 + np.sin(shifted)[..., None] * self.v)
 
-    def surface_residual(self, pts: np.ndarray) -> np.ndarray:
-        """Residual of the rotation-surface equation at the given points."""
-        w = np.atleast_2d(pts) - self.mid
-        axial = w @ self.v
-        trans = np.linalg.norm(w - axial[:, None] * self.v, axis=1)
-        return trans + math.cos(self.theta_prime / 2.0) - np.sqrt(1.0 - axial ** 2)
-
 
 # ---------------------------------------------------------------------------
 # Builder with a shared boundary pool
@@ -267,9 +292,10 @@ class MeshBuilder:
         The loop must be a closed cycle of pooled vertex ids on the unit
         sphere around ``center``, listed counterclockwise or clockwise; the
         orientation is fixed internally so triangles face outward.  Interior
-        rings carry a point count proportional to their radius fraction, so
-        triangle sizes stay uniform from apex to boundary; adjacent rings are
-        stitched with a wraparound ladder.
+        ring r of ``rows`` carries max(3, round(L*r/rows)) points for a loop
+        of L, so triangle sizes stay uniform from apex to boundary.  All
+        interior rings are computed in one pass, ring after ring, and all
+        ladders from the apex fan to the loop are stitched in one call.
         """
         coords = self.coords_of(loop_ids)
         dirs = coords - center
@@ -278,38 +304,33 @@ class MeshBuilder:
             dirs = dirs[::-1]
         apex_dir = dirs.mean(axis=0)
         apex_dir = apex_dir / np.linalg.norm(apex_dir)
-        apex = int(self.add_points((center + apex_dir)[None, :])[0])
+        apex = self.add_points((center + apex_dir)[None, :])
         L = len(loop_ids)
         omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
         if np.any(omega > 3.0):
             raise MeshError("face loop strays beyond the barycenter hemisphere")
 
         rows = max(2, refine)
-
-        def ring_ids(r: int) -> np.ndarray:
-            if r == rows:
-                return np.asarray(loop_ids, dtype=np.int64)
-            m = max(3, round(L * r / rows))
-            c = np.arange(m) * (L / m)
-            k = np.floor(c).astype(int)
-            frac = c - k
-            kn = (k + 1) % L
-            # interpolate along the loop, then pull toward the apex
-            between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
-            between /= np.linalg.norm(between, axis=1)[:, None]
-            ang = ((1.0 - frac) * omega[k] + frac * omega[kn]) * (r / rows)
-            full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))
-            safe = np.maximum(np.sin(full), 1e-14)
-            ring = (np.sin(full - ang) / safe)[:, None] * apex_dir \
-                + (np.sin(ang) / safe)[:, None] * between
-            ring /= np.linalg.norm(ring, axis=1)[:, None]
-            return self.add_points(center + ring)
-
-        prev = np.array([apex], dtype=np.int64)
-        for r in range(1, rows + 1):
-            ring = ring_ids(r)
-            self.emit(_stitch_rings(prev, ring))
-            prev = ring
+        # rint rounds half to even, as round does
+        sizes = np.maximum(3, np.rint(L * np.arange(1, rows) / rows)).astype(np.int64)
+        r, pos = _ranks(sizes)
+        m = sizes[r]
+        c = pos * (L / m)
+        k = np.floor(c).astype(int)
+        frac = c - k
+        kn = (k + 1) % L
+        # interpolate along the loop, then pull toward the apex
+        between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
+        between /= np.linalg.norm(between, axis=1)[:, None]
+        ang = ((1.0 - frac) * omega[k] + frac * omega[kn]) * ((r + 1) / rows)
+        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))
+        safe = np.maximum(np.sin(full), 1e-14)
+        ring = (np.sin(full - ang) / safe)[:, None] * apex_dir \
+            + (np.sin(ang) / safe)[:, None] * between
+        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        ids = np.concatenate([apex, self.add_points(center + ring),
+                              np.asarray(loop_ids, dtype=np.int64)])
+        self.emit(_stitch_rings(ids, np.concatenate([[1], sizes, [L]])))
 
     def grid(self, grid_ids: np.ndarray, outward_at_center: np.ndarray) -> None:
         """Quad grid split into triangles, skipping collapsed cells.
@@ -361,24 +382,50 @@ class MeshBuilder:
         return self._all_coords()[np.asarray(ids, dtype=np.int64)]
 
 
-def _stitch_rings(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Wraparound triangle ladder between two concentric closed rings.
+def _ranks(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end: each slot's run index
+    and its position within the run."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
 
-    Both rings are ordered by the same angular parameter starting at the same
-    fraction; the inner ring may be a single point (the apex fan).
+
+def _stitch_rings(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Wraparound triangle ladders between consecutive concentric closed rings.
+
+    ``ids`` lists the rings one after another and ``sizes`` their lengths.
+    All rings are ordered by the same angular parameter starting at the same
+    fraction; a ring of one point is an apex, and its ladder is a fan.
+
+    A ladder from m inner to k outer points merges the outer steps (j+1)*m
+    with the inner steps (i+1)*k, a tie going to the outer step; a fan has
+    no inner steps.  The merge has a closed form: outer step j lands at
+    j + ((j+1)*m - 1)//k and inner step i at i + (i+1)*k//m.
     """
-    m, k = len(inner), len(outer)
-    if m == 1:
-        j = np.arange(k)
-        return np.stack([np.full(k, inner[0]), outer[j], outer[(j + 1) % k]], axis=1)
-    # merge the outer steps (j+1)*m with the inner steps (i+1)*k; a tie goes
-    # to the outer step, which the stable sort keeps first
-    steps = np.concatenate([np.arange(1, k + 1) * m, np.arange(1, m + 1) * k])
-    outer_step = np.argsort(steps, kind="stable") < k
-    j = np.cumsum(outer_step) - outer_step
-    i = np.cumsum(~outer_step) - ~outer_step
-    third = np.where(outer_step, outer[(j + 1) % k], inner[(i + 1) % m])
-    return np.stack([inner[i], outer[j % k], third], axis=1)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    m, k = sizes[:-1], sizes[1:]
+    inner_steps = np.where(m > 1, m, 0)
+    per_ladder = k + inner_steps
+    base = np.cumsum(per_ladder) - per_ladder
+    tris = np.empty((int(per_ladder.sum()), 3), dtype=np.int64)
+
+    lad, j = _ranks(k)
+    mj, kj, at_in, at_out = m[lad], k[lad], first[lad], first[lad + 1]
+    i = ((j + 1) * mj - 1) // kj
+    at = base[lad] + j + i
+    tris[at, 0] = ids[at_in + i]
+    tris[at, 1] = ids[at_out + j]
+    tris[at, 2] = ids[at_out + (j + 1) % kj]
+
+    lad, i = _ranks(inner_steps)
+    mi, ki, at_in, at_out = m[lad], k[lad], first[lad], first[lad + 1]
+    j = (i + 1) * ki // mi
+    at = base[lad] + i + j
+    tris[at, 0] = ids[at_in + i]
+    tris[at, 1] = ids[at_out + j % ki]
+    tris[at, 2] = ids[at_in + (i + 1) % mi]
+    return tris
 
 
 def _loop_solid_angle(dirs: np.ndarray) -> float:
@@ -593,21 +640,29 @@ def import_obj(path: str) -> TriangleMesh:
     """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
 
     The mesh layer is triangle-only.  Raises MeshError naming the first
-    ``v`` line with fewer than three coordinates, the first face line with
-    other than three indices, or the first with an index outside that range
-    (0, a relative negative index, or past the last vertex).
+    ``v`` or ``f`` line with a coordinate or index that is not a number, the
+    first ``v`` line with fewer than three coordinates, the first face line
+    with other than three indices, or the first with an index outside that
+    range (0, a relative negative index, or past the last vertex).
     """
     verts, tris = [], []
+    # the offending line is located only on error, keeping the parse lean
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) for p in parts[1:]])
-    # the offending line is located only on error, keeping the parse lean
+            try:
+                if parts[0] == "v":
+                    verts.append([float(p) for p in parts[1:4]])
+                elif parts[0] == "f":
+                    tris.append([int(p.split("/")[0]) for p in parts[1:]])
+            except ValueError as exc:
+                tag = parts[0]
+                row, what = ((len(verts), "vertex coordinate") if tag == "v"
+                             else (len(tris), "face index"))
+                raise MeshError(f"OBJ line {_obj_line(path, tag, row)}: "
+                                f"{what} is not a number ({exc})") from None
     try:
         v = np.array(verts, dtype=float).reshape(len(verts), 3)
     except ValueError:

@@ -76,6 +76,32 @@ class TestValidate:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["exit_code"], error["kind"]) == (2, "validation")
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_overflowing_coordinates_print_strict_json(self, tmp_path, capsys,
+                                                       command):
+        # analyze writes the report from main's NotExtremalError handler
+        geo = tmp_path / "huge.json"
+        geo.write_text(json.dumps({"points": [[1e308, 0, 0], [-1e308, 0, 0],
+                                              [0, 1, 0], [0, 0, 1]]}))
+        assert run([command, str(geo)]) == 2
+
+        def refuse(name):
+            raise ValueError(f"{name} is not RFC 8259 JSON")
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["extremality"]["diameter"] is None
+
+    def test_unwritable_report_of_non_extremal_set_exits_five(self, tmp_path,
+                                                              capsys):
+        geo = tmp_path / "square.json"
+        geo.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                                              [0, 1, 0]]}))
+        out = tmp_path / "missing" / "r.json"
+        assert run(["analyze", str(geo), "--json", str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert (error["exit_code"], error["kind"]) == (5, "io")
+
     def test_bad_schema_exits_two(self, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"points": [[1, 2], [3]]}))

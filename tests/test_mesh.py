@@ -12,9 +12,10 @@ from reuleaux.formulas import (surface_meissner, surface_reuleaux,
 import reuleaux.mesh
 from reuleaux import cli
 from reuleaux.mesh import (MeshBuilder, MeshStats, SpindleFrame, TriangleMesh,
-                           _stitch_rings, build_body_mesh, export_obj,
-                           export_ply, import_obj, import_ply, inspect_mesh,
-                           mesh_area, mesh_volume, triangle_areas)
+                           _loop_solid_angle, _stitch_rings, build_body_mesh,
+                           export_obj, export_ply, import_obj, import_ply,
+                           inspect_mesh, mesh_area, mesh_volume,
+                           triangle_areas)
 from reuleaux.polyhedron import angle_pairs
 
 RNG = np.random.default_rng(31337)
@@ -88,6 +89,14 @@ class TestSphericalCaps:
         assert mesh_volume(flipped) == -mesh_volume(mesh)
 
 
+def surface_residual(fr, pts):
+    """Residual of the spindle's rotation-surface equation at the points."""
+    w = np.atleast_2d(pts) - fr.mid
+    axial = w @ fr.v
+    trans = np.linalg.norm(w - axial[:, None] * fr.v, axis=1)
+    return trans + math.cos(fr.theta_prime / 2.0) - np.sqrt(1.0 - axial ** 2)
+
+
 class TestSpindleParametrization:
     @pytest.fixture(params=["tetra", "pentad"])
     def frame(self, request, tetra_structure, pentad_structure):
@@ -121,7 +130,7 @@ class TestSpindleParametrization:
         s = RNG.uniform(0, fr.phi_prime, size=40)
         t = RNG.uniform(0, fr.theta_prime, size=40)
         pts = fr.point(s, t)
-        assert np.max(np.abs(fr.surface_residual(pts))) < 1e-9
+        assert np.max(np.abs(surface_residual(fr, pts))) < 1e-9
 
     def test_partials_orthogonal_and_area_element(self, frame):
         _, fr = frame
@@ -289,6 +298,22 @@ class TestExportImport:
                                             "coordinates, needs 3"):
             import_obj(str(path))
 
+    def test_obj_non_numeric_coordinate(self, tmp_path):
+        path = tmp_path / "word.obj"
+        path.write_text("# a word for a number\nv 0 0 0\n\nv 1 x 0\n"
+                        "v 0 1 0\nf 1 2 3\n")
+        with pytest.raises(MeshError, match="line 4: vertex coordinate is not "
+                                            "a number"):
+            import_obj(str(path))
+
+    def test_obj_non_numeric_face_index(self, tmp_path):
+        path = tmp_path / "word.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\n"
+                        "# a word for an index\nf 1 2 a\n")
+        with pytest.raises(MeshError, match="line 7: face index is not a "
+                                            "number"):
+            import_obj(str(path))
+
     @pytest.mark.parametrize("face, error", [
         ("3 0 2 9", r"vertex index 9 outside 0\.\.3"),
         ("3 0 -1 2", r"vertex index -1 outside 0\.\.3"),
@@ -316,9 +341,10 @@ class TestExportImport:
 
 
 # ---------------------------------------------------------------------------
-# Loop and np.unique versions kept as references for the vectorized kernels
+# Loop, per-ring, np.unique and np.cross/norm/einsum versions kept as
+# references for the vectorized kernels
 
-def _stitch_rings_loop(inner, outer):
+def _ladder_loop(inner, outer, tie_to_outer=True):
     m, k = len(inner), len(outer)
     if m == 1:
         j = np.arange(k)
@@ -326,14 +352,86 @@ def _stitch_rings_loop(inner, outer):
     tris = []
     i = j = 0
     while i < m or j < k:
-        take_outer = j < k and (i == m or (j + 1) * m <= (i + 1) * k)
-        if take_outer:
+        outer_first = ((j + 1) * m <= (i + 1) * k if tie_to_outer
+                       else (j + 1) * m < (i + 1) * k)
+        if j < k and (i == m or outer_first):
             tris.append((inner[i % m], outer[j], outer[(j + 1) % k]))
             j += 1
         else:
             tris.append((inner[i % m], outer[j % k], inner[(i + 1) % m]))
             i += 1
     return np.asarray(tris, dtype=np.int64)
+
+
+def _stitch_rings_loop(ids, sizes, tie_to_outer=True):
+    """One ladder at a time between consecutive rings."""
+    rings = np.split(np.asarray(ids), np.cumsum(sizes)[:-1])
+    return np.vstack([_ladder_loop(inner, outer, tie_to_outer)
+                      for inner, outer in zip(rings, rings[1:])])
+
+
+def _ladder_sorted(inner, outer):
+    """One ladder, its steps merged by a stable sort."""
+    m, k = len(inner), len(outer)
+    if m == 1:
+        j = np.arange(k)
+        return np.stack([np.full(k, inner[0]), outer[j], outer[(j + 1) % k]], axis=1)
+    steps = np.concatenate([np.arange(1, k + 1) * m, np.arange(1, m + 1) * k])
+    outer_step = np.argsort(steps, kind="stable") < k
+    j = np.cumsum(outer_step) - outer_step
+    i = np.cumsum(~outer_step) - ~outer_step
+    third = np.where(outer_step, outer[(j + 1) % k], inner[(i + 1) % m])
+    return np.stack([inner[i], outer[j % k], third], axis=1)
+
+
+def _cap_per_ring(self, center, loop_ids, refine):
+    """MeshBuilder.cap one ring at a time, each ring stitched to the last."""
+    dirs = self.coords_of(loop_ids) - center
+    if _loop_solid_angle(dirs) < 0.0:
+        loop_ids = loop_ids[::-1]
+        dirs = dirs[::-1]
+    apex_dir = dirs.mean(axis=0)
+    apex_dir = apex_dir / np.linalg.norm(apex_dir)
+    apex = int(self.add_points((center + apex_dir)[None, :])[0])
+    L = len(loop_ids)
+    omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
+    rows = max(2, refine)
+
+    def ring_ids(r):
+        if r == rows:
+            return np.asarray(loop_ids, dtype=np.int64)
+        m = max(3, round(L * r / rows))
+        c = np.arange(m) * (L / m)
+        k = np.floor(c).astype(int)
+        frac = c - k
+        kn = (k + 1) % L
+        between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
+        between /= np.linalg.norm(between, axis=1)[:, None]
+        ang = ((1.0 - frac) * omega[k] + frac * omega[kn]) * (r / rows)
+        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))
+        safe = np.maximum(np.sin(full), 1e-14)
+        ring = (np.sin(full - ang) / safe)[:, None] * apex_dir \
+            + (np.sin(ang) / safe)[:, None] * between
+        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        return self.add_points(center + ring)
+
+    prev = np.array([apex], dtype=np.int64)
+    for r in range(1, rows + 1):
+        ring = ring_ids(r)
+        self.emit(_ladder_sorted(prev, ring))
+        prev = ring
+
+
+def _areas_reference(mesh):
+    v, t = mesh.vertices, mesh.triangles
+    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def _volume_reference(mesh):
+    v, t = mesh.vertices, mesh.triangles
+    return float(np.einsum("ij,ij->i", v[t[:, 0]],
+                           np.cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
 
 
 def _inspect_mesh_unique(mesh):
@@ -351,7 +449,7 @@ def _inspect_mesh_unique(mesh):
         bad_keys = uniq[counts != 2][:16]
         bad = tuple((int(k // n), int(k % n)) for k in bad_keys)
     used = np.unique(t)
-    areas = triangle_areas(mesh)
+    areas = _areas_reference(mesh)
     return MeshStats(
         watertight=watertight,
         oriented=oriented,
@@ -361,6 +459,7 @@ def _inspect_mesh_unique(mesh):
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
+        total_area=float(areas.sum()),
     )
 
 
@@ -370,8 +469,42 @@ class TestKernelsAgainstReferences:
             inner = np.arange(m, dtype=np.int64) + 1000
             for k in range(3, 49):
                 outer = np.arange(k, dtype=np.int64) + 2000
-                assert np.array_equal(_stitch_rings(inner, outer),
-                                      _stitch_rings_loop(inner, outer)), (m, k)
+                expect = _ladder_loop(inner, outer)
+                assert np.array_equal(
+                    _stitch_rings(np.concatenate([inner, outer]), [m, k]),
+                    expect), (m, k)
+                assert np.array_equal(_ladder_sorted(inner, outer), expect), (m, k)
+
+    def test_multi_ring_ladders_match_the_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            sizes = np.concatenate([[1], rng.integers(3, 40, size=rng.integers(1, 9))])
+            ids = rng.permutation(5000)[:sizes.sum()]
+            assert np.array_equal(_stitch_rings(ids, sizes),
+                                  _stitch_rings_loop(ids, sizes)), sizes
+        # the ring sizes of one real cap: loop of 97, 12 rows
+        sizes = [1] + [max(3, round(97 * r / 12)) for r in range(1, 12)] + [97]
+        ids = np.arange(sum(sizes))
+        assert np.array_equal(_stitch_rings(ids, sizes),
+                              _stitch_rings_loop(ids, sizes))
+
+    def test_a_tie_sent_to_the_inner_step_is_caught(self):
+        # 4 -> 6 points tie at step 12, where the outer step goes first
+        sizes = [1, 4, 6]
+        ids = np.arange(11)
+        assert np.array_equal(_stitch_rings(ids, sizes),
+                              _stitch_rings_loop(ids, sizes))
+        assert not np.array_equal(_stitch_rings(ids, sizes),
+                                  _stitch_rings_loop(ids, sizes,
+                                                     tie_to_outer=False))
+
+    def test_a_regrouped_norm_is_caught(self, tetra_structure):
+        mesh = build_body_mesh(tetra_structure, "reuleaux", 16)
+        v, t = mesh.vertices, mesh.triangles
+        n = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+        regrouped = 0.5 * np.sqrt(n[:, 0] ** 2 + (n[:, 1] ** 2 + n[:, 2] ** 2))
+        assert np.array_equal(triangle_areas(mesh), _areas_reference(mesh))
+        assert not np.array_equal(triangle_areas(mesh), regrouped)
 
     def test_inspect_mesh_matches_unique(self, tetra_structure, pentad_structure):
         meshes = [build_body_mesh(tetra_structure, "reuleaux", 8),
@@ -395,6 +528,34 @@ class TestKernelsAgainstReferences:
         assert not inspect_mesh(meshes[-5]).watertight
         assert not inspect_mesh(meshes[-4]).oriented
         assert not inspect_mesh(meshes[-3]).watertight
+
+
+class TestOnePassMeshes:
+    """One-pass caps and column integrals against the per-ring caps and the
+    np.cross / norm / einsum integrals, bit for bit."""
+
+    @pytest.mark.parametrize("refine", [2, 3, 8, 16, 33, 64, 128])
+    @pytest.mark.parametrize("generator", ["tetra", "pentad"])
+    def test_meshes_match_the_per_ring_build(self, request, monkeypatch,
+                                             generator, refine):
+        structure = request.getfixturevalue(f"{generator}_structure")
+        bodies = [("reuleaux", None), ("meissner", None)] + [
+            ("wedge", i) for i in range(len(structure.pairs))]
+        for kind, index in bodies:
+            label = (kind, index, refine)
+            mesh = build_body_mesh(structure, kind, refine, wedge_index=index)
+            with monkeypatch.context() as patch:
+                patch.setattr(MeshBuilder, "cap", _cap_per_ring)
+                ref = build_body_mesh(structure, kind, refine, wedge_index=index)
+            assert mesh.vertices.tobytes() == ref.vertices.tobytes(), label
+            assert np.array_equal(mesh.triangles, ref.triangles), label
+            # connectivity is checked against np.unique elsewhere; here the
+            # area fields come from the np.cross / norm reference
+            areas = _areas_reference(ref)
+            assert mesh.stats == replace(
+                ref.stats, min_triangle_area=float(areas.min())), label
+            assert mesh_volume(mesh).hex() == _volume_reference(ref).hex(), label
+            assert mesh_area(mesh).hex() == float(areas.sum()).hex(), label
 
 
 class TestCheckOnce:
@@ -425,6 +586,35 @@ class TestCheckOnce:
         checks.clear()
         mesh_volume(import_obj(str(path)))
         assert len(checks) == 1
+
+    @pytest.fixture
+    def area_passes(self, monkeypatch):
+        calls = []
+
+        def counting(mesh):
+            calls.append(mesh.n_triangles)
+            return triangle_areas(mesh)
+        monkeypatch.setattr(reuleaux.mesh, "triangle_areas", counting)
+        return calls
+
+    def test_areas_once_per_built_mesh(self, area_passes, pentad_structure,
+                                       tmp_path):
+        assert cli.main(["mesh", "generator:pentad", "--body", "meissner",
+                         "--refine", "8", "--json", str(tmp_path / "m.json")]) == 0
+        assert len(area_passes) == 1
+        mesh = build_body_mesh(pentad_structure, "reuleaux", 8)
+        mesh_volume(mesh)
+        mesh_area(mesh)
+        assert len(area_passes) == 2
+
+    def test_areas_once_per_imported_mesh(self, area_passes, tetra_structure,
+                                          tmp_path):
+        path = tmp_path / "body.obj"
+        built = build_body_mesh(tetra_structure, "meissner", 8)
+        export_obj(built, str(path))
+        area_passes.clear()
+        assert mesh_area(import_obj(str(path))) == mesh_area(built)
+        assert len(area_passes) == 1
 
     def test_built_mesh_is_read_only(self, tetra_structure):
         mesh = build_body_mesh(tetra_structure, "reuleaux", 8)
