@@ -26,8 +26,8 @@ from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
 from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
                          Structure, StructureReport, analyze_config,
                          angle_pairs, check_extremal, config_from_generator,
-                         config_from_json_dict, extract_edges, load_config,
-                         pair_duals, pentad_points, tetra_points)
+                         config_from_json_dict, extract_edges, pair_duals,
+                         pentad_points, tetra_points)
 
 __all__ = [
     # geometry primitives
@@ -37,7 +37,7 @@ __all__ = [
     "DualPair", "EdgeArc", "ExtremalityReport", "PointConfig", "Structure",
     "StructureReport", "analyze_config", "angle_pairs", "check_extremal",
     "config_from_generator", "config_from_json_dict", "extract_edges",
-    "load_config", "pair_duals", "pentad_points", "tetra_points",
+    "pair_duals", "pentad_points", "tetra_points",
     # closed forms
     "AnglePair", "BodyScalars", "blaschke_defect_term", "blaschke_gap",
     "meissner_area_term", "meissner_scalars", "reuleaux_area_term",

@@ -140,7 +140,9 @@ def cmd_validate(args) -> int:
     report = check_extremal(cfg)
     payload = dict(_meta(args, tol), extremality=report.to_dict())
     emit_json(payload, args.json)
-    return 0 if report.is_extremal else 2
+    if not report.is_extremal:
+        return _fail(2, "validation", "point set is not extremal")
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -252,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="point-set JSON path or generator:NAME")
-        p.add_argument("--tol-dist", type=float, default=1e-9, metavar="EPS",
-                       help="distance-equality tolerance (default 1e-9)")
+        p.add_argument("--tol-dist", type=float, default=Tolerances.dist_eps,
+                       metavar="EPS",
+                       help="distance-equality tolerance, the one numerical "
+                            "setting (default %(default)s)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report here instead of stdout")
 

@@ -24,30 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-
-_CLAMP = 1e-12
-
-
-def _asin(x: float) -> float:
-    """asin with the boundary-clamp policy: excursions beyond [-1, 1] larger
-    than 1e-12 indicate invalid geometry and raise."""
-    if x > 1.0:
-        if x > 1.0 + _CLAMP:
-            raise DomainError(f"asin argument {x} exceeds 1")
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - _CLAMP:
-            raise DomainError(f"asin argument {x} below -1")
-        x = -1.0
-    return math.asin(x)
-
-
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        if x < -_CLAMP:
-            raise DomainError(f"sqrt argument {x} is negative")
-        x = 0.0
-    return math.sqrt(x)
+from .geom import Tolerances
 
 
 @dataclass(frozen=True)
@@ -59,8 +36,12 @@ class AnglePair:
     the dihedral angles ``phi`` (at the kept arc, sin(phi/2) =
     sin(theta'/2)/cos(theta/2)) and ``phi_prime`` (at the removed arc,
     sin(phi'/2) = sin(theta/2)/cos(theta'/2)), and
-    ``psi = asin(tan(theta/2)*tan(theta'/2))``.  All of them follow the one
-    ``_asin`` clamp policy.
+    ``psi = asin(tan(theta/2)*tan(theta'/2))``.
+
+    theta and theta' must lie in (0, Tolerances.theta_max], pi/3 plus the
+    slack of the default dist_eps; otherwise DomainError.  There every asin
+    argument is at most tan(theta_max/2) < 0.578 and every sqrt argument
+    1 - sin^2(theta/2) - sin^2(theta'/2) at least 0.4999, so none is clamped.
     """
 
     theta: float
@@ -75,22 +56,18 @@ class AnglePair:
 
     def __post_init__(self) -> None:
         for name, t in (("theta", self.theta), ("theta_prime", self.theta_prime)):
-            if not 0.0 < t <= math.pi / 3.0 + 1e-9:
+            if not 0.0 < t <= Tolerances.theta_max:
                 raise DomainError(f"{name} must lie in (0, pi/3], got {t}")
         s = math.sin(self.theta / 2.0)
         sp = math.sin(self.theta_prime / 2.0)
-        if s * s + sp * sp > 1.0 + _CLAMP:
-            raise DomainError("sin(theta/2)^2 + sin(theta_prime/2)^2 exceeds 1")
-        tan_product = math.tan(self.theta / 2.0) * math.tan(self.theta_prime / 2.0)
-        if tan_product > 1.0 + _CLAMP:
-            raise DomainError("tan(theta/2)*tan(theta_prime/2) exceeds 1")
         c = math.cos(self.theta / 2.0)
         cp = math.cos(self.theta_prime / 2.0)
+        tan_product = math.tan(self.theta / 2.0) * math.tan(self.theta_prime / 2.0)
         for name, value in (("sin_half", s), ("sin_half_prime", sp),
                             ("cos_half", c), ("cos_half_prime", cp),
-                            ("phi", 2.0 * _asin(sp / c)),
-                            ("phi_prime", 2.0 * _asin(s / cp)),
-                            ("psi", _asin(tan_product))):
+                            ("phi", 2.0 * math.asin(sp / c)),
+                            ("phi_prime", 2.0 * math.asin(s / cp)),
+                            ("psi", math.asin(tan_product))):
             object.__setattr__(self, name, value)
 
 
@@ -109,7 +86,7 @@ def reuleaux_area_term(p: AnglePair) -> float:
 def reuleaux_volume_term(p: AnglePair) -> float:
     """Symmetric volume term of the unsmoothed body."""
     s, sp = p.sin_half, p.sin_half_prime
-    root = _sqrt(1.0 - s * s - sp * sp)
+    root = math.sqrt(1.0 - s * s - sp * sp)
     return 4.0 * (
         p.phi / 2.0 * (s - s ** 3 / 3.0)
         + p.phi_prime / 2.0 * (sp - sp ** 3 / 3.0)
@@ -145,7 +122,7 @@ def spindle_flux(p: AnglePair) -> float:
     """Divergence-theorem flux of x through the spindle patch."""
     s, sp = p.sin_half, p.sin_half_prime
     # cos(theta/2)*cos(phi/2) collapses to this root
-    root = _sqrt(1.0 - s * s - sp * sp)
+    root = math.sqrt(1.0 - s * s - sp * sp)
     return (-p.phi_prime * (3.0 * sp
                             - 3.0 * p.cos_half_prime * p.theta_prime / 2.0
                             - sp ** 3)
@@ -171,7 +148,7 @@ def blaschke_defect_term(p: AnglePair) -> float:
     volume fall strictly below half the surface area minus pi/3.
     """
     s, sp = p.sin_half, p.sin_half_prime
-    root = _sqrt(1.0 - s * s - sp * sp)
+    root = math.sqrt(1.0 - s * s - sp * sp)
     return (4.0 / 3.0) * (
         p.psi
         - sp * s * root

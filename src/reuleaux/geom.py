@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,23 +51,35 @@ def reference_direction(axis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical slack policy.
+    """The one table of numerical slack; ``dist_eps`` is its only setting.
 
-    dist_eps: distance-equality slack (diametric-pair detection).
-    ang_eps: angular slack on circles; intervals shorter than this are
-        treated as tangency noise and discarded.
-    match_eps: arc-endpoint-to-vertex matching radius.
+    dist_eps (the CLI's --tol-dist): a pair within dist_eps of distance 1
+        is diametric; one beyond 1 + dist_eps breaks the diameter.
+    ang_eps: circle intervals and gaps shorter than this are tangency noise
+        (edge extraction).
+    match_eps: how near an arc endpoint must come to its vertex, and a
+        point of X to a support circle.
+    on_axis: a ball constraint of amplitude below this has its center on
+        the circle's axis; the candidate pass of edge extraction is sound
+        only while it subtracts the same value.
+    theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
+        1.15e-9: the chord angle of the longest distance the default
+        dist_eps accepts, so a set that validates at the default also
+        analyzes.  A larger dist_eps leaves it in place.
+    Fixed where they act: a mesh face of solid angle below 1e-9 is
+    collapsed, a spindle must close within 1e-6 (``SpindleFrame``), and
+    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0.
     """
 
     dist_eps: float = 1e-9
-    ang_eps: float = 1e-7
-    match_eps: float = 1e-7
+    ang_eps: ClassVar[float] = 1e-7
+    match_eps: ClassVar[float] = 1e-7
+    on_axis: ClassVar[float] = 1e-15
+    theta_max: ClassVar[float] = 2.0 * math.asin((1.0 + dist_eps) / 2.0)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dist_eps < 1e-3:
             raise ValueError("dist_eps must lie in (0, 1e-3)")
-        if self.ang_eps <= 0.0 or self.match_eps <= 0.0:
-            raise ValueError("all tolerances must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -206,10 +219,6 @@ class AngularIntervalSet:
     def is_full(self) -> bool:
         return self.intervals == ((0.0, TWO_PI),)
 
-    @property
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def intersect(self, other: "AngularIntervalSet",
                   eps: float) -> "AngularIntervalSet":
         if self.is_full:
@@ -264,8 +273,9 @@ def circle_of_sphere_pair(b, c) -> Circle3:
                    u_ref=reference_direction(axis))
 
 
-def ball_constraint_interval(circle: Circle3, x,
-                             ang_eps: float = 1e-7) -> AngularIntervalSet:
+def ball_constraint_interval(
+        circle: Circle3, x,
+        ang_eps: float = Tolerances.ang_eps) -> AngularIntervalSet:
     """Angles psi with |circle.point(psi) - x| <= 1.
 
     The constraint reduces to K*cos(psi - alpha) >= C, giving the empty set,
@@ -277,7 +287,7 @@ def ball_constraint_interval(circle: Circle3, x,
     b = 2.0 * r * float(w @ circle.v_ref)
     c = float(w @ w) + r * r - 1.0
     k = math.hypot(a, b)
-    if k < 1e-15:
+    if k < Tolerances.on_axis:
         # x on the circle axis: distance is constant around the circle
         return AngularIntervalSet.full() if c <= 0.0 else AngularIntervalSet.empty()
     ratio = c / k

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError, StructureError
-from .polyhedron import DualPair, PointConfig, Structure, _chord_angle
+from .polyhedron import (DualPair, PointConfig, Structure, _chord_angle,
+                         check_wedge_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +337,9 @@ class MeshBuilder:
         """Quad grid split into triangles, skipping collapsed cells.
 
         ``grid_ids`` has shape (ns+1, nt+1); rows or columns may repeat a
-        single id where the patch collapses to a point.  Winding is chosen so
-        the probe triangle's normal aligns with ``outward_at_center``.
+        single id where the patch collapses to a point; two columns make a
+        ladder.  Winding is chosen so the probe triangle's normal (the middle
+        triangle's, if the probe collapses) aligns with ``outward_at_center``.
         """
         g = np.asarray(grid_ids, dtype=np.int64)
         ns, nt = g.shape[0] - 1, g.shape[1] - 1
@@ -351,25 +353,6 @@ class MeshBuilder:
                           t2[(a != c) & (c != d) & (d != a)]])
         probe = g[ns // 2:ns // 2 + 2, nt // 2:nt // 2 + 2]
         pa, pb, pc = (self.coords_of(np.array([probe[0, 0], probe[1, 0], probe[1, 1]])))
-        if float(np.cross(pb - pa, pc - pa) @ outward_at_center) < 0.0:
-            tris = tris[:, ::-1]
-        self.emit(tris)
-
-    def strip(self, left_ids: np.ndarray, right_ids: np.ndarray,
-              outward_at_center: np.ndarray) -> None:
-        """Ladder between two polylines sharing their first and last ids."""
-        l = np.asarray(left_ids, dtype=np.int64)
-        r = np.asarray(right_ids, dtype=np.int64)
-        if l[0] != r[0] or l[-1] != r[-1]:
-            raise MeshError("strip polylines must share their endpoints")
-        a, b = l[:-1], l[1:]
-        c, d = r[1:], r[:-1]
-        t1 = np.stack([a, b, c], axis=1)
-        t2 = np.stack([a, c, d], axis=1)
-        tris = np.vstack([t1[(a != b) & (b != c) & (c != a)],
-                          t2[(a != c) & (c != d) & (d != a)]])
-        mid = len(l) // 2
-        pa, pb, pc = self.coords_of(np.array([l[mid], l[mid + 1], r[mid + 1]]))
         n = np.cross(pb - pa, pc - pa)
         if np.linalg.norm(n) < 1e-18:
             pa, pb, pc = self.coords_of(tris[len(tris) // 2])
@@ -584,7 +567,7 @@ class _BodyMesher:
             mid_pt = 0.5 * (self.builder.coords_of(arc_ids[[self.refine // 2]])[0]
                             + self.builder.coords_of(geo[[self.refine // 2]])[0])
             outward = mid_pt - self.pts[sphere]
-            self.builder.strip(arc_ids, geo, outward)
+            self.builder.grid(np.column_stack([arc_ids, geo]), outward)
 
 
 def build_body_mesh(structure: Structure, kind: str, refine: int,
@@ -602,8 +585,7 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
         mesher.add_faces(meissner=True)
         mesher.add_spindles(into_body=True)
     elif kind == "wedge":
-        if wedge_index is None or not 0 <= wedge_index < len(structure.pairs):
-            raise ValueError("wedge mesh requires a valid pair index")
+        check_wedge_index(wedge_index, len(structure.pairs))
         mesher.add_wedge(wedge_index)
     else:
         raise ValueError(f"unknown body kind {kind!r}")
@@ -698,10 +680,12 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
 
 
 def import_ply(path: str) -> TriangleMesh:
-    """Read an ASCII PLY; face indices must lie in 0..vertex count - 1.
+    """Read an ASCII PLY of triangles; face indices must lie in 0..vertex
+    count - 1.
 
-    Raises MeshError naming the first face with fewer than three indices, or
-    with an index outside that range.
+    Raises MeshError naming the first ``PLY vertex k`` row with fewer than
+    three coordinates or a token that is not a number, or the first ``PLY
+    face k`` row that is not "3 i j k" with integer indices in that range.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_v = n_f = 0
@@ -713,18 +697,28 @@ def import_ply(path: str) -> TriangleMesh:
                 n_f = int(parts[2])
             elif parts == ["end_header"]:
                 break
-        verts = [[float(p) for p in fh.readline().split()[:3]] for _ in range(n_v)]
-        tris = [[int(p) for p in fh.readline().split()[1:4]] for _ in range(n_f)]
-    try:
-        t = np.array(tris, dtype=np.int64).reshape(n_f, 3)
-    except ValueError:
-        row = next(k for k, face in enumerate(tris) if len(face) < 3)
-        raise MeshError(f"PLY face {row}: {len(tris[row])} indices, "
-                        "needs 3") from None
-    bad = (t < 0) | (t >= n_v)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise MeshError(f"PLY face {row}: vertex index {t[row, col]} "
-                        f"outside 0..{n_v - 1}")
-    return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(-1, 3),
-                        triangles=t)
+        v_rows = [fh.readline().split() for _ in range(n_v)]
+        f_rows = [fh.readline().split() for _ in range(n_f)]
+    verts, tris = [], []
+    for k, row in enumerate(v_rows):
+        try:
+            if len(row) < 3:
+                raise ValueError(f"{len(row)} coordinates, needs 3")
+            verts.append([float(p) for p in row[:3]])
+        except ValueError as exc:
+            raise MeshError(f"PLY vertex {k}: {exc}") from None
+    for k, row in enumerate(f_rows):
+        try:
+            if len(row) != 4:
+                raise ValueError(f"{max(len(row) - 1, 0)} indices, needs 3")
+            count, *face = map(int, row)
+            if count != 3:
+                raise ValueError(f"count {count}, needs 3")
+            for i in face:
+                if not 0 <= i < n_v:
+                    raise ValueError(f"vertex index {i} outside 0..{n_v - 1}")
+        except ValueError as exc:
+            raise MeshError(f"PLY face {k}: {exc}") from None
+        tris.append(face)
+    return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(n_v, 3),
+                        triangles=np.array(tris, dtype=np.int64).reshape(n_f, 3))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import ArcOnCircle, max_distance_to_arc_many
-from .polyhedron import PointConfig, Structure
+from .polyhedron import PointConfig, Structure, check_wedge_index
 
 BODY_KINDS = ("reuleaux", "meissner", "wedge")
 
@@ -44,8 +44,7 @@ class BodySpec:
         if self.kind in ("meissner", "wedge") and not self.arcs:
             raise ValueError(f"{self.kind} body requires the kept edge arcs")
         if self.kind == "wedge":
-            if self.wedge_index is None or not 0 <= self.wedge_index < len(self.arcs):
-                raise ValueError("wedge body requires a valid pair index")
+            check_wedge_index(self.wedge_index, len(self.arcs))
 
 
 def body_from_structure(structure: Structure, kind: str,

@@ -16,13 +16,12 @@ what the oracle and mesh modules consume.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotExtremalError, StructureError
+from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
 from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
                    ball_constraint_interval, circle_of_sphere_pair)
@@ -223,7 +222,7 @@ def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
     k = np.hypot(a, b)
     dl = delta[:, None]
     c_lo = c - dl
-    k_lo = k - dl - 1e-15
+    k_lo = k - dl - tol.on_axis
     vague = k_lo <= 0.0
     k_safe = np.where(vague, 1.0, k_lo)
     empty = c_lo >= k + dl
@@ -468,6 +467,12 @@ def angle_pairs(structure: Structure) -> tuple[AnglePair, ...]:
     return tuple(dp.angles for dp in structure.pairs)
 
 
+def check_wedge_index(index: int | None, pair_count: int) -> None:
+    """Wedges are numbered 0..n-2, one per dual pair; refuse any other."""
+    if index is None or not 0 <= index < pair_count:
+        raise DomainError(f"wedge index {index} is outside 0..{pair_count - 1}")
+
+
 # ---------------------------------------------------------------------------
 # Built-in generators and point-set JSON
 
@@ -514,7 +519,8 @@ def config_from_generator(name: str, tol: Tolerances | None = None) -> PointConf
 
 
 def config_from_json_dict(data: dict, tol: Tolerances | None = None) -> PointConfig:
-    """Point-set JSON: {"points": [[x, y, z], ...], "labels": [...]}"""
+    """Point-set JSON: {"points": [[x, y, z], ...], "labels": [...]}, with
+    JSON numbers for coordinates (no strings or booleans) that fit a double."""
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError('point-set JSON must be an object with a "points" key')
     pts = data["points"]
@@ -526,10 +532,12 @@ def config_from_json_dict(data: dict, tol: Tolerances | None = None) -> PointCon
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValueError('"labels" must be a list of strings')
         labels = tuple(labels)
-    return PointConfig(points=np.array(pts, dtype=float), labels=labels,
-                       tol=tol or Tolerances())
-
-
-def load_config(path: str, tol: Tolerances | None = None) -> PointConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json_dict(json.load(fh), tol=tol)
+    for k, row in enumerate(pts):
+        if not all(type(x) in (int, float) for x in row):
+            raise ValueError(f"point {k}: coordinates must be JSON numbers")
+    try:
+        points = np.array(pts, dtype=float)
+    except OverflowError:
+        raise ValueError("an integer coordinate is too large for a "
+                         "double") from None
+    return PointConfig(points=points, labels=labels, tol=tol or Tolerances())

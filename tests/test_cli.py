@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reuleaux.cli import main
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
 from reuleaux.mesh import import_obj, import_ply
-from reuleaux.polyhedron import tetra_points
+from reuleaux.polyhedron import config_from_generator, tetra_points
 
 
 def run(argv):
@@ -265,3 +267,140 @@ class TestReportDeterminism:
         assert data["mesh"]["refine"] == 12
         assert data["tolerances"]["dist_eps"] == 1e-9
         assert "timing" in data
+
+
+def one_error(capsys, code):
+    """The single JSON error object on stderr, checked against the exit."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    error = json.loads(err[0])["error"]
+    assert error["exit_code"] == code
+    return error
+
+
+def point_set_text(first):
+    """Point-set JSON whose first coordinate is the raw JSON text given."""
+    return ('{"points": [[%s, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+            % first)
+
+
+class TestPointSetInput:
+    @pytest.mark.parametrize("value", [
+        '{"x": 1}', '"1"', "true", "false", "null", "[1]", "1" + "0" * 400])
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_coordinate_that_is_no_number_exits_two(self, tmp_path, capsys,
+                                                    command, value):
+        geo = tmp_path / "bad.json"
+        geo.write_text(point_set_text(value))
+        assert run([command, str(geo)]) == 2
+        error = one_error(capsys, 2)
+        assert error["kind"] == "validation"
+        assert error["message"] in (
+            "point 0: coordinates must be JSON numbers",
+            "an integer coordinate is too large for a double")
+
+    @pytest.mark.parametrize("text, message", [
+        (point_set_text("NaN"), "coordinates must be finite"),
+        (point_set_text("1e400"), "coordinates must be finite"),
+        ('{"points": [[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0]]}',
+         "pairwise distinct"),
+        ('{"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+         '"labels": ["a", "b"]}', "labels must match")])
+    def test_point_config_errors_exit_two(self, tmp_path, capsys, text,
+                                          message):
+        geo = tmp_path / "bad.json"
+        geo.write_text(text)
+        assert run(["validate", str(geo)]) == 2
+        assert message in one_error(capsys, 2)["message"]
+
+    def test_unknown_generator_exits_five(self, capsys):
+        assert run(["analyze", "generator:cube"]) == 5
+        assert "unknown generator" in one_error(capsys, 5)["message"]
+
+    @pytest.mark.parametrize("scale, code", [
+        (1 - 5e-10, 0), (1 + 5e-10, 0), (1 + 9e-10, 0), (1 + 2e-9, 2)])
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_jitter_against_dist_eps(self, tmp_path, capsys, command, scale,
+                                     code):
+        # validate and analyze share one slack: theta_max is the chord
+        # angle of 1 + dist_eps
+        geo = tmp_path / "jitter.json"
+        geo.write_text(json.dumps({"points": (tetra_points()
+                                              * scale).tolist()}))
+        assert run([command, str(geo), "--json", str(tmp_path / "o.json")]) \
+            == code
+        if code:
+            assert one_error(capsys, code)["kind"] == "validation"
+        else:
+            assert capsys.readouterr().err == ""
+
+
+class TestOptionErrors:
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "generator:tetra", "--refine", "1"],
+        ["mc", "generator:tetra", "--batch", "0"],
+        ["mc", "generator:tetra", "--workers", "0"]])
+    def test_bad_counts_exit_two(self, capsys, argv):
+        assert run(argv) == 2
+        assert one_error(capsys, 2)["kind"] == "validation"
+
+    @pytest.mark.parametrize("body", ["wedge:3", "wedge:-1"])
+    @pytest.mark.parametrize("command", ["mc", "mesh"])
+    def test_wedge_index_out_of_range_exits_four(self, capsys, command, body):
+        extra = ["--samples", "1000"] if command == "mc" else ["--refine", "4"]
+        assert run([command, "generator:tetra", "--body", body] + extra) == 4
+        error = one_error(capsys, 4)
+        assert error["kind"] == "domain"
+        assert error["message"] == \
+            f"wedge index {body.split(':')[1]} is outside 0..2"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400),
+    st.floats(), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+NUMBERS = st.one_of(st.floats(-1, 1), st.integers(-1, 1))
+# mostly numbers, so that whole rows of junk do not hide the rest
+ROWS = st.lists(st.one_of(NUMBERS, NUMBERS, NUMBERS, JSON_SCALARS),
+                min_size=3, max_size=3)
+
+
+@st.composite
+def near_extremal(draw):
+    """A generator's points, scaled about the dist_eps edge and jittered."""
+    name = draw(st.sampled_from(["tetra", "pentad"]))
+    pts = config_from_generator(name).points
+    scale = draw(st.sampled_from([1 - 5e-10, 1.0, 1 + 9e-10, 1 + 5e-9]))
+    jitter = draw(st.lists(st.floats(-3e-10, 3e-10), min_size=pts.size,
+                           max_size=pts.size))
+    return {"points": (scale * pts + np.reshape(jitter, pts.shape)).tolist()}
+
+
+POINT_SETS = st.one_of(
+    near_extremal(),
+    st.fixed_dictionaries(
+        {"points": st.one_of(st.lists(ROWS, max_size=7), JSON_VALUES)},
+        optional={"labels": st.one_of(st.lists(st.text(max_size=2),
+                                               max_size=6), JSON_VALUES)}),
+    JSON_VALUES)
+
+
+class TestFuzzedPointSets:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=POINT_SETS, tol=st.sampled_from([[], ["--tol-dist", "1e-8"]]))
+    def test_exit_code_and_one_error_object(self, tmp_path, capsys, doc, tol):
+        geo = tmp_path / "fuzz.json"
+        geo.write_text(json.dumps(doc))
+        for command in ("validate", "analyze"):
+            capsys.readouterr()
+            code = run([command, str(geo), "--json", str(tmp_path / "o.json")]
+                       + tol)
+            assert code in (0, 2, 3, 4, 5)
+            if code:
+                one_error(capsys, code)
+            else:
+                assert capsys.readouterr().err == ""

@@ -14,6 +14,7 @@ from reuleaux.formulas import (AnglePair, blaschke_defect_term, blaschke_gap,
                                surface_reuleaux, volume_meissner,
                                volume_reuleaux, wedge_volume,
                                wedge_volume_via_flux)
+from reuleaux.geom import Tolerances
 from reuleaux.polyhedron import angle_pairs
 
 RNG = np.random.default_rng(90201)
@@ -177,6 +178,37 @@ class TestDomainPolicy:
     def test_tiny_overshoot_is_clamped(self):
         p = AnglePair(math.pi / 3 + 5e-10, math.pi / 3)
         assert math.isfinite(reuleaux_volume_term(p))
+
+
+class TestAngleBound:
+    """theta_max, the one angle bound, and the argument ranges it implies."""
+
+    def test_bound_is_the_chord_angle_of_the_default_slack(self):
+        bound = Tolerances.theta_max
+        assert bound == 2 * math.asin((1 + Tolerances().dist_eps) / 2)
+        assert math.pi / 3 + 1e-9 < bound < math.pi / 3 + 2e-9
+
+    def test_bound_is_inclusive(self):
+        top = Tolerances.theta_max
+        p = AnglePair(top, top)
+        assert all(math.isfinite(v) for v in (
+            p.phi, p.phi_prime, p.psi, reuleaux_volume_term(p),
+            blaschke_defect_term(p), spindle_flux(p)))
+        for args in ((math.nextafter(top, 4.0), top),
+                     (top, math.nextafter(top, 4.0))):
+            with pytest.raises(DomainError, match="must lie in"):
+                AnglePair(*args)
+
+    def test_arguments_stay_far_inside_their_domains(self):
+        # the bounds the AnglePair docstring states, on a grid of the square
+        t = np.linspace(0.0, Tolerances.theta_max, 1001)[1:]
+        t[-1] = Tolerances.theta_max
+        th, tp = np.meshgrid(t, t)
+        s, sp = np.sin(th / 2), np.sin(tp / 2)
+        c, cp = np.cos(th / 2), np.cos(tp / 2)
+        tan_product = np.tan(th / 2) * np.tan(tp / 2)
+        assert max((sp / c).max(), (s / cp).max(), tan_product.max()) < 0.578
+        assert (1.0 - s * s - sp * sp).min() >= 0.4999
 
 
 class TestStructureDerivedValues:

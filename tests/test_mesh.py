@@ -21,6 +21,16 @@ from reuleaux.polyhedron import angle_pairs
 RNG = np.random.default_rng(31337)
 
 
+def _ply_text(verts, faces, n_v=None):
+    """An ASCII PLY with the given vertex and face rows."""
+    return ("ply\nformat ascii 1.0\n"
+            f"element vertex {len(verts) if n_v is None else n_v}\n"
+            "property float64 x\nproperty float64 y\nproperty float64 z\n"
+            f"element face {len(faces)}\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            + "".join(row + "\n" for row in verts + faces))
+
+
 def _quarter_arc(u, w, n):
     f = np.linspace(0.0, 1.0, n + 1)
     pts = (np.sin((1.0 - f) * math.pi / 2)[:, None] * u
@@ -221,6 +231,15 @@ class TestBodyMeshes:
         with pytest.raises(ValueError):
             build_body_mesh(tetra_structure, "wedge", 16, wedge_index=9)
 
+    def test_mesh_volume_rejects_one_flipped_triangle(self, tetra_structure):
+        mesh = build_body_mesh(tetra_structure, "reuleaux", 16)
+        tris = mesh.triangles.copy()
+        tris[7] = tris[7, ::-1]
+        flipped = TriangleMesh(vertices=mesh.vertices, triangles=tris)
+        assert inspect_mesh(flipped).watertight
+        with pytest.raises(MeshError, match="orientation is inconsistent"):
+            mesh_volume(flipped)
+
     def test_mesh_volume_rejects_open_meshes(self, tetra_structure):
         mesh = build_body_mesh(tetra_structure, "reuleaux", 16)
         holed = TriangleMesh(vertices=mesh.vertices, triangles=mesh.triangles[:-1])
@@ -327,6 +346,35 @@ class TestExportImport:
                         "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
                         f"3 0 1 2\n{face}\n")
         with pytest.raises(MeshError, match=f"PLY face 1: {error}"):
+            import_ply(str(path))
+
+    @pytest.mark.parametrize("face, error", [
+        ("4 0 1 2 3", "4 indices, needs 3"),
+        ("3 0 1 2 3", "4 indices, needs 3"),
+        ("2 0 1 2", "count 2, needs 3"),
+        ("4 0 1 2", "count 4, needs 3"),
+        ("3 0 x 2", "invalid literal for int"),
+        ("3 0 1.5 2", "invalid literal for int")])
+    def test_ply_face_that_is_not_a_triangle(self, tmp_path, face, error):
+        path = tmp_path / "bad.ply"
+        path.write_text(_ply_text(["0 0 0", "1 0 0", "0 1 0", "0 0 1"],
+                                  ["3 0 1 2", face]))
+        with pytest.raises(MeshError, match=f"PLY face 1: {error}"):
+            import_ply(str(path))
+
+    @pytest.mark.parametrize("verts, row, error", [
+        (["0 0 0", "1 x 0", "0 1 0"], 1, "could not convert string to float"),
+        # one short row: numpy alone would refuse the ragged rows
+        (["0 0 0", "1 0", "0 1 0"], 1, "2 coordinates, needs 3"),
+        # every row short, 6 numbers: numpy alone would regroup them as two
+        # vertices without a word
+        (["0 0", "1 0", "0 1"], 0, "2 coordinates, needs 3"),
+        # a file that ends before its declared rows
+        (["0 0 0", "1 0 0"], 2, "0 coordinates, needs 3")])
+    def test_ply_malformed_vertex(self, tmp_path, verts, row, error):
+        path = tmp_path / "bad.ply"
+        path.write_text(_ply_text(verts, [], n_v=3))
+        with pytest.raises(MeshError, match=f"PLY vertex {row}: {error}"):
             import_ply(str(path))
 
     def test_empty_mesh_header_only(self, tmp_path):

@@ -84,6 +84,11 @@ class TestCheckExtremal:
         with pytest.raises(ValueError):
             PointConfig(points=np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 3, 1), (12,)])
+    def test_points_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"must have shape \(n, 3\)"):
+            PointConfig(points=np.zeros(shape))
+
 
 class TestExtractEdges:
     def test_tetra_edge_count_and_chords(self, tetra_structure):
@@ -469,6 +474,31 @@ class TestRigidMotionHypothesis:
         assert np.abs(np.subtract(angles, expect)).max() <= 1e-12
         gap = np.abs(scalar_values(moved) - scalar_values(base)).max()
         assert gap <= 1e-12
+
+
+class TestRelabellingInvariance:
+    """Permuting X leaves V and S of the Reuleaux body and the multiset of
+    unordered angle pairs: the canonical kept arc may switch sides."""
+
+    @pytest.mark.parametrize("shape", ["tetra", "pentad", 5, 9, 21])
+    def test_permuted_points_keep_scalars_and_angles(self, shape):
+        if isinstance(shape, int):
+            pts = moved_pyramid(shape, 3 * shape).points
+        else:
+            pts = config_from_generator(shape).points
+        rng = np.random.default_rng(len(pts))
+
+        def invariants(points):
+            pairs = angle_pairs(analyze_config(PointConfig(points=points)))
+            body = reuleaux_scalars(pairs)
+            angles = sorted(sorted((p.theta, p.theta_prime)) for p in pairs)
+            return np.array([body.volume, body.surface_area]), np.array(angles)
+
+        base_scalars, base_angles = invariants(pts)
+        for _ in range(3):
+            scalars, angles = invariants(pts[rng.permutation(len(pts))])
+            assert np.abs(scalars - base_scalars).max() <= 1e-12
+            assert np.abs(angles - base_angles).max() <= 1e-12
 
 
 class TestPointSetJson:
