@@ -86,6 +86,21 @@ def _meta(args, tol: Tolerances) -> dict:
     }
 
 
+def _analyzed(args) -> tuple[dict, Structure]:
+    """The report's meta block and the analyzed structure of the input."""
+    tol = Tolerances(dist_eps=args.tol_dist)
+    return _meta(args, tol), analyze_config(load_input(args.input, tol))
+
+
+def _label(kind: str, idx: int | None) -> str:
+    return kind if idx is None else f"{kind}:{idx}"
+
+
+def _mesh_block(mesh) -> dict:
+    return dict(mesh.stats.to_dict(), volume=mesh_volume(mesh),
+                surface_area=mesh_area(mesh))
+
+
 def analyze_payload(structure: Structure) -> dict:
     pairs = angle_pairs(structure)
     table = []
@@ -118,8 +133,7 @@ def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
         body = body_from_structure(structure, kind, idx)
         est = mc_volume(body, McConfig(seed=seed, samples=samples, batch=batch,
                                        workers=workers))
-        label = kind if idx is None else f"{kind}:{idx}"
-        out["estimates"][label] = est.to_dict()
+        out["estimates"][_label(kind, idx)] = est.to_dict()
     return out
 
 
@@ -127,10 +141,7 @@ def mesh_payload(structure: Structure, refine: int, bodies) -> dict:
     out = {"refine": refine, "bodies": {}}
     for kind, idx in bodies:
         mesh = build_body_mesh(structure, kind, refine, wedge_index=idx)
-        label = kind if idx is None else f"{kind}:{idx}"
-        out["bodies"][label] = dict(mesh.stats.to_dict(),
-                                    volume=mesh_volume(mesh),
-                                    surface_area=mesh_area(mesh))
+        out["bodies"][_label(kind, idx)] = _mesh_block(mesh)
     return out
 
 
@@ -146,18 +157,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    tol = Tolerances(dist_eps=args.tol_dist)
-    structure = analyze_config(load_input(args.input, tol))
-    payload = dict(_meta(args, tol), **analyze_payload(structure))
+    meta, structure = _analyzed(args)
+    payload = dict(meta, **analyze_payload(structure))
     emit_json(payload, args.json)
     return 0
 
 
 def cmd_mc(args) -> int:
-    tol = Tolerances(dist_eps=args.tol_dist)
-    structure = analyze_config(load_input(args.input, tol))
+    meta, structure = _analyzed(args)
     kind, idx = parse_body(args.body)
-    payload = dict(_meta(args, tol), **analyze_payload(structure))
+    payload = dict(meta, **analyze_payload(structure))
     payload["mc"] = mc_payload(structure, args.seed, args.samples, args.batch,
                                args.workers, [(kind, idx)])
     emit_json(payload, args.json)
@@ -165,21 +174,15 @@ def cmd_mc(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    tol = Tolerances(dist_eps=args.tol_dist)
-    structure = analyze_config(load_input(args.input, tol))
+    meta, structure = _analyzed(args)
     kind, idx = parse_body(args.body)
     mesh = build_body_mesh(structure, kind, args.refine, wedge_index=idx)
     if args.out:
         writer = export_obj if args.format == "obj" else export_ply
         writer(mesh, args.out)
-    payload = dict(_meta(args, tol),
-                   mesh=dict(mesh.stats.to_dict(),
-                             volume=mesh_volume(mesh),
-                             surface_area=mesh_area(mesh),
-                             refine=args.refine,
-                             body=args.body,
-                             out=args.out,
-                             format=args.format))
+    payload = dict(meta, mesh=dict(_mesh_block(mesh), refine=args.refine,
+                                   body=args.body, out=args.out,
+                                   format=args.format))
     emit_json(payload, args.json)
     return 0
 
@@ -229,10 +232,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    tol = Tolerances(dist_eps=args.tol_dist)
     started = time.perf_counter()
-    structure = analyze_config(load_input(args.input, tol))
-    payload = dict(_meta(args, tol), **analyze_payload(structure))
+    meta, structure = _analyzed(args)
+    payload = dict(meta, **analyze_payload(structure))
     if args.full:
         bodies = [("reuleaux", None), ("meissner", None)]
         wedges = [("wedge", i) for i in range(len(structure.pairs))]
@@ -244,72 +246,56 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Every option, defined once; each subcommand lists the ones it takes.
+OPTIONS = {
+    "input": dict(help="point-set JSON path or generator:NAME"),
+    "--tol-dist": dict(type=float, default=Tolerances.dist_eps, metavar="EPS",
+                       help="distance-equality tolerance, the one numerical "
+                            "setting (default %(default)s)"),
+    "--json": dict(metavar="PATH", default=None,
+                   help="write the JSON report here instead of stdout"),
+    "--body": dict(default="reuleaux", help="reuleaux | meissner | wedge:<i>"),
+    "--full": dict(action="store_true"),
+    "--seed": dict(type=int, default=42),
+    "--samples": dict(type=int, default=1_000_000),
+    "--batch": dict(type=int, default=1_000_000),
+    "--workers": dict(type=int, default=1,
+                      help="threads over the sample chunks; no effect unless "
+                           "--samples > --batch"),
+    "--refine": dict(type=int, default=64),
+    "--format": dict(choices=("obj", "ply"), default="obj"),
+    "--grid": dict(type=int, default=50),
+    "--out": dict(metavar="PATH", default=None),
+}
+COMMON = ("input", "--tol-dist", "--json")
+MC_OPTIONS = ("--seed", "--samples", "--batch", "--workers")
+COMMANDS = (
+    ("validate", cmd_validate, "check extremality; exit 0 iff extremal",
+     COMMON),
+    ("analyze", cmd_analyze, "structure, angles, and closed forms", COMMON),
+    ("mc", cmd_mc, "Monte Carlo volume estimate for one body",
+     COMMON + ("--body",) + MC_OPTIONS),
+    ("mesh", cmd_mesh, "triangulate a body and report metrics",
+     COMMON + ("--body", "--refine", "--format", "--out")),
+    ("sweep", cmd_sweep, "CSV sweep of all per-pair terms over the angle "
+                         "square", ("--tol-dist", "--json", "--grid", "--out")),
+    ("report", cmd_report, "consolidated report (analyze, and with --full "
+                           "also mc and mesh)",
+     COMMON + ("--full",) + MC_OPTIONS + ("--refine",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reuleaux",
         description="Ball polyhedra from extremal point sets: structure, "
                     "closed-form volumes and areas, Monte Carlo and mesh checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="point-set JSON path or generator:NAME")
-        p.add_argument("--tol-dist", type=float, default=Tolerances.dist_eps,
-                       metavar="EPS",
-                       help="distance-equality tolerance, the one numerical "
-                            "setting (default %(default)s)")
-        p.add_argument("--json", metavar="PATH", default=None,
-                       help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("validate", help="check extremality; exit 0 iff extremal")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="structure, angles, and closed forms")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("mc", help="Monte Carlo volume estimate for one body")
-    add_common(p)
-    p.add_argument("--body", default="reuleaux",
-                   help="reuleaux | meissner | wedge:<i>")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--batch", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads over the sample chunks; no effect unless "
-                        "--samples > --batch")
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("mesh", help="triangulate a body and report metrics")
-    add_common(p)
-    p.add_argument("--body", default="reuleaux",
-                   help="reuleaux | meissner | wedge:<i>")
-    p.add_argument("--refine", type=int, default=64)
-    p.add_argument("--format", choices=("obj", "ply"), default="obj")
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_mesh)
-
-    p = sub.add_parser("sweep", help="CSV sweep of all per-pair terms over "
-                                     "the angle square")
-    add_common(p, with_input=False)
-    p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="consolidated report (analyze, and with "
-                                      "--full also mc and mesh)")
-    add_common(p)
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--batch", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads over the sample chunks; no effect unless "
-                        "--samples > --batch")
-    p.add_argument("--refine", type=int, default=64)
-    p.set_defaults(func=cmd_report)
-
+    for name, func, summary, options in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 

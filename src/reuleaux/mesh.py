@@ -231,16 +231,6 @@ class SpindleFrame:
                 + st * (self.pole_b - e - math.cos(tp) * (self.pole_a - e))
                 / math.sin(tp))
 
-    def normal(self, s, t) -> np.ndarray:
-        """Unit normal pointing out of the wedge (into the Meissner body)."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        tp = self.theta_prime
-        shifted = t - tp / 2.0
-        return (np.cos(shifted)[..., None] / math.cos(tp / 2.0)
-                * (self.eta(s) - self.mid)
-                + np.sin(shifted)[..., None] * self.v)
-
 
 # ---------------------------------------------------------------------------
 # Builder with a shared boundary pool
@@ -333,16 +323,18 @@ class MeshBuilder:
                               np.asarray(loop_ids, dtype=np.int64)])
         self.emit(_stitch_rings(ids, np.concatenate([[1], sizes, [L]])))
 
-    def grid(self, grid_ids: np.ndarray, outward_at_center: np.ndarray) -> None:
+    def grid(self, grid_ids: np.ndarray, flip: bool) -> None:
         """Quad grid split into triangles, skipping collapsed cells.
 
         ``grid_ids`` has shape (ns+1, nt+1); rows or columns may repeat a
         single id where the patch collapses to a point; two columns make a
-        ladder.  Winding is chosen so the probe triangle's normal (the middle
-        triangle's, if the probe collapses) aligns with ``outward_at_center``.
+        ladder.  The cell at (i, j) gives the triangles (a, b, c) and
+        (a, c, d) with a = g[i, j], b = g[i+1, j], c = g[i+1, j+1] and
+        d = g[i, j+1], each reversed if ``flip``.  Callers take ``flip`` from
+        the dual-pair orientation (see ``DualPair``); a wrong choice leaves
+        the mesh inconsistently oriented, which its closure check refuses.
         """
         g = np.asarray(grid_ids, dtype=np.int64)
-        ns, nt = g.shape[0] - 1, g.shape[1] - 1
         a = g[:-1, :-1].ravel()
         b = g[1:, :-1].ravel()
         c = g[1:, 1:].ravel()
@@ -351,15 +343,7 @@ class MeshBuilder:
         t2 = np.stack([a, c, d], axis=1)
         tris = np.vstack([t1[(a != b) & (b != c) & (c != a)],
                           t2[(a != c) & (c != d) & (d != a)]])
-        probe = g[ns // 2:ns // 2 + 2, nt // 2:nt // 2 + 2]
-        pa, pb, pc = (self.coords_of(np.array([probe[0, 0], probe[1, 0], probe[1, 1]])))
-        n = np.cross(pb - pa, pc - pa)
-        if np.linalg.norm(n) < 1e-18:
-            pa, pb, pc = self.coords_of(tris[len(tris) // 2])
-            n = np.cross(pb - pa, pc - pa)
-        if float(n @ outward_at_center) < 0.0:
-            tris = tris[:, ::-1]
-        self.emit(tris)
+        self.emit(tris[:, ::-1] if flip else tris)
 
     def coords_of(self, ids: np.ndarray) -> np.ndarray:
         return self._all_coords()[np.asarray(ids, dtype=np.int64)]
@@ -482,6 +466,7 @@ class _BodyMesher:
         self.builder = MeshBuilder()
         self.pts = structure.config.points
         self.removed = {dp.removed.index: dp for dp in structure.pairs}
+        self.edges = {e.index: e for e in structure.edges}
 
     def vx(self, i: int) -> int:
         return int(self.builder.polyline(("vx", i), lambda: self.pts[i][None, :])[0])
@@ -508,9 +493,8 @@ class _BodyMesher:
 
     def face_loop_ids(self, x: int, steps, meissner: bool) -> np.ndarray:
         chunks = []
-        by_index = {e.index: e for e in self.structure.edges}
         for idx, forward in steps:
-            e = by_index[idx]
+            e = self.edges[idx]
             if meissner and idx in self.removed:
                 ids = self.geodesic_ids(x, *e.endpoints)
             else:
@@ -531,7 +515,7 @@ class _BodyMesher:
                 continue
             self.builder.cap(self.pts[x], loop_ids, self.refine)
 
-    def spindle_grid(self, pair: DualPair) -> tuple[np.ndarray, SpindleFrame]:
+    def spindle_grid(self, pair: DualPair) -> np.ndarray:
         frame = SpindleFrame(self.structure.config, pair)
         n = self.refine
         grid = np.empty((n + 1, n + 1), dtype=np.int64)
@@ -544,30 +528,27 @@ class _BodyMesher:
         interior = frame.point(s[:, None], t[None, :])
         grid[1:-1, 1:-1] = self.builder.add_points(
             interior.reshape(-1, 3)).reshape(n - 1, n - 1)
-        return grid, frame
+        return grid
 
-    def add_spindles(self, into_body: bool) -> None:
+    # The right-handed (p, q, p', q') of each dual pair fixes every winding:
+    # the spindle grid faces out of its wedge, so it is flipped in the
+    # Meissner body, and of the two slivers that close the wedge the one on
+    # p's sphere is flipped and the one on q's sphere is not.
+
+    def add_spindles(self) -> None:
         for pair in self.structure.pairs:
-            grid, frame = self.spindle_grid(pair)
-            mid_n = frame.normal(frame.phi_prime / 2.0, frame.theta_prime / 2.0)
-            outward = mid_n if not into_body else -mid_n
-            self.builder.grid(grid, np.asarray(outward, dtype=float).reshape(3))
+            self.builder.grid(self.spindle_grid(pair), flip=True)
 
     def add_wedge(self, index: int) -> None:
         pair = self.structure.pairs[index]
-        grid, frame = self.spindle_grid(pair)
-        self.builder.grid(grid, np.asarray(
-            frame.normal(frame.phi_prime / 2.0, frame.theta_prime / 2.0)).reshape(3))
+        self.builder.grid(self.spindle_grid(pair), flip=False)
         removed = pair.removed
         arc_ids = self.arc_ids(removed)
         if removed.endpoints[0] != pair.p_prime:
             arc_ids = arc_ids[::-1]
-        for sphere in (pair.p, pair.q):
+        for sphere, flip in ((pair.p, True), (pair.q, False)):
             geo = self.geodesic_ids(sphere, pair.p_prime, pair.q_prime)
-            mid_pt = 0.5 * (self.builder.coords_of(arc_ids[[self.refine // 2]])[0]
-                            + self.builder.coords_of(geo[[self.refine // 2]])[0])
-            outward = mid_pt - self.pts[sphere]
-            self.builder.grid(np.column_stack([arc_ids, geo]), outward)
+            self.builder.grid(np.column_stack([arc_ids, geo]), flip)
 
 
 def build_body_mesh(structure: Structure, kind: str, refine: int,
@@ -583,7 +564,7 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
         mesher.add_faces(meissner=False)
     elif kind == "meissner":
         mesher.add_faces(meissner=True)
-        mesher.add_spindles(into_body=True)
+        mesher.add_spindles()
     elif kind == "wedge":
         check_wedge_index(wedge_index, len(structure.pairs))
         mesher.add_wedge(wedge_index)
@@ -653,15 +634,19 @@ def import_obj(path: str) -> TriangleMesh:
                         f"{len(verts[row])} coordinates, needs 3") from None
     try:
         t = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
+        bad = (t < 1) | (t > len(verts))
     except ValueError:
         row = next(k for k, face in enumerate(tris) if len(face) != 3)
         raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face has "
                         f"{len(tris[row])} indices, needs 3") from None
-    bad = (t < 1) | (t > len(verts))
+    except OverflowError:
+        # an index beyond int64 lies outside the range: find it in Python
+        bad = np.array([[not 1 <= i <= len(verts) for i in face]
+                        for face in tris])
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face index "
-                        f"{t[row, col]} outside 1..{len(verts)}")
+                        f"{tris[row][col]} outside 1..{len(verts)}")
     return TriangleMesh(vertices=v, triangles=t - 1)
 
 
@@ -679,22 +664,36 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
                  % tuple(mesh.triangles.ravel().tolist()))
 
 
+def _ply_count(parts: list[str], k: int) -> int:
+    """The count of the ``element`` header line k, split into ``parts``."""
+    try:
+        count = int(parts[2])
+    except (IndexError, ValueError):
+        count = -1
+    if count < 0:
+        raise MeshError(f"PLY header line {k}: element count is not a "
+                        f"non-negative integer ({' '.join(parts)!r})")
+    return count
+
+
 def import_ply(path: str) -> TriangleMesh:
     """Read an ASCII PLY of triangles; face indices must lie in 0..vertex
     count - 1.
 
-    Raises MeshError naming the first ``PLY vertex k`` row with fewer than
-    three coordinates or a token that is not a number, or the first ``PLY
-    face k`` row that is not "3 i j k" with integer indices in that range.
+    Raises MeshError naming the first ``PLY header line k`` whose element
+    count is not a non-negative integer, the first ``PLY vertex k`` row with
+    fewer than three coordinates or a token that is not a number, or the
+    first ``PLY face k`` row that is not "3 i j k" with integer indices in
+    that range.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_v = n_f = 0
-        for line in fh:
+        for k, line in enumerate(fh, start=1):
             parts = line.split()
             if parts[:2] == ["element", "vertex"]:
-                n_v = int(parts[2])
+                n_v = _ply_count(parts, k)
             elif parts[:2] == ["element", "face"]:
-                n_f = int(parts[2])
+                n_f = _ply_count(parts, k)
             elif parts == ["end_header"]:
                 break
         v_rows = [fh.readline().split() for _ in range(n_v)]

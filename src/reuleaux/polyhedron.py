@@ -115,7 +115,8 @@ class DualPair:
     (p_prime, q_prime) of the removed arc satisfy the right-handedness
     convention ``(P' - mid) x (Q' - mid) . (P - Q) > 0`` with mid the kept
     chord midpoint, which fixes the rotation sense used by the spindle
-    parametrization.
+    parametrization and, with it, the winding of every spindle and sliver
+    patch of the mesh oracle; the mesh closure check refuses a wrong one.
     """
 
     kept: EdgeArc

@@ -137,6 +137,24 @@ class TestValidate:
             assert (error["exit_code"], error["kind"]) == (4, "domain")
             assert error["message"].startswith("theta must lie in (0, pi/3]")
 
+    @pytest.mark.parametrize("command, code", [
+        ("validate", 0), ("analyze", 3), ("mesh", 3), ("report", 3)])
+    def test_pulled_vertex_is_a_structure_error(self, tmp_path, capsys,
+                                                command, code):
+        # vertex 0 moved 5e-5 toward the centroid: its diameters still pass
+        # --tol-dist 1e-4, but the arcs no longer meet at the vertex
+        pts = tetra_points()
+        toward = pts.mean(axis=0) - pts[0]
+        pts[0] += 5e-5 * toward / np.linalg.norm(toward)
+        geo = tmp_path / "pulled.json"
+        geo.write_text(json.dumps({"points": pts.tolist()}))
+        assert run([command, str(geo), "--tol-dist", "1e-4",
+                    "--json", str(tmp_path / "out.json")]) == code
+        if code == 0:
+            assert capsys.readouterr().err == ""
+        else:
+            assert one_error(capsys, 3)["kind"] == "structure"
+
 
 class TestAnalyze:
     def test_values_against_formulas(self, tmp_path):

@@ -236,3 +236,45 @@ class TestMaxDistanceToArc:
         for i in range(64):
             one = max_distance_to_arc_many(pts[i][None], arc)[0]
             assert many[i] == pytest.approx(one, abs=1e-14)
+
+
+class TestInputChecks:
+    """The constructors and the point arguments refuse malformed input."""
+
+    UNIT_CIRCLE = dict(center=(0, 0, 0), radius=1.0, axis=(0, 0, 1),
+                       u_ref=(1, 0, 0))
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 0), "expected a 3-vector, got shape"),
+        ((0, 0, 0, 1), "expected a 3-vector, got shape"),
+        ([[0, 0, 1]], "expected a 3-vector, got shape"),
+        ((0, math.nan, 0), "coordinates must be finite"),
+        ((math.inf, 0, 0), "coordinates must be finite")])
+    def test_points_must_be_finite_3_vectors(self, bad, message):
+        circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
+        calls = [lambda: circle_of_sphere_pair(bad, (0, 0, 0.5)),
+                 lambda: circle_of_sphere_pair((0, 0, 0.5), bad),
+                 lambda: ball_constraint_interval(circ, bad),
+                 lambda: circ.angle_of(bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(axis=(0, 0, 1.1)), "axis must be a unit vector"),
+        (dict(u_ref=(0.9, 0, 0)), "u_ref must be a unit vector"),
+        (dict(u_ref=(0.6, 0, 0.8)), "u_ref must be orthogonal to axis"),
+        (dict(radius=0.0), r"radius must lie in \(0, 1\]"),
+        (dict(radius=-0.5), r"radius must lie in \(0, 1\]"),
+        (dict(radius=1.1), r"radius must lie in \(0, 1\]")])
+    def test_circle_frame_checks(self, change, message):
+        with pytest.raises(DegenerateInputError, match=message):
+            Circle3(**dict(self.UNIT_CIRCLE, **change))
+
+    @pytest.mark.parametrize("start, end", [
+        (1.0, 1.0), (1.0, 0.5), (0.0, TWO_PI), (0.5, 0.5 + 7.0)])
+    def test_arc_span_must_lie_inside_a_turn(self, start, end):
+        circ = Circle3(**self.UNIT_CIRCLE)
+        with pytest.raises(DegenerateInputError, match="arc span must lie in"):
+            ArcOnCircle(circ, start, end)
+        assert ArcOnCircle(circ, start, start + 0.5).span == 0.5

@@ -16,7 +16,9 @@ from reuleaux.mesh import (MeshBuilder, MeshStats, SpindleFrame, TriangleMesh,
                            export_obj, export_ply, import_obj, import_ply,
                            inspect_mesh, mesh_area, mesh_volume,
                            triangle_areas)
-from reuleaux.polyhedron import angle_pairs
+from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
+                                 config_from_generator)
+from test_polyhedron import moved_pyramid
 
 RNG = np.random.default_rng(31337)
 
@@ -107,6 +109,15 @@ def surface_residual(fr, pts):
     return trans + math.cos(fr.theta_prime / 2.0) - np.sqrt(1.0 - axial ** 2)
 
 
+def spindle_normal(fr, s, t):
+    """Unit normal of the spindle at (s, t), pointing out of the wedge (into
+    the Meissner body): the closed form of the normalized X_s x X_t."""
+    tp = fr.theta_prime
+    shifted = t - tp / 2.0
+    return (math.cos(shifted) / math.cos(tp / 2.0)
+            * (fr.eta(np.array([s]))[0] - fr.mid) + math.sin(shifted) * fr.v)
+
+
 class TestSpindleParametrization:
     @pytest.fixture(params=["tetra", "pentad"])
     def frame(self, request, tetra_structure, pentad_structure):
@@ -161,7 +172,7 @@ class TestSpindleParametrization:
         for _ in range(25):
             s = RNG.uniform(h, fr.phi_prime - h)
             t = RNG.uniform(h, fr.theta_prime - h)
-            n = fr.normal(s, t)
+            n = spindle_normal(fr, s, t)
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
             ds = (fr.point(s + h, t) - fr.point(s - h, t)) / (2 * h)
             dt = (fr.point(s, t + h) - fr.point(s, t - h)) / (2 * h)
@@ -245,6 +256,47 @@ class TestBodyMeshes:
         holed = TriangleMesh(vertices=mesh.vertices, triangles=mesh.triangles[:-1])
         with pytest.raises(MeshError):
             mesh_volume(holed)
+
+
+class TestWindingConvention:
+    """Spindle and sliver windings come from the dual-pair orientation, not
+    from a probe of the built geometry."""
+
+    @pytest.mark.parametrize("shape", ["tetra", "pentad", 5, 9, 21])
+    def test_mirrored_inputs_mesh_every_body(self, shape):
+        # a mirror image swaps the handedness of every dual pair, which
+        # pair_duals turns back by swapping p' and q'
+        if isinstance(shape, int):
+            pts = moved_pyramid(shape, 3 * shape).points
+        else:
+            pts = config_from_generator(shape).points
+        structure = analyze_config(PointConfig(points=pts * [-1.0, 1.0, 1.0]))
+        pairs = angle_pairs(structure)
+        bodies = [("reuleaux", None, volume_reuleaux(pairs)),
+                  ("meissner", None, volume_meissner(pairs))] + [
+            ("wedge", i, wedge_volume(p)) for i, p in enumerate(pairs)]
+        for kind, index, exact in bodies:
+            mesh = build_body_mesh(structure, kind, 32, wedge_index=index)
+            assert mesh_volume(mesh) == pytest.approx(exact, abs=1e-3), \
+                (kind, index)
+
+    @pytest.mark.parametrize("kind, index, patch", [
+        ("meissner", None, 0), ("meissner", None, 2),
+        ("wedge", 1, 0), ("wedge", 1, 1), ("wedge", 1, 2)])
+    def test_one_wrong_winding_is_refused(self, monkeypatch, pentad_structure,
+                                          kind, index, patch):
+        # patch 0 is the first spindle; a wedge then adds the slivers on the
+        # spheres of p and q
+        grid = MeshBuilder.grid
+        calls = []
+
+        def one_flipped(self, grid_ids, flip):
+            calls.append(flip)
+            grid(self, grid_ids, flip != (len(calls) - 1 == patch))
+
+        monkeypatch.setattr(MeshBuilder, "grid", one_flipped)
+        with pytest.raises(MeshError, match="orientation is inconsistent"):
+            build_body_mesh(pentad_structure, kind, 8, wedge_index=index)
 
 
 class TestExportImport:
@@ -375,6 +427,28 @@ class TestExportImport:
         path = tmp_path / "bad.ply"
         path.write_text(_ply_text(verts, [], n_v=3))
         with pytest.raises(MeshError, match=f"PLY vertex {row}: {error}"):
+            import_ply(str(path))
+
+    def test_obj_face_index_beyond_int64(self, tmp_path):
+        path = tmp_path / "huge.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+        with pytest.raises(MeshError, match="line 4: face index "
+                                            r"99999999999999999999 outside 1\.\.3"):
+            import_obj(str(path))
+
+    @pytest.mark.parametrize("line, lineno", [
+        ("element vertex x", 3), ("element vertex -3", 3),
+        ("element vertex", 3), ("element face 1.5", 7)])
+    def test_ply_bad_header_count(self, tmp_path, line, lineno):
+        path = tmp_path / "bad.ply"
+        text = _ply_text(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2"])
+        element = " ".join(line.split()[:2])
+        path.write_text(text.replace(
+            f"{element} {3 if element.endswith('vertex') else 1}\n",
+            line + "\n"))
+        with pytest.raises(MeshError, match=f"PLY header line {lineno}: "
+                                            "element count is not a "
+                                            "non-negative integer"):
             import_ply(str(path))
 
     def test_empty_mesh_header_only(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reuleaux.errors import NotExtremalError, StructureError
-from reuleaux.formulas import meissner_scalars, reuleaux_scalars
+from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle,
                            ball_constraint_interval, circle_of_sphere_pair)
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
@@ -499,6 +499,44 @@ class TestRelabellingInvariance:
             scalars, angles = invariants(pts[rng.permutation(len(pts))])
             assert np.abs(scalars - base_scalars).max() <= 1e-12
             assert np.abs(angles - base_angles).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["tetra", "pentad", 5, 9, 21])
+    def test_permuted_points_swap_meissner_pairs(self, shape):
+        """The Meissner body keeps the arc of smaller support, so a
+        permutation swaps (theta, theta') on exactly the pairs whose kept
+        support, relabelled, now sorts after the removed one."""
+        if isinstance(shape, int):
+            pts = moved_pyramid(shape, 3 * shape).points
+        else:
+            pts = config_from_generator(shape).points
+        rng = np.random.default_rng(len(pts))
+        base = analyze_config(PointConfig(points=pts))
+
+        def ordered(pairs):
+            return np.array(sorted(((p.theta, p.theta_prime) for p in pairs),
+                                   key=lambda tp: np.round(tp, 9).tolist()))
+
+        asymmetric_swaps = 0
+        for _ in range(3):
+            perm = rng.permutation(len(pts))
+            relabel = np.argsort(perm)
+            expect = []
+            for dp in base.pairs:
+                kept, removed = (sorted(relabel[list(e.support)])
+                                 for e in (dp.kept, dp.removed))
+                a = dp.angles
+                if kept > removed:
+                    expect.append(AnglePair(a.theta_prime, a.theta))
+                    asymmetric_swaps += abs(a.theta - a.theta_prime) > 1e-9
+                else:
+                    expect.append(a)
+            pairs = angle_pairs(analyze_config(PointConfig(points=pts[perm])))
+            got, want = meissner_scalars(pairs), meissner_scalars(expect)
+            assert abs(got.volume - want.volume) <= 1e-12
+            assert abs(got.surface_area - want.surface_area) <= 1e-12
+            assert np.abs(ordered(pairs) - ordered(expect)).max() <= 1e-12
+        # every pair of the tetrahedron has theta = theta' = pi/3
+        assert asymmetric_swaps > 0 or shape == "tetra"
 
 
 class TestPointSetJson:
