@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 
@@ -48,11 +49,11 @@ def load_input(descriptor: str, tol: Tolerances):
 def parse_body(text: str) -> tuple[str, int | None]:
     if text in ("reuleaux", "meissner"):
         return text, None
-    if text.startswith("wedge:"):
-        try:
-            return "wedge", int(text.split(":", 1)[1])
-        except ValueError:
-            pass
+    # a minus and ASCII digits only, where int alone also takes "0_1", "+1",
+    # " 1" and "\u0661"; a negative index is refused as out of range
+    kind, _, index = text.partition(":")
+    if kind == "wedge" and re.fullmatch(r"-?[0-9]+", index):
+        return "wedge", int(index)
     raise DomainError(f"--body must be reuleaux, meissner, or wedge:<i>, got {text!r}")
 
 
@@ -181,7 +182,7 @@ def cmd_mesh(args) -> int:
         writer = export_obj if args.format == "obj" else export_ply
         writer(mesh, args.out)
     payload = dict(meta, mesh=dict(_mesh_block(mesh), refine=args.refine,
-                                   body=args.body, out=args.out,
+                                   body=_label(kind, idx), out=args.out,
                                    format=args.format))
     emit_json(payload, args.json)
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -590,64 +591,126 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
                  % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
-def _obj_line(path: str, tag: str, row: int) -> int:
-    """Line number of the ``row``-th ``tag`` (``v`` or ``f``) line of an OBJ
-    file."""
+def _number(token: str, kind: type) -> int | float:
+    """``kind(token)`` in the grammar numpy's text reader takes: Python's,
+    without ``_`` digit grouping or non-ASCII digits."""
+    value = kind(token)
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{token!r} uses digit grouping or non-ASCII digits")
+    return value
+
+
+def _obj_rows(fh, tag: str):
+    """The text after ``tag`` on each line whose first whitespace token is
+    ``tag``, in one pass over ``fh``.
+
+    A bare tag is yielded whole, so numpy refuses it where it would skip a
+    blank row.  A face's ``i/j/k`` keeps its vertex index ``i``; an empty
+    ``i`` keeps the slashes, which numpy refuses.
+    """
+    for line in fh:
+        s = line.lstrip()
+        if s[:1] != tag:
+            continue
+        rest = s[1:]
+        if not rest or rest.isspace():
+            yield s
+        elif rest[0].isspace():
+            if tag == "f" and "/" in rest:
+                rest = " ".join(p.split("/")[0] or p for p in rest.split())
+            yield rest
+
+
+def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
+    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
+    there are none; None when numpy refuses a row."""
+    fh.seek(0)
+    rows = _obj_rows(fh, tag)
+    first = next(rows, None)
+    # loadtxt warns on an empty stream
+    if first is None:
+        return np.zeros((0, 3), dtype=dtype)
+    try:
+        return np.loadtxt(itertools.chain([first], rows), dtype=dtype,
+                          usecols=usecols, ndmin=2, comments=None)
+    except ValueError:
+        return None
+
+
+def _obj_records(path: str):
+    """(line number, tag, tokens after the tag) of each ``v`` and ``f`` line;
+    a vertex keeps its first three tokens, a face index its part before the
+    first slash."""
     with open(path, "r", encoding="utf-8") as fh:
-        tagged = (k for k, line in enumerate(fh, start=1)
-                  if line.split()[:1] == [tag])
-        return next(itertools.islice(tagged, row, None))
+        for k, line in enumerate(fh, start=1):
+            parts = line.split()
+            if parts[:1] == ["v"]:
+                yield k, "v", parts[1:4]
+            elif parts[:1] == ["f"]:
+                yield k, "f", [p.split("/")[0] for p in parts[1:]]
+
+
+def _refuse_obj(path: str) -> NoReturn:
+    """Raise the MeshError of the first defect of an OBJ file.
+
+    Defects rank in this order: a coordinate or index that is not a number,
+    in file order; the first vertex with fewer than three coordinates; the
+    first face with other than three indices; the first face index outside
+    1..vertex count.
+    """
+    short = wrong = None
+    n_verts = 0
+    for k, tag, tokens in _obj_records(path):
+        kind, what = ((float, "vertex coordinate") if tag == "v"
+                      else (int, "face index"))
+        try:
+            for p in tokens:
+                _number(p, kind)
+        except ValueError as exc:
+            raise MeshError(f"OBJ line {k}: {what} is not a number "
+                            f"({exc})") from None
+        if tag == "v":
+            n_verts += 1
+            if short is None and len(tokens) < 3:
+                short = k, len(tokens)
+        elif wrong is None and len(tokens) != 3:
+            wrong = k, len(tokens)
+    if short is not None:
+        raise MeshError(f"OBJ line {short[0]}: vertex has {short[1]} "
+                        "coordinates, needs 3")
+    if wrong is not None:
+        raise MeshError(f"OBJ line {wrong[0]}: face has {wrong[1]} indices, "
+                        "needs 3")
+    for k, tag, tokens in _obj_records(path):
+        if tag == "f":
+            for i in map(int, tokens):
+                if not 1 <= i <= n_verts:
+                    raise MeshError(f"OBJ line {k}: face index {i} outside "
+                                    f"1..{n_verts}")
+    # not reached while the grammar of _number is numpy's
+    raise MeshError(f"OBJ file {path}: numpy's text reader refused it")
 
 
 def import_obj(path: str) -> TriangleMesh:
     """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
 
-    The mesh layer is triangle-only.  Raises MeshError naming the first
-    ``v`` or ``f`` line with a coordinate or index that is not a number, the
-    first ``v`` line with fewer than three coordinates, the first face line
-    with other than three indices, or the first with an index outside that
-    range (0, a relative negative index, or past the last vertex).
+    Two streaming passes over the file hand the ``v`` rows and then the
+    ``f`` rows to numpy's text reader.  The mesh layer is triangle-only.
+    Raises MeshError naming the first ``v`` or ``f`` line with a coordinate
+    or index that is not a number (in Python's grammar without ``_`` digit
+    grouping or non-ASCII digits), the first ``v`` line with fewer than three
+    coordinates, the first face line with other than three indices, or the
+    first with an index outside that range (0, a relative negative index, or
+    past the last vertex).
     """
-    verts, tris = [], []
-    # the offending line is located only on error, keeping the parse lean
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "v":
-                    verts.append([float(p) for p in parts[1:4]])
-                elif parts[0] == "f":
-                    tris.append([int(p.split("/")[0]) for p in parts[1:]])
-            except ValueError as exc:
-                tag = parts[0]
-                row, what = ((len(verts), "vertex coordinate") if tag == "v"
-                             else (len(tris), "face index"))
-                raise MeshError(f"OBJ line {_obj_line(path, tag, row)}: "
-                                f"{what} is not a number ({exc})") from None
-    try:
-        v = np.array(verts, dtype=float).reshape(len(verts), 3)
-    except ValueError:
-        row = next(k for k, xyz in enumerate(verts) if len(xyz) < 3)
-        raise MeshError(f"OBJ line {_obj_line(path, 'v', row)}: vertex has "
-                        f"{len(verts[row])} coordinates, needs 3") from None
-    try:
-        t = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
-        bad = (t < 1) | (t > len(verts))
-    except ValueError:
-        row = next(k for k, face in enumerate(tris) if len(face) != 3)
-        raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face has "
-                        f"{len(tris[row])} indices, needs 3") from None
-    except OverflowError:
-        # an index beyond int64 lies outside the range: find it in Python
-        bad = np.array([[not 1 <= i <= len(verts) for i in face]
-                        for face in tris])
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise MeshError(f"OBJ line {_obj_line(path, 'f', row)}: face index "
-                        f"{tris[row][col]} outside 1..{len(verts)}")
-    return TriangleMesh(vertices=v, triangles=t - 1)
+        v = _obj_block(fh, "v", float, usecols=(0, 1, 2))
+        t = None if v is None else _obj_block(fh, "f", np.int64)
+    if t is None or t.shape[1] != 3 or (
+            t.size and (t.min() < 1 or t.max() > len(v))):
+        _refuse_obj(path)
+    t -= 1
+    return TriangleMesh(vertices=v, triangles=t)
 
 
 def export_ply(mesh: TriangleMesh, path: str) -> None:
@@ -703,14 +766,14 @@ def import_ply(path: str) -> TriangleMesh:
         try:
             if len(row) < 3:
                 raise ValueError(f"{len(row)} coordinates, needs 3")
-            verts.append([float(p) for p in row[:3]])
+            verts.append([_number(p, float) for p in row[:3]])
         except ValueError as exc:
             raise MeshError(f"PLY vertex {k}: {exc}") from None
     for k, row in enumerate(f_rows):
         try:
             if len(row) != 4:
                 raise ValueError(f"{max(len(row) - 1, 0)} indices, needs 3")
-            count, *face = map(int, row)
+            count, *face = (_number(p, int) for p in row)
             if count != 3:
                 raise ValueError(f"count {count}, needs 3")
             for i in face:

@@ -372,6 +372,26 @@ class TestOptionErrors:
         assert error["message"] == \
             f"wedge index {body.split(':')[1]} is outside 0..2"
 
+    @pytest.mark.parametrize("body", ["wedge:0_1", "wedge:+1", "wedge: 1",
+                                      "wedge:\u0661", "wedge:", "wedge"])
+    @pytest.mark.parametrize("command", ["mc", "mesh"])
+    def test_wedge_index_not_in_decimal_digits_exits_four(self, capsys,
+                                                          command, body):
+        extra = ["--samples", "1000"] if command == "mc" else ["--refine", "4"]
+        assert run([command, "generator:tetra", "--body", body] + extra) == 4
+        assert one_error(capsys, 4)["message"] == (
+            "--body must be reuleaux, meissner, or wedge:<i>, "
+            f"got {body!r}")
+
+    def test_wedge_label_is_canonical(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run(["mesh", "generator:tetra", "--body", "wedge:01",
+                    "--refine", "4", "--json", str(out)]) == 0
+        assert load(out)["mesh"]["body"] == "wedge:1"
+        assert run(["mc", "generator:tetra", "--body", "wedge:01",
+                    "--samples", "1000", "--json", str(out)]) == 0
+        assert list(load(out)["mc"]["estimates"]) == ["wedge:1"]
+
 
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.just(10 ** 400),

@@ -1,10 +1,14 @@
 """Tests for mesh generation, mesh metrics, and export round-trips."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reuleaux.errors import MeshError
 from reuleaux.formulas import (surface_meissner, surface_reuleaux,
@@ -461,10 +465,139 @@ class TestExportImport:
         assert import_obj(str(obj)).n_vertices == 0
         assert import_ply(str(ply)).n_triangles == 0
 
+    @pytest.mark.parametrize("text, error", [
+        ("v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n",
+         "line 2: vertex has 0 coordinates, needs 3"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n  v  \nf 1 2 3\n",
+         "line 4: vertex has 0 coordinates, needs 3"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf\n",
+         "line 5: face has 0 indices, needs 3"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf",
+         "line 5: face has 0 indices, needs 3")])
+    def test_obj_bare_tag(self, tmp_path, text, error):
+        # numpy's text reader skips a blank row; a bare tag is no blank row
+        path = tmp_path / "bare.obj"
+        path.write_text(text)
+        with pytest.raises(MeshError, match=error):
+            import_obj(str(path))
+
+    def test_obj_vertices_without_faces(self, tmp_path):
+        # an empty face stream: no numpy warning, which would be an error here
+        path = tmp_path / "cloud.obj"
+        path.write_text("# points only\nv 0 0 0\nv 1 0 0\n")
+        mesh = import_obj(str(path))
+        assert mesh.vertices.shape == (2, 3)
+        assert mesh.triangles.shape == (0, 3)
+        assert mesh.triangles.dtype == np.int64
+
+    def test_obj_one_vertex_and_one_face(self, tmp_path):
+        path = tmp_path / "one.obj"
+        path.write_text("v 0.5 -0 1e-320\nf 1 1/2/3 1//3\n")
+        mesh = import_obj(str(path))
+        assert mesh.vertices.shape == (1, 3)
+        assert mesh.vertices.tobytes() == np.array([[0.5, -0.0, 1e-320]]).tobytes()
+        assert mesh.triangles.tolist() == [[0, 0, 0]]
+
+    def test_obj_face_index_one_past_the_last(self, tmp_path):
+        path = tmp_path / "past.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\n"
+                        "f 1 2 5\n")
+        with pytest.raises(MeshError, match=r"line 6: face index 5 outside "
+                                            r"1\.\.4"):
+            import_obj(str(path))
+
+    def test_obj_face_corner_without_vertex_index(self, tmp_path):
+        # "/4" has no vertex index; it must not vanish from a quad
+        path = tmp_path / "corner.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3 /4\n")
+        with pytest.raises(MeshError, match="line 5: face index is not a "
+                                            "number"):
+            import_obj(str(path))
+
+    @pytest.mark.parametrize("line, lineno, what", [
+        ("v 1_0 0 0", 2, "vertex coordinate"),
+        ("v 0 \u0661 0", 2, "vertex coordinate"),
+        ("v 0 0 \uff11", 2, "vertex coordinate"),
+        ("f 1 2 3_0", 5, "face index"),
+        ("f 1 \u0662 3", 5, "face index"),
+        ("f 1 2/1 3\u0663/1", 5, "face index")])
+    def test_obj_grouped_or_non_ascii_number(self, tmp_path, line, lineno,
+                                             what):
+        # Python's float and int take these tokens; numpy's reader does not
+        lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
+        lines.insert(lineno - 1, line)
+        path = tmp_path / "grouped.obj"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MeshError, match=f"line {lineno}: {what} is not a "
+                                            "number .* uses digit grouping"):
+            import_obj(str(path))
+
+    @pytest.mark.parametrize("verts, faces, error", [
+        (["0 0 0", "1_0 0 0", "0 1 0"], ["3 0 1 2"], "PLY vertex 1"),
+        (["0 0 0", "1 0 0", "0 0 \u0661"], ["3 0 1 2"], "PLY vertex 2"),
+        (["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2", "3 0 1_0 2"], "PLY face 1"),
+        (["0 0 0", "1 0 0", "0 1 0"], ["\u0663 0 1 2"], "PLY face 0")])
+    def test_ply_grouped_or_non_ascii_number(self, tmp_path, verts, faces,
+                                             error):
+        path = tmp_path / "grouped.ply"
+        path.write_text(_ply_text(verts, faces), encoding="utf-8")
+        with pytest.raises(MeshError, match=f"{error}: .* uses digit grouping"):
+            import_ply(str(path))
+
 
 # ---------------------------------------------------------------------------
 # Loop, per-ring, np.unique and np.cross/norm/einsum versions kept as
-# references for the vectorized kernels
+# references for the vectorized kernels, and the line-by-line OBJ reader as
+# the reference for the numpy one
+
+def _obj_line_loop(path, tag, row):
+    with open(path, "r", encoding="utf-8") as fh:
+        tagged = (k for k, line in enumerate(fh, start=1)
+                  if line.split()[:1] == [tag])
+        return next(itertools.islice(tagged, row, None))
+
+
+def _import_obj_loop(path):
+    """import_obj with Python's float and int on lists of rows."""
+    verts, tris = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                if parts[0] == "v":
+                    verts.append([float(p) for p in parts[1:4]])
+                elif parts[0] == "f":
+                    tris.append([int(p.split("/")[0]) for p in parts[1:]])
+            except ValueError as exc:
+                tag = parts[0]
+                row, what = ((len(verts), "vertex coordinate") if tag == "v"
+                             else (len(tris), "face index"))
+                raise MeshError(f"OBJ line {_obj_line_loop(path, tag, row)}: "
+                                f"{what} is not a number ({exc})") from None
+    try:
+        v = np.array(verts, dtype=float).reshape(len(verts), 3)
+    except ValueError:
+        row = next(k for k, xyz in enumerate(verts) if len(xyz) < 3)
+        raise MeshError(f"OBJ line {_obj_line_loop(path, 'v', row)}: vertex "
+                        f"has {len(verts[row])} coordinates, needs 3") from None
+    try:
+        t = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
+        bad = (t < 1) | (t > len(verts))
+    except ValueError:
+        row = next(k for k, face in enumerate(tris) if len(face) != 3)
+        raise MeshError(f"OBJ line {_obj_line_loop(path, 'f', row)}: face has "
+                        f"{len(tris[row])} indices, needs 3") from None
+    except OverflowError:
+        bad = np.array([[not 1 <= i <= len(verts) for i in face]
+                        for face in tris])
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise MeshError(f"OBJ line {_obj_line_loop(path, 'f', row)}: face "
+                        f"index {tris[row][col]} outside 1..{len(verts)}")
+    return TriangleMesh(vertices=v, triangles=t - 1)
+
 
 def _ladder_loop(inner, outer, tie_to_outer=True):
     m, k = len(inner), len(outer)
@@ -754,3 +887,129 @@ class TestCheckOnce:
         assert a != TriangleMesh(2 * np.eye(3), [[0, 1, 2]])
         built = build_body_mesh(tetra_structure, "reuleaux", 8)
         assert built == TriangleMesh(built.vertices, built.triangles)
+
+
+# OBJ texts for the differential test of import_obj against the loop
+COORDS = st.one_of(st.floats(width=64).map(repr), st.sampled_from(
+    ["0", "-0", "+3", "nan", "-nan", "inf", "-Infinity", "1e-320",
+     "4.9e-324", ".5", "1.", "1E5", "1e400"]))
+CORNER_FORMS = ["{}", "{}/1", "{}//2", "{}/3/4", "{}/"]
+OTHER_LINES = ["#", "# v 1 2 3", "", "vn 0 0 1", "vt 0.5 0.5", "o body",
+               "g part", "s off", "usemtl m", "#v 1", "vx 1 2 3", "fo 1 2 3",
+               "v#", "f#"]
+WORDS = ["x", "1.5.2", "--1", "1/2", "0x10", "nan(1)", "1e", "/", "/3",
+         "1.0", "1e0"]
+INDICES = ["0", "-1", "-3", "99", "+1", "01", "9223372036854775807",
+           "99999999999999999999", "-99999999999999999999"]
+GROUPED = ["1_0", "0_1", "\u0661", "\uff11", "1\u0662"]
+GAPS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\x1f", "\xa0", "\x85",
+        "\u2003", "\u2028"]
+
+
+@st.composite
+def obj_texts(draw):
+    """An OBJ text and whether a token in it uses digit grouping or
+    non-ASCII digits."""
+    n = draw(st.integers(1, 5))
+    corner = st.builds(lambda form, i: form.format(i),
+                       st.sampled_from(CORNER_FORMS), st.integers(1, n))
+    rows = ([["v"] + draw(st.lists(COORDS, min_size=3, max_size=4))
+             for _ in range(n)]
+            + draw(st.lists(st.lists(corner, min_size=3, max_size=3).map(
+                lambda c: ["f"] + c), max_size=6))
+            + [line.split() for line in draw(st.lists(
+                st.sampled_from(OTHER_LINES), max_size=4))])
+    rows = draw(st.permutations(rows))
+    grouped = False
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(
+            ["short", "long", "word", "index", "grouped"]))
+        # an index mutant goes into a face
+        targets = [k for k, row in enumerate(rows)
+                   if mutation != "index" or row[:1] == ["f"]]
+        if not targets:
+            continue
+        k = draw(st.sampled_from(targets))
+        row = list(rows[k])
+        if mutation == "short":
+            row = row[:draw(st.integers(1, 3))]
+        elif mutation == "long":
+            row += draw(st.lists(st.sampled_from(["1", "2", "0.5", "x"]),
+                                 min_size=1, max_size=2))
+        elif len(row) > 1:
+            pool = {"word": WORDS, "index": INDICES + [str(n + 1)],
+                    "grouped": GROUPED}
+            row[draw(st.integers(1, len(row) - 1))] = draw(
+                st.sampled_from(pool[mutation]))
+            grouped |= mutation == "grouped"
+        rows[k] = row
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        gap = draw(st.sampled_from(GAPS[:3] + [draw(st.sampled_from(GAPS))]))
+        lead = draw(st.sampled_from(["", "", " ", "\t "]))
+        tail = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + gap.join(row) + tail)
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return text, grouped
+
+
+def _read(reader, path):
+    """The arrays of a mesh as bytes under a uint64 view, or the error text."""
+    try:
+        mesh = reader(path)
+    except MeshError as exc:
+        return str(exc)
+    return (mesh.vertices.shape, mesh.vertices.view(np.uint64).tobytes(),
+            mesh.triangles.shape, mesh.triangles.tobytes())
+
+
+class TestObjReaderAgainstTheLoop:
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=obj_texts())
+    def test_same_arrays_or_same_error(self, tmp_path, case):
+        text, grouped = case
+        path = tmp_path / "fuzz.obj"
+        path.write_bytes(text.encode("utf-8"))
+        got = _read(import_obj, str(path))
+        expect = _read(_import_obj_loop, str(path))
+        if grouped and got != expect:
+            # the loop takes these tokens; the numpy grammar refuses them
+            assert isinstance(got, str) and "uses digit grouping" in got, text
+        else:
+            assert got == expect, text
+
+    @pytest.mark.parametrize("generator", ["tetra", "pentad", "pyramid"])
+    def test_exported_meshes(self, request, tmp_path, generator):
+        structure = (analyze_config(moved_pyramid(5, 3))
+                     if generator == "pyramid"
+                     else request.getfixturevalue(f"{generator}_structure"))
+        bodies = [("reuleaux", None), ("meissner", None)] + [
+            ("wedge", i) for i in range(len(structure.pairs))]
+        path = tmp_path / "body.obj"
+        for refine in (2, 3, 17):
+            for kind, index in bodies:
+                mesh = build_body_mesh(structure, kind, refine,
+                                       wedge_index=index)
+                export_obj(mesh, str(path))
+                got = _read(import_obj, str(path))
+                assert got == _read(_import_obj_loop, str(path))
+                assert got[1] == mesh.vertices.view(np.uint64).tobytes()
+                assert got[3] == mesh.triangles.tobytes()
+
+    def test_import_holds_no_rows_as_python_objects(self, pentad_structure,
+                                                    tmp_path):
+        # the loop's lists of rows take about 9x the arrays they become
+        mesh = build_body_mesh(pentad_structure, "meissner", 48)
+        path = tmp_path / "body.obj"
+        export_obj(mesh, str(path))
+        arrays = mesh.vertices.nbytes + mesh.triangles.nbytes
+        tracemalloc.start()
+        try:
+            import_obj(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * arrays, (peak, arrays)

@@ -1,7 +1,12 @@
-"""The public namespace: every exported name resolves, retired ones are gone."""
+"""The public namespace: every exported name resolves, retired ones are gone;
+the runtime loads nothing beyond the standard library and numpy."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import reuleaux
@@ -37,3 +42,30 @@ def test_dist_eps_is_the_only_tolerance_setting():
     assert (tol.ang_eps, tol.match_eps) == (1e-7, 1e-7)
     with pytest.raises(TypeError):
         geom.Tolerances(match_eps=1e-6)
+
+
+RUNTIME_SCRIPT = """
+import sys
+from reuleaux import cli
+from reuleaux.mesh import import_obj
+assert cli.main(["mesh", "generator:tetra", "--refine", "8",
+                 "--out", "x.obj", "--json", "x.json"]) == 0
+assert import_obj("x.obj").n_triangles > 0
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules})))
+"""
+
+
+def test_runtime_is_numpy_only(tmp_path):
+    # -S keeps site-packages and its .pth imports out; the path holds the
+    # package and numpy's install directory, so any other import would load
+    # from there and show up below
+    path = [os.path.dirname(os.path.dirname(reuleaux.__file__)),
+            os.path.dirname(os.path.dirname(np.__file__))]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", RUNTIME_SCRIPT], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120, check=True)
+    loaded = done.stdout.split()
+    assert {"numpy", "reuleaux"} <= set(loaded)
+    assert [name for name in loaded if name not in sys.stdlib_module_names
+            and name not in ("__main__", "numpy", "reuleaux")] == []
