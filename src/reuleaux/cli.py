@@ -195,6 +195,8 @@ SWEEP_COLUMNS = ("theta", "theta_prime", "meissner_area_term",
 
 def cmd_sweep(args) -> int:
     n = args.grid
+    if n < 1:
+        raise ValueError(f"--grid must be at least 1, got {n}")
     lo, hi = 0.01, math.pi / 3 - 0.01
     grid = np.linspace(lo, hi, n)
     rows = []
@@ -328,6 +330,9 @@ def main(argv=None) -> int:
         return _fail(3, "structure", str(exc))
     except OSError as exc:
         return _fail(5, "io", str(exc))
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        return _fail(4, "domain", str(exc))
 
 
 if __name__ == "__main__":

@@ -67,8 +67,10 @@ class Tolerances:
         dist_eps accepts, so a set that validates at the default also
         analyzes.  A larger dist_eps leaves it in place.
     Fixed where they act: a mesh face of solid angle below 1e-9 is
-    collapsed, a spindle must close within 1e-6 (``SpindleFrame``), and
-    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0.
+    collapsed, a spindle must close within 1e-6 (``SpindleFrame``),
+    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0,
+    and the Monte Carlo window of unit draws is widened by
+    64 eps (1 + max |x|), far above its rounding (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9

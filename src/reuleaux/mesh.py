@@ -621,20 +621,25 @@ def _obj_rows(fh, tag: str):
             yield rest
 
 
-def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
-    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
-    there are none; None when numpy refuses a row."""
-    fh.seek(0)
-    rows = _obj_rows(fh, tag)
+def _text_block(rows, dtype, width: int, usecols=None) -> np.ndarray | None:
+    """The text ``rows`` parsed by ``np.loadtxt``, (0, width) when there are
+    none; None when numpy refuses a row."""
     first = next(rows, None)
     # loadtxt warns on an empty stream
     if first is None:
-        return np.zeros((0, 3), dtype=dtype)
+        return np.zeros((0, width), dtype=dtype)
     try:
         return np.loadtxt(itertools.chain([first], rows), dtype=dtype,
                           usecols=usecols, ndmin=2, comments=None)
     except ValueError:
         return None
+
+
+def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
+    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
+    there are none; None when numpy refuses a row."""
+    fh.seek(0)
+    return _text_block(_obj_rows(fh, tag), dtype, 3, usecols)
 
 
 def _obj_records(path: str):
@@ -739,48 +744,86 @@ def _ply_count(parts: list[str], k: int) -> int:
     return count
 
 
+def _ply_header(fh) -> tuple[int, int]:
+    """The vertex and face counts of the header, read up to ``end_header``."""
+    n_v = n_f = 0
+    for k, line in enumerate(fh, start=1):
+        parts = line.split()
+        if parts[:2] == ["element", "vertex"]:
+            n_v = _ply_count(parts, k)
+        elif parts[:2] == ["element", "face"]:
+            n_f = _ply_count(parts, k)
+        elif parts == ["end_header"]:
+            break
+    return n_v, n_f
+
+
+def _ply_block(fh, n: int, dtype, width: int,
+               usecols=None) -> np.ndarray | None:
+    """The next n rows of ``fh`` parsed by ``np.loadtxt``, (0, width) when n
+    is 0; None when numpy refuses a row or the file ends first.
+
+    A blank row is handed over as a token numpy refuses, where it would skip
+    the row.
+    """
+    rows = ("?" if line.isspace() else line
+            for line in itertools.islice(fh, n))
+    block = _text_block(rows, dtype, width, usecols)
+    return block if block is not None and len(block) == n else None
+
+
+def _refuse_ply(path: str) -> NoReturn:
+    """Raise the MeshError of the first defective vertex row, else of the
+    first defective face row, of a PLY file whose header was read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        n_v, n_f = _ply_header(fh)
+        # a row past the end of the file reads as empty and is refused, so
+        # a header count beyond the file's rows ends the loop there
+        for k in range(n_v):
+            row = fh.readline().split()
+            try:
+                if len(row) < 3:
+                    raise ValueError(f"{len(row)} coordinates, needs 3")
+                for p in row[:3]:
+                    _number(p, float)
+            except ValueError as exc:
+                raise MeshError(f"PLY vertex {k}: {exc}") from None
+        for k in range(n_f):
+            row = fh.readline().split()
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"{max(len(row) - 1, 0)} indices, "
+                                     "needs 3")
+                count, *face = (_number(p, int) for p in row)
+                if count != 3:
+                    raise ValueError(f"count {count}, needs 3")
+                for i in face:
+                    if not 0 <= i < n_v:
+                        raise ValueError(f"vertex index {i} outside "
+                                         f"0..{n_v - 1}")
+            except ValueError as exc:
+                raise MeshError(f"PLY face {k}: {exc}") from None
+    # not reached while the grammar of _number is numpy's
+    raise MeshError(f"PLY file {path}: numpy's text reader refused it")
+
+
 def import_ply(path: str) -> TriangleMesh:
     """Read an ASCII PLY of triangles; face indices must lie in 0..vertex
     count - 1.
 
-    Raises MeshError naming the first ``PLY header line k`` whose element
-    count is not a non-negative integer, the first ``PLY vertex k`` row with
-    fewer than three coordinates or a token that is not a number, or the
-    first ``PLY face k`` row that is not "3 i j k" with integer indices in
-    that range.
+    After the header, exactly the declared vertex rows and then face rows
+    stream into numpy's text reader.  Raises MeshError naming the first
+    ``PLY header line k`` whose element count is not a non-negative integer,
+    the first ``PLY vertex k`` row with fewer than three coordinates or a
+    token that is not a number (in Python's grammar without ``_`` digit
+    grouping or non-ASCII digits), or the first ``PLY face k`` row that is
+    not "3 i j k" with integer indices in that range.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        n_v = n_f = 0
-        for k, line in enumerate(fh, start=1):
-            parts = line.split()
-            if parts[:2] == ["element", "vertex"]:
-                n_v = _ply_count(parts, k)
-            elif parts[:2] == ["element", "face"]:
-                n_f = _ply_count(parts, k)
-            elif parts == ["end_header"]:
-                break
-        v_rows = [fh.readline().split() for _ in range(n_v)]
-        f_rows = [fh.readline().split() for _ in range(n_f)]
-    verts, tris = [], []
-    for k, row in enumerate(v_rows):
-        try:
-            if len(row) < 3:
-                raise ValueError(f"{len(row)} coordinates, needs 3")
-            verts.append([_number(p, float) for p in row[:3]])
-        except ValueError as exc:
-            raise MeshError(f"PLY vertex {k}: {exc}") from None
-    for k, row in enumerate(f_rows):
-        try:
-            if len(row) != 4:
-                raise ValueError(f"{max(len(row) - 1, 0)} indices, needs 3")
-            count, *face = (_number(p, int) for p in row)
-            if count != 3:
-                raise ValueError(f"count {count}, needs 3")
-            for i in face:
-                if not 0 <= i < n_v:
-                    raise ValueError(f"vertex index {i} outside 0..{n_v - 1}")
-        except ValueError as exc:
-            raise MeshError(f"PLY face {k}: {exc}") from None
-        tris.append(face)
-    return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(n_v, 3),
-                        triangles=np.array(tris, dtype=np.int64).reshape(n_f, 3))
+        n_v, n_f = _ply_header(fh)
+        v = _ply_block(fh, n_v, float, 3, usecols=(0, 1, 2))
+        t = None if v is None else _ply_block(fh, n_f, np.int64, 4)
+    if t is None or t.shape[1] != 4 or (t[:, 0] != 3).any() or (
+            n_f and (t[:, 1:].min() < 0 or t[:, 1:].max() >= n_v)):
+        _refuse_ply(path)
+    return TriangleMesh(vertices=v, triangles=t[:, 1:].copy())

@@ -9,6 +9,11 @@ closed inequalities with no epsilon: the boundaries have measure zero.
 Sampling is hit-or-miss over an axis-aligned box.  Chunk k of the run draws
 from the Philox substream jumped(k) of the seed, so estimates are
 bit-identical for a fixed (seed, samples, batch) regardless of worker count.
+Before the exact test, a draw is dropped when one coordinate already puts it
+outside some ball: the box where all balls meet, widened by a rounding slack
+and mapped back to the unit draws, is a window that every hit lies in.  Only
+the kept draws are scaled, to the same floats as before, so hit counts are
+those of testing every draw.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2 ** 128:
+            raise ValueError("seed must lie in 0..2**128 - 1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.batch < 1 or self.workers < 1:
@@ -148,33 +155,73 @@ def bounding_box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _unit_window(body: BodySpec, lo: np.ndarray,
+                 span: np.ndarray) -> list[tuple[int, float, float]]:
+    """(axis, low, high) bounds on the unit draws outside which a sample is
+    certainly outside the body, narrowest first; axes the window does not
+    cut are left out.
+
+    Every body point lies within 1 of every center, so on axis a it lies in
+    [max_c c_a - 1, min_c c_a + 1].  That box is widened by the slack
+    s = 64 eps (1 + max |x|), then mapped to the draws of the sampling box
+    ``lo + u*span``.  A draw below ``low`` or above ``high`` scales to a
+    coordinate farther than 1 + s from some center: the map and this
+    window's own arithmetic round by a few ulps of the coordinates' size,
+    far below s.  The exact test subtracts that center and gets
+    fl(p_a - c_a) beyond 1 in magnitude, so its squared distance, a sum of
+    non-negative terms, exceeds 1 and ``contains_many`` rejects the sample
+    too.
+    """
+    pts = body.config.points
+    s = 64.0 * np.finfo(float).eps * (1.0 + float(np.abs(pts).max()))
+    low = (pts.max(axis=0) - 1.0 - s - lo) / span
+    high = (pts.min(axis=0) + 1.0 + s - lo) / span
+    return [(int(a), float(low[a]), float(high[a]))
+            for a in np.argsort(high - low, kind="stable")
+            if low[a] > 0.0 or high[a] < 1.0]
+
+
 def _chunk_hits(body: BodySpec, lo: np.ndarray, span: np.ndarray,
-                seed: int, chunk: int, size: int) -> int:
+                window: list[tuple[int, float, float]], seed: int, chunk: int,
+                size: int) -> int:
+    """Hits among the chunk's draws: the rows outside ``window`` are dropped
+    one axis at a time, and only the kept rows are scaled to the box, as the
+    same floats as if every row were, and tested."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
     pts = rng.random((size, 3))
+    for a, low, high in window:
+        col = pts[:, a]
+        pts = pts.take(np.flatnonzero((col >= low) & (col <= high)), axis=0)
     pts *= span
     pts += lo
     return int(contains_many(body, pts).sum())
 
 
 def mc_volume(body: BodySpec, mc: McConfig) -> McEstimate:
-    """Unbiased hit-or-miss volume estimate over the bounding box."""
+    """Unbiased hit-or-miss volume estimate over the bounding box.
+
+    Draws outside the unit window of ``_unit_window`` skip the scaling and
+    the exact test, which would reject them; hit counts are those of
+    testing every draw.
+    """
     lo, hi = bounding_box(body)
     span = hi - lo
+    window = _unit_window(body, lo, span)
     box_volume = float(np.prod(span))
     sizes = []
     remaining = mc.samples
     while remaining > 0:
         sizes.append(min(mc.batch, remaining))
         remaining -= sizes[-1]
+
+    def hits_of(k: int) -> int:
+        return _chunk_hits(body, lo, span, window, mc.seed, k, sizes[k])
+
     if mc.workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            hits = sum(pool.map(
-                lambda k: _chunk_hits(body, lo, span, mc.seed, k, sizes[k]),
-                range(len(sizes))))
+            hits = sum(pool.map(hits_of, range(len(sizes))))
     else:
-        hits = sum(_chunk_hits(body, lo, span, mc.seed, k, sizes[k])
-                   for k in range(len(sizes)))
+        hits = sum(map(hits_of, range(len(sizes))))
     n = mc.samples
     p = hits / n
     return McEstimate(

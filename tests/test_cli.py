@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,24 @@ class TestReportDeterminism:
         assert "timing" in data
 
 
+class TestOneSampler:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_report_estimates_equal_mc_estimates(self, tmp_path, workers):
+        # report --full and mc --body must take the same sampling path
+        mc_opts = ["--seed", "3", "--samples", "200000", "--batch", "50000",
+                   "--workers", workers]
+        out = tmp_path / "o.json"
+        assert run(["report", "generator:tetra", "--full", "--refine", "4",
+                    "--json", str(out)] + mc_opts) == 0
+        estimates = load(out)["mc"]["estimates"]
+        assert sorted(estimates) == ["meissner", "reuleaux", "wedge:0",
+                                     "wedge:1", "wedge:2"]
+        for label, est in estimates.items():
+            assert run(["mc", "generator:tetra", "--body", label,
+                        "--json", str(out)] + mc_opts) == 0
+            assert load(out)["mc"]["estimates"] == {label: est}
+
+
 def one_error(capsys, code):
     """The single JSON error object on stderr, checked against the exit."""
     err = capsys.readouterr().err.splitlines()
@@ -382,6 +401,38 @@ class TestOptionErrors:
         assert one_error(capsys, 4)["message"] == (
             "--body must be reuleaux, meissner, or wedge:<i>, "
             f"got {body!r}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "generator:tetra", "--seed", "-1"],
+         r"seed must lie in 0\.\.2\*\*128 - 1"),
+        (["report", "generator:tetra", "--full", "--seed", str(2 ** 128)],
+         r"seed must lie in 0\.\.2\*\*128 - 1"),
+        (["sweep", "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["sweep", "--grid", "-3"], "--grid must be at least 1, got -3")])
+    def test_range_errors_name_the_flag(self, capsys, argv, message):
+        assert run(argv) == 2
+        error = one_error(capsys, 2)
+        assert error["kind"] == "validation"
+        assert re.fullmatch(message, error["message"])
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+    def test_seed_range_ends_are_accepted(self, tmp_path, seed):
+        out = tmp_path / "mc.json"
+        assert run(["mc", "generator:tetra", "--seed", str(seed),
+                    "--samples", "1000", "--json", str(out)]) == 0
+        assert load(out)["mc"]["seed"] == seed
+
+    # sizes of 1e13 and more fail at once: numpy cannot allocate them, so
+    # nothing is filled or swapped first
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "generator:tetra", "--refine", str(10 ** 14)],
+        ["mc", "generator:tetra", "--samples", str(10 ** 13),
+         "--batch", str(10 ** 13)]])
+    def test_allocation_failure_exits_four(self, capsys, argv):
+        assert run(argv) == 4
+        error = one_error(capsys, 4)
+        assert error["kind"] == "domain"
+        assert error["message"].startswith("Unable to allocate ")
 
     def test_wedge_label_is_canonical(self, tmp_path):
         out = tmp_path / "o.json"

@@ -433,6 +433,19 @@ class TestExportImport:
         with pytest.raises(MeshError, match=f"PLY vertex {row}: {error}"):
             import_ply(str(path))
 
+    @pytest.mark.parametrize("n_v, n_f, error", [
+        (10 ** 13, 1, "PLY vertex 5: 0 coordinates"),
+        (4, 10 ** 13, "PLY face 1: 0 indices")])
+    def test_ply_count_far_beyond_the_rows(self, tmp_path, n_v, n_f, error):
+        # the face row reads as vertex 4; refused at the first missing row,
+        # with no list of rows of the declared length
+        path = tmp_path / "short.ply"
+        text = _ply_text(["0 0 0", "1 0 0", "0 1 0", "0 0 1"], ["3 0 1 2"])
+        path.write_text(text.replace("vertex 4", f"vertex {n_v}")
+                        .replace("face 1", f"face {n_f}"))
+        with pytest.raises(MeshError, match=error):
+            import_ply(str(path))
+
     def test_obj_face_index_beyond_int64(self, tmp_path):
         path = tmp_path / "huge.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
@@ -597,6 +610,52 @@ def _import_obj_loop(path):
         raise MeshError(f"OBJ line {_obj_line_loop(path, 'f', row)}: face "
                         f"index {tris[row][col]} outside 1..{len(verts)}")
     return TriangleMesh(vertices=v, triangles=t - 1)
+
+
+def _import_ply_loop(path):
+    """import_ply with Python's float and int on lists of rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        counts = {"vertex": 0, "face": 0}
+        for k, line in enumerate(fh, start=1):
+            parts = line.split()
+            if parts[:1] == ["element"] and parts[1:2] in (["vertex"],
+                                                           ["face"]):
+                try:
+                    counts[parts[1]] = int(parts[2])
+                except (IndexError, ValueError):
+                    counts[parts[1]] = -1
+                if counts[parts[1]] < 0:
+                    raise MeshError(f"PLY header line {k}: element count is "
+                                    "not a non-negative integer "
+                                    f"({' '.join(parts)!r})")
+            elif parts == ["end_header"]:
+                break
+        n_v, n_f = counts["vertex"], counts["face"]
+        v_rows = [fh.readline().split() for _ in range(n_v)]
+        f_rows = [fh.readline().split() for _ in range(n_f)]
+    verts, tris = [], []
+    for k, row in enumerate(v_rows):
+        try:
+            if len(row) < 3:
+                raise ValueError(f"{len(row)} coordinates, needs 3")
+            verts.append([float(p) for p in row[:3]])
+        except ValueError as exc:
+            raise MeshError(f"PLY vertex {k}: {exc}") from None
+    for k, row in enumerate(f_rows):
+        try:
+            if len(row) != 4:
+                raise ValueError(f"{max(len(row) - 1, 0)} indices, needs 3")
+            count, *face = (int(p) for p in row)
+            if count != 3:
+                raise ValueError(f"count {count}, needs 3")
+            for i in face:
+                if not 0 <= i < n_v:
+                    raise ValueError(f"vertex index {i} outside 0..{n_v - 1}")
+        except ValueError as exc:
+            raise MeshError(f"PLY face {k}: {exc}") from None
+        tris.append(face)
+    return TriangleMesh(vertices=np.array(verts, dtype=float).reshape(n_v, 3),
+                        triangles=np.array(tris, dtype=np.int64).reshape(n_f, 3))
 
 
 def _ladder_loop(inner, outer, tie_to_outer=True):
@@ -954,6 +1013,59 @@ def obj_texts(draw):
     return text, grouped
 
 
+@st.composite
+def ply_texts(draw):
+    """A PLY text, its header counts off by a row or two at times, and
+    whether a token in it uses digit grouping or non-ASCII digits."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1).map(str)
+    verts = [draw(st.lists(COORDS, min_size=3, max_size=4)) for _ in range(n)]
+    faces = draw(st.lists(st.lists(index, min_size=3, max_size=3).map(
+        lambda f: ["3"] + f), max_size=6))
+    rows = verts + faces
+    grouped = False
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(
+            ["short", "long", "blank", "count", "word", "index", "grouped"]))
+        # a count or index mutant goes into a face when there is one
+        first = n if mutation in ("count", "index") and faces else 0
+        k = draw(st.integers(first, len(rows) - 1))
+        row = list(rows[k])
+        if len(row) < 2:
+            continue
+        if mutation == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif mutation == "long":
+            row += draw(st.lists(st.sampled_from(["1", "2", "0.5", "x"]),
+                                 min_size=1, max_size=2))
+        elif mutation == "blank":
+            row = []
+        else:
+            pool = {"count": ["2", "4", "03", "+3", "3.0", "-3"],
+                    "word": WORDS, "index": INDICES + [str(n)],
+                    "grouped": GROUPED}[mutation]
+            row[0 if mutation == "count" else draw(
+                st.integers(0, len(row) - 1))] = draw(st.sampled_from(pool))
+            grouped |= mutation == "grouped"
+        rows[k] = row
+    n_v = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1, 2])))
+    n_f = max(0, len(faces) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    rows += [line.split() for line in draw(st.lists(
+        st.sampled_from(["", "3 0 0 0", "0 0 0", "x"]), max_size=2))]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["ply", "format ascii 1.0", f"element vertex {n_v}",
+             "property float64 x", "property float64 y", "property float64 z",
+             f"element face {n_f}", "property list uchar int vertex_indices",
+             "end_header"]
+    for row in rows:
+        gap = draw(st.sampled_from(GAPS[:3] + [draw(st.sampled_from(GAPS))]))
+        lead = draw(st.sampled_from(["", "", " ", "\t "]))
+        tail = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + gap.join(row) + tail)
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return text, grouped
+
+
 def _read(reader, path):
     """The arrays of a mesh as bytes under a uint64 view, or the error text."""
     try:
@@ -962,6 +1074,10 @@ def _read(reader, path):
         return str(exc)
     return (mesh.vertices.shape, mesh.vertices.view(np.uint64).tobytes(),
             mesh.triangles.shape, mesh.triangles.tobytes())
+
+
+FORMATS = ((export_obj, import_obj, _import_obj_loop),
+           (export_ply, import_ply, _import_ply_loop))
 
 
 class TestObjReaderAgainstTheLoop:
@@ -988,28 +1104,49 @@ class TestObjReaderAgainstTheLoop:
                      else request.getfixturevalue(f"{generator}_structure"))
         bodies = [("reuleaux", None), ("meissner", None)] + [
             ("wedge", i) for i in range(len(structure.pairs))]
-        path = tmp_path / "body.obj"
+        path = tmp_path / "body"
         for refine in (2, 3, 17):
             for kind, index in bodies:
                 mesh = build_body_mesh(structure, kind, refine,
                                        wedge_index=index)
-                export_obj(mesh, str(path))
-                got = _read(import_obj, str(path))
-                assert got == _read(_import_obj_loop, str(path))
-                assert got[1] == mesh.vertices.view(np.uint64).tobytes()
-                assert got[3] == mesh.triangles.tobytes()
+                for export, reader, loop in FORMATS:
+                    export(mesh, str(path))
+                    got = _read(reader, str(path))
+                    assert got == _read(loop, str(path))
+                    assert got[1] == mesh.vertices.view(np.uint64).tobytes()
+                    assert got[3] == mesh.triangles.tobytes()
 
     def test_import_holds_no_rows_as_python_objects(self, pentad_structure,
                                                     tmp_path):
-        # the loop's lists of rows take about 9x the arrays they become
+        # the loops' lists of rows take about 9x (OBJ) and 24x (PLY) the
+        # arrays they become
         mesh = build_body_mesh(pentad_structure, "meissner", 48)
-        path = tmp_path / "body.obj"
-        export_obj(mesh, str(path))
+        path = tmp_path / "body"
         arrays = mesh.vertices.nbytes + mesh.triangles.nbytes
-        tracemalloc.start()
-        try:
-            import_obj(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * arrays, (peak, arrays)
+        for export, reader, _ in FORMATS:
+            export(mesh, str(path))
+            tracemalloc.start()
+            try:
+                reader(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * arrays, (reader.__name__, peak, arrays)
+
+
+class TestPlyReaderAgainstTheLoop:
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=ply_texts())
+    def test_same_arrays_or_same_error(self, tmp_path, case):
+        text, grouped = case
+        path = tmp_path / "fuzz.ply"
+        path.write_bytes(text.encode("utf-8"))
+        got = _read(import_ply, str(path))
+        expect = _read(_import_ply_loop, str(path))
+        if grouped and got != expect:
+            # the loop takes these tokens; the numpy grammar refuses them
+            assert isinstance(got, str) and "uses digit grouping" in got, text
+        else:
+            assert got == expect, text

@@ -7,8 +7,9 @@ import pytest
 
 from reuleaux.formulas import volume_meissner, volume_reuleaux, wedge_volume
 from reuleaux.geom import max_distance_to_arc_many
-from reuleaux.oracle import (BodySpec, McConfig, body_from_structure,
-                             bounding_box, contains_many, mc_volume)
+from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
+                             body_from_structure, bounding_box, contains_many,
+                             mc_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
 
@@ -183,6 +184,77 @@ class TestKernelMatchesReference:
         got = tuple(mc_volume(body_from_structure(structure, kind, idx), mc).hit_count
                     for kind, idx in every_body(structure))
         assert got == hits
+
+
+def mc_hits_reference(body, mc):
+    """The former sampler, kept as the reference: every draw of every chunk
+    scaled to the box and tested."""
+    lo, hi = bounding_box(body)
+    span = hi - lo
+    hits = 0
+    for k, start in enumerate(range(0, mc.samples, mc.batch)):
+        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(k))
+        pts = rng.random((min(mc.batch, mc.samples - start), 3))
+        pts *= span
+        pts += lo
+        hits += int(contains_many(body, pts).sum())
+    return hits
+
+
+def far_configs():
+    """The base configurations of KERNEL_CONFIGS moved far from the origin,
+    where the window's slack grows with the coordinates."""
+    base = {name: pts for name, pts in KERNEL_CONFIGS.items()
+            if "+" not in name}
+    return {f"{name}{shift:+g}": pts + shift * np.array([1.0, -1.0, 1.0])
+            for name, pts in base.items() for shift in (3e4, -2e5, 1e6)}
+
+
+WINDOW_CONFIGS = {**KERNEL_CONFIGS, **far_configs()}
+
+
+class TestUnitWindow:
+    @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
+    def test_hit_counts_equal_the_reference_sampler(self, name):
+        structure = analyze_config(PointConfig(WINDOW_CONFIGS[name]))
+        for kind, idx in every_body(structure):
+            body = body_from_structure(structure, kind, idx)
+            for seed in (1, 7):
+                # three chunks, the last one ragged
+                runs = [McConfig(seed=seed, samples=100_000, batch=40_000,
+                                 workers=w) for w in (1, 2)]
+                expect = mc_hits_reference(body, runs[0])
+                assert [mc_volume(body, mc).hit_count for mc in runs] == \
+                    [expect, expect], (kind, idx, seed)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
+    def test_draws_just_outside_map_beyond_a_center(self, name):
+        structure = analyze_config(PointConfig(WINDOW_CONFIGS[name]))
+        centers = structure.config.points
+        for kind, idx in every_body(structure):
+            body = body_from_structure(structure, kind, idx)
+            lo, hi = bounding_box(body)
+            span = hi - lo
+            window = _unit_window(body, lo, span)
+            assert window, (kind, idx)
+            middle = np.full(3, 0.5)
+            for a, low, high in window:
+                middle[a] = 0.5 * (max(low, 0.0) + min(high, 1.0))
+            for a, low, high in window:
+                sides = ((low, -1.0, centers[:, a].max()),
+                         (high, 2.0, centers[:, a].min()))
+                for edge, toward, extreme in sides:
+                    if not 0.0 < edge < 1.0:
+                        continue
+                    u = np.tile(middle, (4, 1))
+                    for ulps in range(4):
+                        # 1, 2, 3 and 4 ulps outside the window
+                        edge = np.nextafter(edge, toward)
+                        u[ulps, a] = edge
+                    pts = u * span
+                    pts += lo
+                    assert np.all(np.abs(pts[:, a] - extreme) > 1.0), (kind, a)
+                    assert not contains_many(body, pts).any(), (kind, a)
 
 
 class TestMcVolume:
