@@ -19,8 +19,8 @@ from .formulas import (AnglePair, BodyScalars, blaschke_defect_term,
 from .geom import (AngularIntervalSet, ArcOnCircle, Circle3, Tolerances,
                    ball_constraint_interval, circle_of_sphere_pair)
 from .mesh import (MeshBuilder, SpindleFrame, TriangleMesh, build_body_mesh,
-                   export_obj, export_ply, import_obj, import_ply,
-                   inspect_mesh, mesh_area, mesh_volume)
+                   export_obj, export_ply, import_obj, inspect_mesh,
+                   mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
                      bounding_box, mc_volume)
 from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
@@ -50,8 +50,8 @@ __all__ = [
     "bounding_box", "mc_volume",
     # meshes
     "MeshBuilder", "SpindleFrame", "TriangleMesh", "build_body_mesh",
-    "export_obj", "export_ply", "import_obj", "import_ply", "inspect_mesh",
-    "mesh_area", "mesh_volume",
+    "export_obj", "export_ply", "import_obj", "inspect_mesh", "mesh_area",
+    "mesh_volume",
     # errors
     "DegenerateInputError", "DomainError", "GeometryError", "MeshError",
     "NotExtremalError", "StructureError",

@@ -1,15 +1,19 @@
 """Watertight triangle meshes of the body boundaries, plus mesh metrics.
 
 Faces are spherical polygons triangulated in concentric rings around the
-spherical barycenter of their boundary loop; Meissner surgery swaps each
-removed arc for the geodesic between its endpoints on the face's own sphere
-and inserts the spindle patch swept between the two geodesics of the pair.
+spherical barycenter of their boundary loop, read from
+``Structure.face_loops``; Meissner surgery swaps each removed arc for the
+geodesic between its endpoints on the face's own sphere and inserts the
+spindle patch swept between the two geodesics of the pair.
 
 Watertightness comes from construction, not welding: every boundary polyline
 (edge arc, geodesic, single vertex) is sampled once into a shared vertex pool
 and all adjacent patches index the same records.  Mesh volume is the signed
 divergence-theorem sum of tetrahedra against the origin; area is the plain
 triangle-area sum, taken once, in the mesh's closure check.
+
+Meshes are written as ASCII OBJ or PLY; only OBJ is read back, for
+round-trip checks.
 """
 
 from __future__ import annotations
@@ -408,39 +412,6 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Body meshes
 
-def _face_loops(structure: Structure) -> dict[int, list[tuple[int, bool]]]:
-    """Cyclic boundary of each face as (edge index, forward?) steps."""
-    loops = {}
-    for x in range(structure.config.n):
-        incident = [e for e in structure.edges if x in e.support]
-        if not incident:
-            raise StructureError(f"face {x} has no boundary edges")
-        at_vertex: dict[int, list[int]] = {}
-        for e in incident:
-            for v in e.endpoints:
-                at_vertex.setdefault(v, []).append(e.index)
-        if any(len(v) != 2 for v in at_vertex.values()):
-            raise StructureError(f"face {x} boundary is not a simple cycle")
-        by_index = {e.index: e for e in incident}
-        start = incident[0]
-        loop = [(start.index, True)]
-        vertex = start.endpoints[1]
-        used = {start.index}
-        while vertex != start.endpoints[0]:
-            options = [i for i in at_vertex[vertex] if i not in used]
-            if not options:
-                raise StructureError(f"face {x} boundary walk got stuck")
-            nxt = by_index[options[0]]
-            forward = nxt.endpoints[0] == vertex
-            loop.append((nxt.index, forward))
-            used.add(nxt.index)
-            vertex = nxt.endpoints[1] if forward else nxt.endpoints[0]
-        if len(used) != len(incident):
-            raise StructureError(f"face {x} boundary has several components")
-        loops[x] = loop
-    return loops
-
-
 def _geodesic_points(pts: np.ndarray, sphere: int, ui: int, wi: int,
                      n: int) -> np.ndarray:
     """Uniform geodesic samples from pts[ui] to pts[wi] on the unit sphere
@@ -506,8 +477,7 @@ class _BodyMesher:
         return np.concatenate(chunks)
 
     def add_faces(self, meissner: bool) -> None:
-        loops = _face_loops(self.structure)
-        for x, steps in loops.items():
+        for x, steps in enumerate(self.structure.face_loops):
             loop_ids = self.face_loop_ids(x, steps, meissner)
             dirs = self.builder.coords_of(loop_ids) - self.pts[x]
             # a fully excised face (both arcs of a dangling vertex replaced by
@@ -621,25 +591,20 @@ def _obj_rows(fh, tag: str):
             yield rest
 
 
-def _text_block(rows, dtype, width: int, usecols=None) -> np.ndarray | None:
-    """The text ``rows`` parsed by ``np.loadtxt``, (0, width) when there are
-    none; None when numpy refuses a row."""
+def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
+    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
+    there are none; None when numpy refuses a row."""
+    fh.seek(0)
+    rows = _obj_rows(fh, tag)
     first = next(rows, None)
     # loadtxt warns on an empty stream
     if first is None:
-        return np.zeros((0, width), dtype=dtype)
+        return np.zeros((0, 3), dtype=dtype)
     try:
         return np.loadtxt(itertools.chain([first], rows), dtype=dtype,
                           usecols=usecols, ndmin=2, comments=None)
     except ValueError:
         return None
-
-
-def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
-    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
-    there are none; None when numpy refuses a row."""
-    fh.seek(0)
-    return _text_block(_obj_rows(fh, tag), dtype, 3, usecols)
 
 
 def _obj_records(path: str):
@@ -730,100 +695,3 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
                  % tuple(mesh.vertices.ravel().tolist()))
         fh.write(("3 %d %d %d\n" * mesh.n_triangles)
                  % tuple(mesh.triangles.ravel().tolist()))
-
-
-def _ply_count(parts: list[str], k: int) -> int:
-    """The count of the ``element`` header line k, split into ``parts``."""
-    try:
-        count = int(parts[2])
-    except (IndexError, ValueError):
-        count = -1
-    if count < 0:
-        raise MeshError(f"PLY header line {k}: element count is not a "
-                        f"non-negative integer ({' '.join(parts)!r})")
-    return count
-
-
-def _ply_header(fh) -> tuple[int, int]:
-    """The vertex and face counts of the header, read up to ``end_header``."""
-    n_v = n_f = 0
-    for k, line in enumerate(fh, start=1):
-        parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
-            n_v = _ply_count(parts, k)
-        elif parts[:2] == ["element", "face"]:
-            n_f = _ply_count(parts, k)
-        elif parts == ["end_header"]:
-            break
-    return n_v, n_f
-
-
-def _ply_block(fh, n: int, dtype, width: int,
-               usecols=None) -> np.ndarray | None:
-    """The next n rows of ``fh`` parsed by ``np.loadtxt``, (0, width) when n
-    is 0; None when numpy refuses a row or the file ends first.
-
-    A blank row is handed over as a token numpy refuses, where it would skip
-    the row.
-    """
-    rows = ("?" if line.isspace() else line
-            for line in itertools.islice(fh, n))
-    block = _text_block(rows, dtype, width, usecols)
-    return block if block is not None and len(block) == n else None
-
-
-def _refuse_ply(path: str) -> NoReturn:
-    """Raise the MeshError of the first defective vertex row, else of the
-    first defective face row, of a PLY file whose header was read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        n_v, n_f = _ply_header(fh)
-        # a row past the end of the file reads as empty and is refused, so
-        # a header count beyond the file's rows ends the loop there
-        for k in range(n_v):
-            row = fh.readline().split()
-            try:
-                if len(row) < 3:
-                    raise ValueError(f"{len(row)} coordinates, needs 3")
-                for p in row[:3]:
-                    _number(p, float)
-            except ValueError as exc:
-                raise MeshError(f"PLY vertex {k}: {exc}") from None
-        for k in range(n_f):
-            row = fh.readline().split()
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"{max(len(row) - 1, 0)} indices, "
-                                     "needs 3")
-                count, *face = (_number(p, int) for p in row)
-                if count != 3:
-                    raise ValueError(f"count {count}, needs 3")
-                for i in face:
-                    if not 0 <= i < n_v:
-                        raise ValueError(f"vertex index {i} outside "
-                                         f"0..{n_v - 1}")
-            except ValueError as exc:
-                raise MeshError(f"PLY face {k}: {exc}") from None
-    # not reached while the grammar of _number is numpy's
-    raise MeshError(f"PLY file {path}: numpy's text reader refused it")
-
-
-def import_ply(path: str) -> TriangleMesh:
-    """Read an ASCII PLY of triangles; face indices must lie in 0..vertex
-    count - 1.
-
-    After the header, exactly the declared vertex rows and then face rows
-    stream into numpy's text reader.  Raises MeshError naming the first
-    ``PLY header line k`` whose element count is not a non-negative integer,
-    the first ``PLY vertex k`` row with fewer than three coordinates or a
-    token that is not a number (in Python's grammar without ``_`` digit
-    grouping or non-ASCII digits), or the first ``PLY face k`` row that is
-    not "3 i j k" with integer indices in that range.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        n_v, n_f = _ply_header(fh)
-        v = _ply_block(fh, n_v, float, 3, usecols=(0, 1, 2))
-        t = None if v is None else _ply_block(fh, n_f, np.int64, 4)
-    if t is None or t.shape[1] != 4 or (t[:, 0] != 3).any() or (
-            n_f and (t[:, 1:].min() < 0 or t[:, 1:].max() >= n_v)):
-        _refuse_ply(path)
-    return TriangleMesh(vertices=v, triangles=t[:, 1:].copy())

@@ -7,11 +7,12 @@ are circular arcs that come in |X|-1 dual pairs: the supporting center pair
 of each edge equals the endpoint pair of its partner and vice versa.
 
 This module validates extremality, extracts the edge arcs by angular-interval
-arithmetic on the support circles, matches dual pairs, and classifies
-vertices.  Every edge arc of a dual pair is kept on one side and removed on
-the other when the associated Meissner body is formed; the canonical
-orientation chosen here (lexicographically smaller support keeps its arc) is
-what the oracle and mesh modules consume.
+arithmetic on the support circles, matches dual pairs, walks each face's
+boundary loop once for the mesh module, and classifies vertices.  Every edge
+arc of a dual pair is kept on one side and removed on the other when the
+associated Meissner body is formed; the canonical orientation chosen here
+(lexicographically smaller support keeps its arc) is what the oracle and
+mesh modules consume.
 """
 
 from __future__ import annotations
@@ -150,12 +151,15 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class Structure:
-    """Validated structure of B(X): edges, dual pairs, and the report."""
+    """Validated structure of B(X): edges, dual pairs, face loops, and the
+    report.  ``face_loops[x]`` is the boundary cycle of face x as (edge
+    index, forward) steps; a forward step runs from ``endpoints[0]``."""
 
     config: PointConfig
     extremality: ExtremalityReport
     edges: tuple[EdgeArc, ...]
     pairs: tuple[DualPair, ...]
+    face_loops: tuple[tuple[tuple[int, bool], ...], ...]
     report: StructureReport
 
 
@@ -416,6 +420,42 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     return tuple(pairs)
 
 
+def _face_loops(n: int, edges: tuple[EdgeArc, ...]
+                ) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The boundary cycle of each face as (edge index, forward) steps, from
+    the first edge it supports; raises StructureError naming a face with no
+    boundary edges or whose edges do not form one simple cycle."""
+    incident: list[list[EdgeArc]] = [[] for _ in range(n)]
+    for e in edges:
+        for x in e.support:
+            incident[x].append(e)
+    loops = []
+    for x, face in enumerate(incident):
+        if not face:
+            raise StructureError(f"face {x} has no boundary edges")
+        at_vertex: dict[int, list[EdgeArc]] = {}
+        for e in face:
+            for v in e.endpoints:
+                at_vertex.setdefault(v, []).append(e)
+        if any(len(ends) != 2 for ends in at_vertex.values()):
+            raise StructureError(f"face {x} boundary is not a simple cycle")
+        start = step = face[0]
+        loop = [(start.index, True)]
+        vertex = start.endpoints[1]
+        # every vertex has exactly two edge ends, and one other than the
+        # start is entered with one of them used, so the other is unused
+        while vertex != start.endpoints[0]:
+            a, b = at_vertex[vertex]
+            step = b if a is step else a
+            forward = step.endpoints[0] == vertex
+            loop.append((step.index, forward))
+            vertex = step.endpoints[1] if forward else step.endpoints[0]
+        if len(loop) != len(face):
+            raise StructureError(f"face {x} boundary has several components")
+        loops.append(tuple(loop))
+    return tuple(loops)
+
+
 def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
                       pairs: tuple[DualPair, ...]) -> StructureReport:
     """Count per-vertex face membership from incident edge supports and run
@@ -434,9 +474,6 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
         else:
             raise StructureError(
                 f"vertex {i} lies on only {c} faces; structure is broken")
-    supports = {s for e in edges for s in e.support}
-    if supports != set(range(cfg.n)):
-        raise StructureError("some point of X supports no edge")
     euler = cfg.n - len(edges) + cfg.n
     if euler != 2:
         raise StructureError(f"Euler characteristic {euler} != 2")
@@ -458,9 +495,10 @@ def analyze_config(cfg: PointConfig) -> Structure:
         raise NotExtremalError(extremality)
     edges = extract_edges(cfg)
     pairs = pair_duals(edges, cfg)
+    face_loops = _face_loops(cfg.n, edges)
     report = classify_vertices(cfg, edges, pairs)
     return Structure(config=cfg, extremality=extremality, edges=edges,
-                     pairs=pairs, report=report)
+                     pairs=pairs, face_loops=face_loops, report=report)
 
 
 def angle_pairs(structure: Structure) -> tuple[AnglePair, ...]:

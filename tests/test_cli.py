@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from reuleaux.cli import main
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
-from reuleaux.mesh import import_obj, import_ply
+from reuleaux.mesh import import_obj
 from reuleaux.polyhedron import config_from_generator, tetra_points
+from test_mesh import ply_mesh
 
 
 def run(argv):
@@ -224,7 +225,7 @@ class TestMeshCommand:
         assert run(["mesh", "generator:pentad", "--body", "wedge:0",
                     "--refine", "24", "--format", "ply",
                     "--out", str(out_mesh)]) == 0
-        mesh = import_ply(str(out_mesh))
+        mesh = ply_mesh(str(out_mesh))
         assert mesh.n_triangles > 0
 
 

@@ -20,7 +20,8 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize("module, name", [
     (geom, "max_distance_to_arc"), (geom, "intersect_interval_sets"),
-    (polyhedron, "diameter_graph"), (polyhedron, "DiameterGraph")])
+    (polyhedron, "diameter_graph"), (polyhedron, "DiameterGraph"),
+    (mesh, "import_ply")])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(reuleaux, name)
@@ -30,7 +31,9 @@ def test_removed_names_are_gone(module, name):
 @pytest.mark.parametrize("owner, name", [
     (formulas, "_CLAMP"), (formulas, "_asin"), (formulas, "_sqrt"),
     (polyhedron, "load_config"), (mesh.MeshBuilder, "strip"),
-    (geom.AngularIntervalSet, "measure")])
+    (geom.AngularIntervalSet, "measure"), (mesh, "_refuse_ply"),
+    (mesh, "_ply_header"), (mesh, "_ply_block"), (mesh, "_ply_count"),
+    (mesh, "_text_block"), (mesh, "_face_loops")])
 def test_retired_surface_is_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in reuleaux.__all__

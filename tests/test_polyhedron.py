@@ -13,7 +13,7 @@ from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle,
                            ball_constraint_interval, circle_of_sphere_pair)
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
-                                 _candidate_pairs, _match_vertex,
+                                 _candidate_pairs, _face_loops, _match_vertex,
                                  analyze_config, angle_pairs, check_extremal,
                                  classify_vertices, config_from_generator,
                                  config_from_json_dict, extract_edges,
@@ -388,6 +388,69 @@ class TestClassifyVertices:
         cfg = pentad_structure.config
         degree = (np.abs(cfg.dist - 1.0) <= cfg.tol.dist_eps).sum(axis=1)
         assert pentad_structure.report.face_counts == tuple(degree)
+
+
+class TestFaceLoops:
+    @pytest.fixture(params=["tetra", "pentad", 5, 9, 21])
+    def structure(self, request):
+        name = request.param
+        if isinstance(name, int):
+            return analyze_config(moved_pyramid(name, 3))
+        return analyze_config(config_from_generator(name))
+
+    def test_each_edge_bounds_its_two_support_faces(self, structure):
+        faces_of = {e.index: [] for e in structure.edges}
+        for x, loop in enumerate(structure.face_loops):
+            for idx, _ in loop:
+                faces_of[idx].append(x)
+        assert len(structure.face_loops) == structure.config.n
+        assert all(faces_of[e.index] == list(e.support)
+                   for e in structure.edges)
+
+    def test_loops_are_closed_chains_from_the_first_edge(self, structure):
+        edges = structure.edges
+        for x, loop in enumerate(structure.face_loops):
+            first = min(e.index for e in edges if x in e.support)
+            assert loop[0] == (first, True)
+            ends = [edges[i].endpoints if fwd else edges[i].endpoints[::-1]
+                    for i, fwd in loop]
+            assert all(head == tail for (_, head), (tail, _)
+                       in zip(ends, ends[1:] + ends[:1])), x
+
+    def test_face_counts_count_the_loops_through_each_vertex(self, structure):
+        visits = [0] * structure.config.n
+        for loop in structure.face_loops:
+            ends = {v for i, _ in loop for v in structure.edges[i].endpoints}
+            for v in ends:
+                visits[v] += 1
+        assert tuple(visits) == structure.report.face_counts
+
+    @staticmethod
+    def edges_on_one_arc(arc, *rows):
+        """Synthetic edges with the given (support, endpoints) rows."""
+        return tuple(EdgeArc(support, ends, arc, index=k)
+                     for k, (support, ends) in enumerate(rows))
+
+    @pytest.mark.parametrize("n, rows, error", [
+        # digons between vertices 0 and 1 close faces 0, 1 and 2, not 3
+        (4, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1))],
+         "face 3 has no boundary edges"),
+        # face 1 is an open path 0 -> 1 -> 2
+        (3, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (1, 2))],
+         "face 1 boundary is not a simple cycle"),
+        # three edge ends of face 1 meet at vertex 0, and at vertex 1
+        (3, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1)),
+             ((1, 2), (1, 0))],
+         "face 1 boundary is not a simple cycle"),
+        # face 2 is two digons, on vertices 0, 1 and on vertices 2, 3
+        (4, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1)),
+             ((2, 3), (2, 3)), ((2, 3), (3, 2))],
+         "face 2 boundary has several components"),
+    ])
+    def test_broken_faces_are_named(self, tetra_structure, n, rows, error):
+        edges = self.edges_on_one_arc(tetra_structure.edges[0].arc, *rows)
+        with pytest.raises(StructureError, match=error):
+            _face_loops(n, edges)
 
 
 class TestRigidMotionInvariance:
