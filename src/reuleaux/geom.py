@@ -10,6 +10,7 @@ workers.  Lengths are unitless; the unit ball radius 1 sets the scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -275,31 +276,52 @@ def circle_of_sphere_pair(b, c) -> Circle3:
                    u_ref=reference_direction(axis))
 
 
+def ball_constraint_intervals(
+        circle: Circle3, centers: np.ndarray,
+        ang_eps: float = Tolerances.ang_eps) -> Iterator[AngularIntervalSet]:
+    """Per row x of the (m, 3) float array ``centers``, in order, the angles
+    psi with |circle.point(psi) - x| <= 1.
+
+    Each constraint reduces to K*cos(psi - alpha) >= C, giving the empty set,
+    one closed arc, or the full circle.  The three dots per row run in one
+    ``np.vecdot`` batch, which rounds each row as the 1-D ``@`` does; the
+    angle and interval steps are scalar and lazy, so a caller that stops
+    early pays for no later row.
+    """
+    w = centers - circle.center
+    wu = np.vecdot(w, circle.u_ref).tolist()
+    wv = np.vecdot(w, circle.v_ref).tolist()
+    ww = np.vecdot(w, w).tolist()
+    r = circle.radius
+    two_r = 2.0 * r
+    r2 = r * r
+    for pu, pv, pw in zip(wu, wv, ww):
+        a = two_r * pu
+        b = two_r * pv
+        c = pw + r2 - 1.0
+        k = math.hypot(a, b)
+        if k < Tolerances.on_axis:
+            # x on the circle axis: distance is constant around the circle
+            yield (AngularIntervalSet.full() if c <= 0.0
+                   else AngularIntervalSet.empty())
+            continue
+        ratio = c / k
+        if ratio >= 1.0:
+            yield AngularIntervalSet.empty()
+        elif ratio <= -1.0:
+            yield AngularIntervalSet.full()
+        else:
+            alpha = math.atan2(b, a)
+            half = math.acos(ratio)
+            yield AngularIntervalSet.from_raw(
+                [(alpha - half, alpha + half)], ang_eps)
+
+
 def ball_constraint_interval(
         circle: Circle3, x,
         ang_eps: float = Tolerances.ang_eps) -> AngularIntervalSet:
-    """Angles psi with |circle.point(psi) - x| <= 1.
-
-    The constraint reduces to K*cos(psi - alpha) >= C, giving the empty set,
-    one closed arc, or the full circle.
-    """
-    w = as_point(x) - circle.center
-    r = circle.radius
-    a = 2.0 * r * float(w @ circle.u_ref)
-    b = 2.0 * r * float(w @ circle.v_ref)
-    c = float(w @ w) + r * r - 1.0
-    k = math.hypot(a, b)
-    if k < Tolerances.on_axis:
-        # x on the circle axis: distance is constant around the circle
-        return AngularIntervalSet.full() if c <= 0.0 else AngularIntervalSet.empty()
-    ratio = c / k
-    if ratio >= 1.0:
-        return AngularIntervalSet.empty()
-    if ratio <= -1.0:
-        return AngularIntervalSet.full()
-    alpha = math.atan2(b, a)
-    half = math.acos(ratio)
-    return AngularIntervalSet.from_raw([(alpha - half, alpha + half)], ang_eps)
+    """Angles psi with |circle.point(psi) - x| <= 1, for one point ``x``."""
+    return next(ball_constraint_intervals(circle, as_point(x)[None], ang_eps))
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
 from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
-                   ball_constraint_interval, circle_of_sphere_pair)
+                   ball_constraint_intervals, circle_of_sphere_pair)
 
 # (pair, center) entries per block of the vectorized candidate pass
 _BLOCK = 1 << 15
@@ -186,13 +186,16 @@ def check_extremal(cfg: PointConfig) -> ExtremalityReport:
     )
 
 
-def _match_vertex(cfg: PointConfig, p: np.ndarray) -> int:
-    """Nearest point of X within match_eps; lowest index on ties."""
+def _match_vertex(cfg: PointConfig, p: np.ndarray,
+                  support: tuple[int, int]) -> int:
+    """Nearest point of X within match_eps; lowest index on ties.  The error
+    names the support pair whose arc ends at ``p``."""
     d = np.linalg.norm(cfg.points - p, axis=1)
     i = int(np.argmin(d))
     if d[i] > cfg.tol.match_eps:
         raise StructureError(
-            f"arc endpoint {p} matches no vertex (nearest at distance {d[i]:.3g})")
+            f"extract_edges: support pair {support}: arc endpoint {p} matches "
+            f"no vertex (nearest at distance {d[i]:.3g})")
     return i
 
 
@@ -304,12 +307,9 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     tol = cfg.tol
     circle = circle_of_sphere_pair(pts[i], pts[j])
     surviving = AngularIntervalSet.full()
-    for k in range(cfg.n):
-        if k in (i, j):
-            continue
-        surviving = surviving.intersect(
-            ball_constraint_interval(circle, pts[k], tol.ang_eps),
-            tol.ang_eps)
+    others = np.delete(pts, (i, j), axis=0)
+    for constraint in ball_constraint_intervals(circle, others, tol.ang_eps):
+        surviving = surviving.intersect(constraint, tol.ang_eps)
         if surviving.is_empty:
             return []
     # Points of X on this circle (distance 1 from both centers)
@@ -320,8 +320,8 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     if surviving.is_full:
         if not splits:
             raise StructureError(
-                f"support pair ({i}, {j}) leaves a full circle with no "
-                "vertex on it")
+                f"extract_edges: support pair ({i}, {j}) leaves a full "
+                "circle with no vertex on it")
         cuts = sorted(a % TWO_PI for a in splits)
         comps = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
         comps.append((cuts[-1], cuts[0] + TWO_PI))
@@ -339,8 +339,8 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     for lo, hi in comps:
         if hi - lo <= tol.ang_eps:
             continue
-        u = _match_vertex(cfg, circle.point(lo))
-        w = _match_vertex(cfg, circle.point(hi))
+        u = _match_vertex(cfg, circle.point(lo), (i, j))
+        w = _match_vertex(cfg, circle.point(hi), (i, j))
         edges.append(EdgeArc(
             support=(i, j),
             endpoints=(u, w),
@@ -357,8 +357,10 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     the circle of the sphere intersection is trimmed against every other
     ball, then split where a point of X lies on the circle interior to the
     surviving set (a dangling vertex cuts the arc in two).  Components
-    shorter than ang_eps are tangency noise and dropped.  The second step is
-    scalar on purpose: its float sequence fixes every arc angle.
+    shorter than ang_eps are tangency noise and dropped.  In the second step
+    each pair's constraint dots run in one ``np.vecdot`` batch, which rounds
+    every row as a 1-D ``@`` does, and the angle and interval steps are
+    scalar: that float sequence fixes every arc angle.
     """
     on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
     edges: list[EdgeArc] = []

@@ -2,13 +2,17 @@
 
 Adaptive 2-D quadrature of the boundary-patch integrands, parametrized in the
 frame where the kept chord sits on the z-axis and the removed endpoints lie
-in the z = 0 plane.  Nothing here calls the closed forms under test.
+in the z = 0 plane, and the scalar ball-constraint formula of edge
+extraction, one center at a time.  Nothing here calls the closed forms or
+the batched constraint under test.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+
+from reuleaux.geom import AngularIntervalSet, Tolerances, as_point
 
 QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11)
 
@@ -98,3 +102,24 @@ def spindle_flux_quad(theta, theta_prime):
         0.0, fr.phi_prime, lambda s: 0.0, lambda s: fr.theta_prime,
         **QUAD_OPTS)
     return val
+
+
+def scalar_ball_constraint(circle, x, ang_eps):
+    """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots: the
+    float sequence ``geom.ball_constraint_intervals`` must reproduce."""
+    w = as_point(x) - circle.center
+    r = circle.radius
+    a = 2.0 * r * float(w @ circle.u_ref)
+    b = 2.0 * r * float(w @ circle.v_ref)
+    c = float(w @ w) + r * r - 1.0
+    k = math.hypot(a, b)
+    if k < Tolerances.on_axis:
+        return AngularIntervalSet.full() if c <= 0.0 else AngularIntervalSet.empty()
+    ratio = c / k
+    if ratio >= 1.0:
+        return AngularIntervalSet.empty()
+    if ratio <= -1.0:
+        return AngularIntervalSet.full()
+    alpha = math.atan2(b, a)
+    half = math.acos(ratio)
+    return AngularIntervalSet.from_raw([(alpha - half, alpha + half)], ang_eps)

@@ -155,7 +155,13 @@ class TestValidate:
         if code == 0:
             assert capsys.readouterr().err == ""
         else:
-            assert one_error(capsys, 3)["kind"] == "structure"
+            error = one_error(capsys, 3)
+            assert error["kind"] == "structure"
+            # the error names the stage and the support pair of the arc
+            assert re.fullmatch(
+                r"extract_edges: support pair \(0, 1\): arc endpoint \[.*\] "
+                r"matches no vertex \(nearest at distance 5e-05\)",
+                error["message"])
 
 
 class TestAnalyze:

@@ -9,8 +9,12 @@ from scipy.optimize import brentq
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
                            Tolerances, ball_constraint_interval,
-                           circle_of_sphere_pair, max_distance_to_arc_many,
-                           reference_direction)
+                           ball_constraint_intervals, circle_of_sphere_pair,
+                           max_distance_to_arc_many, reference_direction)
+from reuleaux.polyhedron import _candidate_pairs
+
+from oracles import scalar_ball_constraint
+from test_polyhedron import moved_pyramid
 
 RNG = np.random.default_rng(20260811)
 
@@ -125,6 +129,49 @@ class TestBallConstraintInterval:
             for lo, hi in ivs.components(1e-7):
                 for psi in (lo, hi):
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
+
+
+def batch_against_scalar(circ, centers):
+    """Each center's constraint by the batch and by the scalar formula, as
+    float.hex intervals; the kinds of set the scalar formula gave."""
+    def hexed(s):
+        return [(lo.hex(), hi.hex()) for lo, hi in s.intervals]
+    scalar = [scalar_ball_constraint(circ, x, 1e-7) for x in centers]
+    kinds = {"full" if s.is_full else "empty" if s.is_empty else "arc"
+             for s in scalar}
+    return ([hexed(s) for s in ball_constraint_intervals(circ, centers, 1e-7)],
+            [hexed(s) for s in scalar], kinds)
+
+
+class TestBallConstraintIntervals:
+    """The batch is bit-identical to the scalar formula, one row at a time."""
+
+    def test_random_circles_and_centers(self):
+        rng = np.random.default_rng(1206)
+        kinds = set()
+        for _ in range(300):
+            b = rng.normal(size=3)
+            c = b + rng.uniform(0.3, 1.5) * random_unit(rng)
+            circ = circle_of_sphere_pair(b, c)
+            dirs = rng.normal(size=(6, 3))
+            centers = (circ.center + rng.uniform(0.0, 2.5, size=(6, 1))
+                       * dirs / np.linalg.norm(dirs, axis=1)[:, None])
+            # a center on the circle's axis has no direction on the circle
+            on_axis = circ.center + rng.uniform(-1.0, 1.0) * circ.axis
+            got, want, seen = batch_against_scalar(
+                circ, np.vstack([centers, on_axis]))
+            assert got == want
+            kinds |= seen
+        assert kinds == {"full", "empty", "arc"}
+
+    def test_candidate_circles_of_a_moved_pyramid(self):
+        cfg = moved_pyramid(101, 102)
+        pts = cfg.points
+        for i, j in _candidate_pairs(cfg):
+            got, want, _ = batch_against_scalar(
+                circle_of_sphere_pair(pts[i], pts[j]),
+                np.delete(pts, (i, j), axis=0))
+            assert got == want
 
 
 class TestAngularIntervalSet:

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reuleaux.errors import NotExtremalError, StructureError
+from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle,
-                           ball_constraint_interval, circle_of_sphere_pair)
+                           circle_of_sphere_pair)
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
                                  _candidate_pairs, _face_loops, _match_vertex,
                                  analyze_config, angle_pairs, check_extremal,
                                  classify_vertices, config_from_generator,
                                  config_from_json_dict, extract_edges,
                                  pair_duals, pentad_points, tetra_points)
+
+from oracles import scalar_ball_constraint
 
 RNG = np.random.default_rng(4207)
 
@@ -132,8 +134,9 @@ class TestExtractEdges:
             analyze_config(cfg)
 
 
-# The scalar extraction that trims every support pair, kept as the reference
-# the two-step extract_edges must reproduce bit for bit.
+# The scalar extraction that trims every support pair, one 1-D constraint at
+# a time, kept as the reference the two-step extract_edges must reproduce bit
+# for bit.
 def reference_extract_edges(cfg):
     pts = cfg.points
     tol = cfg.tol
@@ -149,7 +152,7 @@ def reference_extract_edges(cfg):
                 if k in (i, j):
                     continue
                 surviving = surviving.intersect(
-                    ball_constraint_interval(circle, pts[k], tol.ang_eps),
+                    scalar_ball_constraint(circle, pts[k], tol.ang_eps),
                     tol.ang_eps)
                 if surviving.is_empty:
                     break
@@ -160,8 +163,8 @@ def reference_extract_edges(cfg):
             if surviving.is_full:
                 if not splits:
                     raise StructureError(
-                        f"support pair ({i}, {j}) leaves a full circle with no "
-                        "vertex on it")
+                        f"extract_edges: support pair ({i}, {j}) leaves a "
+                        "full circle with no vertex on it")
                 cuts = sorted(a % TWO_PI for a in splits)
                 comps = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
                 comps.append((cuts[-1], cuts[0] + TWO_PI))
@@ -178,8 +181,8 @@ def reference_extract_edges(cfg):
             for lo, hi in comps:
                 if hi - lo <= tol.ang_eps:
                     continue
-                u = _match_vertex(cfg, circle.point(lo))
-                w = _match_vertex(cfg, circle.point(hi))
+                u = _match_vertex(cfg, circle.point(lo), (i, j))
+                w = _match_vertex(cfg, circle.point(hi), (i, j))
                 edges.append(EdgeArc(
                     support=(i, j),
                     endpoints=(u, w),
@@ -201,7 +204,7 @@ def nonempty_trims(cfg):
             surviving = AngularIntervalSet.full()
             for k in range(cfg.n):
                 if k not in (i, j) and not surviving.is_empty:
-                    surviving = surviving.intersect(ball_constraint_interval(
+                    surviving = surviving.intersect(scalar_ball_constraint(
                         circle, cfg.points[k], cfg.tol.ang_eps),
                         cfg.tol.ang_eps)
             if not surviving.is_empty:
@@ -223,6 +226,39 @@ def extraction_outcome(extract, cfg):
 def moved_pyramid(m, seed):
     rot, shift = random_rigid_motion(np.random.default_rng(seed))
     return PointConfig(points=pyramid_points(m) @ rot.T + shift)
+
+
+def generic_extremal(m, seed):
+    """The odd-m pyramid moved by normal noise of scale 0.02, then pulled
+    back onto |x_i - x_j| = 1 over the pyramid's diameter graph by
+    Gauss-Newton (minimum-norm ``lstsq`` steps); None unless analyze_config
+    accepts the result.  Its angles take about n distinct values."""
+    x = pyramid_points(m)
+    dist = np.linalg.norm(x[:, None] - x[None], axis=2)
+    i, j = np.nonzero(np.triu(np.abs(dist - 1.0) < 1e-9, k=1))
+    x = x + np.random.default_rng(seed).normal(scale=0.02, size=x.shape)
+    rows = np.arange(len(i))[:, None]
+    cols = np.arange(3)
+    # quadratic convergence reaches rounding in about five steps
+    for _ in range(12):
+        diff = x[i] - x[j]
+        jac = np.zeros((len(i), x.size))
+        jac[rows, 3 * i[:, None] + cols] = 2.0 * diff
+        jac[rows, 3 * j[:, None] + cols] = -2.0 * diff
+        res = np.einsum("ek,ek->e", diff, diff) - 1.0
+        x = x - np.linalg.lstsq(jac, res)[0].reshape(x.shape)
+    cfg = PointConfig(points=x)
+    try:
+        analyze_config(cfg)
+    except (NotExtremalError, StructureError, DomainError):
+        return None
+    return cfg
+
+
+def generic_sets(m, count=3):
+    """The first ``count`` generic extremal sets of base m, by seed."""
+    cfgs = (generic_extremal(m, seed) for seed in range(10 * count))
+    return [cfg for cfg in cfgs if cfg is not None][:count]
 
 
 def off_extremal_configs():
@@ -262,6 +298,18 @@ class TestTwoStepExtraction:
             got = extraction_outcome(extract_edges, cfg)
             assert got[0] == "edges" and len(got[1]) == 2 * m
             assert got == extraction_outcome(reference_extract_edges, cfg)
+
+    @pytest.mark.parametrize("m", [5, 9, 21])
+    def test_generic_sets_match_reference(self, m):
+        cfgs = generic_sets(m)
+        assert len(cfgs) == 3
+        for cfg in cfgs:
+            got = extraction_outcome(extract_edges, cfg)
+            assert got[0] == "edges" and len(got[1]) == 2 * m
+            assert got == extraction_outcome(reference_extract_edges, cfg)
+            thetas = {a for p in angle_pairs(analyze_config(cfg))
+                      for a in (p.theta, p.theta_prime)}
+            assert len(thetas) >= cfg.n
 
     @pytest.mark.parametrize("k", range(25))
     def test_off_extremal_configs_match_reference(self, k):
