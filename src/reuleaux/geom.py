@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -61,8 +61,8 @@ class Tolerances:
     match_eps: how near an arc endpoint must come to its vertex, and a
         point of X to a support circle.
     on_axis: a ball constraint of amplitude below this has its center on
-        the circle's axis; the candidate pass of edge extraction is sound
-        only while it subtracts the same value.
+        the circle's axis (``ball_constraint_intervals``); the candidate pass
+        of edge extraction is sound only while it subtracts the same value.
     theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
         1.15e-9: the chord angle of the longest distance the default
         dist_eps accepts, so a set that validates at the default also
@@ -85,7 +85,7 @@ class Tolerances:
             raise ValueError("dist_eps must lie in (0, 1e-3)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circle3:
     """A circle in 3-space with an orthonormal frame fixing the angle origin.
 
@@ -97,7 +97,7 @@ class Circle3:
     radius: float
     axis: np.ndarray
     u_ref: np.ndarray
-    v_ref: np.ndarray = None  # derived; filled in __post_init__
+    v_ref: np.ndarray = field(init=False)  # axis x u_ref, set in __post_init__
 
     def __post_init__(self) -> None:
         center = as_point(self.center)
@@ -132,7 +132,7 @@ class Circle3:
         return math.atan2(float(w @ self.v_ref), float(w @ self.u_ref)) % TWO_PI
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcOnCircle:
     """Closed arc ``start_angle <= psi <= end_angle`` on a circle.
 
@@ -165,7 +165,7 @@ class AngularIntervalSet:
 
     Stored in canonical form: sorted, pairwise disjoint, each interval inside
     [0, 2*pi].  A set covering the whole circle is stored as ((0, 2*pi),).
-    Intervals shorter than the construction epsilon are discarded, and gaps
+    Intervals shorter than ``Tolerances.ang_eps`` are discarded, and gaps
     shorter than it are closed, which suppresses tangency noise.
     """
 
@@ -183,8 +183,9 @@ class AngularIntervalSet:
         return AngularIntervalSet(((0.0, TWO_PI),))
 
     @classmethod
-    def from_raw(cls, raw, eps: float) -> "AngularIntervalSet":
+    def from_raw(cls, raw) -> "AngularIntervalSet":
         """Canonicalize raw (lo, hi) pairs with hi > lo, any real lo."""
+        eps = Tolerances.ang_eps
         pieces = []
         for lo, hi in raw:
             span = hi - lo
@@ -222,8 +223,7 @@ class AngularIntervalSet:
     def is_full(self) -> bool:
         return self.intervals == ((0.0, TWO_PI),)
 
-    def intersect(self, other: "AngularIntervalSet",
-                  eps: float) -> "AngularIntervalSet":
+    def intersect(self, other: "AngularIntervalSet") -> "AngularIntervalSet":
         if self.is_full:
             return other
         if other.is_full:
@@ -234,13 +234,14 @@ class AngularIntervalSet:
                 lo, hi = max(alo, blo), min(ahi, bhi)
                 if hi - lo > 0.0:
                     out.append((lo, hi))
-        return AngularIntervalSet.from_raw(out, eps)
+        return AngularIntervalSet.from_raw(out)
 
-    def components(self, eps: float) -> list[tuple[float, float]]:
+    def components(self) -> list[tuple[float, float]]:
         """Connected components; a component crossing the angle origin is
         returned as one interval with hi > 2*pi."""
         if self.is_full or self.is_empty:
             return list(self.intervals)
+        eps = Tolerances.ang_eps
         ivs = list(self.intervals)
         if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
             first = ivs.pop(0)
@@ -277,8 +278,7 @@ def circle_of_sphere_pair(b, c) -> Circle3:
 
 
 def ball_constraint_intervals(
-        circle: Circle3, centers: np.ndarray,
-        ang_eps: float = Tolerances.ang_eps) -> Iterator[AngularIntervalSet]:
+        circle: Circle3, centers: np.ndarray) -> Iterator[AngularIntervalSet]:
     """Per row x of the (m, 3) float array ``centers``, in order, the angles
     psi with |circle.point(psi) - x| <= 1.
 
@@ -313,15 +313,7 @@ def ball_constraint_intervals(
         else:
             alpha = math.atan2(b, a)
             half = math.acos(ratio)
-            yield AngularIntervalSet.from_raw(
-                [(alpha - half, alpha + half)], ang_eps)
-
-
-def ball_constraint_interval(
-        circle: Circle3, x,
-        ang_eps: float = Tolerances.ang_eps) -> AngularIntervalSet:
-    """Angles psi with |circle.point(psi) - x| <= 1, for one point ``x``."""
-    return next(ball_constraint_intervals(circle, as_point(x)[None], ang_eps))
+            yield AngularIntervalSet.from_raw([(alpha - half, alpha + half)])
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

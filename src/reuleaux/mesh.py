@@ -291,11 +291,15 @@ class MeshBuilder:
         ring r of ``rows`` carries max(3, round(L*r/rows)) points for a loop
         of L, so triangle sizes stay uniform from apex to boundary.  All
         interior rings are computed in one pass, ring after ring, and all
-        ladders from the apex fan to the loop are stitched in one call.
+        ladders from the apex fan to the loop are stitched in one call.  A
+        loop of solid angle below 1e-9 (a face fully excised, both arcs of a
+        dangling vertex replaced by the same geodesic) gets no patch.
         """
-        coords = self.coords_of(loop_ids)
-        dirs = coords - center
-        if _loop_solid_angle(dirs) < 0.0:
+        dirs = self.coords_of(loop_ids) - center
+        solid = _loop_solid_angle(dirs)
+        if abs(solid) < 1e-9:
+            return
+        if solid < 0.0:
             loop_ids = loop_ids[::-1]
             dirs = dirs[::-1]
         apex_dir = dirs.mean(axis=0)
@@ -438,7 +442,6 @@ class _BodyMesher:
         self.builder = MeshBuilder()
         self.pts = structure.config.points
         self.removed = {dp.removed.index: dp for dp in structure.pairs}
-        self.edges = {e.index: e for e in structure.edges}
 
     def vx(self, i: int) -> int:
         return int(self.builder.polyline(("vx", i), lambda: self.pts[i][None, :])[0])
@@ -466,7 +469,7 @@ class _BodyMesher:
     def face_loop_ids(self, x: int, steps, meissner: bool) -> np.ndarray:
         chunks = []
         for idx, forward in steps:
-            e = self.edges[idx]
+            e = self.structure.edges[idx]
             if meissner and idx in self.removed:
                 ids = self.geodesic_ids(x, *e.endpoints)
             else:
@@ -478,13 +481,8 @@ class _BodyMesher:
 
     def add_faces(self, meissner: bool) -> None:
         for x, steps in enumerate(self.structure.face_loops):
-            loop_ids = self.face_loop_ids(x, steps, meissner)
-            dirs = self.builder.coords_of(loop_ids) - self.pts[x]
-            # a fully excised face (both arcs of a dangling vertex replaced by
-            # the same geodesic) collapses to zero solid angle and is skipped
-            if abs(_loop_solid_angle(dirs)) < 1e-9:
-                continue
-            self.builder.cap(self.pts[x], loop_ids, self.refine)
+            self.builder.cap(self.pts[x], self.face_loop_ids(x, steps, meissner),
+                             self.refine)
 
     def spindle_grid(self, pair: DualPair) -> np.ndarray:
         frame = SpindleFrame(self.structure.config, pair)

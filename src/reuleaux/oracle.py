@@ -30,7 +30,7 @@ from .polyhedron import PointConfig, Structure, check_wedge_index
 BODY_KINDS = ("reuleaux", "meissner", "wedge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodySpec:
     """Which body a membership test targets.
 

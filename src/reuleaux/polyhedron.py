@@ -31,7 +31,7 @@ from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
 _BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfig:
     """A finite labeled point set X in R^3 with its tolerance policy.
 
@@ -42,7 +42,7 @@ class PointConfig:
     points: np.ndarray
     labels: tuple[str, ...] | None = None
     tol: Tolerances = field(default_factory=Tolerances)
-    dist: np.ndarray = field(init=False, compare=False, repr=False)
+    dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -86,7 +86,7 @@ class ExtremalityReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeArc:
     """One edge of B(X): a circular arc on the circle of its support pair.
 
@@ -104,7 +104,7 @@ class EdgeArc:
         return tuple(sorted(self.endpoints))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPair:
     """A matched dual edge pair with its angle data.
 
@@ -149,7 +149,7 @@ class StructureReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Structure:
     """Validated structure of B(X): edges, dual pairs, face loops, and the
     report.  ``face_loops[x]`` is the boundary cycle of face x as (edge
@@ -200,7 +200,7 @@ def _match_vertex(cfg: PointConfig, p: np.ndarray,
 
 
 def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
-                    d: np.ndarray, tol: Tolerances, delta: np.ndarray,
+                    d: np.ndarray, delta: np.ndarray,
                     slack: float) -> np.ndarray:
     """Per pair (i[p], j[p]): an upper bound on the longest arc of the circle
     of the pair that lies in every ball of X, or 0 if some ball provably
@@ -230,14 +230,14 @@ def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
     k = np.hypot(a, b)
     dl = delta[:, None]
     c_lo = c - dl
-    k_lo = k - dl - tol.on_axis
+    k_lo = k - dl - Tolerances.on_axis
     vague = k_lo <= 0.0
     k_safe = np.where(vague, 1.0, k_lo)
     empty = c_lo >= k + dl
     ratio = np.where(c_lo > 0.0, c_lo / (k + dl), c_lo / k_safe)
     half = (np.arccos(np.clip(ratio, -1.0, 1.0)) + 3.0 * dl / k_safe
             + slack)
-    full = vague | (2.0 * half >= TWO_PI - tol.ang_eps - slack)
+    full = vague | (2.0 * half >= TWO_PI - Tolerances.ang_eps - slack)
     full[rows, i] = full[rows, j] = True
     # the complement of each arc is one gap; full arcs have none
     start = np.where(full, np.inf, (np.arctan2(b, a) + half) % TWO_PI)
@@ -294,8 +294,8 @@ def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
     step = max(1, _BLOCK // n)
     for s in range(0, len(d), step):
         blk = slice(s, s + step)
-        bound[blk] = _free_arc_bound(pts, i[blk], j[blk], d[blk], tol,
-                                     delta[blk], slack)
+        bound[blk] = _free_arc_bound(pts, i[blk], j[blk], d[blk], delta[blk],
+                                     slack)
     keep = bound > tol.ang_eps - 2.0 * slack
     return list(zip(i[keep].tolist(), j[keep].tolist()))
 
@@ -304,12 +304,12 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
                 j: int) -> list[EdgeArc]:
     """The exact trim-and-split of one support pair's circle."""
     pts = cfg.points
-    tol = cfg.tol
+    eps = Tolerances.ang_eps
     circle = circle_of_sphere_pair(pts[i], pts[j])
     surviving = AngularIntervalSet.full()
     others = np.delete(pts, (i, j), axis=0)
-    for constraint in ball_constraint_intervals(circle, others, tol.ang_eps):
-        surviving = surviving.intersect(constraint, tol.ang_eps)
+    for constraint in ball_constraint_intervals(circle, others):
+        surviving = surviving.intersect(constraint)
         if surviving.is_empty:
             return []
     # Points of X on this circle (distance 1 from both centers)
@@ -327,17 +327,17 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
         comps.append((cuts[-1], cuts[0] + TWO_PI))
     else:
         comps = []
-        for lo, hi in surviving.components(tol.ang_eps):
+        for lo, hi in surviving.components():
             inner = []
             for s in splits:
                 rel = (s - lo) % TWO_PI
-                if tol.ang_eps < rel < (hi - lo) - tol.ang_eps:
+                if eps < rel < (hi - lo) - eps:
                     inner.append(lo + rel)
             bounds = [lo] + sorted(inner) + [hi]
             comps.extend(zip(bounds[:-1], bounds[1:]))
     edges = []
     for lo, hi in comps:
-        if hi - lo <= tol.ang_eps:
+        if hi - lo <= eps:
             continue
         u = _match_vertex(cfg, circle.point(lo), (i, j))
         w = _match_vertex(cfg, circle.point(hi), (i, j))
@@ -388,7 +388,8 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     for e in edges:
         key = (e.support, e.endpoint_set)
         if key in by_key:
-            raise StructureError(f"two edges share support/endpoints {key}")
+            raise StructureError(
+                f"pair_duals: two edges share support/endpoints {key}")
         by_key[key] = e
     pairs = []
     seen = set()
@@ -398,8 +399,8 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
         partner = by_key.get((e.endpoint_set, e.support))
         if partner is None or partner.index in seen:
             raise StructureError(
-                f"edge with support {e.support} and endpoints {e.endpoints} "
-                "has no dual partner")
+                f"pair_duals: edge with support {e.support} and endpoints "
+                f"{e.endpoints} has no dual partner")
         seen.add(e.index)
         seen.add(partner.index)
         kept, removed = (e, partner) if e.support < partner.support else (partner, e)
@@ -411,13 +412,14 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
             pp, qp = qp, pp
         elif orient == 0.0:
             raise StructureError(
-                f"degenerate orientation for dual pair {kept.support}/{removed.support}")
+                "pair_duals: degenerate orientation for dual pair "
+                f"{kept.support}/{removed.support}")
         angles = AnglePair(_chord_angle(pts, p, q), _chord_angle(pts, pp, qp))
         pairs.append(DualPair(kept=kept, removed=removed, angles=angles,
                               p=p, q=q, p_prime=pp, q_prime=qp))
     if len(pairs) != cfg.n - 1:
         raise StructureError(
-            f"found {len(pairs)} dual pairs, expected {cfg.n - 1}")
+            f"pair_duals: found {len(pairs)} dual pairs, expected {cfg.n - 1}")
     pairs.sort(key=lambda dp: dp.kept.support)
     return tuple(pairs)
 
@@ -434,13 +436,14 @@ def _face_loops(n: int, edges: tuple[EdgeArc, ...]
     loops = []
     for x, face in enumerate(incident):
         if not face:
-            raise StructureError(f"face {x} has no boundary edges")
+            raise StructureError(f"face_loops: face {x} has no boundary edges")
         at_vertex: dict[int, list[EdgeArc]] = {}
         for e in face:
             for v in e.endpoints:
                 at_vertex.setdefault(v, []).append(e)
         if any(len(ends) != 2 for ends in at_vertex.values()):
-            raise StructureError(f"face {x} boundary is not a simple cycle")
+            raise StructureError(
+                f"face_loops: face {x} boundary is not a simple cycle")
         start = step = face[0]
         loop = [(start.index, True)]
         vertex = start.endpoints[1]
@@ -453,15 +456,16 @@ def _face_loops(n: int, edges: tuple[EdgeArc, ...]
             loop.append((step.index, forward))
             vertex = step.endpoints[1] if forward else step.endpoints[0]
         if len(loop) != len(face):
-            raise StructureError(f"face {x} boundary has several components")
+            raise StructureError(
+                f"face_loops: face {x} boundary has several components")
         loops.append(tuple(loop))
     return tuple(loops)
 
 
 def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
                       pairs: tuple[DualPair, ...]) -> StructureReport:
-    """Count per-vertex face membership from incident edge supports and run
-    the Euler check V - E + F = 2."""
+    """Count per-vertex face membership from incident edge supports and
+    report the Euler characteristic V - E + F."""
     faces_at = [set() for _ in range(cfg.n)]
     for e in edges:
         for v in e.endpoints:
@@ -476,9 +480,9 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
         else:
             raise StructureError(
                 f"vertex {i} lies on only {c} faces; structure is broken")
+    # pair_duals matched the edges into exactly n - 1 disjoint pairs, so
+    # E = 2n - 2 and V - E + F = n - (2n - 2) + n = 2
     euler = cfg.n - len(edges) + cfg.n
-    if euler != 2:
-        raise StructureError(f"Euler characteristic {euler} != 2")
     return StructureReport(
         vertex_classes=tuple(classes),
         face_counts=counts,

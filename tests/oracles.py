@@ -104,7 +104,7 @@ def spindle_flux_quad(theta, theta_prime):
     return val
 
 
-def scalar_ball_constraint(circle, x, ang_eps):
+def scalar_ball_constraint(circle, x):
     """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots: the
     float sequence ``geom.ball_constraint_intervals`` must reproduce."""
     w = as_point(x) - circle.center
@@ -122,4 +122,4 @@ def scalar_ball_constraint(circle, x, ang_eps):
         return AngularIntervalSet.full()
     alpha = math.atan2(b, a)
     half = math.acos(ratio)
-    return AngularIntervalSet.from_raw([(alpha - half, alpha + half)], ang_eps)
+    return AngularIntervalSet.from_raw([(alpha - half, alpha + half)])

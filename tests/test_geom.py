@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
-                           Tolerances, ball_constraint_interval,
-                           ball_constraint_intervals, circle_of_sphere_pair,
+                           Tolerances, ball_constraint_intervals,
+                           circle_of_sphere_pair,
                            max_distance_to_arc_many, reference_direction)
 from reuleaux.polyhedron import _candidate_pairs
 
@@ -97,18 +97,20 @@ class TestCircleOfSpherePair:
 class TestBallConstraintInterval:
     def test_center_gives_full_circle(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert ball_constraint_interval(circ, circ.center).is_full
+        assert next(ball_constraint_intervals(
+            circ, np.array([circ.center], dtype=float))).is_full
 
     def test_far_point_gives_empty_set(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert ball_constraint_interval(circ, (5.0, 0.0, 0.0)).is_empty
+        assert next(ball_constraint_intervals(
+            circ, np.array([(5.0, 0.0, 0.0)], dtype=float))).is_empty
 
     def test_unit_circle_halfwidth_matches_root_finding(self):
         circ = Circle3(center=np.zeros(3), radius=1.0, axis=np.array([0.0, 0.0, 1.0]),
                        u_ref=np.array([1.0, 0.0, 0.0]))
         x = np.array([1.5, 0.0, 0.0])
-        ivs = ball_constraint_interval(circ, x)
-        (lo, hi), = ivs.components(1e-7)
+        ivs = next(ball_constraint_intervals(circ, np.array([x], dtype=float)))
+        (lo, hi), = ivs.components()
         half = math.acos(0.75)
         # independent oracle: solve |p(psi) - x| = 1 directly
         root = brentq(lambda p: np.linalg.norm(circ.point(p) - x) - 1.0, 1e-9, math.pi)
@@ -123,10 +125,10 @@ class TestBallConstraintInterval:
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
             circ = circle_of_sphere_pair(b, c)
             x = RNG.normal(size=3) * 0.8
-            ivs = ball_constraint_interval(circ, x)
+            ivs = next(ball_constraint_intervals(circ, np.array([x], dtype=float)))
             if ivs.is_full or ivs.is_empty:
                 continue
-            for lo, hi in ivs.components(1e-7):
+            for lo, hi in ivs.components():
                 for psi in (lo, hi):
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
 
@@ -136,10 +138,10 @@ def batch_against_scalar(circ, centers):
     float.hex intervals; the kinds of set the scalar formula gave."""
     def hexed(s):
         return [(lo.hex(), hi.hex()) for lo, hi in s.intervals]
-    scalar = [scalar_ball_constraint(circ, x, 1e-7) for x in centers]
+    scalar = [scalar_ball_constraint(circ, x) for x in centers]
     kinds = {"full" if s.is_full else "empty" if s.is_empty else "arc"
              for s in scalar}
-    return ([hexed(s) for s in ball_constraint_intervals(circ, centers, 1e-7)],
+    return ([hexed(s) for s in ball_constraint_intervals(circ, centers)],
             [hexed(s) for s in scalar], kinds)
 
 
@@ -176,36 +178,36 @@ class TestBallConstraintIntervals:
 
 class TestAngularIntervalSet:
     def test_intersection_with_full_is_identity(self):
-        s = AngularIntervalSet.from_raw([(0.3, 1.2), (2.0, 2.5)], 1e-7)
-        assert s.intersect(AngularIntervalSet.full(), 1e-7) == s
+        s = AngularIntervalSet.from_raw([(0.3, 1.2), (2.0, 2.5)])
+        assert s.intersect(AngularIntervalSet.full()) == s
 
     def test_simple_overlap(self):
-        a = AngularIntervalSet.from_raw([(0.0, math.pi)], 1e-7)
-        b = AngularIntervalSet.from_raw([(math.pi / 2, 1.5 * math.pi)], 1e-7)
-        (lo, hi), = a.intersect(b, 1e-7).intervals
+        a = AngularIntervalSet.from_raw([(0.0, math.pi)])
+        b = AngularIntervalSet.from_raw([(math.pi / 2, 1.5 * math.pi)])
+        (lo, hi), = a.intersect(b).intervals
         assert lo == pytest.approx(math.pi / 2)
         assert hi == pytest.approx(math.pi)
 
     def test_wraparound_intersection(self):
-        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)], 1e-7)
+        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)])
         assert len(wrap.intervals) == 2
-        other = AngularIntervalSet.from_raw([(0.0, math.pi)], 1e-7)
-        (lo, hi), = wrap.intersect(other, 1e-7).intervals
+        other = AngularIntervalSet.from_raw([(0.0, math.pi)])
+        (lo, hi), = wrap.intersect(other).intervals
         assert lo == pytest.approx(0.0)
         assert hi == pytest.approx(math.pi / 2)
 
     def test_wrap_component_is_rejoined(self):
-        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)], 1e-7)
-        (lo, hi), = wrap.components(1e-7)
+        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)])
+        (lo, hi), = wrap.components()
         assert lo == pytest.approx(1.5 * math.pi)
         assert hi == pytest.approx(2.5 * math.pi)
 
     def test_degenerate_intervals_are_discarded(self):
-        s = AngularIntervalSet.from_raw([(1.0, 1.0 + 1e-9)], 1e-7)
+        s = AngularIntervalSet.from_raw([(1.0, 1.0 + 1e-9)])
         assert s.is_empty
 
     def test_measure_capped_by_full_circle(self):
-        s = AngularIntervalSet.from_raw([(0.0, TWO_PI + 1.0)], 1e-7)
+        s = AngularIntervalSet.from_raw([(0.0, TWO_PI + 1.0)])
         assert s.is_full
         assert measure(s) == pytest.approx(TWO_PI)
 
@@ -216,9 +218,9 @@ class TestAngularIntervalSet:
                      for lo in RNG.uniform(0, TWO_PI, size=3)]
             raw_b = [(lo, lo + RNG.uniform(0.05, 2.5))
                      for lo in RNG.uniform(0, TWO_PI, size=2)]
-            a = AngularIntervalSet.from_raw(raw_a, 1e-7)
-            b = AngularIntervalSet.from_raw(raw_b, 1e-7)
-            both = a.intersect(b, 1e-7)
+            a = AngularIntervalSet.from_raw(raw_a)
+            b = AngularIntervalSet.from_raw(raw_b)
+            both = a.intersect(b)
             for ang in grid:
                 expect = contains(a, ang, 1e-9) and contains(b, ang, 1e-9)
                 got = contains(both, ang, 1e-9)
@@ -301,7 +303,6 @@ class TestInputChecks:
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
         calls = [lambda: circle_of_sphere_pair(bad, (0, 0, 0.5)),
                  lambda: circle_of_sphere_pair((0, 0, 0.5), bad),
-                 lambda: ball_constraint_interval(circ, bad),
                  lambda: circ.angle_of(bad)]
         for call in calls:
             with pytest.raises(ValueError, match=message):

@@ -589,7 +589,10 @@ def _ladder_sorted(inner, outer):
 def _cap_per_ring(self, center, loop_ids, refine):
     """MeshBuilder.cap one ring at a time, each ring stitched to the last."""
     dirs = self.coords_of(loop_ids) - center
-    if _loop_solid_angle(dirs) < 0.0:
+    solid = _loop_solid_angle(dirs)
+    if abs(solid) < 1e-9:
+        return
+    if solid < 0.0:
         loop_ids = loop_ids[::-1]
         dirs = dirs[::-1]
     apex_dir = dirs.mean(axis=0)

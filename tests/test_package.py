@@ -2,6 +2,7 @@
 the runtime loads nothing beyond the standard library and numpy."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("module, name", [
     (geom, "max_distance_to_arc"), (geom, "intersect_interval_sets"),
     (polyhedron, "diameter_graph"), (polyhedron, "DiameterGraph"),
-    (mesh, "import_ply")])
+    (mesh, "import_ply"), (geom, "ball_constraint_interval")])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(reuleaux, name)
@@ -45,6 +46,23 @@ def test_dist_eps_is_the_only_tolerance_setting():
     assert (tol.ang_eps, tol.match_eps) == (1e-7, 1e-7)
     with pytest.raises(TypeError):
         geom.Tolerances(match_eps=1e-6)
+
+
+@pytest.mark.parametrize("func, params", [
+    (geom.AngularIntervalSet.from_raw, ["raw"]),
+    (geom.AngularIntervalSet.intersect, ["self", "other"]),
+    (geom.AngularIntervalSet.components, ["self"]),
+    (geom.ball_constraint_intervals, ["circle", "centers"])])
+def test_interval_layer_takes_no_slack_argument(func, params):
+    # the one angular slack is Tolerances.ang_eps, read where it acts
+    assert list(inspect.signature(func).parameters) == params
+
+
+def test_circle_derives_v_ref():
+    unit = dict(center=(0, 0, 0), radius=1.0, axis=(0, 0, 1), u_ref=(1, 0, 0))
+    assert geom.Circle3(**unit).v_ref.tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(TypeError):
+        geom.Circle3(**unit, v_ref=np.array([5.0, 5.0, 5.0]))
 
 
 RUNTIME_SCRIPT = """

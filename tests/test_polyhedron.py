@@ -12,6 +12,7 @@ from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle,
                            circle_of_sphere_pair)
+from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
                                  _candidate_pairs, _face_loops, _match_vertex,
                                  analyze_config, angle_pairs, check_extremal,
@@ -152,8 +153,7 @@ def reference_extract_edges(cfg):
                 if k in (i, j):
                     continue
                 surviving = surviving.intersect(
-                    scalar_ball_constraint(circle, pts[k], tol.ang_eps),
-                    tol.ang_eps)
+                    scalar_ball_constraint(circle, pts[k]))
                 if surviving.is_empty:
                     break
             if surviving.is_empty:
@@ -170,7 +170,7 @@ def reference_extract_edges(cfg):
                 comps.append((cuts[-1], cuts[0] + TWO_PI))
             else:
                 comps = []
-                for lo, hi in surviving.components(tol.ang_eps):
+                for lo, hi in surviving.components():
                     inner = []
                     for s in splits:
                         rel = (s - lo) % TWO_PI
@@ -204,9 +204,8 @@ def nonempty_trims(cfg):
             surviving = AngularIntervalSet.full()
             for k in range(cfg.n):
                 if k not in (i, j) and not surviving.is_empty:
-                    surviving = surviving.intersect(scalar_ball_constraint(
-                        circle, cfg.points[k], cfg.tol.ang_eps),
-                        cfg.tol.ang_eps)
+                    surviving = surviving.intersect(
+                        scalar_ball_constraint(circle, cfg.points[k]))
             if not surviving.is_empty:
                 out.append((i, j))
     return out
@@ -357,7 +356,7 @@ class TestPairDuals:
         assert seen == expect
 
     def test_unmatched_edges_raise(self, tetra_structure):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="^pair_duals: "):
             pair_duals(tetra_structure.edges[:5], tetra_structure.config)
 
     def test_angles_within_pi_over_3(self, pentad_structure):
@@ -497,7 +496,7 @@ class TestFaceLoops:
     ])
     def test_broken_faces_are_named(self, tetra_structure, n, rows, error):
         edges = self.edges_on_one_arc(tetra_structure.edges[0].arc, *rows)
-        with pytest.raises(StructureError, match=error):
+        with pytest.raises(StructureError, match=f"^face_loops: {error}"):
             _face_loops(n, edges)
 
 
@@ -680,3 +679,20 @@ class TestAnglePairsBridge:
         assert thetas[:2] == [round(2 * math.asin(
             math.sqrt(3) * math.sin(2 * math.asin(1 / math.sqrt(3)) / 4) / 2), 9)] * 2
         assert thetas[2:] == [round(math.pi / 3, 9)] * 2
+
+
+class TestRecordsCompareByIdentity:
+    """Records that hold arrays compare and hash by identity: a value
+    comparison of their array fields has no single truth value."""
+
+    def test_two_analyses_compare_and_every_record_hashes(self):
+        a = analyze_config(config_from_generator("pentad"))
+        b = analyze_config(config_from_generator("pentad"))
+        assert a == a and a != b
+        assert a.edges != b.edges and a.pairs != b.pairs
+        records = [a, a.config, a.edges[0], a.edges[0].arc,
+                   a.edges[0].arc.circle, a.pairs[0],
+                   body_from_structure(a, "meissner")]
+        assert len({hash(r) for r in records}) == len(records)
+        assert all(r == r for r in records)
+        assert a.config != b.config and a.edges[0].arc != b.edges[0].arc
