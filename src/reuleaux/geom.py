@@ -10,7 +10,6 @@ workers.  Lengths are unitless; the unit ball radius 1 sets the scale.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import DegenerateInputError
 
 TWO_PI = 2.0 * math.pi
+_FULL = ((0.0, TWO_PI),)  # the canonical intervals of the full circle
 
 _BASIS = np.eye(3)
 
@@ -61,8 +61,8 @@ class Tolerances:
     match_eps: how near an arc endpoint must come to its vertex, and a
         point of X to a support circle.
     on_axis: a ball constraint of amplitude below this has its center on
-        the circle's axis (``ball_constraint_intervals``); the candidate pass
-        of edge extraction is sound only while it subtracts the same value.
+        the circle's axis (``trim_circle``); the candidate pass of edge
+        extraction is sound only while it subtracts the same value.
     theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
         1.15e-9: the chord angle of the longest distance the default
         dist_eps accepts, so a set that validates at the default also
@@ -70,8 +70,10 @@ class Tolerances:
     Fixed where they act: a mesh face of solid angle below 1e-9 is
     collapsed, a spindle must close within 1e-6 (``SpindleFrame``),
     ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0,
-    and the Monte Carlo window of unit draws is widened by
-    64 eps (1 + max |x|), far above its rounding (``oracle._unit_window``).
+    ``Circle3`` checks its frame to 1e-9 and its radius to 1 + 1e-12,
+    ``circle_of_sphere_pair`` takes centers within 1e-12 as coincident, and
+    the Monte Carlo window of unit draws is widened by 64 eps (1 + max |x|),
+    far above its rounding (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9
@@ -160,6 +162,70 @@ class ArcOnCircle:
         return self.circle.points(self.sample_angles(n))
 
 
+def _canonical(raw) -> tuple[tuple[float, float], ...]:
+    """Canonical intervals (see ``AngularIntervalSet``) of raw pairs."""
+    eps = Tolerances.ang_eps
+    pieces = []
+    for lo, hi in raw:
+        span = hi - lo
+        if span <= 0.0:
+            continue
+        if span >= TWO_PI - eps:
+            return _FULL
+        lo = lo % TWO_PI
+        hi = lo + span
+        if hi > TWO_PI:
+            pieces.append((lo, TWO_PI))
+            pieces.append((0.0, hi - TWO_PI))
+        else:
+            pieces.append((lo, hi))
+    if not pieces:
+        return ()
+    pieces.sort()
+    merged = [pieces[0]]
+    for lo, hi in pieces[1:]:
+        mlo, mhi = merged[-1]
+        if lo <= mhi + eps:
+            merged[-1] = (mlo, max(mhi, hi))
+        else:
+            merged.append((lo, hi))
+    kept = tuple([iv for iv in merged if iv[1] - iv[0] > eps])
+    if sum([hi - lo for lo, hi in kept]) >= TWO_PI - eps:
+        return _FULL
+    return kept
+
+
+def _arc(lo: float, hi: float) -> tuple[tuple[float, float], ...]:
+    """``_canonical(((lo, hi),))``, float for float; only an arc that is
+    empty, nearly full or wraps past 2*pi goes through the list and sort."""
+    eps = Tolerances.ang_eps
+    span = hi - lo
+    start = lo % TWO_PI
+    end = start + span
+    if not 0.0 < span < TWO_PI - eps or end > TWO_PI:
+        return _canonical(((lo, hi),))
+    span = end - start
+    return (_FULL if span >= TWO_PI - eps
+            else ((start, end),) if span > eps else ())
+
+
+def _meet(a, b) -> tuple[tuple[float, float], ...]:
+    """The canonical intersection of canonical intervals ``a`` and ``b``."""
+    if a == _FULL:
+        return b
+    if b == _FULL:
+        return a
+    if len(a) == 1 == len(b):
+        return _arc(max(a[0][0], b[0][0]), min(a[0][1], b[0][1]))
+    out = []
+    for alo, ahi in a:
+        for blo, bhi in b:
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if hi - lo > 0.0:
+                out.append((lo, hi))
+    return _arc(*out[0]) if len(out) == 1 else _canonical(out)
+
+
 class AngularIntervalSet:
     """Finite union of closed angular intervals on the circle [0, 2*pi).
 
@@ -180,40 +246,12 @@ class AngularIntervalSet:
 
     @staticmethod
     def full() -> "AngularIntervalSet":
-        return AngularIntervalSet(((0.0, TWO_PI),))
+        return AngularIntervalSet(_FULL)
 
     @classmethod
     def from_raw(cls, raw) -> "AngularIntervalSet":
         """Canonicalize raw (lo, hi) pairs with hi > lo, any real lo."""
-        eps = Tolerances.ang_eps
-        pieces = []
-        for lo, hi in raw:
-            span = hi - lo
-            if span <= 0.0:
-                continue
-            if span >= TWO_PI - eps:
-                return cls.full()
-            lo = lo % TWO_PI
-            hi = lo + span
-            if hi > TWO_PI:
-                pieces.append((lo, TWO_PI))
-                pieces.append((0.0, hi - TWO_PI))
-            else:
-                pieces.append((lo, hi))
-        if not pieces:
-            return cls.empty()
-        pieces.sort()
-        merged = [pieces[0]]
-        for lo, hi in pieces[1:]:
-            mlo, mhi = merged[-1]
-            if lo <= mhi + eps:
-                merged[-1] = (mlo, max(mhi, hi))
-            else:
-                merged.append((lo, hi))
-        kept = tuple(iv for iv in merged if iv[1] - iv[0] > eps)
-        if sum(hi - lo for lo, hi in kept) >= TWO_PI - eps:
-            return cls.full()
-        return cls(kept)
+        return cls(_canonical(raw))
 
     @property
     def is_empty(self) -> bool:
@@ -221,20 +259,10 @@ class AngularIntervalSet:
 
     @property
     def is_full(self) -> bool:
-        return self.intervals == ((0.0, TWO_PI),)
+        return self.intervals == _FULL
 
     def intersect(self, other: "AngularIntervalSet") -> "AngularIntervalSet":
-        if self.is_full:
-            return other
-        if other.is_full:
-            return self
-        out = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if hi - lo > 0.0:
-                    out.append((lo, hi))
-        return AngularIntervalSet.from_raw(out)
+        return AngularIntervalSet(_meet(self.intervals, other.intervals))
 
     def components(self) -> list[tuple[float, float]]:
         """Connected components; a component crossing the angle origin is
@@ -277,17 +305,13 @@ def circle_of_sphere_pair(b, c) -> Circle3:
                    u_ref=reference_direction(axis))
 
 
-def ball_constraint_intervals(
-        circle: Circle3, centers: np.ndarray) -> Iterator[AngularIntervalSet]:
-    """Per row x of the (m, 3) float array ``centers``, in order, the angles
-    psi with |circle.point(psi) - x| <= 1.
-
-    Each constraint reduces to K*cos(psi - alpha) >= C, giving the empty set,
-    one closed arc, or the full circle.  The three dots per row run in one
-    ``np.vecdot`` batch, which rounds each row as the 1-D ``@`` does; the
-    angle and interval steps are scalar and lazy, so a caller that stops
-    early pays for no later row.
-    """
+def trim_circle(circle: Circle3, centers: np.ndarray) -> AngularIntervalSet:
+    """The angles psi with |circle.point(psi) - x| <= 1 for every row x of
+    the (m, 3) float array ``centers``, intersected in row order up to the
+    first empty set, with the floats of ``AngularIntervalSet.from_raw`` and
+    ``intersect`` row by row.  A row's constraint K*cos(psi - alpha) >= C
+    takes its three dots from one ``np.vecdot`` batch (rounded per row as the
+    1-D ``@``) and its angles from ``math`` (numpy's round differently)."""
     w = centers - circle.center
     wu = np.vecdot(w, circle.u_ref).tolist()
     wv = np.vecdot(w, circle.v_ref).tolist()
@@ -295,25 +319,23 @@ def ball_constraint_intervals(
     r = circle.radius
     two_r = 2.0 * r
     r2 = r * r
+    surviving = _FULL
     for pu, pv, pw in zip(wu, wv, ww):
         a = two_r * pu
         b = two_r * pv
         c = pw + r2 - 1.0
         k = math.hypot(a, b)
-        if k < Tolerances.on_axis:
-            # x on the circle axis: distance is constant around the circle
-            yield (AngularIntervalSet.full() if c <= 0.0
-                   else AngularIntervalSet.empty())
-            continue
-        ratio = c / k
+        ratio = (c / k if k >= Tolerances.on_axis
+                 else -1.0 if c <= 0.0 else 1.0)  # x on the circle's axis
         if ratio >= 1.0:
-            yield AngularIntervalSet.empty()
-        elif ratio <= -1.0:
-            yield AngularIntervalSet.full()
-        else:
+            return AngularIntervalSet.empty()
+        if ratio > -1.0:
             alpha = math.atan2(b, a)
             half = math.acos(ratio)
-            yield AngularIntervalSet.from_raw([(alpha - half, alpha + half)])
+            surviving = _meet(surviving, _arc(alpha - half, alpha + half))
+            if not surviving:
+                break
+    return AngularIntervalSet(surviving)
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
-from .geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Tolerances,
-                   ball_constraint_intervals, circle_of_sphere_pair)
+from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
+                   trim_circle)
 
 # (pair, center) entries per block of the vectorized candidate pass
 _BLOCK = 1 << 15
@@ -210,6 +210,12 @@ def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
     C - delta over K +- delta, the half-angle widens by the direction error
     3*delta/K plus ``slack``, an arc within ``slack`` of 2*pi - ang_eps is
     full, and K ~ 0 (direction unknown) is full unless C is clearly positive.
+
+    A, B and C take their dots from (pairs x 3)(3 x n) products on ``pts``,
+    X moved to its bounding box's center, of half-width h: a 3-term dot
+    there rounds within 4.5 eps h^2, so C = |x|^2 - 2 m.x + |m|^2 + r^2 - 1
+    (m the pair's center) is off by under 45 eps h^2 and K by under 25 eps h,
+    plus a few eps; delta holds 64 eps (1 + 2 h^2) for them.
     """
     center = 0.5 * (pts[i] + pts[j])
     axis = (pts[i] - pts[j]) / d[:, None]
@@ -222,11 +228,11 @@ def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
     # axis x u, spelled out: np.cross has a large per-call overhead
     v = (axis[:, [1, 2, 0]] * u[:, [2, 0, 1]]
          - axis[:, [2, 0, 1]] * u[:, [1, 2, 0]])
-    w = pts[None, :, :] - center[:, None, :]
     two_r = (2.0 * r)[:, None]
-    a = two_r * np.einsum("pkx,px->pk", w, u)
-    b = two_r * np.einsum("pkx,px->pk", w, v)
-    c = np.einsum("pkx,pkx->pk", w, w) + (r * r - 1.0)[:, None]
+    a = two_r * (u @ pts.T - np.vecdot(u, center)[:, None])
+    b = two_r * (v @ pts.T - np.vecdot(v, center)[:, None])
+    c = ((np.vecdot(pts, pts) - 2.0 * (center @ pts.T))
+         + (np.vecdot(center, center) + r * r - 1.0)[:, None])
     k = np.hypot(a, b)
     dl = delta[:, None]
     c_lo = c - dl
@@ -284,18 +290,20 @@ def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
     i, j = np.nonzero(np.triu(cfg.dist <= 1.0 + tol.dist_eps, k=1))
     d = cfg.dist[i, j]
     eps = np.finfo(float).eps
-    # generous bounds on the absolute error of C and K (coordinates round
-    # to their magnitude, the pair's axis is a difference over d) and of
-    # the angles (acos, atan2 and n trim steps)
-    delta = (64.0 * eps * (1.0 + float(np.abs(pts).max()))
+    moved = pts - 0.5 * (pts.max(axis=0) + pts.min(axis=0))
+    h = float(np.abs(moved).max())
+    # generous bounds on the absolute error of C and K (the trim rounds to
+    # |x|, the pass's dots to h, the axis is a difference over d) and of the
+    # angles (acos, atan2 and n trim steps)
+    delta = (64.0 * eps * (1.0 + float(np.abs(pts).max()) + 2.0 * h * h)
              / np.minimum(d, 1.0))
     slack = 64.0 * eps * TWO_PI * (n + 1)
     bound = np.empty(len(d))
     step = max(1, _BLOCK // n)
     for s in range(0, len(d), step):
         blk = slice(s, s + step)
-        bound[blk] = _free_arc_bound(pts, i[blk], j[blk], d[blk], delta[blk],
-                                     slack)
+        bound[blk] = _free_arc_bound(moved, i[blk], j[blk], d[blk],
+                                     delta[blk], slack)
     keep = bound > tol.ang_eps - 2.0 * slack
     return list(zip(i[keep].tolist(), j[keep].tolist()))
 
@@ -306,12 +314,9 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     pts = cfg.points
     eps = Tolerances.ang_eps
     circle = circle_of_sphere_pair(pts[i], pts[j])
-    surviving = AngularIntervalSet.full()
-    others = np.delete(pts, (i, j), axis=0)
-    for constraint in ball_constraint_intervals(circle, others):
-        surviving = surviving.intersect(constraint)
-        if surviving.is_empty:
-            return []
+    surviving = trim_circle(circle, np.delete(pts, (i, j), axis=0))
+    if surviving.is_empty:
+        return []
     # Points of X on this circle (distance 1 from both centers)
     # split the surviving set: edges live on the circle minus X.
     # The zero diagonal of dist keeps i and j themselves out.
@@ -357,10 +362,8 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     the circle of the sphere intersection is trimmed against every other
     ball, then split where a point of X lies on the circle interior to the
     surviving set (a dangling vertex cuts the arc in two).  Components
-    shorter than ang_eps are tangency noise and dropped.  In the second step
-    each pair's constraint dots run in one ``np.vecdot`` batch, which rounds
-    every row as a 1-D ``@`` does, and the angle and interval steps are
-    scalar: that float sequence fixes every arc angle.
+    shorter than ang_eps are tangency noise and dropped.  The float sequence
+    of the trim (``geom.trim_circle``) fixes every arc angle.
     """
     on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
     edges: list[EdgeArc] = []

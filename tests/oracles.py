@@ -2,9 +2,10 @@
 
 Adaptive 2-D quadrature of the boundary-patch integrands, parametrized in the
 frame where the kept chord sits on the z-axis and the removed endpoints lie
-in the z = 0 plane, and the scalar ball-constraint formula of edge
-extraction, one center at a time.  Nothing here calls the closed forms or
-the batched constraint under test.
+in the z = 0 plane, and the scalar trim of edge extraction: the ball
+constraint one center at a time, intersected by a frozen copy of the
+angular-interval arithmetic.  Nothing here calls the closed forms, the
+interval layer or the batched trim under test.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from reuleaux.geom import AngularIntervalSet, Tolerances, as_point
+from reuleaux.geom import TWO_PI, Tolerances, as_point
 
 QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11)
 
@@ -104,9 +105,94 @@ def spindle_flux_quad(theta, theta_prime):
     return val
 
 
+class FrozenIntervalSet:
+    """``geom.AngularIntervalSet``'s arithmetic as it stood before its tuple
+    layer, kept verbatim: the float sequence the package must reproduce."""
+
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals):
+        self.intervals = intervals
+
+    @staticmethod
+    def empty():
+        return FrozenIntervalSet(())
+
+    @staticmethod
+    def full():
+        return FrozenIntervalSet(((0.0, TWO_PI),))
+
+    @classmethod
+    def from_raw(cls, raw):
+        """Canonicalize raw (lo, hi) pairs with hi > lo, any real lo."""
+        eps = Tolerances.ang_eps
+        pieces = []
+        for lo, hi in raw:
+            span = hi - lo
+            if span <= 0.0:
+                continue
+            if span >= TWO_PI - eps:
+                return cls.full()
+            lo = lo % TWO_PI
+            hi = lo + span
+            if hi > TWO_PI:
+                pieces.append((lo, TWO_PI))
+                pieces.append((0.0, hi - TWO_PI))
+            else:
+                pieces.append((lo, hi))
+        if not pieces:
+            return cls.empty()
+        pieces.sort()
+        merged = [pieces[0]]
+        for lo, hi in pieces[1:]:
+            mlo, mhi = merged[-1]
+            if lo <= mhi + eps:
+                merged[-1] = (mlo, max(mhi, hi))
+            else:
+                merged.append((lo, hi))
+        kept = tuple(iv for iv in merged if iv[1] - iv[0] > eps)
+        if sum(hi - lo for lo, hi in kept) >= TWO_PI - eps:
+            return cls.full()
+        return cls(kept)
+
+    @property
+    def is_empty(self):
+        return not self.intervals
+
+    @property
+    def is_full(self):
+        return self.intervals == ((0.0, TWO_PI),)
+
+    def intersect(self, other):
+        if self.is_full:
+            return other
+        if other.is_full:
+            return self
+        out = []
+        for alo, ahi in self.intervals:
+            for blo, bhi in other.intervals:
+                lo, hi = max(alo, blo), min(ahi, bhi)
+                if hi - lo > 0.0:
+                    out.append((lo, hi))
+        return FrozenIntervalSet.from_raw(out)
+
+    def components(self):
+        """Connected components; a component crossing the angle origin is
+        returned as one interval with hi > 2*pi."""
+        if self.is_full or self.is_empty:
+            return list(self.intervals)
+        eps = Tolerances.ang_eps
+        ivs = list(self.intervals)
+        if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
+            first = ivs.pop(0)
+            last = ivs.pop()
+            ivs.append((last[0], first[1] + TWO_PI))
+        return ivs
+
+
 def scalar_ball_constraint(circle, x):
-    """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots: the
-    float sequence ``geom.ball_constraint_intervals`` must reproduce."""
+    """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots, as a
+    ``FrozenIntervalSet``."""
     w = as_point(x) - circle.center
     r = circle.radius
     a = 2.0 * r * float(w @ circle.u_ref)
@@ -114,12 +200,24 @@ def scalar_ball_constraint(circle, x):
     c = float(w @ w) + r * r - 1.0
     k = math.hypot(a, b)
     if k < Tolerances.on_axis:
-        return AngularIntervalSet.full() if c <= 0.0 else AngularIntervalSet.empty()
+        return FrozenIntervalSet.full() if c <= 0.0 else FrozenIntervalSet.empty()
     ratio = c / k
     if ratio >= 1.0:
-        return AngularIntervalSet.empty()
+        return FrozenIntervalSet.empty()
     if ratio <= -1.0:
-        return AngularIntervalSet.full()
+        return FrozenIntervalSet.full()
     alpha = math.atan2(b, a)
     half = math.acos(ratio)
-    return AngularIntervalSet.from_raw([(alpha - half, alpha + half)])
+    return FrozenIntervalSet.from_raw([(alpha - half, alpha + half)])
+
+
+def scalar_trim(circle, centers):
+    """The circle's angles inside every ball of ``centers``, one
+    ``scalar_ball_constraint`` at a time up to the first empty set: the
+    float sequence ``geom.trim_circle`` must reproduce."""
+    surviving = FrozenIntervalSet.full()
+    for x in centers:
+        surviving = surviving.intersect(scalar_ball_constraint(circle, x))
+        if surviving.is_empty:
+            break
+    return surviving

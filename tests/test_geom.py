@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
-                           Tolerances, ball_constraint_intervals,
-                           circle_of_sphere_pair,
-                           max_distance_to_arc_many, reference_direction)
+                           Tolerances, circle_of_sphere_pair,
+                           max_distance_to_arc_many, reference_direction,
+                           trim_circle)
 from reuleaux.polyhedron import _candidate_pairs
 
-from oracles import scalar_ball_constraint
-from test_polyhedron import moved_pyramid
+from oracles import FrozenIntervalSet, scalar_ball_constraint, scalar_trim
+from test_polyhedron import generic_sets, moved_pyramid
 
 RNG = np.random.default_rng(20260811)
 
@@ -97,19 +100,18 @@ class TestCircleOfSpherePair:
 class TestBallConstraintInterval:
     def test_center_gives_full_circle(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert next(ball_constraint_intervals(
-            circ, np.array([circ.center], dtype=float))).is_full
+        assert trim_circle(circ, np.array([circ.center], dtype=float)).is_full
 
     def test_far_point_gives_empty_set(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert next(ball_constraint_intervals(
-            circ, np.array([(5.0, 0.0, 0.0)], dtype=float))).is_empty
+        assert trim_circle(
+            circ, np.array([(5.0, 0.0, 0.0)], dtype=float)).is_empty
 
     def test_unit_circle_halfwidth_matches_root_finding(self):
         circ = Circle3(center=np.zeros(3), radius=1.0, axis=np.array([0.0, 0.0, 1.0]),
                        u_ref=np.array([1.0, 0.0, 0.0]))
         x = np.array([1.5, 0.0, 0.0])
-        ivs = next(ball_constraint_intervals(circ, np.array([x], dtype=float)))
+        ivs = trim_circle(circ, np.array([x], dtype=float))
         (lo, hi), = ivs.components()
         half = math.acos(0.75)
         # independent oracle: solve |p(psi) - x| = 1 directly
@@ -125,7 +127,7 @@ class TestBallConstraintInterval:
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
             circ = circle_of_sphere_pair(b, c)
             x = RNG.normal(size=3) * 0.8
-            ivs = next(ball_constraint_intervals(circ, np.array([x], dtype=float)))
+            ivs = trim_circle(circ, np.array([x], dtype=float))
             if ivs.is_full or ivs.is_empty:
                 continue
             for lo, hi in ivs.components():
@@ -133,20 +135,26 @@ class TestBallConstraintInterval:
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
 
 
+def hexed(intervals):
+    return [(lo.hex(), hi.hex()) for lo, hi in intervals]
+
+
 def batch_against_scalar(circ, centers):
-    """Each center's constraint by the batch and by the scalar formula, as
-    float.hex intervals; the kinds of set the scalar formula gave."""
-    def hexed(s):
-        return [(lo.hex(), hi.hex()) for lo, hi in s.intervals]
+    """Each center's constraint, then the whole trim, by ``trim_circle`` and
+    by the frozen scalar chain, as float.hex intervals; the kinds of set the
+    scalar formula gave."""
     scalar = [scalar_ball_constraint(circ, x) for x in centers]
     kinds = {"full" if s.is_full else "empty" if s.is_empty else "arc"
              for s in scalar}
-    return ([hexed(s) for s in ball_constraint_intervals(circ, centers)],
-            [hexed(s) for s in scalar], kinds)
+    got = [trim_circle(circ, centers[k:k + 1]) for k in range(len(centers))]
+    got.append(trim_circle(circ, centers))
+    scalar.append(scalar_trim(circ, centers))
+    return ([hexed(s.intervals) for s in got],
+            [hexed(s.intervals) for s in scalar], kinds)
 
 
 class TestBallConstraintIntervals:
-    """The batch is bit-identical to the scalar formula, one row at a time."""
+    """The batched trim is bit-identical to the frozen scalar chain."""
 
     def test_random_circles_and_centers(self):
         rng = np.random.default_rng(1206)
@@ -167,13 +175,81 @@ class TestBallConstraintIntervals:
         assert kinds == {"full", "empty", "arc"}
 
     def test_candidate_circles_of_a_moved_pyramid(self):
-        cfg = moved_pyramid(101, 102)
-        pts = cfg.points
-        for i, j in _candidate_pairs(cfg):
-            got, want, _ = batch_against_scalar(
-                circle_of_sphere_pair(pts[i], pts[j]),
-                np.delete(pts, (i, j), axis=0))
-            assert got == want
+        # every candidate pair of an n = 102 pyramid and of the m = 21
+        # generic sets: the pairs the trim runs on in extract_edges
+        for cfg in [moved_pyramid(101, 102)] + generic_sets(21):
+            pts = cfg.points
+            for i, j in _candidate_pairs(cfg):
+                circ = circle_of_sphere_pair(pts[i], pts[j])
+                others = np.delete(pts, (i, j), axis=0)
+                assert (hexed(trim_circle(circ, others).intervals)
+                        == hexed(scalar_trim(circ, others).intervals))
+
+
+EPS = Tolerances.ang_eps
+# lengths of pieces and of the gaps between them: zero (touching endpoints),
+# up to 2 ang_eps (tangency noise), ordinary, within 2 ang_eps of a full
+# turn; gaps may also be negative (overlaps)
+_SHORT = st.floats(0.0, 2.0 * EPS)
+_SPAN = st.one_of(_SHORT, st.floats(1e-3, TWO_PI),
+                  st.floats(TWO_PI - 2.0 * EPS, TWO_PI + 2.0 * EPS))
+_GAP = st.one_of(st.just(0.0), _SHORT, st.floats(1e-3, 3.0),
+                 st.floats(-1.0, 0.0))
+# starts on either side of [0, 2*pi), so pieces wrap past 2*pi or start at
+# a negative lo, and on the ends of one turn
+_START = st.one_of(st.floats(-2.0 * TWO_PI, 2.0 * TWO_PI),
+                   st.sampled_from([0.0, EPS, TWO_PI - EPS, TWO_PI, -TWO_PI]))
+TUPLE_LAYER = settings(max_examples=400, derandomize=True, deadline=None,
+                       database=None)
+
+
+@st.composite
+def raw_pieces(draw, most=4):
+    """Raw (lo, hi) pieces laid end to end by _SPAN and _GAP, shuffled."""
+    lo = draw(_START)
+    raw = []
+    for _ in range(draw(st.integers(1, most))):
+        hi = lo + draw(_SPAN)
+        raw.append((lo, hi))
+        lo = hi + draw(_GAP)
+    return draw(st.permutations(raw))
+
+
+class TestTupleLayer:
+    """The tuple canonicalizer and the one-arc step give the frozen
+    arithmetic's floats (float.hex), and so do the methods built on them."""
+
+    @TUPLE_LAYER
+    @given(raw=raw_pieces())
+    @example(raw=[(-0.5, 0.5)])
+    @example(raw=[(1.0, 1.0 + TWO_PI - 1.5 * EPS)])
+    @example(raw=[(1.0, 1.0 + 0.5 * EPS)])
+    @example(raw=[(0.0, 1.0), (1.0 + 0.5 * EPS, 2.0)])
+    @example(raw=[(TWO_PI - 1.0, TWO_PI), (0.0, 1.0)])
+    @example(raw=[(TWO_PI - 0.5 * EPS, TWO_PI + 3.0)])
+    # a span just under ang_eps whose re-rounded span lo + (hi - lo) is over
+    @example(raw=[(-1e-4, -9.990000000007484e-05)])
+    def test_canonical_form(self, raw):
+        want = hexed(FrozenIntervalSet.from_raw(raw).intervals)
+        assert hexed(geom._canonical(raw)) == want
+        assert hexed(AngularIntervalSet.from_raw(raw).intervals) == want
+        if len(raw) == 1:
+            assert hexed(geom._arc(*raw[0])) == want
+
+    @TUPLE_LAYER
+    @given(raw_a=st.one_of(raw_pieces(1), raw_pieces()),
+           raw_b=st.one_of(raw_pieces(1), raw_pieces()))
+    @example(raw_a=[(0.0, 1.0)], raw_b=[(1.0, 2.0)])
+    @example(raw_a=[(0.5, 1.0)], raw_b=[(1.0 - 0.5 * EPS, 2.0)])
+    @example(raw_a=[(-1.0, 1.0)], raw_b=[(0.5, TWO_PI - 0.5)])
+    def test_intersection(self, raw_a, raw_b):
+        a = FrozenIntervalSet.from_raw(raw_a)
+        b = FrozenIntervalSet.from_raw(raw_b)
+        want = hexed(a.intersect(b).intervals)
+        assert hexed(geom._meet(a.intervals, b.intervals)) == want
+        got = AngularIntervalSet(a.intervals).intersect(
+            AngularIntervalSet(b.intervals))
+        assert hexed(got.intervals) == want
 
 
 class TestAngularIntervalSet:

@@ -22,7 +22,8 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("module, name", [
     (geom, "max_distance_to_arc"), (geom, "intersect_interval_sets"),
     (polyhedron, "diameter_graph"), (polyhedron, "DiameterGraph"),
-    (mesh, "import_ply"), (geom, "ball_constraint_interval")])
+    (mesh, "import_ply"), (geom, "ball_constraint_interval"),
+    (geom, "ball_constraint_intervals")])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(reuleaux, name)
@@ -52,7 +53,7 @@ def test_dist_eps_is_the_only_tolerance_setting():
     (geom.AngularIntervalSet.from_raw, ["raw"]),
     (geom.AngularIntervalSet.intersect, ["self", "other"]),
     (geom.AngularIntervalSet.components, ["self"]),
-    (geom.ball_constraint_intervals, ["circle", "centers"])])
+    (geom.trim_circle, ["circle", "centers"])])
 def test_interval_layer_takes_no_slack_argument(func, params):
     # the one angular slack is Tolerances.ang_eps, read where it acts
     assert list(inspect.signature(func).parameters) == params
