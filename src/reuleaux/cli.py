@@ -41,7 +41,8 @@ def load_input(descriptor: str, tol: Tolerances):
     with open(descriptor, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise OSError(f"{descriptor} is not valid JSON: {exc}") from exc
     return config_from_json_dict(data, tol=tol)
 

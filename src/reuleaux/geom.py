@@ -28,13 +28,23 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError("coordinates must be finite")
     return a
 
 
+def cross(a, b) -> tuple:
+    """The components of ``a x b`` with ``np.cross``'s floats, each one
+    rounded product minus another; ``a`` and ``b`` hold three floats, or
+    three arrays (the columns of a stack of vectors)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    # the ddot of np.linalg.norm; a Python sum of squares rounds otherwise
+    n = math.sqrt(float(v @ v))
     if n == 0.0:
         raise DegenerateInputError("zero vector has no direction")
     return v / n
@@ -46,8 +56,9 @@ def reference_direction(axis: np.ndarray) -> np.ndarray:
     Uses the global basis vector least aligned with the axis (lowest index on
     ties), so arc parametrizations are reproducible across runs.
     """
-    k = int(np.argmin(np.abs(axis)))
-    return _unit(_BASIS[k] - axis[k] * axis)
+    a = axis.tolist()
+    k = min(range(3), key=lambda i: abs(a[i]))
+    return _unit(_BASIS[k] - a[k] * axis)
 
 
 @dataclass(frozen=True)
@@ -68,12 +79,13 @@ class Tolerances:
         dist_eps accepts, so a set that validates at the default also
         analyzes.  A larger dist_eps leaves it in place.
     Fixed where they act: a mesh face of solid angle below 1e-9 is
-    collapsed, a spindle must close within 1e-6 (``SpindleFrame``),
-    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0,
-    ``Circle3`` checks its frame to 1e-9 and its radius to 1 + 1e-12,
-    ``circle_of_sphere_pair`` takes centers within 1e-12 as coincident, and
-    the Monte Carlo window of unit draws is widened by 64 eps (1 + max |x|),
-    far above its rounding (``oracle._unit_window``).
+    collapsed, a spindle must close within 1e-6 (``SpindleFrame``) and
+    ``SpindleFrame.point`` takes parameters up to 1e-12 outside its
+    rectangle, ``pair_duals`` refuses a dual pair whose orientation sign is
+    exactly 0, ``Circle3`` checks its frame to 1e-9 and its radius to
+    1 + 1e-12, ``circle_of_sphere_pair`` takes centers within 1e-12 as
+    coincident, and the Monte Carlo window of unit draws is widened by
+    64 eps (1 + max |x|), far above its rounding (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9
@@ -105,16 +117,18 @@ class Circle3:
         center = as_point(self.center)
         axis = as_point(self.axis)
         u_ref = as_point(self.u_ref)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        a = axis.tolist()
+        u = u_ref.tolist()
+        if abs(math.hypot(*a) - 1.0) > 1e-9:
             raise DegenerateInputError("axis must be a unit vector")
-        if abs(np.linalg.norm(u_ref) - 1.0) > 1e-9:
+        if abs(math.hypot(*u) - 1.0) > 1e-9:
             raise DegenerateInputError("u_ref must be a unit vector")
-        if abs(float(axis @ u_ref)) > 1e-9:
+        if abs(a[0] * u[0] + a[1] * u[1] + a[2] * u[2]) > 1e-9:
             raise DegenerateInputError("u_ref must be orthogonal to axis")
         if not 0.0 < self.radius <= 1.0 + 1e-12:
             raise DegenerateInputError("radius must lie in (0, 1]")
         for name, arr in (("center", center), ("axis", axis), ("u_ref", u_ref),
-                          ("v_ref", np.cross(axis, u_ref))):
+                          ("v_ref", np.array(cross(a, u)))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -293,14 +307,15 @@ def circle_of_sphere_pair(b, c) -> Circle3:
     """
     b = as_point(b)
     c = as_point(c)
-    d = float(np.linalg.norm(b - c))
+    diff = b - c
+    d = math.sqrt(float(diff @ diff))  # the ddot of np.linalg.norm
     if d < 1e-12:
         raise DegenerateInputError("sphere centers coincide")
     r2 = 1.0 - 0.25 * d * d
     if r2 <= 0.0:
         raise DegenerateInputError(
             f"sphere centers too far apart for a common circle: |b-c|={d}")
-    axis = (b - c) / d
+    axis = diff / d
     return Circle3(center=0.5 * (b + c), radius=math.sqrt(r2), axis=axis,
                    u_ref=reference_direction(axis))
 

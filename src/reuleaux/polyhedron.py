@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
 from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
-                   trim_circle)
+                   cross, trim_circle)
 
 # (pair, center) entries per block of the vectorized candidate pass
 _BLOCK = 1 << 15
@@ -186,17 +186,19 @@ def check_extremal(cfg: PointConfig) -> ExtremalityReport:
     )
 
 
-def _match_vertex(cfg: PointConfig, p: np.ndarray,
-                  support: tuple[int, int]) -> int:
-    """Nearest point of X within match_eps; lowest index on ties.  The error
-    names the support pair whose arc ends at ``p``."""
-    d = np.linalg.norm(cfg.points - p, axis=1)
-    i = int(np.argmin(d))
-    if d[i] > cfg.tol.match_eps:
-        raise StructureError(
-            f"extract_edges: support pair {support}: arc endpoint {p} matches "
-            f"no vertex (nearest at distance {d[i]:.3g})")
-    return i
+def _match_vertices(cfg: PointConfig, ends: np.ndarray,
+                    support: tuple[int, int]) -> list[int]:
+    """For each row of ``ends``, the nearest point of X within match_eps;
+    lowest index on ties.  The error names the support pair whose arc ends
+    at the first row that matches none."""
+    d = np.linalg.norm(cfg.points - ends[:, None], axis=2)
+    near = d.argmin(axis=1).tolist()
+    for p, row, k in zip(ends, d, near):
+        if row[k] > cfg.tol.match_eps:
+            raise StructureError(
+                f"extract_edges: support pair {support}: arc endpoint {p} "
+                f"matches no vertex (nearest at distance {row[k]:.3g})")
+    return near
 
 
 def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
@@ -225,9 +227,7 @@ def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
     ref = np.argmin(np.abs(axis), axis=1)
     u = np.eye(3)[ref] - axis[rows, ref][:, None] * axis
     u /= np.linalg.norm(u, axis=1)[:, None]
-    # axis x u, spelled out: np.cross has a large per-call overhead
-    v = (axis[:, [1, 2, 0]] * u[:, [2, 0, 1]]
-         - axis[:, [2, 0, 1]] * u[:, [1, 2, 0]])
+    v = np.stack(cross(axis.T, u.T), axis=1)
     two_r = (2.0 * r)[:, None]
     a = two_r * (u @ pts.T - np.vecdot(u, center)[:, None])
     b = two_r * (v @ pts.T - np.vecdot(v, center)[:, None])
@@ -314,7 +314,9 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     pts = cfg.points
     eps = Tolerances.ang_eps
     circle = circle_of_sphere_pair(pts[i], pts[j])
-    surviving = trim_circle(circle, np.delete(pts, (i, j), axis=0))
+    # the other centers in order (i < j); slices cost less than np.delete
+    surviving = trim_circle(
+        circle, np.concatenate((pts[:i], pts[i + 1:j], pts[j + 1:])))
     if surviving.is_empty:
         return []
     # Points of X on this circle (distance 1 from both centers)
@@ -344,8 +346,8 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
     for lo, hi in comps:
         if hi - lo <= eps:
             continue
-        u = _match_vertex(cfg, circle.point(lo), (i, j))
-        w = _match_vertex(cfg, circle.point(hi), (i, j))
+        u, w = _match_vertices(
+            cfg, np.array([circle.point(lo), circle.point(hi)]), (i, j))
         edges.append(EdgeArc(
             support=(i, j),
             endpoints=(u, w),
@@ -387,6 +389,7 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     from |X| - 1, and DomainError if a pair's angles fail AnglePair's checks.
     """
     pts = cfg.points
+    xs = pts.tolist()
     by_key = {}
     for e in edges:
         key = (e.support, e.endpoint_set)
@@ -409,8 +412,10 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
         kept, removed = (e, partner) if e.support < partner.support else (partner, e)
         p, q = kept.endpoints
         pp, qp = removed.endpoints
-        mid = 0.5 * (pts[p] + pts[q])
-        orient = float(np.cross(pts[pp] - mid, pts[qp] - mid) @ (pts[p] - pts[q]))
+        mid = [0.5 * (s + t) for s, t in zip(xs[p], xs[q])]
+        normal = cross([s - m for s, m in zip(xs[pp], mid)],
+                       [s - m for s, m in zip(xs[qp], mid)])
+        orient = sum([c * (s - t) for c, s, t in zip(normal, xs[p], xs[q])])
         if orient < 0.0:
             pp, qp = qp, pp
         elif orient == 0.0:

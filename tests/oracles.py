@@ -2,10 +2,12 @@
 
 Adaptive 2-D quadrature of the boundary-patch integrands, parametrized in the
 frame where the kept chord sits on the z-axis and the removed endpoints lie
-in the z = 0 plane, and the scalar trim of edge extraction: the ball
+in the z = 0 plane; the scalar trim of edge extraction: the ball
 constraint one center at a time, intersected by a frozen copy of the
-angular-interval arithmetic.  Nothing here calls the closed forms, the
-interval layer or the batched trim under test.
+angular-interval arithmetic; and frozen copies of the support-circle frame
+and of the matching of an arc end to its vertex.  Nothing here calls the
+closed forms, the interval layer, the circle constructor or the batched
+trim under test.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from reuleaux.errors import StructureError
 from reuleaux.geom import TWO_PI, Tolerances, as_point
 
 QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11)
@@ -190,6 +193,23 @@ class FrozenIntervalSet:
         return ivs
 
 
+def frozen_circle_frame(b, c):
+    """(center, radius, axis, u_ref, v_ref) of the circle of the unit
+    spheres about ``b`` and ``c``, as ``geom.circle_of_sphere_pair`` built
+    them before its frame moved to plain floats: norms by
+    ``np.linalg.norm``, the angle-zero axis by ``np.argmin`` and v_ref by
+    ``np.cross``.  The floats the package must reproduce."""
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    d = float(np.linalg.norm(b - c))
+    axis = (b - c) / d
+    k = int(np.argmin(np.abs(axis)))
+    u = np.eye(3)[k] - axis[k] * axis
+    u = u / float(np.linalg.norm(u))
+    return (0.5 * (b + c), math.sqrt(1.0 - 0.25 * d * d), axis, u,
+            np.cross(axis, u))
+
+
 def scalar_ball_constraint(circle, x):
     """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots, as a
     ``FrozenIntervalSet``."""
@@ -221,3 +241,16 @@ def scalar_trim(circle, centers):
         if surviving.is_empty:
             break
     return surviving
+
+
+def match_vertex(cfg, p, support):
+    """Nearest point of X within match_eps; lowest index on ties.  The error
+    names the support pair whose arc ends at ``p``: extraction's matching
+    of one arc end, as it stood before both ends were matched in one call."""
+    d = np.linalg.norm(cfg.points - p, axis=1)
+    i = int(np.argmin(d))
+    if d[i] > cfg.tol.match_eps:
+        raise StructureError(
+            f"extract_edges: support pair {support}: arc endpoint {p} matches "
+            f"no vertex (nearest at distance {d[i]:.3g})")
+    return i

@@ -60,6 +60,16 @@ class TestValidate:
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 5
 
+    def test_file_not_utf8_exits_five(self, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes('{"labels": ["\xe9"]}'.encode("latin-1"))
+        assert run(["validate", str(latin)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert (error["exit_code"], error["kind"]) == (5, "io")
+        assert error["message"].startswith(f"{latin} is not valid JSON: ")
+
     def test_deeply_nested_json_exits_five(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000 + "]" * 100000)

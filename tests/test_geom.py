@@ -14,9 +14,10 @@ from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
                            Tolerances, circle_of_sphere_pair,
                            max_distance_to_arc_many, reference_direction,
                            trim_circle)
-from reuleaux.polyhedron import _candidate_pairs
+from reuleaux.polyhedron import _candidate_pairs, config_from_generator
 
-from oracles import FrozenIntervalSet, scalar_ball_constraint, scalar_trim
+from oracles import (FrozenIntervalSet, frozen_circle_frame,
+                     scalar_ball_constraint, scalar_trim)
 from test_polyhedron import generic_sets, moved_pyramid
 
 RNG = np.random.default_rng(20260811)
@@ -87,6 +88,36 @@ class TestCircleOfSpherePair:
             circle_of_sphere_pair((0, 0, 0), (0, 0, 0))
         with pytest.raises(DegenerateInputError):
             circle_of_sphere_pair((0, 0, 0), (0, 0, 2.5))
+
+    def test_frames_match_the_frozen_constructor(self):
+        # every support circle extraction may build, byte for byte
+        cfgs = ([config_from_generator(g) for g in ("tetra", "pentad")]
+                + [moved_pyramid(m, m) for m in range(3, 52, 2)]
+                + [cfg for m in (5, 9, 21) for cfg in generic_sets(m)])
+        pairs = [(cfg.points[i], cfg.points[j]) for cfg in cfgs
+                 for i, j in zip(*np.nonzero(cfg.dist <= 1.0 + cfg.tol.dist_eps))
+                 if i < j]
+        pairs += [(b, b + RNG.uniform(0.1, 1.9) * random_unit(RNG))
+                  for b in RNG.normal(size=(2000, 3))]
+        assert len(pairs) > 12_000
+        for b, c in pairs:
+            circ = circle_of_sphere_pair(b, c)
+            center, radius, axis, u_ref, v_ref = frozen_circle_frame(b, c)
+            assert circ.radius.hex() == radius.hex()
+            for got, want in ((circ.center, center), (circ.axis, axis),
+                              (circ.u_ref, u_ref), (circ.v_ref, v_ref)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_cross_is_np_cross_float_for_float(self):
+        scale = 10.0 ** RNG.integers(-150, 150, size=(2, 500, 1))
+        a, b = RNG.normal(size=(2, 500, 3)) * scale
+        a[:50, 0] = b[50:100, 2] = 0.0
+        a[100:150, 1] = -0.0
+        want = np.cross(a, b)
+        assert np.stack(geom.cross(a.T, b.T), axis=1).tobytes() == want.tobytes()
+        for x, y, row in zip(a, b, want):
+            assert np.array(geom.cross(x.tolist(), y.tolist())).tobytes() == \
+                row.tobytes()
 
     def test_reference_direction_is_deterministic_and_orthogonal(self):
         for _ in range(100):
@@ -390,10 +421,19 @@ class TestInputChecks:
         (dict(u_ref=(0.6, 0, 0.8)), "u_ref must be orthogonal to axis"),
         (dict(radius=0.0), r"radius must lie in \(0, 1\]"),
         (dict(radius=-0.5), r"radius must lie in \(0, 1\]"),
-        (dict(radius=1.1), r"radius must lie in \(0, 1\]")])
+        (dict(radius=1.1), r"radius must lie in \(0, 1\]"),
+        (dict(axis=(0, 0, math.nan)), "coordinates must be finite"),
+        (dict(axis=(math.inf, 0, 0)), "coordinates must be finite"),
+        (dict(u_ref=(1, math.nan, 0)), "coordinates must be finite"),
+        (dict(u_ref=(1, 0, -math.inf)), "coordinates must be finite")])
     def test_circle_frame_checks(self, change, message):
-        with pytest.raises(DegenerateInputError, match=message):
+        # a non-finite frame is refused by as_point, a plain ValueError,
+        # before the unit and orthogonality checks (which a NaN would pass)
+        error = (ValueError if message == "coordinates must be finite"
+                 else DegenerateInputError)
+        with pytest.raises(error, match=message) as info:
             Circle3(**dict(self.UNIT_CIRCLE, **change))
+        assert info.type is error
 
     @pytest.mark.parametrize("start, end", [
         (1.0, 1.0), (1.0, 0.5), (0.0, TWO_PI), (0.5, 0.5 + 7.0)])

@@ -35,7 +35,8 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "load_config"), (mesh.MeshBuilder, "strip"),
     (geom.AngularIntervalSet, "measure"), (mesh, "_refuse_ply"),
     (mesh, "_ply_header"), (mesh, "_ply_block"), (mesh, "_ply_count"),
-    (mesh, "_text_block"), (mesh, "_face_loops")])
+    (mesh, "_text_block"), (mesh, "_face_loops"),
+    (polyhedron, "_match_vertex")])
 def test_retired_surface_is_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in reuleaux.__all__

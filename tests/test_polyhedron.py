@@ -1,6 +1,7 @@
 """Tests for extremality checking, edge extraction, and dual pairing."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,13 +14,13 @@ from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
-                                 _candidate_pairs, _face_loops, _match_vertex,
+                                 _candidate_pairs, _face_loops,
                                  analyze_config, angle_pairs, check_extremal,
                                  classify_vertices, config_from_generator,
                                  config_from_json_dict, extract_edges,
                                  pair_duals, pentad_points, tetra_points)
 
-from oracles import scalar_trim
+from oracles import match_vertex, scalar_trim
 
 RNG = np.random.default_rng(4207)
 
@@ -173,8 +174,8 @@ def reference_extract_edges(cfg):
             for lo, hi in comps:
                 if hi - lo <= tol.ang_eps:
                     continue
-                u = _match_vertex(cfg, circle.point(lo), (i, j))
-                w = _match_vertex(cfg, circle.point(hi), (i, j))
+                u = match_vertex(cfg, circle.point(lo), (i, j))
+                w = match_vertex(cfg, circle.point(hi), (i, j))
                 edges.append(EdgeArc(
                     support=(i, j),
                     endpoints=(u, w),
@@ -397,6 +398,33 @@ class TestPairDuals:
                 a = dp.angles
                 assert dp.kept.arc.span == pytest.approx(a.phi_prime, abs=1e-9)
                 assert dp.removed.arc.span == pytest.approx(a.phi, abs=1e-9)
+
+    def test_orientation_is_the_np_cross_one_on_every_relabelling(self):
+        for perm in itertools.permutations(range(5)):
+            cfg = PointConfig(points=pentad_points()[list(perm)])
+            pts = cfg.points
+            for dp in analyze_config(cfg).pairs:
+                p, q = dp.kept.endpoints
+                pp, qp = dp.removed.endpoints
+                mid = 0.5 * (pts[p] + pts[q])
+                orient = float(np.cross(pts[pp] - mid, pts[qp] - mid)
+                               @ (pts[p] - pts[q]))
+                if orient < 0.0:
+                    pp, qp = qp, pp
+                assert (dp.p, dp.q, dp.p_prime, dp.q_prime) == (p, q, pp, qp)
+
+    def test_zero_orientation_names_both_supports(self):
+        # on four coplanar points the triple product of the swapped pair
+        # below is exactly 0, whichever way it is rounded
+        cfg = PointConfig(points=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                                  [0.0, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        arc = ArcOnCircle(circle_of_sphere_pair(*cfg.points[:2]), 0.0, 1.0)
+        edges = (EdgeArc((0, 1), (2, 3), arc, index=0),
+                 EdgeArc((2, 3), (0, 1), arc, index=1))
+        with pytest.raises(StructureError, match=(
+                r"^pair_duals: degenerate orientation for dual pair "
+                r"\(0, 1\)/\(2, 3\)$")):
+            pair_duals(edges, cfg)
 
     def test_oriented_endpoints_are_right_handed(self, pentad_structure):
         pts = pentad_structure.config.points
