@@ -24,8 +24,8 @@ _BASIS = np.eye(3)
 
 
 def as_point(p) -> np.ndarray:
-    """Coerce ``p`` to a finite float 3-vector."""
-    a = np.asarray(p, dtype=float)
+    """A finite float 3-vector copied from ``p``, so a record may freeze it."""
+    a = np.array(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     if not all(map(math.isfinite, a.tolist())):
@@ -72,20 +72,20 @@ class Tolerances:
     match_eps: how near an arc endpoint must come to its vertex, and a
         point of X to a support circle.
     on_axis: a ball constraint of amplitude below this has its center on
-        the circle's axis (``trim_circle``); the candidate pass of edge
-        extraction is sound only while it subtracts the same value.
+        the circle's axis (``trim_circle``).
     theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
         1.15e-9: the chord angle of the longest distance the default
         dist_eps accepts, so a set that validates at the default also
         analyzes.  A larger dist_eps leaves it in place.
-    Fixed where they act: a mesh face of solid angle below 1e-9 is
-    collapsed, a spindle must close within 1e-6 (``SpindleFrame``) and
-    ``SpindleFrame.point`` takes parameters up to 1e-12 outside its
-    rectangle, ``pair_duals`` refuses a dual pair whose orientation sign is
-    exactly 0, ``Circle3`` checks its frame to 1e-9 and its radius to
-    1 + 1e-12, ``circle_of_sphere_pair`` takes centers within 1e-12 as
-    coincident, and the Monte Carlo window of unit draws is widened by
-    64 eps (1 + max |x|), far above its rounding (``oracle._unit_window``).
+    Fixed where they act: edge extraction trims the pairs with two common
+    neighbours within max(dist_eps, 2 match_eps) of distance 1, a mesh face
+    of solid angle below 1e-9 is collapsed, a spindle must close within
+    1e-6 (``SpindleFrame``) and ``SpindleFrame.point`` takes parameters up
+    to 1e-12 outside its rectangle, ``pair_duals`` refuses a dual pair whose
+    orientation sign is exactly 0, ``Circle3`` checks its frame to 1e-9 and
+    its radius to 1 + 1e-12, ``circle_of_sphere_pair`` takes centers within
+    1e-12 as coincident, and the Monte Carlo window of unit draws is widened
+    by 64 eps (1 + max |x|), far above its rounding (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9

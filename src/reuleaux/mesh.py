@@ -160,12 +160,12 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
     )
 
 
-def _require_closed(mesh: TriangleMesh) -> MeshStats:
+def _require_closed(mesh: TriangleMesh, name: str = "mesh") -> MeshStats:
     stats = mesh.stats if mesh.stats is not None else inspect_mesh(mesh)
     if not stats.watertight:
-        raise MeshError(f"mesh is not watertight; offending edges {stats.bad_edges}")
+        raise MeshError(f"{name} is not watertight; offending edges {stats.bad_edges}")
     if not stats.oriented:
-        raise MeshError("mesh orientation is inconsistent")
+        raise MeshError(f"{name} orientation is inconsistent")
     return stats
 
 
@@ -282,7 +282,8 @@ class MeshBuilder:
 
     # -- patches ------------------------------------------------------------
 
-    def cap(self, center: np.ndarray, loop_ids: np.ndarray, refine: int) -> None:
+    def cap(self, center: np.ndarray, loop_ids: np.ndarray, refine: int,
+            face: int) -> None:
         """Spherical polygon patch gridded from the barycenter of its loop.
 
         The loop must be a closed cycle of pooled vertex ids on the unit
@@ -308,7 +309,7 @@ class MeshBuilder:
         L = len(loop_ids)
         omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
         if np.any(omega > 3.0):
-            raise MeshError("face loop strays beyond the barycenter hemisphere")
+            raise MeshError(f"face {face} loop strays beyond the barycenter hemisphere")
 
         rows = max(2, refine)
         # rint rounds half to even, as round does
@@ -482,7 +483,7 @@ class _BodyMesher:
     def add_faces(self, meissner: bool) -> None:
         for x, steps in enumerate(self.structure.face_loops):
             self.builder.cap(self.pts[x], self.face_loop_ids(x, steps, meissner),
-                             self.refine)
+                             self.refine, x)
 
     def spindle_grid(self, pair: DualPair) -> np.ndarray:
         frame = SpindleFrame(self.structure.config, pair)
@@ -542,7 +543,8 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
     mesh = mesher.builder.build()
     mesh.vertices.flags.writeable = False
     mesh.triangles.flags.writeable = False
-    object.__setattr__(mesh, "stats", _require_closed(mesh))
+    label = f"wedge:{wedge_index}" if kind == "wedge" else kind
+    object.__setattr__(mesh, "stats", _require_closed(mesh, f"{label} mesh"))
     return mesh
 
 

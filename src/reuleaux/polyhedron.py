@@ -27,10 +27,6 @@ from .formulas import AnglePair
 from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
                    cross, trim_circle)
 
-# (pair, center) entries per block of the vectorized candidate pass
-_BLOCK = 1 << 15
-
-
 @dataclass(frozen=True, eq=False)
 class PointConfig:
     """A finite labeled point set X in R^3 with its tolerance policy.
@@ -45,7 +41,8 @@ class PointConfig:
     dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        # a copy, so freezing it leaves the caller's array alone
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
         if pts.shape[0] < 4:
@@ -201,111 +198,24 @@ def _match_vertices(cfg: PointConfig, ends: np.ndarray,
     return near
 
 
-def _free_arc_bound(pts: np.ndarray, i: np.ndarray, j: np.ndarray,
-                    d: np.ndarray, delta: np.ndarray,
-                    slack: float) -> np.ndarray:
-    """Per pair (i[p], j[p]): an upper bound on the longest arc of the circle
-    of the pair that lies in every ball of X, or 0 if some ball provably
-    misses the circle.
-
-    Every constraint K*cos(psi - alpha) >= C is enlarged: C/K is taken from
-    C - delta over K +- delta, the half-angle widens by the direction error
-    3*delta/K plus ``slack``, an arc within ``slack`` of 2*pi - ang_eps is
-    full, and K ~ 0 (direction unknown) is full unless C is clearly positive.
-
-    A, B and C take their dots from (pairs x 3)(3 x n) products on ``pts``,
-    X moved to its bounding box's center, of half-width h: a 3-term dot
-    there rounds within 4.5 eps h^2, so C = |x|^2 - 2 m.x + |m|^2 + r^2 - 1
-    (m the pair's center) is off by under 45 eps h^2 and K by under 25 eps h,
-    plus a few eps; delta holds 64 eps (1 + 2 h^2) for them.
-    """
-    center = 0.5 * (pts[i] + pts[j])
-    axis = (pts[i] - pts[j]) / d[:, None]
-    r = np.sqrt(1.0 - 0.25 * d * d)
-    # any orthonormal frame will do: arc lengths do not depend on it
-    rows = np.arange(len(d))
-    ref = np.argmin(np.abs(axis), axis=1)
-    u = np.eye(3)[ref] - axis[rows, ref][:, None] * axis
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    v = np.stack(cross(axis.T, u.T), axis=1)
-    two_r = (2.0 * r)[:, None]
-    a = two_r * (u @ pts.T - np.vecdot(u, center)[:, None])
-    b = two_r * (v @ pts.T - np.vecdot(v, center)[:, None])
-    c = ((np.vecdot(pts, pts) - 2.0 * (center @ pts.T))
-         + (np.vecdot(center, center) + r * r - 1.0)[:, None])
-    k = np.hypot(a, b)
-    dl = delta[:, None]
-    c_lo = c - dl
-    k_lo = k - dl - Tolerances.on_axis
-    vague = k_lo <= 0.0
-    k_safe = np.where(vague, 1.0, k_lo)
-    empty = c_lo >= k + dl
-    ratio = np.where(c_lo > 0.0, c_lo / (k + dl), c_lo / k_safe)
-    half = (np.arccos(np.clip(ratio, -1.0, 1.0)) + 3.0 * dl / k_safe
-            + slack)
-    full = vague | (2.0 * half >= TWO_PI - Tolerances.ang_eps - slack)
-    full[rows, i] = full[rows, j] = True
-    # the complement of each arc is one gap; full arcs have none
-    start = np.where(full, np.inf, (np.arctan2(b, a) + half) % TWO_PI)
-    end = np.where(full, -np.inf, start + (TWO_PI - 2.0 * half))
-    order = np.argsort(start, axis=1)
-    start = start[rows[:, None], order]
-    reach = np.maximum.accumulate(end[rows[:, None], order], axis=1)
-    last = reach[:, -1:]
-    # free arcs: from the furthest gap end so far (or the part of the circle
-    # after angle 0 that a gap wrapping past 2*pi covers) to the next start;
-    # the free arc crossing angle 0 runs from the last end to the first start
-    inner = np.where(np.isfinite(start[:, 1:]),
-                     start[:, 1:] - np.maximum(reach[:, :-1],
-                                               last - TWO_PI), 0.0)
-    longest = np.maximum(inner.max(axis=1, initial=0.0),
-                         start[:, 0] + TWO_PI - last[:, 0])
-    return np.where(empty.any(axis=1), 0.0, longest)
-
-
 def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
-    """Support pairs (i < j, in lexicographic order) whose circle may carry
-    an edge: a superset of the pairs whose exact trim ends non-empty.
+    """Support pairs (i < j, in lexicographic order) with two or more common
+    neighbours at distance within max(dist_eps, 2 match_eps) of 1.
 
-    For blocks of about _BLOCK (pair, center) entries over the pairs at
-    |x_i - x_j| <= 1 + dist_eps, one numpy pass computes every other
-    center's ball-constraint arc on the pair's circle, enlarged past the
-    rounding of either step (``_free_arc_bound``).  A pair is dropped when
-    some arc is provably empty, or when no free arc (one inside every
-    enlarged constraint) is longer than ang_eps - 2*slack.
-
-    Dropping is sound because the exact trim never closes a gap: every gap
-    of an intersection holds a gap of one of its operands, so every gap of
-    the surviving set holds some constraint's complement, which is longer
-    than ang_eps (a shorter complement makes ``from_raw`` return the full
-    circle, and the enlarged constraint is full then too).  So the surviving
-    set lies in the intersection of the constraints, hence in the enlarged
-    one.  A pair whose enlarged free arcs are all at most ang_eps long keeps
-    no interval longer than ang_eps, and ``from_raw`` discards the shorter
-    ones: its trim ends empty.
+    For extremal X each edge joins two distinct points of X on both support
+    spheres (its dual swaps support and endpoints); an arc end is on both up
+    to rounding and within match_eps of its point.  The dist_eps term keeps
+    the diametric pairs, so an arc end that misses its vertex is named.  The
+    outcome differs from trimming every pair only on sets refused either
+    way: a sliver whose two ends match one vertex has no dual partner.
     """
-    pts = cfg.points
     tol = cfg.tol
-    n = cfg.n
-    i, j = np.nonzero(np.triu(cfg.dist <= 1.0 + tol.dist_eps, k=1))
-    d = cfg.dist[i, j]
-    eps = np.finfo(float).eps
-    moved = pts - 0.5 * (pts.max(axis=0) + pts.min(axis=0))
-    h = float(np.abs(moved).max())
-    # generous bounds on the absolute error of C and K (the trim rounds to
-    # |x|, the pass's dots to h, the axis is a difference over d) and of the
-    # angles (acos, atan2 and n trim steps)
-    delta = (64.0 * eps * (1.0 + float(np.abs(pts).max()) + 2.0 * h * h)
-             / np.minimum(d, 1.0))
-    slack = 64.0 * eps * TWO_PI * (n + 1)
-    bound = np.empty(len(d))
-    step = max(1, _BLOCK // n)
-    for s in range(0, len(d), step):
-        blk = slice(s, s + step)
-        bound[blk] = _free_arc_bound(moved, i[blk], j[blk], d[blk],
-                                     delta[blk], slack)
-    keep = bound > tol.ang_eps - 2.0 * slack
-    return list(zip(i[keep].tolist(), j[keep].tolist()))
+    near = np.abs(cfg.dist - 1.0) <= max(tol.dist_eps, 2.0 * tol.match_eps)
+    a = near.astype(float)
+    # einsum's single-threaded loop, not BLAS: at n = 102 on a loaded 2-core
+    # VM, OpenBLAS's threaded product took 17-21 ms on 5 % of calls
+    i, j = np.nonzero(np.triu(np.einsum("ik,kj->ij", a, a) >= 2.0, k=1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
@@ -359,15 +269,21 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
 def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     """Edge arcs of B(X), one per connected boundary component.
 
-    Two steps.  A vectorized pass (``_candidate_pairs``) keeps the support
-    pairs whose circle may carry an edge.  On each of those, in (i, j) order,
-    the circle of the sphere intersection is trimmed against every other
-    ball, then split where a point of X lies on the circle interior to the
-    surviving set (a dangling vertex cuts the arc in two).  Components
-    shorter than ang_eps are tangency noise and dropped.  The float sequence
-    of the trim (``geom.trim_circle``) fixes every arc angle.
+    Two steps, for extremal X only (NotExtremalError otherwise).  On each
+    pair that ``_candidate_pairs`` keeps, in (i, j) order, the circle of the
+    sphere intersection is trimmed against every other ball, then split
+    where a point of X lies on the circle interior to the surviving set (a
+    dangling vertex cuts the arc in two).  Components shorter than ang_eps
+    are tangency noise and dropped.  The float sequence of the trim
+    (``geom.trim_circle``) fixes every arc angle.
     """
-    on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
+    dist = cfg.dist
+    eps = cfg.tol.dist_eps
+    # check_extremal's test; the symmetric matrix counts each pair twice
+    if (np.count_nonzero(np.abs(dist - 1.0) <= eps) != 4 * cfg.n - 4
+            or dist.max() > 1.0 + eps):
+        raise NotExtremalError(check_extremal(cfg))
+    on_sphere = np.abs(dist - 1.0) <= cfg.tol.match_eps
     edges: list[EdgeArc] = []
     for i, j in _candidate_pairs(cfg):
         edges.extend(_pair_edges(cfg, on_sphere, i, j))

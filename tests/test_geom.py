@@ -14,7 +14,8 @@ from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
                            Tolerances, circle_of_sphere_pair,
                            max_distance_to_arc_many, reference_direction,
                            trim_circle)
-from reuleaux.polyhedron import _candidate_pairs, config_from_generator
+from reuleaux.polyhedron import (PointConfig, _candidate_pairs,
+                                 config_from_generator, tetra_points)
 
 from oracles import (FrozenIntervalSet, frozen_circle_frame,
                      scalar_ball_constraint, scalar_trim)
@@ -434,6 +435,18 @@ class TestInputChecks:
         with pytest.raises(error, match=message) as info:
             Circle3(**dict(self.UNIT_CIRCLE, **change))
         assert info.type is error
+
+    def test_records_copy_the_callers_arrays(self):
+        # freezing a record's arrays leaves the caller's own writeable, and
+        # a later write to them does not reach the record
+        pts = tetra_points()
+        center = np.zeros(3)
+        cfg = PointConfig(points=pts)
+        circ = Circle3(**dict(self.UNIT_CIRCLE, center=center))
+        assert pts.flags.writeable and center.flags.writeable
+        pts[0, 0] = center[0] = 7.0
+        assert cfg.points[0, 0] == 0.5 and circ.center[0] == 0.0
+        assert not (cfg.points.flags.writeable or circ.center.flags.writeable)
 
     @pytest.mark.parametrize("start, end", [
         (1.0, 1.0), (1.0, 0.5), (0.0, TWO_PI), (0.5, 0.5 + 7.0)])

@@ -82,16 +82,14 @@ def _sphere_from_octants(n):
         ids = np.concatenate([pole_id(key[0]), inner, pole_id(key[1])])
         return ids if key == (a, b) else ids[::-1]
 
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                corners = [(0, sx), (1, sy), (2, sz)]
-                loop = np.concatenate([
-                    arc_ids(corners[0], corners[1])[:-1],
-                    arc_ids(corners[1], corners[2])[:-1],
-                    arc_ids(corners[2], corners[0])[:-1],
-                ])
-                builder.cap(np.zeros(3), loop, n)
+    for face, (sx, sy, sz) in enumerate(itertools.product((1, -1), repeat=3)):
+        corners = [(0, sx), (1, sy), (2, sz)]
+        loop = np.concatenate([
+            arc_ids(corners[0], corners[1])[:-1],
+            arc_ids(corners[1], corners[2])[:-1],
+            arc_ids(corners[2], corners[0])[:-1],
+        ])
+        builder.cap(np.zeros(3), loop, n, face)
     return builder.build()
 
 
@@ -104,9 +102,21 @@ class TestSphericalCaps:
             builder.add_points(_quarter_arc(e[1], e[2], 128))[:-1],
             builder.add_points(_quarter_arc(e[2], e[0], 128))[:-1],
         ])
-        builder.cap(np.zeros(3), loop, 128)
+        builder.cap(np.zeros(3), loop, 128, 0)
         area = float(triangle_areas(builder.build()).sum())
         assert area == pytest.approx(math.pi / 2, abs=1e-4)
+
+    def test_a_stray_loop_names_its_face(self):
+        # three points near the north pole and one at the south pole: the
+        # mean direction is northward, so the south point is about pi away
+        builder = MeshBuilder()
+        north = [[0.1 * math.cos(a), 0.1 * math.sin(a), 1.0]
+                 for a in (0.0, 2.0, 4.0)]
+        dirs = np.array(north + [[0.05, 0.0, -1.0]])
+        loop = builder.add_points(dirs / np.linalg.norm(dirs, axis=1)[:, None])
+        with pytest.raises(MeshError, match="^face 3 loop strays beyond the "
+                                            "barycenter hemisphere$"):
+            builder.cap(np.zeros(3), loop, 8, 3)
 
     def test_octant_sphere_volume_and_area(self):
         mesh = _sphere_from_octants(128)
@@ -276,8 +286,26 @@ class TestBodyMeshes:
     def test_mesh_volume_rejects_open_meshes(self, tetra_structure):
         mesh = build_body_mesh(tetra_structure, "reuleaux", 16)
         holed = TriangleMesh(vertices=mesh.vertices, triangles=mesh.triangles[:-1])
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="^mesh is not watertight; "):
             mesh_volume(holed)
+
+    @pytest.mark.parametrize("kind, index, label", [
+        ("reuleaux", None, "reuleaux"), ("meissner", None, "meissner"),
+        ("wedge", 1, "wedge:1")])
+    def test_an_open_body_mesh_names_its_body(self, monkeypatch,
+                                              pentad_structure, kind, index,
+                                              label):
+        build = MeshBuilder.build
+
+        def holed(self):
+            mesh = build(self)
+            return TriangleMesh(vertices=mesh.vertices,
+                                triangles=mesh.triangles[:-1])
+
+        monkeypatch.setattr(MeshBuilder, "build", holed)
+        with pytest.raises(MeshError, match=f"^{label} mesh is not "
+                                            "watertight; offending edges"):
+            build_body_mesh(pentad_structure, kind, 8, wedge_index=index)
 
 
 class TestWindingConvention:
@@ -317,7 +345,9 @@ class TestWindingConvention:
             grid(self, grid_ids, flip != (len(calls) - 1 == patch))
 
         monkeypatch.setattr(MeshBuilder, "grid", one_flipped)
-        with pytest.raises(MeshError, match="orientation is inconsistent"):
+        label = kind if index is None else f"{kind}:{index}"
+        with pytest.raises(MeshError, match=f"^{label} mesh orientation is "
+                                            "inconsistent$"):
             build_body_mesh(pentad_structure, kind, 8, wedge_index=index)
 
 
@@ -586,7 +616,7 @@ def _ladder_sorted(inner, outer):
     return np.stack([inner[i], outer[j % k], third], axis=1)
 
 
-def _cap_per_ring(self, center, loop_ids, refine):
+def _cap_per_ring(self, center, loop_ids, refine, face):
     """MeshBuilder.cap one ring at a time, each ring stitched to the last."""
     dirs = self.coords_of(loop_ids) - center
     solid = _loop_solid_angle(dirs)

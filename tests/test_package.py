@@ -36,7 +36,8 @@ def test_removed_names_are_gone(module, name):
     (geom.AngularIntervalSet, "measure"), (mesh, "_refuse_ply"),
     (mesh, "_ply_header"), (mesh, "_ply_block"), (mesh, "_ply_count"),
     (mesh, "_text_block"), (mesh, "_face_loops"),
-    (polyhedron, "_match_vertex")])
+    (polyhedron, "_match_vertex"), (polyhedron, "_free_arc_bound"),
+    (polyhedron, "_BLOCK")])
 def test_retired_surface_is_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in reuleaux.__all__

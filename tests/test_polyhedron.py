@@ -250,7 +250,8 @@ def generic_sets(m, count=3):
 
 
 def off_extremal_configs():
-    """Configurations extract_edges is never handed by analyze_config."""
+    """Configurations analyze_config refuses: all but the stretched tetra
+    at dist_eps = 1e-8 ([2]) fail the extremality check."""
     stretched = (1.0 + 5e-9) * tetra_points()
     # a point on the axis of a pair's circle has no direction on it; seven
     # between the ends of a moved unit segment leave its circle full
@@ -301,27 +302,42 @@ class TestTwoStepExtraction:
 
     @pytest.mark.parametrize("k", range(25))
     def test_off_extremal_configs_match_reference(self, k):
+        # extract_edges refuses what the extremality check refuses, with
+        # its report; the stretched tetra it accepts at dist_eps = 1e-8
+        # still matches the reference
         cfg = off_extremal_configs()[k]
-        assert extraction_outcome(extract_edges, cfg) == \
-            extraction_outcome(reference_extract_edges, cfg)
+        report = check_extremal(cfg)
+        assert report.is_extremal == (k == 2)
+        if report.is_extremal:
+            assert extraction_outcome(extract_edges, cfg) == \
+                extraction_outcome(reference_extract_edges, cfg)
+        else:
+            with pytest.raises(NotExtremalError) as info:
+                extract_edges(cfg)
+            assert info.value.report.to_dict() == report.to_dict()
 
     def test_candidates_hold_every_nonempty_trim(self):
-        # far from the origin the trim rounds to the coordinates' magnitude
-        # and the candidate pass, on X moved to its bounding box's center,
-        # does not; analyze_config still accepts this pyramid moved by 3e6
-        # (but not by 1e7)
+        # far from the origin the trim rounds to the coordinates' magnitude;
+        # analyze_config still accepts this pyramid moved by 3e6 (but not
+        # by 1e7)
         far = [PointConfig(points=moved_pyramid(21, 21).points + shift)
                for shift in (1e3, 3e6)]
-        cfgs = ([config_from_generator(g) for g in ("tetra", "pentad")]
+        relabelled = [PointConfig(points=pentad_points()[list(perm)])
+                      for perm in itertools.permutations(range(5))]
+        cfgs = ([config_from_generator("tetra")]
                 + [moved_pyramid(m, 21) for m in (3, 5, 9, 21, 31)]
-                + far + off_extremal_configs())
+                + far + generic_sets(5) + generic_sets(9) + generic_sets(21)
+                + relabelled)
         for cfg in cfgs:
             assert set(nonempty_trims(cfg)) <= set(_candidate_pairs(cfg))
 
     def test_pyramid_candidates_are_the_edge_supports(self):
-        cfg = moved_pyramid(21, 5)
-        supports = sorted({e.support for e in extract_edges(cfg)})
-        assert _candidate_pairs(cfg) == supports
+        # n = 52 and 102 are the structure benchmark's sizes
+        for m in (21, 51, 101):
+            cfg = moved_pyramid(m, 5)
+            edges = extract_edges(cfg)
+            assert len(edges) == 2 * cfg.n - 2
+            assert _candidate_pairs(cfg) == sorted({e.support for e in edges})
 
 
 class TestPairDuals:
