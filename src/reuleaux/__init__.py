@@ -16,8 +16,7 @@ from .formulas import (AnglePair, BodyScalars, blaschke_defect_term,
                        spindle_area, spindle_flux, surface_meissner,
                        surface_reuleaux, volume_meissner, volume_reuleaux,
                        wedge_volume, wedge_volume_via_flux)
-from .geom import (AngularIntervalSet, ArcOnCircle, Circle3, Tolerances,
-                   circle_of_sphere_pair)
+from .geom import ArcOnCircle, Circle3, Tolerances, circle_of_sphere_pair
 from .mesh import (MeshBuilder, SpindleFrame, TriangleMesh, build_body_mesh,
                    export_obj, export_ply, import_obj, inspect_mesh,
                    mesh_area, mesh_volume)
@@ -31,8 +30,7 @@ from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
 
 __all__ = [
     # geometry primitives
-    "AngularIntervalSet", "ArcOnCircle", "Circle3", "Tolerances",
-    "circle_of_sphere_pair",
+    "ArcOnCircle", "Circle3", "Tolerances", "circle_of_sphere_pair",
     # structure
     "DualPair", "EdgeArc", "ExtremalityReport", "PointConfig", "Structure",
     "StructureReport", "analyze_config", "angle_pairs", "check_extremal",

@@ -1,10 +1,11 @@
 """Primitive geometry for unit-ball intersections.
 
 Circles arising as intersections of two unit spheres, arcs on those circles,
-and closed angular-interval arithmetic used to trim circles against further
-ball constraints.  All values are immutable after construction and every
-operation is a pure function, so everything here is safe to share across
-workers.  Lengths are unitless; the unit ball radius 1 sets the scale.
+and closed angular-interval arithmetic on canonical tuples used to trim
+circles against further ball constraints.  All values are immutable after
+construction and every operation is a pure function, so everything here is
+safe to share across workers.  Lengths are unitless; the unit ball radius 1
+sets the scale.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import numpy as np
 from .errors import DegenerateInputError
 
 TWO_PI = 2.0 * math.pi
-_FULL = ((0.0, TWO_PI),)  # the canonical intervals of the full circle
+# An angular set is a finite union of closed intervals on the circle
+# [0, 2*pi), held as a canonical tuple ((lo, hi), ...): sorted, pairwise
+# disjoint, each interval inside [0, 2*pi].  () is the empty set and FULL
+# the whole circle.  Intervals shorter than Tolerances.ang_eps are dropped
+# and gaps shorter than it closed, which suppresses tangency noise.
+FULL = ((0.0, TWO_PI),)
 
 _BASIS = np.eye(3)
 
@@ -177,7 +183,8 @@ class ArcOnCircle:
 
 
 def _canonical(raw) -> tuple[tuple[float, float], ...]:
-    """Canonical intervals (see ``AngularIntervalSet``) of raw pairs."""
+    """The canonical intervals (see ``FULL``) of raw (lo, hi) pairs, any
+    real lo; a pair with hi <= lo is skipped."""
     eps = Tolerances.ang_eps
     pieces = []
     for lo, hi in raw:
@@ -185,7 +192,7 @@ def _canonical(raw) -> tuple[tuple[float, float], ...]:
         if span <= 0.0:
             continue
         if span >= TWO_PI - eps:
-            return _FULL
+            return FULL
         lo = lo % TWO_PI
         hi = lo + span
         if hi > TWO_PI:
@@ -205,7 +212,7 @@ def _canonical(raw) -> tuple[tuple[float, float], ...]:
             merged.append((lo, hi))
     kept = tuple([iv for iv in merged if iv[1] - iv[0] > eps])
     if sum([hi - lo for lo, hi in kept]) >= TWO_PI - eps:
-        return _FULL
+        return FULL
     return kept
 
 
@@ -219,15 +226,15 @@ def _arc(lo: float, hi: float) -> tuple[tuple[float, float], ...]:
     if not 0.0 < span < TWO_PI - eps or end > TWO_PI:
         return _canonical(((lo, hi),))
     span = end - start
-    return (_FULL if span >= TWO_PI - eps
+    return (FULL if span >= TWO_PI - eps
             else ((start, end),) if span > eps else ())
 
 
 def _meet(a, b) -> tuple[tuple[float, float], ...]:
     """The canonical intersection of canonical intervals ``a`` and ``b``."""
-    if a == _FULL:
+    if a == FULL:
         return b
-    if b == _FULL:
+    if b == FULL:
         return a
     if len(a) == 1 == len(b):
         return _arc(max(a[0][0], b[0][0]), min(a[0][1], b[0][1]))
@@ -240,63 +247,16 @@ def _meet(a, b) -> tuple[tuple[float, float], ...]:
     return _arc(*out[0]) if len(out) == 1 else _canonical(out)
 
 
-class AngularIntervalSet:
-    """Finite union of closed angular intervals on the circle [0, 2*pi).
-
-    Stored in canonical form: sorted, pairwise disjoint, each interval inside
-    [0, 2*pi].  A set covering the whole circle is stored as ((0, 2*pi),).
-    Intervals shorter than ``Tolerances.ang_eps`` are discarded, and gaps
-    shorter than it are closed, which suppresses tangency noise.
-    """
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: tuple[tuple[float, float], ...]):
-        self.intervals = intervals
-
-    @staticmethod
-    def empty() -> "AngularIntervalSet":
-        return AngularIntervalSet(())
-
-    @staticmethod
-    def full() -> "AngularIntervalSet":
-        return AngularIntervalSet(_FULL)
-
-    @classmethod
-    def from_raw(cls, raw) -> "AngularIntervalSet":
-        """Canonicalize raw (lo, hi) pairs with hi > lo, any real lo."""
-        return cls(_canonical(raw))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def is_full(self) -> bool:
-        return self.intervals == _FULL
-
-    def intersect(self, other: "AngularIntervalSet") -> "AngularIntervalSet":
-        return AngularIntervalSet(_meet(self.intervals, other.intervals))
-
-    def components(self) -> list[tuple[float, float]]:
-        """Connected components; a component crossing the angle origin is
-        returned as one interval with hi > 2*pi."""
-        if self.is_full or self.is_empty:
-            return list(self.intervals)
-        eps = Tolerances.ang_eps
-        ivs = list(self.intervals)
-        if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
-            first = ivs.pop(0)
-            last = ivs.pop()
-            ivs.append((last[0], first[1] + TWO_PI))
-        return ivs
-
-    def __repr__(self) -> str:
-        return f"AngularIntervalSet({self.intervals!r})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AngularIntervalSet)
-                and self.intervals == other.intervals)
+def components(intervals) -> list[tuple[float, float]]:
+    """Connected components of canonical intervals; a component crossing the
+    angle origin is returned as one interval with hi > 2*pi."""
+    eps = Tolerances.ang_eps
+    ivs = list(intervals)
+    if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
+        first = ivs.pop(0)
+        last = ivs.pop()
+        ivs.append((last[0], first[1] + TWO_PI))
+    return ivs
 
 
 def circle_of_sphere_pair(b, c) -> Circle3:
@@ -320,13 +280,15 @@ def circle_of_sphere_pair(b, c) -> Circle3:
                    u_ref=reference_direction(axis))
 
 
-def trim_circle(circle: Circle3, centers: np.ndarray) -> AngularIntervalSet:
-    """The angles psi with |circle.point(psi) - x| <= 1 for every row x of
-    the (m, 3) float array ``centers``, intersected in row order up to the
-    first empty set, with the floats of ``AngularIntervalSet.from_raw`` and
-    ``intersect`` row by row.  A row's constraint K*cos(psi - alpha) >= C
-    takes its three dots from one ``np.vecdot`` batch (rounded per row as the
-    1-D ``@``) and its angles from ``math`` (numpy's round differently)."""
+def trim_circle(circle: Circle3, centers: np.ndarray
+                ) -> tuple[tuple[float, float], ...]:
+    """The canonical intervals of the angles psi with
+    |circle.point(psi) - x| <= 1 for every row x of the (m, 3) float array
+    ``centers``: () when a ball misses the circle, FULL when none cuts it.
+    Rows are intersected in order up to the first empty set.  A row's
+    constraint K*cos(psi - alpha) >= C takes its three dots from one
+    ``np.vecdot`` batch (rounded per row as the 1-D ``@``) and its angles
+    from ``math`` (numpy's round differently)."""
     w = centers - circle.center
     wu = np.vecdot(w, circle.u_ref).tolist()
     wv = np.vecdot(w, circle.v_ref).tolist()
@@ -334,7 +296,7 @@ def trim_circle(circle: Circle3, centers: np.ndarray) -> AngularIntervalSet:
     r = circle.radius
     two_r = 2.0 * r
     r2 = r * r
-    surviving = _FULL
+    surviving = FULL
     for pu, pv, pw in zip(wu, wv, ww):
         a = two_r * pu
         b = two_r * pv
@@ -343,14 +305,14 @@ def trim_circle(circle: Circle3, centers: np.ndarray) -> AngularIntervalSet:
         ratio = (c / k if k >= Tolerances.on_axis
                  else -1.0 if c <= 0.0 else 1.0)  # x on the circle's axis
         if ratio >= 1.0:
-            return AngularIntervalSet.empty()
+            return ()
         if ratio > -1.0:
             alpha = math.atan2(b, a)
             half = math.acos(ratio)
             surviving = _meet(surviving, _arc(alpha - half, alpha + half))
             if not surviving:
                 break
-    return AngularIntervalSet(surviving)
+    return surviving
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
-from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
-                   cross, trim_circle)
+from .geom import (FULL, TWO_PI, ArcOnCircle, Tolerances,
+                   circle_of_sphere_pair, components, cross, trim_circle)
 
 @dataclass(frozen=True, eq=False)
 class PointConfig:
@@ -94,7 +94,7 @@ class EdgeArc:
     support: tuple[int, int]
     endpoints: tuple[int, int]
     arc: ArcOnCircle
-    index: int = -1
+    index: int
 
     @property
     def endpoint_set(self) -> tuple[int, int]:
@@ -218,23 +218,24 @@ def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
-                j: int) -> list[EdgeArc]:
-    """The exact trim-and-split of one support pair's circle."""
+def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int, j: int
+                ) -> list[tuple[tuple[int, int], tuple[int, int], ArcOnCircle]]:
+    """The exact trim-and-split of one support pair's circle, as
+    (support, endpoints, arc) triples."""
     pts = cfg.points
     eps = Tolerances.ang_eps
     circle = circle_of_sphere_pair(pts[i], pts[j])
     # the other centers in order (i < j); slices cost less than np.delete
     surviving = trim_circle(
         circle, np.concatenate((pts[:i], pts[i + 1:j], pts[j + 1:])))
-    if surviving.is_empty:
+    if not surviving:
         return []
     # Points of X on this circle (distance 1 from both centers)
     # split the surviving set: edges live on the circle minus X.
     # The zero diagonal of dist keeps i and j themselves out.
     splits = [circle.angle_of(pts[k])
               for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
-    if surviving.is_full:
+    if surviving == FULL:
         if not splits:
             raise StructureError(
                 f"extract_edges: support pair ({i}, {j}) leaves a full "
@@ -244,7 +245,7 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
         comps.append((cuts[-1], cuts[0] + TWO_PI))
     else:
         comps = []
-        for lo, hi in surviving.components():
+        for lo, hi in components(surviving):
             inner = []
             for s in splits:
                 rel = (s - lo) % TWO_PI
@@ -258,11 +259,7 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int,
             continue
         u, w = _match_vertices(
             cfg, np.array([circle.point(lo), circle.point(hi)]), (i, j))
-        edges.append(EdgeArc(
-            support=(i, j),
-            endpoints=(u, w),
-            arc=ArcOnCircle(circle, lo, hi),
-        ))
+        edges.append(((i, j), (u, w), ArcOnCircle(circle, lo, hi)))
     return edges
 
 
@@ -284,12 +281,12 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
             or dist.max() > 1.0 + eps):
         raise NotExtremalError(check_extremal(cfg))
     on_sphere = np.abs(dist - 1.0) <= cfg.tol.match_eps
-    edges: list[EdgeArc] = []
+    found = []
     for i, j in _candidate_pairs(cfg):
-        edges.extend(_pair_edges(cfg, on_sphere, i, j))
-    edges.sort(key=lambda e: (e.support, e.endpoint_set))
-    return tuple(EdgeArc(e.support, e.endpoints, e.arc, index=k)
-                 for k, e in enumerate(edges))
+        found.extend(_pair_edges(cfg, on_sphere, i, j))
+    found.sort(key=lambda t: (t[0], sorted(t[1])))
+    return tuple(EdgeArc(support, ends, arc, k)
+                 for k, (support, ends, arc) in enumerate(found))
 
 
 def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:

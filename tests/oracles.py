@@ -109,8 +109,9 @@ def spindle_flux_quad(theta, theta_prime):
 
 
 class FrozenIntervalSet:
-    """``geom.AngularIntervalSet``'s arithmetic as it stood before its tuple
-    layer, kept verbatim: the float sequence the package must reproduce."""
+    """The angular-interval arithmetic as it stood before ``geom`` moved it
+    to canonical tuples (``_canonical``, ``_meet``, ``components``), kept
+    verbatim: the float sequence the package must reproduce."""
 
     __slots__ = ("intervals",)
 

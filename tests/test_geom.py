@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 
 from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
-from reuleaux.geom import (TWO_PI, AngularIntervalSet, ArcOnCircle, Circle3,
-                           Tolerances, circle_of_sphere_pair,
+from reuleaux.geom import (FULL, TWO_PI, ArcOnCircle, Circle3, Tolerances,
+                           circle_of_sphere_pair, components,
                            max_distance_to_arc_many, reference_direction,
                            trim_circle)
 from reuleaux.polyhedron import (PointConfig, _candidate_pairs,
@@ -24,19 +24,20 @@ from test_polyhedron import generic_sets, moved_pyramid
 RNG = np.random.default_rng(20260811)
 
 
-def contains(s, angle, slack=0.0):
-    """Whether the angle, taken mod 2*pi, lies in the set widened by slack."""
+def contains(intervals, angle, slack=0.0):
+    """Whether the angle, taken mod 2*pi, lies in the canonical intervals
+    widened by slack."""
     a = angle % TWO_PI
-    for lo, hi in s.intervals:
+    for lo, hi in intervals:
         for cand in (a, a + TWO_PI, a - TWO_PI):
             if lo - slack <= cand <= hi + slack:
                 return True
     return False
 
 
-def measure(s):
-    """Total length of the set's intervals."""
-    return sum(hi - lo for lo, hi in s.intervals)
+def measure(intervals):
+    """Total length of the canonical intervals."""
+    return sum(hi - lo for lo, hi in intervals)
 
 
 def random_unit(rng):
@@ -132,19 +133,19 @@ class TestCircleOfSpherePair:
 class TestBallConstraintInterval:
     def test_center_gives_full_circle(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert trim_circle(circ, np.array([circ.center], dtype=float)).is_full
+        assert trim_circle(circ, np.array([circ.center], dtype=float)) == FULL
 
     def test_far_point_gives_empty_set(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
         assert trim_circle(
-            circ, np.array([(5.0, 0.0, 0.0)], dtype=float)).is_empty
+            circ, np.array([(5.0, 0.0, 0.0)], dtype=float)) == ()
 
     def test_unit_circle_halfwidth_matches_root_finding(self):
         circ = Circle3(center=np.zeros(3), radius=1.0, axis=np.array([0.0, 0.0, 1.0]),
                        u_ref=np.array([1.0, 0.0, 0.0]))
         x = np.array([1.5, 0.0, 0.0])
         ivs = trim_circle(circ, np.array([x], dtype=float))
-        (lo, hi), = ivs.components()
+        (lo, hi), = components(ivs)
         half = math.acos(0.75)
         # independent oracle: solve |p(psi) - x| = 1 directly
         root = brentq(lambda p: np.linalg.norm(circ.point(p) - x) - 1.0, 1e-9, math.pi)
@@ -160,9 +161,9 @@ class TestBallConstraintInterval:
             circ = circle_of_sphere_pair(b, c)
             x = RNG.normal(size=3) * 0.8
             ivs = trim_circle(circ, np.array([x], dtype=float))
-            if ivs.is_full or ivs.is_empty:
+            if ivs == FULL or not ivs:
                 continue
-            for lo, hi in ivs.components():
+            for lo, hi in components(ivs):
                 for psi in (lo, hi):
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
 
@@ -181,7 +182,7 @@ def batch_against_scalar(circ, centers):
     got = [trim_circle(circ, centers[k:k + 1]) for k in range(len(centers))]
     got.append(trim_circle(circ, centers))
     scalar.append(scalar_trim(circ, centers))
-    return ([hexed(s.intervals) for s in got],
+    return ([hexed(s) for s in got],
             [hexed(s.intervals) for s in scalar], kinds)
 
 
@@ -214,7 +215,7 @@ class TestBallConstraintIntervals:
             for i, j in _candidate_pairs(cfg):
                 circ = circle_of_sphere_pair(pts[i], pts[j])
                 others = np.delete(pts, (i, j), axis=0)
-                assert (hexed(trim_circle(circ, others).intervals)
+                assert (hexed(trim_circle(circ, others))
                         == hexed(scalar_trim(circ, others).intervals))
 
 
@@ -248,8 +249,8 @@ def raw_pieces(draw, most=4):
 
 
 class TestTupleLayer:
-    """The tuple canonicalizer and the one-arc step give the frozen
-    arithmetic's floats (float.hex), and so do the methods built on them."""
+    """The tuple canonicalizer, the one-arc step, the intersection and the
+    components give the frozen arithmetic's floats (float.hex)."""
 
     @TUPLE_LAYER
     @given(raw=raw_pieces())
@@ -264,7 +265,6 @@ class TestTupleLayer:
     def test_canonical_form(self, raw):
         want = hexed(FrozenIntervalSet.from_raw(raw).intervals)
         assert hexed(geom._canonical(raw)) == want
-        assert hexed(AngularIntervalSet.from_raw(raw).intervals) == want
         if len(raw) == 1:
             assert hexed(geom._arc(*raw[0])) == want
 
@@ -279,44 +279,58 @@ class TestTupleLayer:
         b = FrozenIntervalSet.from_raw(raw_b)
         want = hexed(a.intersect(b).intervals)
         assert hexed(geom._meet(a.intervals, b.intervals)) == want
-        got = AngularIntervalSet(a.intervals).intersect(
-            AngularIntervalSet(b.intervals))
-        assert hexed(got.intervals) == want
+
+    @TUPLE_LAYER
+    @given(raw=raw_pieces())
+    # wrapping past 2*pi: one piece, and two pieces that meet at 0
+    @example(raw=[(1.5 * math.pi, 2.5 * math.pi)])
+    @example(raw=[(TWO_PI - 1.0, TWO_PI), (0.0, 1.0)])
+    # ends within ang_eps of the angle origin are joined, just beyond not
+    @example(raw=[(0.5 * EPS, 1.0), (3.0, TWO_PI - 0.5 * EPS)])
+    @example(raw=[(EPS, 1.0), (3.0, TWO_PI - EPS)])
+    @example(raw=[(1.5 * EPS, 1.0), (3.0, TWO_PI)])
+    @example(raw=[(0.0, 1.0), (3.0, TWO_PI - 1.5 * EPS)])
+    def test_components(self, raw):
+        want = [(lo.hex(), hi.hex())
+                for lo, hi in FrozenIntervalSet.from_raw(raw).components()]
+        assert hexed(components(geom._canonical(raw))) == want
 
 
 class TestAngularIntervalSet:
+    """Angular sets held as canonical tuples."""
+
     def test_intersection_with_full_is_identity(self):
-        s = AngularIntervalSet.from_raw([(0.3, 1.2), (2.0, 2.5)])
-        assert s.intersect(AngularIntervalSet.full()) == s
+        s = geom._canonical([(0.3, 1.2), (2.0, 2.5)])
+        assert geom._meet(s, FULL) == s
 
     def test_simple_overlap(self):
-        a = AngularIntervalSet.from_raw([(0.0, math.pi)])
-        b = AngularIntervalSet.from_raw([(math.pi / 2, 1.5 * math.pi)])
-        (lo, hi), = a.intersect(b).intervals
+        a = geom._canonical([(0.0, math.pi)])
+        b = geom._canonical([(math.pi / 2, 1.5 * math.pi)])
+        (lo, hi), = geom._meet(a, b)
         assert lo == pytest.approx(math.pi / 2)
         assert hi == pytest.approx(math.pi)
 
     def test_wraparound_intersection(self):
-        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)])
-        assert len(wrap.intervals) == 2
-        other = AngularIntervalSet.from_raw([(0.0, math.pi)])
-        (lo, hi), = wrap.intersect(other).intervals
+        wrap = geom._canonical([(1.5 * math.pi, 2.5 * math.pi)])
+        assert len(wrap) == 2
+        other = geom._canonical([(0.0, math.pi)])
+        (lo, hi), = geom._meet(wrap, other)
         assert lo == pytest.approx(0.0)
         assert hi == pytest.approx(math.pi / 2)
 
     def test_wrap_component_is_rejoined(self):
-        wrap = AngularIntervalSet.from_raw([(1.5 * math.pi, 2.5 * math.pi)])
-        (lo, hi), = wrap.components()
+        wrap = geom._canonical([(1.5 * math.pi, 2.5 * math.pi)])
+        (lo, hi), = components(wrap)
         assert lo == pytest.approx(1.5 * math.pi)
         assert hi == pytest.approx(2.5 * math.pi)
 
     def test_degenerate_intervals_are_discarded(self):
-        s = AngularIntervalSet.from_raw([(1.0, 1.0 + 1e-9)])
-        assert s.is_empty
+        s = geom._canonical([(1.0, 1.0 + 1e-9)])
+        assert s == ()
 
     def test_measure_capped_by_full_circle(self):
-        s = AngularIntervalSet.from_raw([(0.0, TWO_PI + 1.0)])
-        assert s.is_full
+        s = geom._canonical([(0.0, TWO_PI + 1.0)])
+        assert s == FULL
         assert measure(s) == pytest.approx(TWO_PI)
 
     def test_intersection_matches_pointwise_and_on_grid(self):
@@ -326,9 +340,9 @@ class TestAngularIntervalSet:
                      for lo in RNG.uniform(0, TWO_PI, size=3)]
             raw_b = [(lo, lo + RNG.uniform(0.05, 2.5))
                      for lo in RNG.uniform(0, TWO_PI, size=2)]
-            a = AngularIntervalSet.from_raw(raw_a)
-            b = AngularIntervalSet.from_raw(raw_b)
-            both = a.intersect(b)
+            a = geom._canonical(raw_a)
+            b = geom._canonical(raw_b)
+            both = geom._meet(a, b)
             for ang in grid:
                 expect = contains(a, ang, 1e-9) and contains(b, ang, 1e-9)
                 got = contains(both, ang, 1e-9)

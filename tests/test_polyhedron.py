@@ -176,14 +176,10 @@ def reference_extract_edges(cfg):
                     continue
                 u = match_vertex(cfg, circle.point(lo), (i, j))
                 w = match_vertex(cfg, circle.point(hi), (i, j))
-                edges.append(EdgeArc(
-                    support=(i, j),
-                    endpoints=(u, w),
-                    arc=ArcOnCircle(circle, lo, hi),
-                ))
-    edges.sort(key=lambda e: (e.support, e.endpoint_set))
-    return tuple(EdgeArc(e.support, e.endpoints, e.arc, index=k)
-                 for k, e in enumerate(edges))
+                edges.append(((i, j), (u, w), ArcOnCircle(circle, lo, hi)))
+    edges.sort(key=lambda t: (t[0], sorted(t[1])))
+    return tuple(EdgeArc(support, ends, arc, k)
+                 for k, (support, ends, arc) in enumerate(edges))
 
 
 def nonempty_trims(cfg):
@@ -315,6 +311,26 @@ class TestTwoStepExtraction:
             with pytest.raises(NotExtremalError) as info:
                 extract_edges(cfg)
             assert info.value.report.to_dict() == report.to_dict()
+
+    def test_match_eps_term_keeps_an_edge_beyond_dist_eps(self):
+        # the tetra plus a point 3e-8 along the circle of (0, 1) past vertex
+        # 2, all shaken by noise of scale 3e-8: at dist_eps = 5e-8 pair
+        # (0, 1) falls 5.7e-8 short of 1 and the fifth point makes up the
+        # count, yet the edges on (0, 2) and (1, 2) end at vertex 1 or 0.
+        # Within dist_eps those pairs have one common neighbour, so only
+        # the 2 match_eps term of the relation keeps them.
+        base = tetra_points()
+        circle = circle_of_sphere_pair(base[0], base[1])
+        extra = circle.point(circle.angle_of(base[2]) + 3e-8 / circle.radius)
+        noise = np.random.default_rng(40).normal(scale=3e-8, size=(5, 3))
+        cfg = PointConfig(points=np.vstack([base, extra]) + noise,
+                          tol=Tolerances(dist_eps=5e-8))
+        assert extraction_outcome(extract_edges, cfg) == \
+            extraction_outcome(reference_extract_edges, cfg)
+        gaps = [abs(cfg.dist[s, x] - 1.0) for e in extract_edges(cfg)
+                for s in e.support for x in e.endpoints]
+        assert any(cfg.tol.dist_eps < g <= 2.0 * cfg.tol.match_eps
+                   for g in gaps)
 
     def test_candidates_hold_every_nonempty_trim(self):
         # far from the origin the trim rounds to the coordinates' magnitude;
