@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reuleaux import formulas
 from reuleaux.cli import main
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
 from reuleaux.mesh import import_obj
@@ -265,6 +266,43 @@ class TestSweep:
                     "--json", str(summary)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 2500
         assert load(summary)["violations"] == 0
+
+    def test_cells_equal_the_scalar_terms(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--grid", "12", "--out", str(out)]) == 0
+        assert run(["sweep", "--grid", "12"]) == 0
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        terms = (formulas.meissner_area_term, formulas.reuleaux_area_term,
+                 formulas.reuleaux_volume_term, formulas.blaschke_defect_term,
+                 formulas.wedge_volume)
+        grid = np.linspace(0.01, math.pi / 3 - 0.01, 12).tolist()
+        expect = []
+        for t in grid:
+            for tp in grid:
+                p = AnglePair(t, tp)
+                row = [t, tp] + [term(p) for term in terms]
+                row.append(row[-1] - formulas.wedge_volume_via_flux(p))
+                expect.append(",".join(f"{x:.17g}" for x in row))
+        assert text.splitlines()[1:] == expect
+
+    def test_a_nan_term_is_a_violation(self, tmp_path, monkeypatch, capsys):
+        flux = formulas.wedge_volume_via_flux
+
+        def one_nan(p):
+            value = flux(p)
+            value[5] = math.nan
+            return value
+
+        monkeypatch.setattr(formulas, "wedge_volume_via_flux", one_nan)
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        assert run(["sweep", "--grid", "12", "--out", str(out),
+                    "--json", str(summary)]) == 4
+        assert "1 violations" in one_error(capsys, 4)["message"]
+        data = load(summary)
+        assert data["violations"] == 1
+        assert data["max_flux_residual"] is None
+        assert out.read_text().splitlines()[6].endswith(",nan")
 
 
 class TestReportDeterminism:

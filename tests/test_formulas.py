@@ -1,9 +1,13 @@
 """Tests for the closed-form volume, area, and flux expressions."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reuleaux.errors import DomainError
 from reuleaux.formulas import (AnglePair, blaschke_defect_term, blaschke_gap,
@@ -30,6 +34,14 @@ def random_pairs(n, lo=0.05, hi=math.pi / 3):
 def swapped(p):
     """The pair with theta and theta' exchanged."""
     return AnglePair(p.theta_prime, p.theta)
+
+
+FIELDS = [f.name for f in dataclasses.fields(AnglePair)]
+TERMS = (meissner_area_term, reuleaux_area_term, reuleaux_volume_term,
+         sliver_area, spindle_area, sliver_flux, spindle_flux, wedge_volume,
+         wedge_volume_via_flux, blaschke_defect_term)
+ANGLE = st.floats(min_value=0.0, max_value=Tolerances.theta_max,
+                  exclude_min=True)
 
 
 class TestSymmetricPointValues:
@@ -178,6 +190,57 @@ class TestDomainPolicy:
     def test_tiny_overshoot_is_clamped(self):
         p = AnglePair(math.pi / 3 + 5e-10, math.pi / 3)
         assert math.isfinite(reuleaux_volume_term(p))
+
+
+class TestBatchPairs:
+    """A batch AnglePair holds, bit for bit, the fields of the scalar pairs,
+    so every term on it equals the scalar term."""
+
+    @staticmethod
+    def assert_matches_scalar_pairs(theta, theta_prime):
+        batch = AnglePair(theta, theta_prime)
+        values = {name: getattr(batch, name) for name in FIELDS}
+        values.update((term.__name__, term(batch)) for term in TERMS)
+        for i, (t, tp) in enumerate(zip(theta.tolist(), theta_prime.tolist())):
+            one = AnglePair(t, tp)
+            expect = {name: getattr(one, name) for name in FIELDS}
+            expect.update((term.__name__, term(one)) for term in TERMS)
+            for name, value in values.items():
+                assert float(value[i]).hex() == expect[name].hex(), (name, t, tp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=40))
+    @example([(Tolerances.theta_max, Tolerances.theta_max)])
+    @example([(1e-6, Tolerances.theta_max), (Tolerances.theta_max, 1e-6),
+              (1e-6, 1e-6)])
+    def test_fields_match_the_scalar_pairs(self, pairs):
+        theta, theta_prime = (np.array(c) for c in zip(*pairs))
+        self.assert_matches_scalar_pairs(theta, theta_prime)
+
+    def test_sweep_half_angles_match_the_scalar_pairs(self):
+        # numpy's tan differs from libm on one of these 200 half-angles
+        grid = np.linspace(0.01, math.pi / 3 - 0.01, 200)
+        self.assert_matches_scalar_pairs(grid, grid[::-1])
+
+    @pytest.mark.parametrize("bad", [0.0, math.nextafter(Tolerances.theta_max,
+                                                         4.0), math.nan])
+    @pytest.mark.parametrize("name", ["theta", "theta_prime"])
+    def test_batch_outside_the_domain_names_the_first_value(self, name, bad):
+        angles = {"theta": np.full(4, 0.5), "theta_prime": np.full(4, 0.5)}
+        angles[name][1:] = bad, -1.0, 2.0
+        with pytest.raises(DomainError,
+                           match=rf"^{name} must lie in \(0, pi/3\], got "
+                                 rf"{re.escape(str(bad))}$"):
+            AnglePair(**angles)
+
+    @pytest.mark.parametrize("theta, theta_prime", [
+        (np.full(3, 0.5), np.full(4, 0.5)),
+        (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+        (np.full(3, 0.5), 0.5)])
+    def test_batch_takes_two_1d_arrays_of_one_length(self, theta,
+                                                      theta_prime):
+        with pytest.raises(ValueError, match="two 1-D arrays of one length"):
+            AnglePair(theta, theta_prime)
 
 
 class TestAngleBound:

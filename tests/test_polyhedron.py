@@ -750,3 +750,9 @@ class TestRecordsCompareByIdentity:
         assert len({hash(r) for r in records}) == len(records)
         assert all(r == r for r in records)
         assert a.config != b.config and a.edges[0].arc != b.edges[0].arc
+
+    def test_a_batch_angle_pair_compares_and_hashes(self):
+        t = np.linspace(0.1, 1.0, 5)
+        p, q = AnglePair(t, t), AnglePair(t, t)
+        assert p == p and p != q
+        assert hash(p) != hash(q) and len({p, q}) == 2
