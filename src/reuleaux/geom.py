@@ -85,7 +85,9 @@ class Tolerances:
         analyzes.  A larger dist_eps leaves it in place.
     Fixed where they act: edge extraction trims the pairs with two common
     neighbours within max(dist_eps, 2 match_eps) of distance 1, a mesh face
-    of solid angle below 1e-9 is collapsed, a spindle must close within
+    of solid angle below 1e-9 is collapsed, a face cap refuses a loop point
+    more than 3.0 rad from its barycenter direction and floors the sine it
+    divides by at 1e-14 (``MeshBuilder.cap``), a spindle must close within
     1e-6 (``SpindleFrame``) and ``SpindleFrame.point`` takes parameters up
     to 1e-12 outside its rectangle, ``pair_duals`` refuses a dual pair whose
     orientation sign is exactly 0, ``Circle3`` checks its frame to 1e-9 and

@@ -9,8 +9,11 @@ spindle patch swept between the two geodesics of the pair.
 Watertightness comes from construction, not welding: every boundary polyline
 (edge arc, geodesic, single vertex) is sampled once into a shared vertex pool
 and all adjacent patches index the same records.  Mesh volume is the signed
-divergence-theorem sum of tetrahedra against the origin; area is the plain
-triangle-area sum, taken once, in the mesh's closure check.
+divergence-theorem sum of tetrahedra against the origin and area the plain
+triangle-area sum; both come from the mesh's single closure check, which
+computes them in one pass over blocks of triangles: block temporaries are
+small enough to be reused from the heap, where whole-mesh ones would be
+page-faulted afresh on every check.
 
 Meshes are written as ASCII OBJ or PLY; only OBJ is read back, for
 round-trip checks.
@@ -71,9 +74,11 @@ class TriangleMesh:
 class MeshStats:
     """Closure statistics of one mesh, from its single check.
 
-    ``total_area`` is the triangle-area sum of the same pass that gives
-    ``min_triangle_area``; ``mesh_area`` reads it.  It takes no part in
-    equality and is not written by ``to_dict``.
+    ``total_area`` and ``total_volume`` come from the same blocked pass over
+    the triangles that gives ``min_triangle_area``: the triangle-area sum,
+    which ``mesh_area`` reads, and the signed volume sum, which
+    ``mesh_volume`` reads.  They take no part in equality and are not
+    written by ``to_dict``.
     """
 
     watertight: bool
@@ -85,6 +90,7 @@ class MeshStats:
     min_triangle_area: float
     bad_edges: tuple[tuple[int, int], ...]
     total_area: float = field(compare=False)
+    total_volume: float = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -98,65 +104,96 @@ class MeshStats:
         }
 
 
-def _corners(mesh: TriangleMesh) -> list[np.ndarray]:
-    """Triangle corner coordinates as contiguous columns: one (3, n) block
-    per axis, whose rows are the corners 0, 1 and 2 of the n triangles."""
-    t = mesh.triangles.T
-    return [np.ascontiguousarray(mesh.vertices[:, axis])[t] for axis in range(3)]
+# Triangles per block of the area and volume pass.  Each block temporary is
+# 8192 float64, 64 KB: under glibc's default 128 KB mmap threshold, so it is
+# reused from the heap instead of page-faulted afresh, and the block's working
+# set stays in L2.
+_BLOCK_TRIANGLES = 8192
 
 
-def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
-    """Half the norm of (v1 - v0) x (v2 - v0), per triangle.
+def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Per triangle: its area and its volume term det(v0, v1, v2).
 
-    Column arithmetic in the operation order of ``np.cross`` and
-    ``np.linalg.norm(axis=1)``, whose squares sum (x + y) + z."""
-    (ax, ux, wx), (ay, uy, wy), (az, uz, wz) = _corners(mesh)
-    for a, u, w in ((ax, ux, wx), (ay, uy, wy), (az, uz, wz)):
-        u -= a
-        w -= a
-    sq = uy * wz - uz * wy
-    sq *= sq
-    ny = uz * wx - ux * wz
-    sq += ny * ny
-    nz = ux * wy - uy * wx
-    sq += nz * nz
-    return 0.5 * np.sqrt(sq)
+    One pass over blocks of ``_BLOCK_TRIANGLES`` triangles, each block
+    written into the two T-long outputs.  The area is half the norm of
+    (v1 - v0) x (v2 - v0) in the operation order of ``np.cross`` and
+    ``np.linalg.norm(axis=1)``, whose squares sum (x + y) + z; the volume
+    term is v0 . (v1 x v2) in the order of ``np.cross`` and
+    ``np.einsum("ij,ij->i")``, whose dot product sums (x + z) + y."""
+    v, t = mesh.vertices, mesh.triangles
+    areas = np.empty(t.shape[0])
+    dets = np.empty(t.shape[0])
+    for lo in range(0, t.shape[0], _BLOCK_TRIANGLES):
+        rows = slice(lo, lo + _BLOCK_TRIANGLES)
+        (ax, bx, cx), (ay, by, cy), (az, bz, cz) = (
+            [v[:, axis][t[rows, corner]] for corner in range(3)]
+            for axis in range(3))
+        det = dets[rows]
+        np.multiply(ax, by * cz - bz * cy, out=det)
+        det += az * (bx * cy - by * cx)
+        det += ay * (bz * cx - bx * cz)
+        # the corners b and c become the edges u = b - a and w = c - a
+        (ux, wx), (uy, wy), (uz, wz) = (bx, cx), (by, cy), (bz, cz)
+        for a, u, w in ((ax, ux, wx), (ay, uy, wy), (az, uz, wz)):
+            u -= a
+            w -= a
+        sq = uy * wz - uz * wy
+        sq *= sq
+        ny = uz * wx - ux * wz
+        sq += ny * ny
+        nz = ux * wy - uy * wx
+        sq += nz * nz
+        np.sqrt(sq, out=sq)
+        np.multiply(sq, 0.5, out=areas[rows])
+    return areas, dets
 
 
 def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
-    """Connectivity, orientation and area statistics; never raises."""
-    # the areas come first, before the key arrays below hold memory
-    areas = triangle_areas(mesh)
+    """Connectivity, orientation, area and volume statistics; never raises."""
+    # the areas and volume terms come first, before the key arrays hold memory
+    areas, dets = _triangle_terms(mesh)
     t = mesh.triangles
     n = mesh.n_vertices
     tail = t.ravel()
-    head = t[:, [1, 2, 0]].ravel()
-    keys = np.sort(tail * n + head)
-    oriented = not np.any(keys[1:] == keys[:-1])
-    und_keys = np.sort(np.minimum(tail, head) * n + np.maximum(tail, head))
-    # a run of equal sorted keys is one edge, its length the edge's use count
-    new_edge = np.ones(und_keys.size, dtype=bool)
-    new_edge[1:] = und_keys[1:] != und_keys[:-1]
-    first = np.flatnonzero(new_edge)
-    uniq = und_keys[first]
-    counts = np.diff(first, append=und_keys.size)
-    watertight = bool(np.all(counts == 2))
+    head = np.roll(t, -1, axis=1).ravel()
+    keys = np.multiply(tail, n)
+    keys += head
+    keys.sort()
+    # step[i] marks keys[i] != keys[i - 1]: a new directed, then undirected, edge
+    step = np.empty(keys.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    oriented = bool(step.all())
+    np.minimum(tail, head, out=keys)
+    keys *= n
+    np.maximum(tail, head, out=head)
+    keys += head
+    keys.sort()
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    # a run of equal sorted keys is one edge, its length the edge's use count;
+    # every run has length 2 exactly when the runs start at every even slot
+    n_edges = int(np.count_nonzero(step))
+    watertight = keys.size == 2 * n_edges and bool(step[::2].all())
     bad = ()
     if not watertight:
-        bad_keys = uniq[counts != 2][:16]
-        bad = tuple((int(k // n), int(k % n)) for k in bad_keys)
+        first = np.flatnonzero(step)
+        counts = np.diff(first, append=keys.size)
+        bad = tuple((int(k // n), int(k % n))
+                    for k in keys[first[counts != 2][:16]])
     # the shift lets malformed negative ids be counted instead of raising
-    used = int(np.count_nonzero(np.bincount(tail - tail.min(initial=0))))
+    np.subtract(tail, tail.min(initial=0), out=head)
+    used = int(np.count_nonzero(np.bincount(head)))
     return MeshStats(
         watertight=watertight,
         oriented=oriented,
-        euler_characteristic=used - uniq.size + t.shape[0],
+        euler_characteristic=used - n_edges + t.shape[0],
         n_vertices=used,
-        n_edges=int(uniq.size),
+        n_edges=n_edges,
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
         total_area=float(areas.sum()),
+        total_volume=float(dets.sum() / 6.0),
     )
 
 
@@ -170,16 +207,9 @@ def _require_closed(mesh: TriangleMesh, name: str = "mesh") -> MeshStats:
 
 
 def mesh_volume(mesh: TriangleMesh) -> float:
-    """Signed volume sum det(v0, v1, v2)/6; positive for outward orientation.
-
-    Column arithmetic in the operation order of ``np.cross`` and
-    ``np.einsum("ij,ij->i")``, whose dot product sums (x + z) + y."""
-    _require_closed(mesh)
-    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = _corners(mesh)
-    dot = ax * (by * cz - bz * cy)
-    dot += az * (bx * cy - by * cx)
-    dot += ay * (bz * cx - bx * cz)
-    return float(dot.sum() / 6.0)
+    """Signed volume sum det(v0, v1, v2)/6, read from the mesh's single
+    closure check; positive for outward orientation."""
+    return _require_closed(mesh).total_volume
 
 
 def mesh_area(mesh: TriangleMesh) -> float:
@@ -241,22 +271,28 @@ class SpindleFrame:
 # Builder with a shared boundary pool
 
 class MeshBuilder:
-    """Accumulates vertices and triangles with pooled boundary polylines."""
+    """Accumulates vertices and triangles with pooled boundary polylines.
+
+    The points live in one array whose capacity doubles when full, so a
+    point is copied once on insertion and once per doubling, and
+    ``coords_of`` reads the array in place."""
 
     def __init__(self):
-        self._chunks: list[np.ndarray] = []
+        self._coords = np.empty((1024, 3))
         self._count = 0
         self._tris: list[np.ndarray] = []
         self.pool: dict = {}
-        self._flat: np.ndarray | None = None
 
     def add_points(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ids = np.arange(self._count, self._count + len(pts), dtype=np.int64)
-        self._chunks.append(pts)
-        self._count += len(pts)
-        self._flat = None
-        return ids
+        start, stop = self._count, self._count + len(pts)
+        if stop > len(self._coords):
+            grown = np.empty((max(stop, 2 * len(self._coords)), 3))
+            grown[:start] = self._coords[:start]
+            self._coords = grown
+        self._coords[start:stop] = pts
+        self._count = stop
+        return np.arange(start, stop, dtype=np.int64)
 
     def polyline(self, key, points_fn) -> np.ndarray:
         """Pooled polyline: the first caller materializes it, later callers
@@ -272,13 +308,7 @@ class MeshBuilder:
 
     def build(self) -> TriangleMesh:
         tris = np.vstack(self._tris) if self._tris else np.zeros((0, 3), dtype=np.int64)
-        return TriangleMesh(vertices=self._all_coords(), triangles=tris)
-
-    def _all_coords(self) -> np.ndarray:
-        if self._flat is None:
-            self._flat = np.vstack(self._chunks) if self._chunks else np.zeros((0, 3))
-            self._chunks = [self._flat]
-        return self._flat
+        return TriangleMesh(vertices=self._coords[:self._count], triangles=tris)
 
     # -- patches ------------------------------------------------------------
 
@@ -309,7 +339,8 @@ class MeshBuilder:
         L = len(loop_ids)
         omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
         if np.any(omega > 3.0):
-            raise MeshError(f"face {face} loop strays beyond the barycenter hemisphere")
+            raise MeshError(f"face {face} loop strays more than 3.0 rad from "
+                            "its barycenter")
 
         rows = max(2, refine)
         # rint rounds half to even, as round does
@@ -356,7 +387,7 @@ class MeshBuilder:
         self.emit(tris[:, ::-1] if flip else tris)
 
     def coords_of(self, ids: np.ndarray) -> np.ndarray:
-        return self._all_coords()[np.asarray(ids, dtype=np.int64)]
+        return self._coords[:self._count][np.asarray(ids, dtype=np.int64)]
 
 
 def _ranks(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

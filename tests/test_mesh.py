@@ -18,7 +18,7 @@ from reuleaux import cli
 from reuleaux.mesh import (MeshBuilder, MeshStats, SpindleFrame, TriangleMesh,
                            _loop_solid_angle, _stitch_rings, build_body_mesh,
                            export_obj, export_ply, import_obj, inspect_mesh,
-                           mesh_area, mesh_volume, triangle_areas)
+                           mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
 from test_polyhedron import moved_pyramid
@@ -103,7 +103,7 @@ class TestSphericalCaps:
             builder.add_points(_quarter_arc(e[2], e[0], 128))[:-1],
         ])
         builder.cap(np.zeros(3), loop, 128, 0)
-        area = float(triangle_areas(builder.build()).sum())
+        area = inspect_mesh(builder.build()).total_area
         assert area == pytest.approx(math.pi / 2, abs=1e-4)
 
     def test_a_stray_loop_names_its_face(self):
@@ -114,8 +114,8 @@ class TestSphericalCaps:
                  for a in (0.0, 2.0, 4.0)]
         dirs = np.array(north + [[0.05, 0.0, -1.0]])
         loop = builder.add_points(dirs / np.linalg.norm(dirs, axis=1)[:, None])
-        with pytest.raises(MeshError, match="^face 3 loop strays beyond the "
-                                            "barycenter hemisphere$"):
+        with pytest.raises(MeshError, match=r"^face 3 loop strays more than "
+                                            r"3\.0 rad from its barycenter$"):
             builder.cap(np.zeros(3), loop, 8, 3)
 
     def test_octant_sphere_volume_and_area(self):
@@ -695,6 +695,7 @@ def _inspect_mesh_unique(mesh):
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
         total_area=float(areas.sum()),
+        total_volume=_volume_reference(mesh),
     )
 
 
@@ -738,8 +739,9 @@ class TestKernelsAgainstReferences:
         v, t = mesh.vertices, mesh.triangles
         n = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         regrouped = 0.5 * np.sqrt(n[:, 0] ** 2 + (n[:, 1] ** 2 + n[:, 2] ** 2))
-        assert np.array_equal(triangle_areas(mesh), _areas_reference(mesh))
-        assert not np.array_equal(triangle_areas(mesh), regrouped)
+        areas = reuleaux.mesh._triangle_terms(mesh)[0]
+        assert np.array_equal(areas, _areas_reference(mesh))
+        assert not np.array_equal(areas, regrouped)
 
     def test_inspect_mesh_matches_unique(self, tetra_structure, pentad_structure):
         meshes = [build_body_mesh(tetra_structure, "reuleaux", 8),
@@ -750,19 +752,39 @@ class TestKernelsAgainstReferences:
         v, t = base.vertices, base.triangles
         flipped = t.copy()
         flipped[7] = flipped[7, ::-1]
+        holed = TriangleMesh(vertices=v, triangles=t[:-1])
+        misoriented = TriangleMesh(vertices=v, triangles=flipped)
+        tripled = TriangleMesh(vertices=v, triangles=np.vstack([t, t[3:4]]))
+        # its one repeated directed edge, 0 -> 1, is the lowest key
+        lowest_twice = TriangleMesh(vertices=v[:4], triangles=[[0, 1, 2], [0, 1, 3]])
         meshes += [
-            TriangleMesh(vertices=v, triangles=t[:-1]),
-            TriangleMesh(vertices=v, triangles=flipped),
-            TriangleMesh(vertices=v, triangles=np.vstack([t, t[3:4]])),
+            holed, misoriented, tripled, lowest_twice,
             TriangleMesh(vertices=v, triangles=t - 1),
             TriangleMesh(vertices=np.zeros((0, 3)),
                          triangles=np.zeros((0, 3), dtype=np.int64)),
         ]
+        # the edges of the blocked area and volume pass: one triangle, a
+        # block less one, one block, one more, and built meshes of several
+        # whole blocks and of several blocks plus a remainder
+        block = reuleaux.mesh._BLOCK_TRIANGLES
+        whole = build_body_mesh(tetra_structure, "reuleaux", 64)
+        remainder = build_body_mesh(tetra_structure, "meissner", 32)
+        assert whole.n_triangles == 6 * block
+        assert remainder.n_triangles % block and remainder.n_triangles > 2 * block
+        for size in (1, block - 1, block, block + 1):
+            meshes.append(TriangleMesh(vertices=remainder.vertices,
+                                       triangles=remainder.triangles[:size]))
+        meshes += [whole, remainder]
         for mesh in meshes:
-            assert inspect_mesh(mesh) == _inspect_mesh_unique(mesh)
-        assert not inspect_mesh(meshes[-5]).watertight
-        assert not inspect_mesh(meshes[-4]).oriented
-        assert not inspect_mesh(meshes[-3]).watertight
+            got, want = inspect_mesh(mesh), _inspect_mesh_unique(mesh)
+            assert got == want, mesh.n_triangles
+            for name in ("min_triangle_area", "total_area", "total_volume"):
+                assert (getattr(got, name).hex()
+                        == getattr(want, name).hex()), (name, mesh.n_triangles)
+        assert not inspect_mesh(holed).watertight
+        assert not inspect_mesh(misoriented).oriented
+        assert not inspect_mesh(lowest_twice).oriented
+        assert not inspect_mesh(tripled).watertight
 
 
 class TestOnePassMeshes:
@@ -823,33 +845,46 @@ class TestCheckOnce:
         assert len(checks) == 1
 
     @pytest.fixture
-    def area_passes(self, monkeypatch):
+    def kernel_passes(self, monkeypatch):
+        """The meshes passed to the area and volume pass."""
         calls = []
+        kernel = reuleaux.mesh._triangle_terms
 
         def counting(mesh):
             calls.append(mesh.n_triangles)
-            return triangle_areas(mesh)
-        monkeypatch.setattr(reuleaux.mesh, "triangle_areas", counting)
+            return kernel(mesh)
+        monkeypatch.setattr(reuleaux.mesh, "_triangle_terms", counting)
         return calls
 
-    def test_areas_once_per_built_mesh(self, area_passes, pentad_structure,
+    def test_areas_once_per_built_mesh(self, kernel_passes, pentad_structure,
                                        tmp_path):
+        # the CLI's mesh block reads mesh_volume and mesh_area too
         assert cli.main(["mesh", "generator:pentad", "--body", "meissner",
                          "--refine", "8", "--json", str(tmp_path / "m.json")]) == 0
-        assert len(area_passes) == 1
+        assert len(kernel_passes) == 1
         mesh = build_body_mesh(pentad_structure, "reuleaux", 8)
-        mesh_volume(mesh)
-        mesh_area(mesh)
-        assert len(area_passes) == 2
+        assert len(kernel_passes) == 2
+        assert mesh_volume(mesh) == mesh.stats.total_volume
+        assert mesh_area(mesh) == mesh.stats.total_area
+        assert len(kernel_passes) == 2
 
-    def test_areas_once_per_imported_mesh(self, area_passes, tetra_structure,
+    def test_full_report_makes_one_kernel_pass_per_body(self, kernel_passes,
+                                                        tmp_path):
+        assert cli.main(["report", "generator:tetra", "--full", "--samples",
+                         "20000", "--batch", "20000", "--refine", "8",
+                         "--json", str(tmp_path / "r.json")]) == 0
+        assert len(kernel_passes) == 2
+
+    def test_areas_once_per_imported_mesh(self, kernel_passes, tetra_structure,
                                           tmp_path):
         path = tmp_path / "body.obj"
         built = build_body_mesh(tetra_structure, "meissner", 8)
         export_obj(built, str(path))
-        area_passes.clear()
+        kernel_passes.clear()
         assert mesh_area(import_obj(str(path))) == mesh_area(built)
-        assert len(area_passes) == 1
+        assert len(kernel_passes) == 1
+        assert mesh_volume(import_obj(str(path))) == mesh_volume(built)
+        assert len(kernel_passes) == 2
 
     def test_built_mesh_is_read_only(self, tetra_structure):
         mesh = build_body_mesh(tetra_structure, "reuleaux", 8)

@@ -47,7 +47,8 @@ def test_removed_names_are_gone(module, name):
     (mesh, "_ply_header"), (mesh, "_ply_block"), (mesh, "_ply_count"),
     (mesh, "_text_block"), (mesh, "_face_loops"),
     (polyhedron, "_match_vertex"), (polyhedron, "_free_arc_bound"),
-    (polyhedron, "_BLOCK")])
+    (polyhedron, "_BLOCK"), (mesh, "triangle_areas"), (mesh, "_corners"),
+    (mesh, "MeshBuilder._all_coords")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
