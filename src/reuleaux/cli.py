@@ -15,6 +15,7 @@ import math
 import re
 import sys
 import time
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .mesh import build_body_mesh, export_obj, export_ply, mesh_area, \
     mesh_volume
 from .oracle import McConfig, body_from_structure, mc_volume
 from .polyhedron import Structure, analyze_config, angle_pairs, \
-    check_extremal, config_from_generator, config_from_json_dict
+    body_label, check_extremal, config_from_generator, config_from_json_dict
 
 GENERATOR_PREFIX = "generator:"
 
@@ -93,10 +94,6 @@ def _analyzed(args) -> tuple[dict, Structure]:
     return _meta(args, tol), analyze_config(load_input(args.input, tol))
 
 
-def _label(kind: str, idx: int | None) -> str:
-    return kind if idx is None else f"{kind}:{idx}"
-
-
 def _mesh_block(mesh) -> dict:
     return dict(mesh.stats.to_dict(), volume=mesh_volume(mesh),
                 surface_area=mesh_area(mesh))
@@ -131,10 +128,11 @@ def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
                workers: int, bodies) -> dict:
     out = {"seed": seed, "samples": samples, "batch": batch, "estimates": {}}
     for kind, idx in bodies:
+        label = body_label(kind, idx, len(structure.pairs))
         body = body_from_structure(structure, kind, idx)
         est = mc_volume(body, McConfig(seed=seed, samples=samples, batch=batch,
                                        workers=workers))
-        out["estimates"][_label(kind, idx)] = est.to_dict()
+        out["estimates"][label] = est.to_dict()
     return out
 
 
@@ -142,7 +140,8 @@ def mesh_payload(structure: Structure, refine: int, bodies) -> dict:
     out = {"refine": refine, "bodies": {}}
     for kind, idx in bodies:
         mesh = build_body_mesh(structure, kind, refine, wedge_index=idx)
-        out["bodies"][_label(kind, idx)] = _mesh_block(mesh)
+        label = body_label(kind, idx, len(structure.pairs))
+        out["bodies"][label] = _mesh_block(mesh)
     return out
 
 
@@ -178,11 +177,12 @@ def cmd_mesh(args) -> int:
     meta, structure = _analyzed(args)
     kind, idx = parse_body(args.body)
     mesh = build_body_mesh(structure, kind, args.refine, wedge_index=idx)
+    label = body_label(kind, idx, len(structure.pairs))
     if args.out:
         writer = export_obj if args.format == "obj" else export_ply
         writer(mesh, args.out)
     payload = dict(meta, mesh=dict(_mesh_block(mesh), refine=args.refine,
-                                   body=_label(kind, idx), out=args.out,
+                                   body=label, out=args.out,
                                    format=args.format))
     emit_json(payload, args.json)
     return 0
@@ -283,15 +283,22 @@ COMMANDS = (
     ("mesh", cmd_mesh, "triangulate a body and report metrics",
      COMMON + ("--body", "--refine", "--format", "--out")),
     ("sweep", cmd_sweep, "CSV sweep of all per-pair terms over the angle "
-                         "square", ("--tol-dist", "--json", "--grid", "--out")),
+                         "square", ("--json", "--grid", "--out")),
     ("report", cmd_report, "consolidated report (analyze, and with --full "
                            "also mc and mesh)",
      COMMON + ("--full",) + MC_OPTIONS + ("--refine",)),
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that main reports them as one error object."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reuleaux",
         description="Ball polyhedra from extremal point sets: structure, "
                     "closed-form volumes and areas, Monte Carlo and mesh checks.")
@@ -312,8 +319,8 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotExtremalError as exc:
         # the report is written first, so an unwritable --json path gives

@@ -16,8 +16,8 @@ class DomainError(GeometryError, ValueError):
 class NotExtremalError(GeometryError):
     """A point set failed the extremality check; carries the report."""
 
-    def __init__(self, report, message: str = "point set is not extremal"):
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__("point set is not extremal")
         self.report = report
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MeshError, StructureError
 from .polyhedron import (DualPair, PointConfig, Structure, _chord_angle,
-                         check_wedge_index)
+                         body_label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,25 +41,23 @@ class TriangleMesh:
     checked.  Only ``build_body_mesh`` sets it, after making both arrays
     read-only, so the statistics cannot go stale; a mesh constructed any
     other way, ``dataclasses.replace`` included, starts without stats and is
-    checked by ``mesh_volume`` and ``mesh_area``.  Two meshes are equal when
-    their vertex and triangle arrays are; ``stats`` is ignored.
+    checked by ``mesh_volume`` and ``mesh_area``.  Like every record that
+    holds arrays, a mesh compares and hashes by identity.  Every vertex id
+    lies in 0..n_vertices-1; a mesh with any other is refused.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    stats: MeshStats | None = field(default=None, init=False, compare=False)
+    stats: MeshStats | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if t.size and not 0 <= t.min() <= t.max() < v.shape[0]:
+            raise MeshError(f"vertex ids must lie in 0..{v.shape[0] - 1}, "
+                            f"got {t.min()}..{t.max()}")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriangleMesh):
-            return NotImplemented
-        return (np.array_equal(self.vertices, other.vertices)
-                and np.array_equal(self.triangles, other.triangles))
 
     @property
     def n_vertices(self) -> int:
@@ -180,9 +178,11 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         counts = np.diff(first, append=keys.size)
         bad = tuple((int(k // n), int(k % n))
                     for k in keys[first[counts != 2][:16]])
-    # the shift lets malformed negative ids be counted instead of raising
-    np.subtract(tail, tail.min(initial=0), out=head)
-    used = int(np.count_nonzero(np.bincount(head)))
+    # a mask, not np.bincount: bincount copies a read-only input, as a built
+    # mesh's triangles are
+    used_ids = np.zeros(n, dtype=bool)
+    used_ids[tail] = True
+    used = int(np.count_nonzero(used_ids))
     return MeshStats(
         watertight=watertight,
         oriented=oriented,
@@ -556,25 +556,21 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
                     wedge_index: int | None = None) -> TriangleMesh:
     """Triangulate the boundary of one body of the structure.
 
-    ``kind`` is "reuleaux", "meissner", or "wedge" (then ``wedge_index``
-    selects the dual pair).  ``refine`` is the per-boundary sample count; all
-    patches share boundary samples, so the result is watertight.
+    ``kind`` and ``wedge_index`` name the body as ``body_label`` reads them.
+    ``refine`` is the per-boundary sample count; all patches share boundary
+    samples, so the result is watertight.
     """
     mesher = _BodyMesher(structure, refine)
-    if kind == "reuleaux":
-        mesher.add_faces(meissner=False)
-    elif kind == "meissner":
-        mesher.add_faces(meissner=True)
-        mesher.add_spindles()
-    elif kind == "wedge":
-        check_wedge_index(wedge_index, len(structure.pairs))
+    label = body_label(kind, wedge_index, len(structure.pairs))
+    if kind == "wedge":
         mesher.add_wedge(wedge_index)
     else:
-        raise ValueError(f"unknown body kind {kind!r}")
+        mesher.add_faces(meissner=kind == "meissner")
+        if kind == "meissner":
+            mesher.add_spindles()
     mesh = mesher.builder.build()
     mesh.vertices.flags.writeable = False
     mesh.triangles.flags.writeable = False
-    label = f"wedge:{wedge_index}" if kind == "wedge" else kind
     object.__setattr__(mesh, "stats", _require_closed(mesh, f"{label} mesh"))
     return mesh
 

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import ArcOnCircle, max_distance_to_arc_many
-from .polyhedron import PointConfig, Structure, check_wedge_index
-
-BODY_KINDS = ("reuleaux", "meissner", "wedge")
+from .polyhedron import PointConfig, Structure, body_label
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +42,9 @@ class BodySpec:
     wedge_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in BODY_KINDS:
-            raise ValueError(f"kind must be one of {BODY_KINDS}")
-        if self.kind in ("meissner", "wedge") and not self.arcs:
+        body_label(self.kind, self.wedge_index, len(self.arcs))
+        if self.kind != "reuleaux" and not self.arcs:
             raise ValueError(f"{self.kind} body requires the kept edge arcs")
-        if self.kind == "wedge":
-            check_wedge_index(self.wedge_index, len(self.arcs))
 
 
 def body_from_structure(structure: Structure, kind: str,

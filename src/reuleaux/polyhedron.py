@@ -433,10 +433,17 @@ def angle_pairs(structure: Structure) -> tuple[AnglePair, ...]:
     return tuple(dp.angles for dp in structure.pairs)
 
 
-def check_wedge_index(index: int | None, pair_count: int) -> None:
-    """Wedges are numbered 0..n-2, one per dual pair; refuse any other."""
-    if index is None or not 0 <= index < pair_count:
-        raise DomainError(f"wedge index {index} is outside 0..{pair_count - 1}")
+def body_label(kind: str, wedge_index: int | None, pair_count: int) -> str:
+    """The name of a body of X: "reuleaux" (B(X)), "meissner", or "wedge:<i>"
+    for the wedge cut at dual pair i in 0..pair_count-1; refuse any other."""
+    if kind in ("reuleaux", "meissner"):
+        return kind
+    if kind != "wedge":
+        raise DomainError(
+            f"body kind must be reuleaux, meissner or wedge, got {kind!r}")
+    if wedge_index is None or not 0 <= wedge_index < pair_count:
+        raise DomainError(f"wedge index {wedge_index} is outside 0..{pair_count - 1}")
+    return f"wedge:{wedge_index}"
 
 
 # ---------------------------------------------------------------------------

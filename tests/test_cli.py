@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from reuleaux import formulas
 from reuleaux.cli import main
+from reuleaux.errors import DomainError
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
-from reuleaux.mesh import import_obj
-from reuleaux.polyhedron import config_from_generator, tetra_points
+from reuleaux.mesh import build_body_mesh, import_obj
+from reuleaux.oracle import BodySpec, body_from_structure
+from reuleaux.polyhedron import analyze_config, config_from_generator, \
+    tetra_points
 from test_mesh import ply_mesh
 
 
@@ -431,10 +434,22 @@ class TestOptionErrors:
     @pytest.mark.parametrize("argv", [
         ["mesh", "generator:tetra", "--refine", "1"],
         ["mc", "generator:tetra", "--batch", "0"],
-        ["mc", "generator:tetra", "--workers", "0"]])
+        ["mc", "generator:tetra", "--workers", "0"],
+        # usage errors, argparse's own included, are one error object too
+        ["mesh", "generator:tetra", "--format", "xyz"],
+        ["analyze", "generator:tetra", "--bogus"], [],
+        ["sweep", "--grid", "abc"],
+        ["sweep", "--grid", "2", "--tol-dist", "5"]])
     def test_bad_counts_exit_two(self, capsys, argv):
         assert run(argv) == 2
         assert one_error(capsys, 2)["kind"] == "validation"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mesh", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: reuleaux")
 
     @pytest.mark.parametrize("body", ["wedge:3", "wedge:-1"])
     @pytest.mark.parametrize("command", ["mc", "mesh"])
@@ -497,6 +512,44 @@ class TestOptionErrors:
         assert run(["mc", "generator:tetra", "--body", "wedge:01",
                     "--samples", "1000", "--json", str(out)]) == 0
         assert list(load(out)["mc"]["estimates"]) == ["wedge:1"]
+
+
+class TestBodyGrammar:
+    """polyhedron.body_label is the one list of body kinds, wedge range and
+    labels: both oracles refuse a body with its words, and both commands
+    name a body the same way."""
+
+    @pytest.mark.parametrize("generator", ["tetra", "pentad"])
+    def test_oracles_refuse_alike_and_commands_label_alike(self, tmp_path,
+                                                           generator):
+        structure = analyze_config(config_from_generator(generator))
+        n = len(structure.pairs)
+        arcs = tuple(dp.kept.arc for dp in structure.pairs)
+        for kind, idx, message in [
+                ("cube", None,
+                 "body kind must be reuleaux, meissner or wedge, got 'cube'"),
+                ("cube", 0,
+                 "body kind must be reuleaux, meissner or wedge, got 'cube'"),
+                ("wedge", n, f"wedge index {n} is outside 0..{n - 1}"),
+                ("wedge", -1, f"wedge index -1 is outside 0..{n - 1}"),
+                ("wedge", None, f"wedge index None is outside 0..{n - 1}")]:
+            for refuse in (
+                    lambda: BodySpec(kind, structure.config, arcs, idx),
+                    lambda: body_from_structure(structure, kind, idx),
+                    lambda: build_body_mesh(structure, kind, 4, idx)):
+                with pytest.raises(DomainError) as info:
+                    refuse()
+                assert str(info.value) == message
+                assert isinstance(info.value, ValueError)
+        out = tmp_path / "o.json"
+        for body in ["reuleaux", "meissner"] + [f"wedge:{i}"
+                                                for i in range(n)]:
+            assert run(["mc", f"generator:{generator}", "--body", body,
+                        "--samples", "1000", "--json", str(out)]) == 0
+            assert list(load(out)["mc"]["estimates"]) == [body]
+            assert run(["mesh", f"generator:{generator}", "--body", body,
+                        "--refine", "4", "--json", str(out)]) == 0
+            assert load(out)["mesh"]["body"] == body
 
 
 JSON_SCALARS = st.one_of(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reuleaux
-from reuleaux import formulas, geom, mesh, polyhedron
+from reuleaux import cli, formulas, geom, mesh, oracle, polyhedron
 
 
 def resolve(module, dotted):
@@ -48,7 +48,8 @@ def test_removed_names_are_gone(module, name):
     (mesh, "_text_block"), (mesh, "_face_loops"),
     (polyhedron, "_match_vertex"), (polyhedron, "_free_arc_bound"),
     (polyhedron, "_BLOCK"), (mesh, "triangle_areas"), (mesh, "_corners"),
-    (mesh, "MeshBuilder._all_coords")])
+    (mesh, "MeshBuilder._all_coords"), (polyhedron, "check_wedge_index"),
+    (oracle, "BODY_KINDS"), (cli, "_label")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__

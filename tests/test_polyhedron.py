@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
+from reuleaux.mesh import build_body_mesh
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
                                  _candidate_pairs, _face_loops,
@@ -746,10 +747,12 @@ class TestRecordsCompareByIdentity:
         assert a.edges != b.edges and a.pairs != b.pairs
         records = [a, a.config, a.edges[0], a.edges[0].arc,
                    a.edges[0].arc.circle, a.pairs[0],
-                   body_from_structure(a, "meissner")]
+                   body_from_structure(a, "meissner"),
+                   build_body_mesh(a, "reuleaux", 4)]
         assert len({hash(r) for r in records}) == len(records)
         assert all(r == r for r in records)
         assert a.config != b.config and a.edges[0].arc != b.edges[0].arc
+        assert records[-1] != build_body_mesh(b, "reuleaux", 4)
 
     def test_a_batch_angle_pair_compares_and_hashes(self):
         t = np.linspace(0.1, 1.0, 5)
