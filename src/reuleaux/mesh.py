@@ -28,19 +28,18 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import MeshError, StructureError
-from .polyhedron import (DualPair, PointConfig, Structure, _chord_angle,
-                         body_label)
+from .errors import MeshError
+from .polyhedron import DualPair, Structure, body_label
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Indexed triangle soup with outward orientation.
 
+    Both arrays are read-only; a writable input is copied first.
     ``stats`` holds the closure statistics of a mesh that has already been
-    checked.  Only ``build_body_mesh`` sets it, after making both arrays
-    read-only, so the statistics cannot go stale; a mesh constructed any
-    other way, ``dataclasses.replace`` included, starts without stats and is
+    checked.  Only ``build_body_mesh`` sets it; a mesh constructed any other
+    way, ``dataclasses.replace`` included, starts without stats and is
     checked by ``mesh_volume`` and ``mesh_area``.  Like every record that
     holds arrays, a mesh compares and hashes by identity.  Every vertex id
     lies in 0..n_vertices-1; a mesh with any other is refused.
@@ -56,8 +55,12 @@ class TriangleMesh:
         if t.size and not 0 <= t.min() <= t.max() < v.shape[0]:
             raise MeshError(f"vertex ids must lie in 0..{v.shape[0] - 1}, "
                             f"got {t.min()}..{t.max()}")
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
+        for name, arr in (("vertices", v), ("triangles", t)):
+            if arr.flags.writeable:
+                # a copy, so freezing it leaves the caller's array alone
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_vertices(self) -> int:
@@ -218,56 +221,6 @@ def mesh_area(mesh: TriangleMesh) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Spindle parametrization
-
-class SpindleFrame:
-    """Rotation-surface parametrization of one dual pair in world coordinates.
-
-    The map traces, for each s in [0, phi'], the geodesic from the removed
-    arc's first endpoint to its second on the unit sphere centered at the
-    kept-arc point eta(s); eta runs along the kept arc from its first oriented
-    endpoint to the second.
-    """
-
-    def __init__(self, cfg: PointConfig, pair: DualPair):
-        pts = cfg.points
-        self.theta_prime = pair.angles.theta_prime
-        self.phi_prime = pair.angles.phi_prime
-        self.start = pts[pair.p]
-        self.finish = pts[pair.q]
-        self.pole_a = pts[pair.p_prime]
-        self.pole_b = pts[pair.q_prime]
-        self.mid = 0.5 * (self.pole_a + self.pole_b)
-        axis = self.pole_a - self.pole_b
-        self.v = axis / np.linalg.norm(axis)
-        end = self.eta(np.array([self.phi_prime]))[0]
-        if np.linalg.norm(end - self.finish) > 1e-6:
-            raise StructureError("kept arc does not close onto its far endpoint")
-
-    def eta(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        rel = self.start - self.mid
-        swept = np.cross(self.v, rel)
-        return (self.mid + np.cos(s)[..., None] * rel
-                + np.sin(s)[..., None] * swept)
-
-    def point(self, s, t) -> np.ndarray:
-        """X(s, t) on the [0, phi'] x [0, theta'] rectangle; broadcasts."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > self.phi_prime + 1e-12) \
-                or np.any(t < -1e-12) or np.any(t > self.theta_prime + 1e-12):
-            raise ValueError("parameters outside the spindle rectangle")
-        tp = self.theta_prime
-        e = self.eta(s)
-        ct = np.cos(t)[..., None]
-        st = np.sin(t)[..., None]
-        return (e + ct * (self.pole_a - e)
-                + st * (self.pole_b - e - math.cos(tp) * (self.pole_a - e))
-                / math.sin(tp))
-
-
-# ---------------------------------------------------------------------------
 # Builder with a shared boundary pool
 
 class MeshBuilder:
@@ -307,8 +260,12 @@ class MeshBuilder:
             self._tris.append(arr)
 
     def build(self) -> TriangleMesh:
+        """The mesh of the points and triangles so far, its arrays made
+        read-only here so that the mesh holds them uncopied."""
         tris = np.vstack(self._tris) if self._tris else np.zeros((0, 3), dtype=np.int64)
-        return TriangleMesh(vertices=self._coords[:self._count], triangles=tris)
+        coords = self._coords[:self._count]
+        coords.flags.writeable = tris.flags.writeable = False
+        return TriangleMesh(vertices=coords, triangles=tris)
 
     # -- patches ------------------------------------------------------------
 
@@ -448,20 +405,18 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Body meshes
 
-def _geodesic_points(pts: np.ndarray, sphere: int, ui: int, wi: int,
-                     n: int) -> np.ndarray:
-    """Uniform geodesic samples from pts[ui] to pts[wi] on the unit sphere
-    around pts[sphere]."""
-    center, u, w = pts[sphere], pts[ui], pts[wi]
-    du = u - center
-    dw = w - center
-    ang = _chord_angle(pts, ui, wi)
-    f = np.linspace(0.0, 1.0, n + 1)
-    out = (np.sin((1.0 - f) * ang)[:, None] * du
-           + np.sin(f * ang)[:, None] * dw) / math.sin(ang)
+def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
+                     angle: float, n: int) -> np.ndarray:
+    """Uniform samples of the geodesic of length ``angle`` from u to w on the
+    unit sphere around ``center``, u and w themselves at the ends.  A stack
+    of k centers gives the k geodesics, shape (k, n + 1, 3)."""
+    center = np.asarray(center)[..., None, :]
+    f = np.linspace(0.0, 1.0, n + 1)[:, None]
+    out = (np.sin((1.0 - f) * angle) * (u - center)
+           + np.sin(f * angle) * (w - center)) / math.sin(angle)
     out += center
-    out[0] = u
-    out[-1] = w
+    out[..., 0, :] = u
+    out[..., -1, :] = w
     return out
 
 
@@ -479,31 +434,34 @@ class _BodyMesher:
         return int(self.builder.polyline(("vx", i), lambda: self.pts[i][None, :])[0])
 
     def arc_ids(self, edge) -> np.ndarray:
-        def sample():
-            pts = edge.arc.sample_points(self.refine)
-            pts[0] = self.pts[edge.endpoints[0]]
-            pts[-1] = self.pts[edge.endpoints[1]]
-            return pts[1:-1]
-        inner = self.builder.polyline(("arc", edge.index), sample)
+        inner = self.builder.polyline(
+            ("arc", edge.index),
+            lambda: edge.arc.sample_points(self.refine)[1:-1])
         return np.concatenate([[self.vx(edge.endpoints[0])], inner,
                                [self.vx(edge.endpoints[1])]])
 
-    def geodesic_ids(self, sphere: int, u: int, w: int) -> np.ndarray:
-        lo, hi = (u, w) if u < w else (w, u)
+    def geodesic_ids(self, sphere: int, pair: DualPair) -> np.ndarray:
+        """The geodesic from p' to q' on the unit sphere around point
+        ``sphere``, pooled and sampled from the lower vertex index."""
+        lo, hi = sorted((pair.p_prime, pair.q_prime))
 
         def sample():
-            return _geodesic_points(self.pts, sphere, lo, hi,
+            return _geodesic_points(self.pts[sphere], self.pts[lo],
+                                    self.pts[hi], pair.angles.theta_prime,
                                     self.refine)[1:-1]
         inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
         ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
-        return ids if (u, w) == (lo, hi) else ids[::-1]
+        return ids if lo == pair.p_prime else ids[::-1]
 
     def face_loop_ids(self, x: int, steps, meissner: bool) -> np.ndarray:
         chunks = []
         for idx, forward in steps:
             e = self.structure.edges[idx]
             if meissner and idx in self.removed:
-                ids = self.geodesic_ids(x, *e.endpoints)
+                pair = self.removed[idx]
+                ids = self.geodesic_ids(x, pair)
+                # the geodesic runs from p', the edge from its first endpoint
+                forward ^= e.endpoints[0] != pair.p_prime
             else:
                 ids = self.arc_ids(e)
             if not forward:
@@ -517,16 +475,18 @@ class _BodyMesher:
                              self.refine, x)
 
     def spindle_grid(self, pair: DualPair) -> np.ndarray:
-        frame = SpindleFrame(self.structure.config, pair)
+        """The spindle as a grid of ids: row i is the geodesic from p' to q'
+        on the unit sphere around the kept arc's i-th sample, so rows 0 and
+        n are the geodesics on the spheres of p and q."""
         n = self.refine
         grid = np.empty((n + 1, n + 1), dtype=np.int64)
-        grid[0, :] = self.geodesic_ids(pair.p, pair.p_prime, pair.q_prime)
-        grid[n, :] = self.geodesic_ids(pair.q, pair.p_prime, pair.q_prime)
+        grid[0, :] = self.geodesic_ids(pair.p, pair)
+        grid[n, :] = self.geodesic_ids(pair.q, pair)
         grid[:, 0] = self.vx(pair.p_prime)
         grid[:, n] = self.vx(pair.q_prime)
-        s = np.linspace(0.0, frame.phi_prime, n + 1)[1:-1]
-        t = np.linspace(0.0, frame.theta_prime, n + 1)[1:-1]
-        interior = frame.point(s[:, None], t[None, :])
+        interior = _geodesic_points(
+            pair.kept.arc.sample_points(n)[1:-1], self.pts[pair.p_prime],
+            self.pts[pair.q_prime], pair.angles.theta_prime, n)[:, 1:-1]
         grid[1:-1, 1:-1] = self.builder.add_points(
             interior.reshape(-1, 3)).reshape(n - 1, n - 1)
         return grid
@@ -548,7 +508,7 @@ class _BodyMesher:
         if removed.endpoints[0] != pair.p_prime:
             arc_ids = arc_ids[::-1]
         for sphere, flip in ((pair.p, True), (pair.q, False)):
-            geo = self.geodesic_ids(sphere, pair.p_prime, pair.q_prime)
+            geo = self.geodesic_ids(sphere, pair)
             self.builder.grid(np.column_stack([arc_ids, geo]), flip)
 
 
@@ -569,8 +529,6 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
         if kind == "meissner":
             mesher.add_spindles()
     mesh = mesher.builder.build()
-    mesh.vertices.flags.writeable = False
-    mesh.triangles.flags.writeable = False
     object.__setattr__(mesh, "stats", _require_closed(mesh, f"{label} mesh"))
     return mesh
 
@@ -707,6 +665,8 @@ def import_obj(path: str) -> TriangleMesh:
             t.size and (t.min() < 1 or t.max() > len(v))):
         _refuse_obj(path)
     t -= 1
+    # read-only, so the mesh holds the parsed arrays uncopied
+    v.flags.writeable = t.flags.writeable = False
     return TriangleMesh(vertices=v, triangles=t)
 
 

@@ -15,15 +15,13 @@ from reuleaux.formulas import (surface_meissner, surface_reuleaux,
                                volume_meissner, volume_reuleaux, wedge_volume)
 import reuleaux.mesh
 from reuleaux import cli
-from reuleaux.mesh import (MeshBuilder, MeshStats, SpindleFrame, TriangleMesh,
+from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh,
                            _loop_solid_angle, _stitch_rings, build_body_mesh,
                            export_obj, export_ply, import_obj, inspect_mesh,
                            mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
-from test_polyhedron import moved_pyramid
-
-RNG = np.random.default_rng(31337)
+from test_polyhedron import generic_sets, moved_pyramid
 
 
 def read_ply(path):
@@ -133,96 +131,60 @@ class TestSphericalCaps:
         assert mesh_volume(flipped) == -mesh_volume(mesh)
 
 
-def surface_residual(fr, pts):
-    """Residual of the spindle's rotation-surface equation at the points."""
-    w = np.atleast_2d(pts) - fr.mid
-    axial = w @ fr.v
-    trans = np.linalg.norm(w - axial[:, None] * fr.v, axis=1)
-    return trans + math.cos(fr.theta_prime / 2.0) - np.sqrt(1.0 - axial ** 2)
+def surface_residual(pts, pair, x):
+    """Residual at the points x of the rotation-surface equation of the
+    pair's spindle: about the axis through p' and q', the meridian is the
+    unit circle around the kept circle's point, which lies cos(theta'/2)
+    from the axis."""
+    mid = 0.5 * (pts[pair.p_prime] + pts[pair.q_prime])
+    v = pts[pair.p_prime] - pts[pair.q_prime]
+    v = v / np.linalg.norm(v)
+    w = np.atleast_2d(x) - mid
+    axial = w @ v
+    trans = np.linalg.norm(w - axial[:, None] * v, axis=1)
+    return (trans + math.cos(pair.angles.theta_prime / 2.0)
+            - np.sqrt(1.0 - axial ** 2))
 
 
-def spindle_normal(fr, s, t):
-    """Unit normal of the spindle at (s, t), pointing out of the wedge (into
-    the Meissner body): the closed form of the normalized X_s x X_t."""
-    tp = fr.theta_prime
-    shifted = t - tp / 2.0
-    return (math.cos(shifted) / math.cos(tp / 2.0)
-            * (fr.eta(np.array([s]))[0] - fr.mid) + math.sin(shifted) * fr.v)
+class TestSpindleGeometry:
+    """The spindle rows of built meshes, found by geometry alone: every
+    vertex strictly inside all the balls of X is a spindle-interior one.
+    The spindle's normal and area element are checked against the closed
+    forms by the independent quadrature oracle (``oracles.py``)."""
 
-
-class TestSpindleParametrization:
-    @pytest.fixture(params=["tetra", "pentad"])
-    def frame(self, request, tetra_structure, pentad_structure):
-        structure = {"tetra": tetra_structure, "pentad": pentad_structure}[request.param]
-        return structure, SpindleFrame(structure.config, structure.pairs[0])
-
-    def test_corners_hit_the_removed_endpoints(self, frame):
-        structure, fr = frame
-        pair = structure.pairs[0]
+    @pytest.mark.parametrize("shape", ["tetra", "pentad", "generic9",
+                                       "mirrored"])
+    def test_interior_rows_lie_on_spheres_around_the_kept_arc(self, shape):
+        if shape == "generic9":
+            cfg = generic_sets(9, 1)[0]
+        elif shape == "mirrored":
+            cfg = PointConfig(points=config_from_generator("pentad").points
+                              * [-1.0, 1.0, 1.0])
+        else:
+            cfg = config_from_generator(shape)
+        structure = analyze_config(cfg)
         pts = structure.config.points
-        assert np.allclose(fr.point(0.0, 0.0), pts[pair.p_prime], atol=1e-9)
-        assert np.allclose(fr.point(0.0, fr.theta_prime), pts[pair.q_prime], atol=1e-9)
-        # s = 0 column starts on the kept arc's first endpoint's sphere
-        assert abs(np.linalg.norm(fr.point(0.0, fr.theta_prime / 2) - pts[pair.p])
-                   - 1.0) < 1e-9
-
-    def test_rotation_identity_residual(self, frame):
-        _, fr = frame
-        tp = fr.theta_prime
-        for _ in range(50):
-            s = RNG.uniform(0, fr.phi_prime)
-            t = RNG.uniform(0, tp)
-            x = fr.point(s, t)
-            expect = (fr.mid - math.sin(t - tp / 2) * fr.v
-                      - (math.cos(t - tp / 2) - math.cos(tp / 2)) / math.cos(tp / 2)
-                      * (fr.eta(np.array([s]))[0] - fr.mid))
-            assert np.linalg.norm(x - expect) < 1e-9
-
-    def test_surface_equation_residual(self, frame):
-        _, fr = frame
-        s = RNG.uniform(0, fr.phi_prime, size=40)
-        t = RNG.uniform(0, fr.theta_prime, size=40)
-        pts = fr.point(s, t)
-        assert np.max(np.abs(surface_residual(fr, pts))) < 1e-9
-
-    def test_partials_orthogonal_and_area_element(self, frame):
-        _, fr = frame
-        h = 1e-5
-        for _ in range(25):
-            s = RNG.uniform(h, fr.phi_prime - h)
-            t = RNG.uniform(h, fr.theta_prime - h)
-            ds = (fr.point(s + h, t) - fr.point(s - h, t)) / (2 * h)
-            dt = (fr.point(s, t + h) - fr.point(s, t - h)) / (2 * h)
-            assert abs(float(ds @ dt)) < 1e-9
-            element = np.linalg.norm(np.cross(ds, dt))
-            expect = math.cos(t - fr.theta_prime / 2) - math.cos(fr.theta_prime / 2)
-            assert element == pytest.approx(expect, abs=1e-9)
-
-    def test_normal_is_unit_and_matches_cross_product(self, frame):
-        _, fr = frame
-        h = 1e-6
-        for _ in range(25):
-            s = RNG.uniform(h, fr.phi_prime - h)
-            t = RNG.uniform(h, fr.theta_prime - h)
-            n = spindle_normal(fr, s, t)
-            assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
-            ds = (fr.point(s + h, t) - fr.point(s - h, t)) / (2 * h)
-            dt = (fr.point(s, t + h) - fr.point(s, t - h)) / (2 * h)
-            cross = np.cross(ds, dt)
-            cross /= np.linalg.norm(cross)
-            assert np.allclose(cross, n, atol=1e-6)
-
-    def test_out_of_rectangle_raises(self, frame):
-        _, fr = frame
-        with pytest.raises(ValueError):
-            fr.point(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            fr.point(0.1, fr.theta_prime + 0.1)
-
-    def test_spindle_point_helper(self, tetra_structure):
-        pair = tetra_structure.pairs[0]
-        p = SpindleFrame(tetra_structure.config, pair).point(0.0, 0.0)
-        assert np.allclose(p, tetra_structure.config.points[pair.p_prime], atol=1e-12)
+        n = 16
+        bodies = [("meissner", None, structure.pairs)] + [
+            ("wedge", i, [p]) for i, p in enumerate(structure.pairs)]
+        for kind, index, pairs in bodies:
+            v = build_body_mesh(structure, kind, n, wedge_index=index).vertices
+            reach = np.linalg.norm(v[:, None] - pts[None], axis=2).max(axis=1)
+            interior = reach < 1.0 - 1e-9
+            owners = np.zeros(len(v), dtype=int)
+            for pair in pairs:
+                # the two spindles at the pentad's dangling vertex share
+                # their surface, so the row spheres tell them apart
+                centers = pair.kept.arc.sample_points(n)[1:-1]
+                unit = np.abs(np.linalg.norm(
+                    v[:, None] - centers[None], axis=2) - 1.0) < 1e-12
+                on_surface = np.abs(surface_residual(pts, pair, v)) < 1e-12
+                mine = interior & on_surface & unit.any(axis=1)
+                owners += mine
+                # each vertex on one row's sphere, each row of n - 1 vertices
+                assert unit[mine].sum(axis=1).tolist() == [1] * (n - 1) ** 2
+                assert unit[mine].sum(axis=0).tolist() == [n - 1] * (n - 1)
+            assert np.array_equal(owners, interior), (kind, index)
 
 
 class TestBodyMeshes:
@@ -898,6 +860,31 @@ class TestCheckOnce:
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 1.0
         assert replace(mesh, triangles=mesh.triangles[:-1]).stats is None
+
+    def test_hand_built_mesh_is_frozen_apart_from_the_callers_arrays(self):
+        vertices, triangles = np.eye(3), np.array([[0, 1, 2]])
+        mesh = TriangleMesh(vertices, triangles)
+        before = inspect_mesh(mesh)
+        with pytest.raises(ValueError):
+            mesh.triangles[0, 2] = 5
+        with pytest.raises(ValueError):
+            mesh.vertices[0, 0] = 2.0
+        assert vertices.flags.writeable and triangles.flags.writeable
+        triangles[0, 2] = 5
+        vertices[0, 0] = 2.0
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        assert mesh.vertices.tolist() == np.eye(3).tolist()
+        after = inspect_mesh(mesh)
+        assert after == before
+        assert (after.total_area, after.total_volume) == (
+            before.total_area, before.total_volume)
+
+    def test_imported_mesh_is_read_only(self, tetra_structure, tmp_path):
+        path = tmp_path / "body.obj"
+        export_obj(build_body_mesh(tetra_structure, "reuleaux", 8), str(path))
+        mesh = import_obj(str(path))
+        assert not (mesh.vertices.flags.writeable
+                    or mesh.triangles.flags.writeable)
 
 
 # OBJ texts for the differential test of import_obj against the loop

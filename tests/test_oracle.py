@@ -12,6 +12,7 @@ from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
                              mc_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
+from test_polyhedron import pyramid_points
 
 RNG = np.random.default_rng(555)
 
@@ -114,18 +115,12 @@ def contains_reference(body, points):
 
 
 def moved_pyramid_points():
-    """n = 6: a regular pentagon with longest diagonals 1 and an apex at unit
-    distance from its vertices, under a fixed proper rotation and shift."""
-    m = 5
-    radius = 0.5 / math.cos(math.pi / (2 * m))
-    angles = 2 * math.pi * np.arange(m) / m
-    base = np.column_stack([radius * np.cos(angles), radius * np.sin(angles),
-                            np.zeros(m)])
-    pts = np.vstack([base, [0.0, 0.0, math.sqrt(1.0 - radius * radius)]])
+    """n = 6: the pentagonal pyramid ``pyramid_points(5)`` under a fixed
+    proper rotation and shift."""
     q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return pts @ q.T + np.array([0.3, -0.7, 0.5])
+    return pyramid_points(5) @ q.T + np.array([0.3, -0.7, 0.5])
 
 
 def kernel_configs():

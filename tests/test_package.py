@@ -49,7 +49,8 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "_match_vertex"), (polyhedron, "_free_arc_bound"),
     (polyhedron, "_BLOCK"), (mesh, "triangle_areas"), (mesh, "_corners"),
     (mesh, "MeshBuilder._all_coords"), (polyhedron, "check_wedge_index"),
-    (oracle, "BODY_KINDS"), (cli, "_label")])
+    (oracle, "BODY_KINDS"), (cli, "_label"), (mesh, "SpindleFrame"),
+    (mesh, "_chord_angle")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
