@@ -127,12 +127,11 @@ def analyze_payload(structure: Structure) -> dict:
 def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
                workers: int, bodies) -> dict:
     out = {"seed": seed, "samples": samples, "batch": batch, "estimates": {}}
+    mc = McConfig(seed=seed, samples=samples, batch=batch, workers=workers)
     for kind, idx in bodies:
         label = body_label(kind, idx, len(structure.pairs))
         body = body_from_structure(structure, kind, idx)
-        est = mc_volume(body, McConfig(seed=seed, samples=samples, batch=batch,
-                                       workers=workers))
-        out["estimates"][label] = est.to_dict()
+        out["estimates"][label] = mc_volume(body, mc).to_dict()
     return out
 
 

@@ -176,11 +176,9 @@ class ArcOnCircle:
     def span(self) -> float:
         return self.end_angle - self.start_angle
 
-    def sample_angles(self, n: int) -> np.ndarray:
-        return np.linspace(self.start_angle, self.end_angle, n + 1)
-
     def sample_points(self, n: int) -> np.ndarray:
-        return self.circle.points(self.sample_angles(n))
+        return self.circle.points(
+            np.linspace(self.start_angle, self.end_angle, n + 1))
 
 
 def _canonical(raw) -> tuple[tuple[float, float], ...]:

@@ -21,6 +21,7 @@ round-trip checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,31 +37,32 @@ from .polyhedron import DualPair, Structure, body_label
 class TriangleMesh:
     """Indexed triangle soup with outward orientation.
 
-    Both arrays are read-only; a writable input is copied first.
-    ``stats`` holds the closure statistics of a mesh that has already been
-    checked.  Only ``build_body_mesh`` sets it; a mesh constructed any other
-    way, ``dataclasses.replace`` included, starts without stats and is
-    checked by ``mesh_volume`` and ``mesh_area``.  Like every record that
+    Both arrays are read-only; a writable input is copied first.  ``stats``
+    is the mesh's closure check, run once on its first read; a mesh made by
+    ``dataclasses.replace`` is checked afresh.  Like every record that
     holds arrays, a mesh compares and hashes by identity.  Every vertex id
     lies in 0..n_vertices-1; a mesh with any other is refused.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    stats: MeshStats | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if t.size and not 0 <= t.min() <= t.max() < v.shape[0]:
-            raise MeshError(f"vertex ids must lie in 0..{v.shape[0] - 1}, "
-                            f"got {t.min()}..{t.max()}")
-        for name, arr in (("vertices", v), ("triangles", t)):
-            if arr.flags.writeable:
-                # a copy, so freezing it leaves the caller's array alone
-                arr = arr.copy()
-                arr.flags.writeable = False
+        for name, dtype in (("vertices", float), ("triangles", np.int64)):
+            x = getattr(self, name)
+            # a writable input is copied, so freezing leaves the caller's alone
+            writable = not isinstance(x, np.ndarray) or x.flags.writeable
+            arr = np.array(x, dtype, copy=True if writable else None).reshape(-1, 3)
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        t = self.triangles
+        if t.size and not 0 <= t.min() <= t.max() < self.n_vertices:
+            raise MeshError(f"vertex ids must lie in 0..{self.n_vertices - 1}, "
+                            f"got {t.min()}..{t.max()}")
+
+    @functools.cached_property
+    def stats(self) -> MeshStats:
+        return inspect_mesh(self)
 
     @property
     def n_vertices(self) -> int:
@@ -73,7 +75,8 @@ class TriangleMesh:
 
 @dataclass(frozen=True)
 class MeshStats:
-    """Closure statistics of one mesh, from its single check.
+    """Closure statistics of one mesh, from its single check, held as
+    ``TriangleMesh.stats``.
 
     ``total_area`` and ``total_volume`` come from the same blocked pass over
     the triangles that gives ``min_triangle_area``: the triangle-area sum,
@@ -201,7 +204,7 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
 
 
 def _require_closed(mesh: TriangleMesh, name: str = "mesh") -> MeshStats:
-    stats = mesh.stats if mesh.stats is not None else inspect_mesh(mesh)
+    stats = mesh.stats
     if not stats.watertight:
         raise MeshError(f"{name} is not watertight; offending edges {stats.bad_edges}")
     if not stats.oriented:
@@ -407,16 +410,14 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
 
 def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
                      angle: float, n: int) -> np.ndarray:
-    """Uniform samples of the geodesic of length ``angle`` from u to w on the
-    unit sphere around ``center``, u and w themselves at the ends.  A stack
-    of k centers gives the k geodesics, shape (k, n + 1, 3)."""
+    """The n - 1 inner points of n equal steps along the geodesic of length
+    ``angle`` from u to w on the unit sphere around ``center``, whose ends are
+    pooled vertices.  A stack of k centers gives shape (k, n - 1, 3)."""
     center = np.asarray(center)[..., None, :]
-    f = np.linspace(0.0, 1.0, n + 1)[:, None]
+    f = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
     out = (np.sin((1.0 - f) * angle) * (u - center)
            + np.sin(f * angle) * (w - center)) / math.sin(angle)
     out += center
-    out[..., 0, :] = u
-    out[..., -1, :] = w
     return out
 
 
@@ -448,7 +449,7 @@ class _BodyMesher:
         def sample():
             return _geodesic_points(self.pts[sphere], self.pts[lo],
                                     self.pts[hi], pair.angles.theta_prime,
-                                    self.refine)[1:-1]
+                                    self.refine)
         inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
         ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
         return ids if lo == pair.p_prime else ids[::-1]
@@ -486,7 +487,7 @@ class _BodyMesher:
         grid[:, n] = self.vx(pair.q_prime)
         interior = _geodesic_points(
             pair.kept.arc.sample_points(n)[1:-1], self.pts[pair.p_prime],
-            self.pts[pair.q_prime], pair.angles.theta_prime, n)[:, 1:-1]
+            self.pts[pair.q_prime], pair.angles.theta_prime, n)
         grid[1:-1, 1:-1] = self.builder.add_points(
             interior.reshape(-1, 3)).reshape(n - 1, n - 1)
         return grid
@@ -529,7 +530,7 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
         if kind == "meissner":
             mesher.add_spindles()
     mesh = mesher.builder.build()
-    object.__setattr__(mesh, "stats", _require_closed(mesh, f"{label} mesh"))
+    _require_closed(mesh, f"{label} mesh")
     return mesh
 
 

@@ -203,11 +203,8 @@ def mc_volume(body: BodySpec, mc: McConfig) -> McEstimate:
     span = hi - lo
     window = _unit_window(body, lo, span)
     box_volume = float(np.prod(span))
-    sizes = []
-    remaining = mc.samples
-    while remaining > 0:
-        sizes.append(min(mc.batch, remaining))
-        remaining -= sizes[-1]
+    sizes = [min(mc.batch, mc.samples - k)
+             for k in range(0, mc.samples, mc.batch)]
 
     def hits_of(k: int) -> int:
         return _chunk_hits(body, lo, span, window, mc.seed, k, sizes[k])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
-from .geom import (FULL, TWO_PI, ArcOnCircle, Tolerances,
+from .geom import (TWO_PI, ArcOnCircle, Tolerances,
                    circle_of_sphere_pair, components, cross, trim_circle)
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +167,8 @@ def check_extremal(cfg: PointConfig) -> ExtremalityReport:
     iu = np.triu_indices(n, k=1)
     dist = cfg.dist[iu]
     diameter = float(dist.max())
-    violations = [f"pair ({i}, {j}) at distance {d:.12g} exceeds 1"
-                  for i, j, d in zip(*iu, dist) if d > 1.0 + eps]
+    violations = [f"pair ({iu[0][k]}, {iu[1][k]}) at distance {dist[k]:.12g} "
+                  "exceeds 1" for k in np.flatnonzero(dist > 1.0 + eps)]
     count = int(np.count_nonzero(np.abs(dist - 1.0) <= eps))
     if abs(diameter - 1.0) > eps:
         violations.append(f"diameter {diameter:.12g} is not 1")
@@ -235,24 +235,17 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int, j: int
     # The zero diagonal of dist keeps i and j themselves out.
     splits = [circle.angle_of(pts[k])
               for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
-    if surviving == FULL:
-        if not splits:
-            raise StructureError(
-                f"extract_edges: support pair ({i}, {j}) leaves a full "
-                "circle with no vertex on it")
-        cuts = sorted(a % TWO_PI for a in splits)
-        comps = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
-        comps.append((cuts[-1], cuts[0] + TWO_PI))
-    else:
-        comps = []
-        for lo, hi in components(surviving):
-            inner = []
-            for s in splits:
-                rel = (s - lo) % TWO_PI
-                if eps < rel < (hi - lo) - eps:
-                    inner.append(lo + rel)
-            bounds = [lo] + sorted(inner) + [hi]
-            comps.extend(zip(bounds[:-1], bounds[1:]))
+    # never the full circle: a common neighbour of a candidate pair lies on
+    # it, and its ball keeps at most 2.47 rad of it
+    comps = []
+    for lo, hi in components(surviving):
+        inner = []
+        for s in splits:
+            rel = (s - lo) % TWO_PI
+            if eps < rel < (hi - lo) - eps:
+                inner.append(lo + rel)
+        bounds = [lo] + sorted(inner) + [hi]
+        comps.extend(zip(bounds[:-1], bounds[1:]))
     edges = []
     for lo, hi in comps:
         if hi - lo <= eps:
@@ -274,13 +267,10 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     are tangency noise and dropped.  The float sequence of the trim
     (``geom.trim_circle``) fixes every arc angle.
     """
-    dist = cfg.dist
-    eps = cfg.tol.dist_eps
-    # check_extremal's test; the symmetric matrix counts each pair twice
-    if (np.count_nonzero(np.abs(dist - 1.0) <= eps) != 4 * cfg.n - 4
-            or dist.max() > 1.0 + eps):
-        raise NotExtremalError(check_extremal(cfg))
-    on_sphere = np.abs(dist - 1.0) <= cfg.tol.match_eps
+    report = check_extremal(cfg)
+    if not report.is_extremal:
+        raise NotExtremalError(report)
+    on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
     found = []
     for i, j in _candidate_pairs(cfg):
         found.extend(_pair_edges(cfg, on_sphere, i, j))
@@ -316,7 +306,7 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
         if e.index in seen:
             continue
         partner = by_key.get((e.endpoint_set, e.support))
-        if partner is None or partner.index in seen:
+        if partner is None:
             raise StructureError(
                 f"pair_duals: edge with support {e.support} and endpoints "
                 f"{e.endpoints} has no dual partner")

@@ -810,6 +810,20 @@ class TestCheckOnce:
         mesh_volume(import_obj(str(path)))
         assert len(checks) == 1
 
+    def test_imported_and_hand_built_meshes_are_checked_once(
+            self, checks, tetra_structure, tmp_path):
+        path = tmp_path / "body.obj"
+        built = build_body_mesh(tetra_structure, "meissner", 8)
+        export_obj(built, str(path))
+        hand_built = TriangleMesh(built.vertices.tolist(),
+                                  built.triangles.tolist())
+        for mesh in (import_obj(str(path)), hand_built):
+            checks.clear()
+            assert mesh_volume(mesh) == mesh_volume(built)
+            assert mesh_area(mesh) == mesh_area(built)
+            assert mesh.stats == built.stats
+            assert len(checks) == 1
+
     @pytest.fixture
     def kernel_passes(self, monkeypatch):
         """The meshes passed to the area and volume pass."""
@@ -859,7 +873,9 @@ class TestCheckOnce:
             mesh.triangles[0, 0] = 1
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 1.0
-        assert replace(mesh, triangles=mesh.triangles[:-1]).stats is None
+        cut = replace(mesh, triangles=mesh.triangles[:-1])
+        assert cut.stats == inspect_mesh(cut)
+        assert not cut.stats.watertight
 
     def test_hand_built_mesh_is_frozen_apart_from_the_callers_arrays(self):
         vertices, triangles = np.eye(3), np.array([[0, 1, 2]])
@@ -878,6 +894,16 @@ class TestCheckOnce:
         assert after == before
         assert (after.total_area, after.total_volume) == (
             before.total_area, before.total_volume)
+
+    def test_only_a_writable_input_is_copied(self):
+        vertices, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64)
+        mesh = TriangleMesh(vertices, triangles)
+        assert not np.shares_memory(mesh.vertices, vertices)
+        assert not np.shares_memory(mesh.triangles, triangles)
+        vertices.flags.writeable = triangles.flags.writeable = False
+        mesh = TriangleMesh(vertices, triangles)
+        assert np.shares_memory(mesh.vertices, vertices)
+        assert np.shares_memory(mesh.triangles, triangles)
 
     def test_imported_mesh_is_read_only(self, tetra_structure, tmp_path):
         path = tmp_path / "body.obj"

@@ -50,10 +50,16 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "_BLOCK"), (mesh, "triangle_areas"), (mesh, "_corners"),
     (mesh, "MeshBuilder._all_coords"), (polyhedron, "check_wedge_index"),
     (oracle, "BODY_KINDS"), (cli, "_label"), (mesh, "SpindleFrame"),
-    (mesh, "_chord_angle")])
+    (mesh, "_chord_angle"), (geom, "ArcOnCircle.sample_angles")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
+
+
+def test_mesh_fields_are_its_two_arrays():
+    # the closure stats are computed by the mesh itself, not set on it
+    assert [f.name for f in dataclasses.fields(mesh.TriangleMesh)] == [
+        "vertices", "triangles"]
 
 
 def test_dist_eps_is_the_only_tolerance_setting():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
-from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
+from reuleaux.geom import (TWO_PI, ArcOnCircle, circle_of_sphere_pair,
+                          trim_circle)
 from reuleaux.mesh import build_body_mesh
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
@@ -78,6 +79,18 @@ class TestCheckExtremal:
         rep = check_extremal(PointConfig(points=pts))
         assert not rep.is_extremal
         assert any("exceeds 1" in v for v in rep.violations)
+
+    def test_violations_match_the_pair_loop(self):
+        # a moved n = 10 pyramid stretched by 1.01: its 18 diameters exceed 1
+        cfg = PointConfig(points=1.01 * moved_pyramid(9, 90).points)
+        iu = np.triu_indices(cfg.n, k=1)
+        loop = [f"pair ({i}, {j}) at distance {d:.12g} exceeds 1"
+                for i, j, d in zip(*iu, cfg.dist[iu])
+                if d > 1.0 + cfg.tol.dist_eps]
+        rep = check_extremal(cfg)
+        assert len(loop) == 18
+        assert rep.violations[:18] == tuple(loop)
+        assert len(rep.violations) == 20
 
     def test_scaled_tetra_fails_on_pair_count(self):
         rep = check_extremal(PointConfig(points=0.999 * tetra_points()))
@@ -269,6 +282,20 @@ def off_extremal_configs():
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def ladder_configs():
+    """Tetra, the 120 pentad relabellings, moved pyramids m = 3...59 (odd),
+    75, 101, 151 and 199 (seed 7m) and the generic sets m = 5, 9 and 21."""
+    cfgs = ([config_from_generator("tetra")]
+            + [PointConfig(points=pentad_points()[list(perm)])
+               for perm in itertools.permutations(range(5))]
+            + [moved_pyramid(m, 7 * m)
+               for m in [*range(3, 60, 2), 75, 101, 151, 199]]
+            + [cfg for m in (5, 9, 21) for cfg in generic_sets(m)])
+    assert len(cfgs) == 1 + 120 + 33 + 9
+    return tuple(cfgs)
+
+
 class TestTwoStepExtraction:
     @pytest.mark.parametrize("name", ["tetra", "pentad"])
     def test_generators_match_reference(self, name):
@@ -347,6 +374,20 @@ class TestTwoStepExtraction:
                 + relabelled)
         for cfg in cfgs:
             assert set(nonempty_trims(cfg)) <= set(_candidate_pairs(cfg))
+
+    def test_no_candidate_circle_survives_whole(self):
+        # a common neighbour x_k of a candidate pair lies within 1e-3 of its
+        # circle, whose radius is at least 0.86, so ball k keeps at most
+        # 2.47 rad of it: _pair_edges never meets the full circle
+        widest = 0.0
+        for cfg in (*ladder_configs(), off_extremal_configs()[2]):
+            pts = cfg.points
+            for i, j in _candidate_pairs(cfg):
+                surviving = trim_circle(circle_of_sphere_pair(pts[i], pts[j]),
+                                        np.delete(pts, (i, j), axis=0))
+                widest = max(widest, sum(hi - lo for lo, hi in surviving))
+        # 1.23 rad at most on these sets
+        assert 0.0 < widest <= 2.47, widest
 
     def test_pyramid_candidates_are_the_edge_supports(self):
         # n = 52 and 102 are the structure benchmark's sizes
@@ -435,15 +476,8 @@ class TestPairDuals:
     def test_kept_arcs_run_from_p_to_q_over_phi_prime(self):
         # the mesh sweeps each spindle along its kept arc as stored, so the
         # arc must start at p, end at q and span phi'
-        cfgs = ([config_from_generator("tetra")]
-                + [PointConfig(points=pentad_points()[list(perm)])
-                   for perm in itertools.permutations(range(5))]
-                + [moved_pyramid(m, 7 * m)
-                   for m in [*range(3, 60, 2), 75, 101, 151, 199]]
-                + [cfg for m in (5, 9, 21) for cfg in generic_sets(m)])
-        assert len(cfgs) == 1 + 120 + 33 + 9
         ends = spans = 0.0
-        for cfg in cfgs:
+        for cfg in ladder_configs():
             pts = cfg.points
             for dp in analyze_config(cfg).pairs:
                 gap = dp.kept.arc.sample_points(1) - pts[[dp.p, dp.q]]
