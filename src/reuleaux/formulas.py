@@ -53,10 +53,10 @@ class AnglePair:
     batch of them.
 
     Construction validates the pair and stores every derived value once, so
-    each closed form reads the same values: the half-angle sines and cosines,
-    the dihedral angles ``phi`` (at the kept arc, sin(phi/2) =
-    sin(theta'/2)/cos(theta/2)) and ``phi_prime`` (at the removed arc,
-    sin(phi'/2) = sin(theta/2)/cos(theta'/2)), ``psi =
+    each closed form reads the same values: the half-angle sines,
+    ``cos_half_prime`` = cos(theta'/2), the dihedral angles ``phi`` (at the
+    kept arc, sin(phi/2) = sin(theta'/2)/cos(theta/2)) and ``phi_prime`` (at
+    the removed arc, sin(phi'/2) = sin(theta/2)/cos(theta'/2)), ``psi =
     asin(tan(theta/2)*tan(theta'/2))``, ``root`` = sqrt(1 - sin^2(theta/2) -
     sin^2(theta'/2)), ``cos_half_phi_prime`` = cos(phi'/2), and the cubes
     ``sin_half_cubed`` and ``sin_half_prime_cubed``.
@@ -83,7 +83,6 @@ class AnglePair:
     theta_prime: float | np.ndarray
     sin_half: float | np.ndarray = field(init=False, repr=False)
     sin_half_prime: float | np.ndarray = field(init=False, repr=False)
-    cos_half: float | np.ndarray = field(init=False, repr=False)
     cos_half_prime: float | np.ndarray = field(init=False, repr=False)
     phi: float | np.ndarray = field(init=False, repr=False)
     phi_prime: float | np.ndarray = field(init=False, repr=False)
@@ -107,11 +106,11 @@ class AnglePair:
         c, cp = cos(t / 2.0), cos(tp / 2.0)
         phi_prime = 2.0 * asin(s / cp)
         # one dict update, since a frozen dataclass refuses plain assignment:
-        # eleven object.__setattr__ calls make a scalar pair about 40 %
-        # dearer to build, though a field read from this dict costs about
+        # one object.__setattr__ call per field makes a scalar pair about
+        # 40 % dearer to build, though a field read from this dict costs about
         # twice as much
         vars(self).update(
-            sin_half=s, sin_half_prime=sp, cos_half=c, cos_half_prime=cp,
+            sin_half=s, sin_half_prime=sp, cos_half_prime=cp,
             phi=2.0 * asin(sp / c), phi_prime=phi_prime,
             psi=asin(tan(t / 2.0) * tan(tp / 2.0)),
             # cos(theta/2)*cos(phi/2) collapses to this root

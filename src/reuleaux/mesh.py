@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -52,7 +51,9 @@ class TriangleMesh:
             x = getattr(self, name)
             # a writable input is copied, so freezing leaves the caller's alone
             writable = not isinstance(x, np.ndarray) or x.flags.writeable
-            arr = np.array(x, dtype, copy=True if writable else None).reshape(-1, 3)
+            arr = np.array(x, dtype, copy=True if writable else None)
+            if arr.ndim != 2 or arr.shape[1] != 3:
+                raise MeshError(f"{name} must have shape (k, 3), got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         t = self.triangles
@@ -547,15 +548,6 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
                  % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
-def _number(token: str, kind: type) -> int | float:
-    """``kind(token)`` in the grammar numpy's text reader takes: Python's,
-    without ``_`` digit grouping or non-ASCII digits."""
-    value = kind(token)
-    if "_" in token or not token.isascii():
-        raise ValueError(f"{token!r} uses digit grouping or non-ASCII digits")
-    return value
-
-
 def _obj_rows(fh, tag: str):
     """The text after ``tag`` on each line whose first whitespace token is
     ``tag``, in one pass over ``fh``.
@@ -577,94 +569,44 @@ def _obj_rows(fh, tag: str):
             yield rest
 
 
-def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray | None:
+def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray:
     """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
-    there are none; None when numpy refuses a row."""
+    there are none.  Raises MeshError with numpy's reason when it refuses
+    a row, or when the file is not UTF-8."""
     fh.seek(0)
     rows = _obj_rows(fh, tag)
-    first = next(rows, None)
-    # loadtxt warns on an empty stream
-    if first is None:
-        return np.zeros((0, 3), dtype=dtype)
     try:
+        first = next(rows, None)
+        # loadtxt warns on an empty stream
+        if first is None:
+            return np.zeros((0, 3), dtype=dtype)
         return np.loadtxt(itertools.chain([first], rows), dtype=dtype,
                           usecols=usecols, ndmin=2, comments=None)
-    except ValueError:
-        return None
-
-
-def _obj_records(path: str):
-    """(line number, tag, tokens after the tag) of each ``v`` and ``f`` line;
-    a vertex keeps its first three tokens, a face index its part before the
-    first slash."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for k, line in enumerate(fh, start=1):
-            parts = line.split()
-            if parts[:1] == ["v"]:
-                yield k, "v", parts[1:4]
-            elif parts[:1] == ["f"]:
-                yield k, "f", [p.split("/")[0] for p in parts[1:]]
-
-
-def _refuse_obj(path: str) -> NoReturn:
-    """Raise the MeshError of the first defect of an OBJ file.
-
-    Defects rank in this order: a coordinate or index that is not a number,
-    in file order; the first vertex with fewer than three coordinates; the
-    first face with other than three indices; the first face index outside
-    1..vertex count.
-    """
-    short = wrong = None
-    n_verts = 0
-    for k, tag, tokens in _obj_records(path):
-        kind, what = ((float, "vertex coordinate") if tag == "v"
-                      else (int, "face index"))
-        try:
-            for p in tokens:
-                _number(p, kind)
-        except ValueError as exc:
-            raise MeshError(f"OBJ line {k}: {what} is not a number "
-                            f"({exc})") from None
-        if tag == "v":
-            n_verts += 1
-            if short is None and len(tokens) < 3:
-                short = k, len(tokens)
-        elif wrong is None and len(tokens) != 3:
-            wrong = k, len(tokens)
-    if short is not None:
-        raise MeshError(f"OBJ line {short[0]}: vertex has {short[1]} "
-                        "coordinates, needs 3")
-    if wrong is not None:
-        raise MeshError(f"OBJ line {wrong[0]}: face has {wrong[1]} indices, "
-                        "needs 3")
-    for k, tag, tokens in _obj_records(path):
-        if tag == "f":
-            for i in map(int, tokens):
-                if not 1 <= i <= n_verts:
-                    raise MeshError(f"OBJ line {k}: face index {i} outside "
-                                    f"1..{n_verts}")
-    # not reached while the grammar of _number is numpy's
-    raise MeshError(f"OBJ file {path}: numpy's text reader refused it")
+    except ValueError as exc:
+        what = "vertex coordinate" if tag == "v" else "face index"
+        raise MeshError(f"OBJ file {fh.name}: cannot read its {tag} ({what}) "
+                        f"rows: {exc}") from None
 
 
 def import_obj(path: str) -> TriangleMesh:
     """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
 
     Two streaming passes over the file hand the ``v`` rows and then the
-    ``f`` rows to numpy's text reader.  The mesh layer is triangle-only.
-    Raises MeshError naming the first ``v`` or ``f`` line with a coordinate
-    or index that is not a number (in Python's grammar without ``_`` digit
-    grouping or non-ASCII digits), the first ``v`` line with fewer than three
-    coordinates, the first face line with other than three indices, or the
-    first with an index outside that range (0, a relative negative index, or
-    past the last vertex).
+    ``f`` rows to numpy's text reader, whose number grammar is Python's
+    without ``_`` digit grouping or non-ASCII digits.  The mesh layer is
+    triangle-only.  Raises MeshError naming the file: with numpy's reason
+    (its row and column) when it refuses a row, or when the faces have
+    other than three indices or an index outside 1..vertex count.
     """
     with open(path, "r", encoding="utf-8") as fh:
         v = _obj_block(fh, "v", float, usecols=(0, 1, 2))
-        t = None if v is None else _obj_block(fh, "f", np.int64)
-    if t is None or t.shape[1] != 3 or (
-            t.size and (t.min() < 1 or t.max() > len(v))):
-        _refuse_obj(path)
+        t = _obj_block(fh, "f", np.int64)
+    if t.shape[1] != 3:
+        raise MeshError(f"OBJ file {path}: faces have {t.shape[1]} indices, "
+                        "need 3")
+    if t.size and (t.min() < 1 or t.max() > len(v)):
+        raise MeshError(f"OBJ file {path}: face indices must lie in "
+                        f"1..{len(v)}, got {t.min()}..{t.max()}")
     t -= 1
     # read-only, so the mesh holds the parsed arrays uncopied
     v.flags.writeable = t.flags.writeable = False

@@ -161,14 +161,21 @@ class Structure:
 
 
 def check_extremal(cfg: PointConfig) -> ExtremalityReport:
-    """Diameter-1 check plus the 2n-2 diametric pair count."""
+    """Diameter-1 check plus the 2n-2 diametric pair count.
+
+    The report names the first 16 pairs beyond 1 + dist_eps, in
+    lexicographic order, and counts the rest in one line.
+    """
     eps = cfg.tol.dist_eps
     n = cfg.n
     iu = np.triu_indices(n, k=1)
     dist = cfg.dist[iu]
     diameter = float(dist.max())
+    over = np.flatnonzero(dist > 1.0 + eps)
     violations = [f"pair ({iu[0][k]}, {iu[1][k]}) at distance {dist[k]:.12g} "
-                  "exceeds 1" for k in np.flatnonzero(dist > 1.0 + eps)]
+                  "exceeds 1" for k in over[:16]]
+    if over.size > 16:
+        violations.append(f"{over.size - 16} more pairs exceed 1")
     count = int(np.count_nonzero(np.abs(dist - 1.0) <= eps))
     if abs(diameter - 1.0) > eps:
         violations.append(f"diameter {diameter:.12g} is not 1")
@@ -281,7 +288,7 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
 
 def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:
     half = 0.5 * float(np.linalg.norm(pts[u] - pts[w]))
-    return 2.0 * math.asin(min(half, 1.0))
+    return 2.0 * math.asin(half)
 
 
 def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, ...]:

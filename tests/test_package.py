@@ -50,10 +50,18 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "_BLOCK"), (mesh, "triangle_areas"), (mesh, "_corners"),
     (mesh, "MeshBuilder._all_coords"), (polyhedron, "check_wedge_index"),
     (oracle, "BODY_KINDS"), (cli, "_label"), (mesh, "SpindleFrame"),
-    (mesh, "_chord_angle"), (geom, "ArcOnCircle.sample_angles")])
+    (mesh, "_chord_angle"), (geom, "ArcOnCircle.sample_angles"),
+    (mesh, "_number"), (mesh, "_obj_records"), (mesh, "_refuse_obj")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
+
+
+def test_obj_reader_is_not_exported():
+    # kept in reuleaux.mesh for round-trip checks only
+    assert hasattr(mesh, "import_obj")
+    assert not hasattr(reuleaux, "import_obj")
+    assert "import_obj" not in reuleaux.__all__
 
 
 def test_mesh_fields_are_its_two_arrays():

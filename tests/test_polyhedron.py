@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -89,8 +90,19 @@ class TestCheckExtremal:
                 if d > 1.0 + cfg.tol.dist_eps]
         rep = check_extremal(cfg)
         assert len(loop) == 18
-        assert rep.violations[:18] == tuple(loop)
-        assert len(rep.violations) == 20
+        # the first 16 are named, the other two counted
+        assert rep.violations[:17] == (*loop[:16], "2 more pairs exceed 1")
+        assert len(rep.violations) == 19
+
+    def test_report_of_a_badly_scaled_set_stays_small(self):
+        # a moved n = 200 pyramid scaled by 2: over 13,000 pairs exceed 1
+        cfg = PointConfig(points=2.0 * moved_pyramid(199, 90).points)
+        over = np.count_nonzero(np.triu(cfg.dist > 1.0 + cfg.tol.dist_eps))
+        assert over > 13000
+        rep = check_extremal(cfg)
+        assert rep.violations[16] == f"{over - 16} more pairs exceed 1"
+        assert len(rep.violations) == 19
+        assert len(json.dumps(rep.to_dict())) < 2000
 
     def test_scaled_tetra_fails_on_pair_count(self):
         rep = check_extremal(PointConfig(points=0.999 * tetra_points()))
