@@ -22,8 +22,7 @@ import numpy as np
 from . import formulas
 from .errors import DomainError, MeshError, NotExtremalError, StructureError
 from .geom import Tolerances
-from .mesh import build_body_mesh, export_obj, export_ply, mesh_area, \
-    mesh_volume
+from .mesh import build_body_mesh, export_obj, export_ply
 from .oracle import McConfig, body_from_structure, mc_volume
 from .polyhedron import Structure, analyze_config, angle_pairs, \
     body_label, check_extremal, config_from_generator, config_from_json_dict
@@ -94,11 +93,6 @@ def _analyzed(args) -> tuple[dict, Structure]:
     return _meta(args, tol), analyze_config(load_input(args.input, tol))
 
 
-def _mesh_block(mesh) -> dict:
-    return dict(mesh.stats.to_dict(), volume=mesh_volume(mesh),
-                surface_area=mesh_area(mesh))
-
-
 def analyze_payload(structure: Structure) -> dict:
     pairs = angle_pairs(structure)
     table = []
@@ -140,7 +134,7 @@ def mesh_payload(structure: Structure, refine: int, bodies) -> dict:
     for kind, idx in bodies:
         mesh = build_body_mesh(structure, kind, refine, wedge_index=idx)
         label = body_label(kind, idx, len(structure.pairs))
-        out["bodies"][label] = _mesh_block(mesh)
+        out["bodies"][label] = mesh.stats.to_dict()
     return out
 
 
@@ -180,7 +174,7 @@ def cmd_mesh(args) -> int:
     if args.out:
         writer = export_obj if args.format == "obj" else export_ply
         writer(mesh, args.out)
-    payload = dict(meta, mesh=dict(_mesh_block(mesh), refine=args.refine,
+    payload = dict(meta, mesh=dict(mesh.stats.to_dict(), refine=args.refine,
                                    body=label, out=args.out,
                                    format=args.format))
     emit_json(payload, args.json)

@@ -177,8 +177,9 @@ class ArcOnCircle:
         return self.end_angle - self.start_angle
 
     def sample_points(self, n: int) -> np.ndarray:
+        """The n - 1 interior points of n equal steps along the arc."""
         return self.circle.points(
-            np.linspace(self.start_angle, self.end_angle, n + 1))
+            np.linspace(self.start_angle, self.end_angle, n + 1)[1:-1])
 
 
 def _canonical(raw) -> tuple[tuple[float, float], ...]:

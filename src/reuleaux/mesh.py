@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError
+from .geom import cross
 from .polyhedron import DualPair, Structure, body_label
 
 
@@ -82,8 +83,8 @@ class MeshStats:
     ``total_area`` and ``total_volume`` come from the same blocked pass over
     the triangles that gives ``min_triangle_area``: the triangle-area sum,
     which ``mesh_area`` reads, and the signed volume sum, which
-    ``mesh_volume`` reads.  They take no part in equality and are not
-    written by ``to_dict``.
+    ``mesh_volume`` reads.  They take no part in equality; ``to_dict``
+    writes them as ``surface_area`` and ``volume``.
     """
 
     watertight: bool
@@ -106,6 +107,8 @@ class MeshStats:
             "n_edges": self.n_edges,
             "n_triangles": self.n_triangles,
             "min_triangle_area": self.min_triangle_area,
+            "surface_area": self.total_area,
+            "volume": self.total_volume,
         }
 
 
@@ -120,36 +123,24 @@ def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     """Per triangle: its area and its volume term det(v0, v1, v2).
 
     One pass over blocks of ``_BLOCK_TRIANGLES`` triangles, each block
-    written into the two T-long outputs.  The area is half the norm of
-    (v1 - v0) x (v2 - v0) in the operation order of ``np.cross`` and
-    ``np.linalg.norm(axis=1)``, whose squares sum (x + y) + z; the volume
-    term is v0 . (v1 x v2) in the order of ``np.cross`` and
-    ``np.einsum("ij,ij->i")``, whose dot product sums (x + z) + y."""
+    written into the two T-long outputs.  Both cross products are
+    ``geom.cross``'s, on the coordinate columns of the corners a, b, c.  The
+    area is half the norm of (b - a) x (c - a) with the squares summed
+    (x + y) + z, as ``np.linalg.norm(axis=1)`` sums them; the volume term
+    is a . (b x c) summed (x + z) + y, as ``np.einsum("ij,ij->i")`` sums
+    it."""
     v, t = mesh.vertices, mesh.triangles
     areas = np.empty(t.shape[0])
     dets = np.empty(t.shape[0])
     for lo in range(0, t.shape[0], _BLOCK_TRIANGLES):
         rows = slice(lo, lo + _BLOCK_TRIANGLES)
-        (ax, bx, cx), (ay, by, cy), (az, bz, cz) = (
-            [v[:, axis][t[rows, corner]] for corner in range(3)]
-            for axis in range(3))
-        det = dets[rows]
-        np.multiply(ax, by * cz - bz * cy, out=det)
-        det += az * (bx * cy - by * cx)
-        det += ay * (bz * cx - bx * cz)
-        # the corners b and c become the edges u = b - a and w = c - a
-        (ux, wx), (uy, wy), (uz, wz) = (bx, cx), (by, cy), (bz, cz)
-        for a, u, w in ((ax, ux, wx), (ay, uy, wy), (az, uz, wz)):
-            u -= a
-            w -= a
-        sq = uy * wz - uz * wy
-        sq *= sq
-        ny = uz * wx - ux * wz
-        sq += ny * ny
-        nz = ux * wy - uy * wx
-        sq += nz * nz
-        np.sqrt(sq, out=sq)
-        np.multiply(sq, 0.5, out=areas[rows])
+        a, b, c = ([v[:, axis][t[rows, corner]] for axis in range(3)]
+                   for corner in range(3))
+        x, y, z = cross(b, c)
+        dets[rows] = a[0] * x + a[2] * z + a[1] * y
+        x, y, z = cross([s - r for s, r in zip(b, a)],
+                        [s - r for s, r in zip(c, a)])
+        areas[rows] = 0.5 * np.sqrt(x * x + y * y + z * z)
     return areas, dets
 
 
@@ -438,7 +429,7 @@ class _BodyMesher:
     def arc_ids(self, edge) -> np.ndarray:
         inner = self.builder.polyline(
             ("arc", edge.index),
-            lambda: edge.arc.sample_points(self.refine)[1:-1])
+            lambda: edge.arc.sample_points(self.refine))
         return np.concatenate([[self.vx(edge.endpoints[0])], inner,
                                [self.vx(edge.endpoints[1])]])
 
@@ -487,7 +478,7 @@ class _BodyMesher:
         grid[:, 0] = self.vx(pair.p_prime)
         grid[:, n] = self.vx(pair.q_prime)
         interior = _geodesic_points(
-            pair.kept.arc.sample_points(n)[1:-1], self.pts[pair.p_prime],
+            pair.kept.arc.sample_points(n), self.pts[pair.p_prime],
             self.pts[pair.q_prime], pair.angles.theta_prime, n)
         grid[1:-1, 1:-1] = self.builder.add_points(
             interior.reshape(-1, 3)).reshape(n - 1, n - 1)

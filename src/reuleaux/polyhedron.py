@@ -29,14 +29,13 @@ from .geom import (TWO_PI, ArcOnCircle, Tolerances,
 
 @dataclass(frozen=True, eq=False)
 class PointConfig:
-    """A finite labeled point set X in R^3 with its tolerance policy.
+    """A finite point set X in R^3 with its tolerance policy.
 
     ``dist`` is the read-only matrix of pairwise distances, the one source of
     every pair distance the structure checks compare against 1.
     """
 
     points: np.ndarray
-    labels: tuple[str, ...] | None = None
     tol: Tolerances = field(default_factory=Tolerances)
     dist: np.ndarray = field(init=False, repr=False)
 
@@ -56,8 +55,6 @@ class PointConfig:
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         if dist[np.triu_indices(pts.shape[0], k=1)].min() <= self.tol.dist_eps:
             raise ValueError("points must be pairwise distinct")
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError("labels must match the number of points")
         for name, arr in (("points", pts), ("dist", dist)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -263,8 +260,10 @@ def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int, j: int
     return edges
 
 
-def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
-    """Edge arcs of B(X), one per connected boundary component.
+def extract_edges(cfg: PointConfig
+                  ) -> tuple[ExtremalityReport, tuple[EdgeArc, ...]]:
+    """The extremality report of X and the edge arcs of B(X), one per
+    connected boundary component.
 
     Two steps, for extremal X only (NotExtremalError otherwise).  On each
     pair that ``_candidate_pairs`` keeps, in (i, j) order, the circle of the
@@ -282,8 +281,8 @@ def extract_edges(cfg: PointConfig) -> tuple[EdgeArc, ...]:
     for i, j in _candidate_pairs(cfg):
         found.extend(_pair_edges(cfg, on_sphere, i, j))
     found.sort(key=lambda t: (t[0], sorted(t[1])))
-    return tuple(EdgeArc(support, ends, arc, k)
-                 for k, (support, ends, arc) in enumerate(found))
+    return report, tuple(EdgeArc(support, ends, arc, k)
+                         for k, (support, ends, arc) in enumerate(found))
 
 
 def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:
@@ -294,6 +293,10 @@ def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:
 def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, ...]:
     """Match every edge with the unique partner whose support and endpoint
     pairs swap, and populate the angle data.
+
+    One pass in edge order emits each pair at its kept edge, the one with
+    the lower support, and skips the partner; on the support-sorted list of
+    ``extract_edges`` the pairs come out in kept-support order.
 
     Raises StructureError if any edge is unmatched or the pair count differs
     from |X| - 1, and DomainError if a pair's angles fail AnglePair's checks.
@@ -308,18 +311,14 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
                 f"pair_duals: two edges share support/endpoints {key}")
         by_key[key] = e
     pairs = []
-    seen = set()
-    for e in edges:
-        if e.index in seen:
-            continue
-        partner = by_key.get((e.endpoint_set, e.support))
-        if partner is None:
+    for kept in edges:
+        removed = by_key.get((kept.endpoint_set, kept.support))
+        if removed is None:
             raise StructureError(
-                f"pair_duals: edge with support {e.support} and endpoints "
-                f"{e.endpoints} has no dual partner")
-        seen.add(e.index)
-        seen.add(partner.index)
-        kept, removed = (e, partner) if e.support < partner.support else (partner, e)
+                f"pair_duals: edge with support {kept.support} and endpoints "
+                f"{kept.endpoints} has no dual partner")
+        if removed.support < kept.support:
+            continue
         p, q = kept.endpoints
         pp, qp = removed.endpoints
         mid = [0.5 * (s + t) for s, t in zip(xs[p], xs[q])]
@@ -338,7 +337,6 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     if len(pairs) != cfg.n - 1:
         raise StructureError(
             f"pair_duals: found {len(pairs)} dual pairs, expected {cfg.n - 1}")
-    pairs.sort(key=lambda dp: dp.kept.support)
     return tuple(pairs)
 
 
@@ -414,10 +412,7 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
 def analyze_config(cfg: PointConfig) -> Structure:
     """Full validation pipeline; raises NotExtremalError, StructureError or
     DomainError."""
-    extremality = check_extremal(cfg)
-    if not extremality.is_extremal:
-        raise NotExtremalError(extremality)
-    edges = extract_edges(cfg)
+    extremality, edges = extract_edges(cfg)
     pairs = pair_duals(edges, cfg)
     face_loops = _face_loops(cfg.n, edges)
     report = classify_vertices(cfg, edges, pairs)
@@ -473,24 +468,22 @@ def pentad_points() -> np.ndarray:
     return np.array(rows)
 
 
-GENERATORS = {
-    "tetra": (tetra_points, ("b0", "b1", "b2", "b3")),
-    "pentad": (pentad_points, ("b", "c", "p1", "p2", "p3")),
-}
+GENERATORS = {"tetra": tetra_points, "pentad": pentad_points}
 
 
 def config_from_generator(name: str, tol: Tolerances | None = None) -> PointConfig:
     try:
-        fn, labels = GENERATORS[name]
+        fn = GENERATORS[name]
     except KeyError:
         raise ValueError(
             f"unknown generator {name!r}; choose from {sorted(GENERATORS)}") from None
-    return PointConfig(points=fn(), labels=labels, tol=tol or Tolerances())
+    return PointConfig(points=fn(), tol=tol or Tolerances())
 
 
 def config_from_json_dict(data: dict, tol: Tolerances | None = None) -> PointConfig:
     """Point-set JSON: {"points": [[x, y, z], ...], "labels": [...]}, with
-    JSON numbers for coordinates (no strings or booleans) that fit a double."""
+    JSON numbers for coordinates (no strings or booleans) that fit a double.
+    The optional labels, one string per point, are checked and not kept."""
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError('point-set JSON must be an object with a "points" key')
     pts = data["points"]
@@ -501,7 +494,6 @@ def config_from_json_dict(data: dict, tol: Tolerances | None = None) -> PointCon
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValueError('"labels" must be a list of strings')
-        labels = tuple(labels)
     for k, row in enumerate(pts):
         if not all(type(x) in (int, float) for x in row):
             raise ValueError(f"point {k}: coordinates must be JSON numbers")
@@ -510,4 +502,8 @@ def config_from_json_dict(data: dict, tol: Tolerances | None = None) -> PointCon
     except OverflowError:
         raise ValueError("an integer coordinate is too large for a "
                          "double") from None
-    return PointConfig(points=points, labels=labels, tol=tol or Tolerances())
+    cfg = PointConfig(points=points, tol=tol or Tolerances())
+    # after the point checks, which report first
+    if labels is not None and len(labels) != cfg.n:
+        raise ValueError("labels must match the number of points")
+    return cfg

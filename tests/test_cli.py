@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reuleaux import formulas
+from reuleaux import cli, formulas
 from reuleaux.cli import main
 from reuleaux.errors import DomainError
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
-from reuleaux.mesh import build_body_mesh, import_obj
+from reuleaux.mesh import build_body_mesh, import_obj, mesh_area, \
+    mesh_volume
 from reuleaux.oracle import BodySpec, body_from_structure
 from reuleaux.polyhedron import analyze_config, config_from_generator, \
     tetra_points
@@ -247,6 +248,45 @@ class TestMeshCommand:
                     "--out", str(out_mesh)]) == 0
         mesh = ply_mesh(str(out_mesh))
         assert mesh.n_triangles > 0
+
+
+class TestMeshBlocks:
+    """A command's mesh block is the stats of the mesh it built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        meshes = []
+
+        def recording(*args, **kwargs):
+            meshes.append(build_body_mesh(*args, **kwargs))
+            return meshes[-1]
+        monkeypatch.setattr(cli, "build_body_mesh", recording)
+        return meshes
+
+    @staticmethod
+    def assert_block_of(block, mesh):
+        assert block == mesh.stats.to_dict()
+        assert (block["volume"], block["surface_area"]) == (
+            mesh_volume(mesh), mesh_area(mesh))
+
+    def test_mesh_command(self, tmp_path, built):
+        out = tmp_path / "m.json"
+        assert run(["mesh", "generator:pentad", "--body", "meissner",
+                    "--refine", "12", "--json", str(out)]) == 0
+        block = load(out)["mesh"]
+        assert [block.pop(k) for k in ("refine", "body", "out", "format")] \
+            == [12, "meissner", None, "obj"]
+        (mesh,) = built
+        self.assert_block_of(block, mesh)
+
+    def test_full_report(self, tmp_path, built):
+        out = tmp_path / "r.json"
+        assert run(["report", "generator:tetra", "--full", "--samples",
+                    "20000", "--refine", "12", "--json", str(out)]) == 0
+        blocks = load(out)["mesh"]["bodies"]
+        assert sorted(blocks) == ["meissner", "reuleaux"] and len(built) == 2
+        for label, mesh in zip(("reuleaux", "meissner"), built):
+            self.assert_block_of(blocks[label], mesh)
 
 
 class TestSweep:

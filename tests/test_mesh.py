@@ -176,7 +176,7 @@ class TestSpindleGeometry:
             for pair in pairs:
                 # the two spindles at the pentad's dangling vertex share
                 # their surface, so the row spheres tell them apart
-                centers = pair.kept.arc.sample_points(n)[1:-1]
+                centers = pair.kept.arc.sample_points(n)
                 unit = np.abs(np.linalg.norm(
                     v[:, None] - centers[None], axis=2) - 1.0) < 1e-12
                 on_surface = np.abs(surface_residual(pts, pair, v)) < 1e-12

@@ -1,7 +1,9 @@
 """The public namespace: every exported name resolves, retired ones are gone;
 the runtime loads nothing beyond the standard library and numpy."""
 
+import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -51,7 +53,8 @@ def test_removed_names_are_gone(module, name):
     (mesh, "MeshBuilder._all_coords"), (polyhedron, "check_wedge_index"),
     (oracle, "BODY_KINDS"), (cli, "_label"), (mesh, "SpindleFrame"),
     (mesh, "_chord_angle"), (geom, "ArcOnCircle.sample_angles"),
-    (mesh, "_number"), (mesh, "_obj_records"), (mesh, "_refuse_obj")])
+    (mesh, "_number"), (mesh, "_obj_records"), (mesh, "_refuse_obj"),
+    (cli, "_mesh_block")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
@@ -62,6 +65,36 @@ def test_obj_reader_is_not_exported():
     assert hasattr(mesh, "import_obj")
     assert not hasattr(reuleaux, "import_obj")
     assert "import_obj" not in reuleaux.__all__
+
+
+def perfbench_patches():
+    """The (module, name) rows of the ``PATCHES`` dict in
+    ``perfbench/layers.py``, read with ``ast`` so that the benchmark is not
+    imported; a module is named by the ``from reuleaux import`` alias the
+    file gives it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "layers.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = {alias.asname or alias.name: alias.name
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "reuleaux" for alias in node.names}
+    (patches,) = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["PATCHES"]]
+    return [(modules[key.id], name)
+            for key, names in zip(patches.keys, patches.values)
+            for name in ast.literal_eval(names)]
+
+
+def test_benchmark_patches_name_existing_functions():
+    # the traced benchmark run wraps each of these; a rename must fail here
+    rows = perfbench_patches()
+    assert len(rows) > 20
+    missing = [(module, name) for module, name in rows
+               if not callable(getattr(importlib.import_module(
+                   f"reuleaux.{module}"), name, None))]
+    assert missing == []
 
 
 def test_mesh_fields_are_its_two_arrays():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reuleaux import polyhedron
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, ArcOnCircle, circle_of_sphere_pair,
@@ -139,7 +140,9 @@ class TestExtractEdges:
         for structure in (tetra_structure, pentad_structure):
             pts = structure.config.points
             for e in structure.edges:
-                samples = e.arc.sample_points(15)
+                circle, lo, hi = e.arc.circle, e.arc.start_angle, e.arc.end_angle
+                samples = np.vstack([circle.point(lo), e.arc.sample_points(15),
+                                     circle.point(hi)])
                 d = np.linalg.norm(samples[:, None, :] - pts[None, :, :], axis=2)
                 assert d.max() <= 1.0 + 1e-9
 
@@ -220,6 +223,13 @@ def nonempty_trims(cfg):
             if not scalar_trim(circle, others).is_empty:
                 out.append((i, j))
     return out
+
+
+def extracted_edges(cfg):
+    """The edges of extract_edges, whose report must be the check's."""
+    report, edges = extract_edges(cfg)
+    assert report.to_dict() == check_extremal(cfg).to_dict()
+    return edges
 
 
 def extraction_outcome(extract, cfg):
@@ -308,11 +318,16 @@ def ladder_configs():
     return tuple(cfgs)
 
 
+@functools.lru_cache(maxsize=None)
+def ladder_structures():
+    return tuple(analyze_config(cfg) for cfg in ladder_configs())
+
+
 class TestTwoStepExtraction:
     @pytest.mark.parametrize("name", ["tetra", "pentad"])
     def test_generators_match_reference(self, name):
         cfg = config_from_generator(name)
-        assert extraction_outcome(extract_edges, cfg) == \
+        assert extraction_outcome(extracted_edges, cfg) == \
             extraction_outcome(reference_extract_edges, cfg)
 
     @pytest.mark.parametrize("m", range(3, 52, 2))
@@ -320,7 +335,7 @@ class TestTwoStepExtraction:
         # the reference is O(n^3): one motion per m past n = 16
         for seed in range(100 * m, 100 * m + (4 if m <= 15 else 1)):
             cfg = moved_pyramid(m, seed)
-            got = extraction_outcome(extract_edges, cfg)
+            got = extraction_outcome(extracted_edges, cfg)
             assert got[0] == "edges" and len(got[1]) == 2 * m
             assert got == extraction_outcome(reference_extract_edges, cfg)
 
@@ -329,7 +344,7 @@ class TestTwoStepExtraction:
         cfgs = generic_sets(m)
         assert len(cfgs) == 3
         for cfg in cfgs:
-            got = extraction_outcome(extract_edges, cfg)
+            got = extraction_outcome(extracted_edges, cfg)
             assert got[0] == "edges" and len(got[1]) == 2 * m
             assert got == extraction_outcome(reference_extract_edges, cfg)
             thetas = {a for p in angle_pairs(analyze_config(cfg))
@@ -345,7 +360,7 @@ class TestTwoStepExtraction:
         report = check_extremal(cfg)
         assert report.is_extremal == (k == 2)
         if report.is_extremal:
-            assert extraction_outcome(extract_edges, cfg) == \
+            assert extraction_outcome(extracted_edges, cfg) == \
                 extraction_outcome(reference_extract_edges, cfg)
         else:
             with pytest.raises(NotExtremalError) as info:
@@ -365,9 +380,9 @@ class TestTwoStepExtraction:
         noise = np.random.default_rng(40).normal(scale=3e-8, size=(5, 3))
         cfg = PointConfig(points=np.vstack([base, extra]) + noise,
                           tol=Tolerances(dist_eps=5e-8))
-        assert extraction_outcome(extract_edges, cfg) == \
+        assert extraction_outcome(extracted_edges, cfg) == \
             extraction_outcome(reference_extract_edges, cfg)
-        gaps = [abs(cfg.dist[s, x] - 1.0) for e in extract_edges(cfg)
+        gaps = [abs(cfg.dist[s, x] - 1.0) for e in extracted_edges(cfg)
                 for s in e.support for x in e.endpoints]
         assert any(cfg.tol.dist_eps < g <= 2.0 * cfg.tol.match_eps
                    for g in gaps)
@@ -405,7 +420,7 @@ class TestTwoStepExtraction:
         # n = 52 and 102 are the structure benchmark's sizes
         for m in (21, 51, 101):
             cfg = moved_pyramid(m, 5)
-            edges = extract_edges(cfg)
+            _, edges = extract_edges(cfg)
             assert len(edges) == 2 * cfg.n - 2
             assert _candidate_pairs(cfg) == sorted({e.support for e in edges})
 
@@ -425,6 +440,16 @@ class TestPairDuals:
         for dp in pentad_structure.pairs:
             assert dp.kept.support == dp.removed.endpoint_set
             assert dp.removed.support == dp.kept.endpoint_set
+
+    def test_pairs_come_in_kept_support_order(self):
+        # one pass in edge order emits each pair at its kept edge
+        for structure in ladder_structures():
+            pairs = structure.pairs
+            kept = [dp.kept.index for dp in pairs]
+            assert kept == sorted(kept)
+            supports = [dp.kept.support for dp in pairs]
+            assert supports == sorted(supports)
+            assert all(dp.kept.support < dp.removed.support for dp in pairs)
 
     def test_pairing_is_order_insensitive(self, pentad_structure):
         # re-pair from a reversed edge list; same pairs emerge
@@ -489,10 +514,13 @@ class TestPairDuals:
         # the mesh sweeps each spindle along its kept arc as stored, so the
         # arc must start at p, end at q and span phi'
         ends = spans = 0.0
-        for cfg in ladder_configs():
-            pts = cfg.points
-            for dp in analyze_config(cfg).pairs:
-                gap = dp.kept.arc.sample_points(1) - pts[[dp.p, dp.q]]
+        for structure in ladder_structures():
+            pts = structure.config.points
+            for dp in structure.pairs:
+                arc = dp.kept.arc
+                gap = np.array([arc.circle.point(arc.start_angle),
+                                arc.circle.point(arc.end_angle)]) \
+                    - pts[[dp.p, dp.q]]
                 ends = max(ends, float(np.linalg.norm(gap, axis=1).max()))
                 spans = max(spans, abs(dp.kept.arc.span - dp.angles.phi_prime))
         # the gaps grow with n: 1.74e-12 at most, on the m = 199 pyramid
@@ -532,6 +560,24 @@ class TestPairDuals:
             tri = float(np.cross(pts[dp.p_prime] - mid, pts[dp.q_prime] - mid)
                         @ (pts[dp.p] - pts[dp.q]))
             assert tri > 0.0
+
+
+class TestAnalyzeConfig:
+    @pytest.mark.parametrize("make", [
+        lambda: config_from_generator("tetra"), lambda: moved_pyramid(51, 5)],
+        ids=["tetra", "pyramid-52"])
+    def test_checks_extremality_once(self, monkeypatch, make):
+        calls = []
+        check = polyhedron.check_extremal
+
+        def counting(cfg):
+            calls.append(cfg)
+            return check(cfg)
+        monkeypatch.setattr(polyhedron, "check_extremal", counting)
+        cfg = make()
+        structure = analyze_config(cfg)
+        assert len(calls) == 1 and calls[0] is cfg
+        assert structure.extremality.to_dict() == check(cfg).to_dict()
 
 
 class TestClassifyVertices:
@@ -775,7 +821,6 @@ class TestPointSetJson:
         cfg = config_from_json_dict(
             {"points": tetra_points().tolist(), "labels": ["a", "b", "c", "d"]})
         assert cfg.n == 4
-        assert cfg.labels == ("a", "b", "c", "d")
 
     def test_schema_violations(self):
         with pytest.raises(ValueError):
