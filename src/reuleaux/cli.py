@@ -119,23 +119,31 @@ def analyze_payload(structure: Structure) -> dict:
 
 
 def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
-               workers: int, bodies) -> dict:
+               workers: int, bodies) -> tuple[dict, dict]:
+    """The mc block and the seconds of each body's run, by label."""
     out = {"seed": seed, "samples": samples, "batch": batch, "estimates": {}}
+    seconds = {}
     mc = McConfig(seed=seed, samples=samples, batch=batch, workers=workers)
     for kind, idx in bodies:
+        started = time.perf_counter()
         label = body_label(kind, idx, len(structure.pairs))
         body = body_from_structure(structure, kind, idx)
         out["estimates"][label] = mc_volume(body, mc).to_dict()
-    return out
+        seconds[label] = time.perf_counter() - started
+    return out, seconds
 
 
-def mesh_payload(structure: Structure, refine: int, bodies) -> dict:
+def mesh_payload(structure: Structure, refine: int, bodies) -> tuple[dict, dict]:
+    """The mesh block and the seconds of each body's build, by label."""
     out = {"refine": refine, "bodies": {}}
+    seconds = {}
     for kind, idx in bodies:
+        started = time.perf_counter()
         mesh = build_body_mesh(structure, kind, refine, wedge_index=idx)
         label = body_label(kind, idx, len(structure.pairs))
         out["bodies"][label] = mesh.stats.to_dict()
-    return out
+        seconds[label] = time.perf_counter() - started
+    return out, seconds
 
 
 def cmd_validate(args) -> int:
@@ -160,8 +168,8 @@ def cmd_mc(args) -> int:
     meta, structure = _analyzed(args)
     kind, idx = parse_body(args.body)
     payload = dict(meta, **analyze_payload(structure))
-    payload["mc"] = mc_payload(structure, args.seed, args.samples, args.batch,
-                               args.workers, [(kind, idx)])
+    payload["mc"], _ = mc_payload(structure, args.seed, args.samples,
+                                  args.batch, args.workers, [(kind, idx)])
     emit_json(payload, args.json)
     return 0
 
@@ -233,13 +241,18 @@ def cmd_report(args) -> int:
     started = time.perf_counter()
     meta, structure = _analyzed(args)
     payload = dict(meta, **analyze_payload(structure))
+    timing = {}
     if args.full:
         bodies = [("reuleaux", None), ("meissner", None)]
         wedges = [("wedge", i) for i in range(len(structure.pairs))]
-        payload["mc"] = mc_payload(structure, args.seed, args.samples,
-                                   args.batch, args.workers, bodies + wedges)
-        payload["mesh"] = mesh_payload(structure, args.refine, bodies)
-    payload["timing"] = {"elapsed_s": time.perf_counter() - started}
+        # the meshes first: a refine they refuse stops the report before
+        # any draw
+        payload["mesh"], timing["mesh_s"] = mesh_payload(
+            structure, args.refine, bodies)
+        payload["mc"], timing["mc_s"] = mc_payload(
+            structure, args.seed, args.samples, args.batch, args.workers,
+            bodies + wedges)
+    payload["timing"] = dict(timing, elapsed_s=time.perf_counter() - started)
     emit_json(payload, args.json)
     return 0
 

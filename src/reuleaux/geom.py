@@ -91,8 +91,8 @@ class Tolerances:
     dual pair whose orientation sign is exactly 0, ``Circle3`` checks its
     frame to 1e-9 and its radius to 1 + 1e-12, ``circle_of_sphere_pair``
     takes centers within 1e-12 as coincident, and the Monte Carlo window of
-    unit draws is widened by 64 eps (1 + max |x|), far above its rounding
-    (``oracle._unit_window``).
+    unit draws is widened by 64 eps (1 + max |x|), far above its rounding,
+    and a wedge's ball box m +- h by a further 1e-6 (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9

@@ -11,9 +11,10 @@ from the Philox substream jumped(k) of the seed, so estimates are
 bit-identical for a fixed (seed, samples, batch) regardless of worker count.
 Before the exact test, a draw is dropped when one coordinate already puts it
 outside some ball: the box where all balls meet, widened by a rounding slack
-and mapped back to the unit draws, is a window that every hit lies in.  Only
-the kept draws are scaled, to the same floats as before, so hit counts are
-those of testing every draw.
+and mapped back to the unit draws, is a window that every hit lies in.  A
+wedge's window is also cut to the box of the ball on its kept arc's support
+segment, which holds the wedge.  Only the kept draws are scaled, to the same
+floats as before, so hit counts are those of testing every draw.
 """
 
 from __future__ import annotations
@@ -157,20 +158,44 @@ def _unit_window(body: BodySpec, lo: np.ndarray,
     cut are left out.
 
     Every body point lies within 1 of every center, so on axis a it lies in
-    [max_c c_a - 1, min_c c_a + 1].  That box is widened by the slack
-    s = 64 eps (1 + max |x|), then mapped to the draws of the sampling box
-    ``lo + u*span``.  A draw below ``low`` or above ``high`` scales to a
-    coordinate farther than 1 + s from some center: the map and this
-    window's own arithmetic round by a few ulps of the coordinates' size,
-    far below s.  The exact test subtracts that center and gets
+    [max_c c_a - 1, min_c c_a + 1].  The wedge of pair i also lies in the
+    closed ball B(m, h) whose diameter is the kept arc's support pair p', q':
+    m is the center of the kept arc's circle, of radius r, and
+    h = sqrt(1 - r^2) = |p'q'| / 2.  Proof: the wedge's boundary is the
+    spindle and two slivers, the patches ``mesh._BodyMesher.add_wedge``
+    meshes.  Every spindle row, and the removed arc, is a minor arc
+    from p' to q' of a unit circle, so by Thales' theorem it lies in the ball
+    with diameter p'q'.  Each sliver lies on the sphere of a kept endpoint,
+    between two such arcs, which lie in that sphere's cap inside the ball,
+    of angular radius asin(h) <= pi/6; the cap is geodesically convex, so
+    the sliver lies in it too.  The wedge lies in the convex hull of its
+    boundary, hence in the ball, and the wedge window is cut to the box
+    m +- (h + 1e-6).  The fixed 1e-6 covers the rounding of the membership
+    test and of m, a few ulps, and of h, about eps / h; the wedge reaches the
+    ball's sphere only at its tips p', q', where ``tests/test_oracle.py``
+    probes it down to 1e-8.
+
+    Both boxes are widened by the slack s = 64 eps (1 + max |x|), then
+    mapped to the draws of the sampling box ``lo + u*span``.  A draw below
+    ``low`` or above ``high`` scales to a coordinate farther than 1 + s
+    from some center, or farther than h + 1e-6 + s from m: the map and
+    this window's own arithmetic round by a few ulps of the coordinates'
+    size, far below s.  The exact test subtracts that center and gets
     fl(p_a - c_a) beyond 1 in magnitude, so its squared distance, a sum of
     non-negative terms, exceeds 1 and ``contains_many`` rejects the sample
-    too.
+    too; a sample beyond the ball's box is not in the wedge.
     """
     pts = body.config.points
     s = 64.0 * np.finfo(float).eps * (1.0 + float(np.abs(pts).max()))
-    low = (pts.max(axis=0) - 1.0 - s - lo) / span
-    high = (pts.min(axis=0) + 1.0 + s - lo) / span
+    bottom = pts.max(axis=0) - 1.0
+    top = pts.min(axis=0) + 1.0
+    if body.kind == "wedge":
+        circle = body.arcs[body.wedge_index].circle
+        h = math.sqrt(max(1.0 - circle.radius * circle.radius, 0.0)) + 1e-6
+        bottom = np.maximum(bottom, circle.center - h)
+        top = np.minimum(top, circle.center + h)
+    low = (bottom - s - lo) / span
+    high = (top + s - lo) / span
     return [(int(a), float(low[a]), float(high[a]))
             for a in np.argsort(high - low, kind="stable")
             if low[a] > 0.0 or high[a] < 1.0]

@@ -15,9 +15,9 @@ from reuleaux.errors import DomainError
 from reuleaux.formulas import AnglePair, reuleaux_volume_term
 from reuleaux.mesh import build_body_mesh, import_obj, mesh_area, \
     mesh_volume
-from reuleaux.oracle import BodySpec, body_from_structure
-from reuleaux.polyhedron import analyze_config, config_from_generator, \
-    tetra_points
+from reuleaux.oracle import BodySpec, body_from_structure, mc_volume
+from reuleaux.polyhedron import analyze_config, body_label, \
+    config_from_generator, tetra_points
 from test_mesh import ply_mesh
 
 
@@ -402,6 +402,47 @@ class TestOneSampler:
             assert run(["mc", "generator:tetra", "--body", label,
                         "--json", str(out)] + mc_opts) == 0
             assert load(out)["mc"]["estimates"] == {label: est}
+
+
+class TestReportRun:
+    def test_one_mc_volume_call_per_body(self, tmp_path, monkeypatch):
+        # the traced benchmark keys its spans by the body of each call
+        calls = []
+
+        def counted(body, mc):
+            calls.append(body_label(body.kind, body.wedge_index,
+                                    len(body.arcs)))
+            return mc_volume(body, mc)
+
+        monkeypatch.setattr(cli, "mc_volume", counted)
+        out = tmp_path / "r.json"
+        assert run(["report", "generator:pentad", "--full", "--samples",
+                    "2000", "--refine", "4", "--json", str(out)]) == 0
+        assert calls == ["reuleaux", "meissner", "wedge:0", "wedge:1",
+                         "wedge:2", "wedge:3"]
+        assert sorted(load(out)["mc"]["estimates"]) == sorted(calls)
+
+    def test_timing_has_each_body_run_and_build(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["report", "generator:tetra", "--full", "--samples",
+                    "2000", "--refine", "4", "--json", str(out)]) == 0
+        data = load(out)
+        timing = data["timing"]
+        assert sorted(timing) == ["elapsed_s", "mc_s", "mesh_s"]
+        assert sorted(timing["mc_s"]) == sorted(data["mc"]["estimates"])
+        assert sorted(timing["mesh_s"]) == sorted(data["mesh"]["bodies"])
+        seconds = [*timing["mc_s"].values(), *timing["mesh_s"].values()]
+        assert all(s > 0.0 for s in seconds)
+        assert sum(seconds) < timing["elapsed_s"]
+
+    def test_bad_refine_exits_before_any_draw(self, capsys, monkeypatch):
+        def refused(body, mc):
+            raise AssertionError("mc_volume ran before the refine check")
+
+        monkeypatch.setattr(cli, "mc_volume", refused)
+        assert run(["report", "generator:tetra", "--full",
+                    "--refine", "1"]) == 2
+        assert one_error(capsys, 2)["message"] == "refine must be at least 2"
 
 
 def one_error(capsys, code):

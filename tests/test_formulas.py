@@ -20,6 +20,7 @@ from reuleaux.formulas import (AnglePair, blaschke_defect_term, blaschke_gap,
                                wedge_volume_via_flux)
 from reuleaux.geom import Tolerances
 from reuleaux.polyhedron import angle_pairs
+from test_polyhedron import ladder_structures
 
 RNG = np.random.default_rng(90201)
 
@@ -117,6 +118,20 @@ class TestWedgeLemma:
 
     def test_symmetric_point_value(self):
         assert wedge_volume(SYM) == pytest.approx(7.659e-4, abs=1e-6)
+
+
+class TestTheoremBounds:
+    def test_ladder_obeys_the_theorem_bounds(self):
+        # M lies in B(X), which lies in a body of constant width 1: the
+        # isodiametric bound pi/6 and Blaschke's S = 2V + 2 pi/3 <= pi; the
+        # ladder holds the generic sets m = 5, 9 and 21
+        for structure in ladder_structures():
+            pairs = angle_pairs(structure)
+            assert volume_meissner(pairs) <= volume_reuleaux(pairs) \
+                <= math.pi / 6
+            assert surface_meissner(pairs) <= surface_reuleaux(pairs) \
+                <= math.pi
+            assert min(wedge_volume(p) for p in pairs) > 0.0
 
 
 class TestBodyAggregates:

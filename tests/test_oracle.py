@@ -12,7 +12,7 @@ from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
                              mc_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
-from test_polyhedron import pyramid_points
+from test_polyhedron import generic_sets, moved_pyramid, pyramid_points
 
 RNG = np.random.default_rng(555)
 
@@ -205,7 +205,17 @@ def far_configs():
             for name, pts in base.items() for shift in (3e4, -2e5, 1e6)}
 
 
-WINDOW_CONFIGS = {**KERNEL_CONFIGS, **far_configs()}
+# with thin wedges: the moved n = 22 pyramid and a generic n = 10 set
+WINDOW_CONFIGS = {**KERNEL_CONFIGS, **far_configs(),
+                  "pyramid22": moved_pyramid(21, 147).points,
+                  "generic10": generic_sets(9)[0].points}
+
+
+def support_ball(structure, i):
+    """Center and radius of the ball whose diameter is the kept support pair
+    p', q' of pair i: m, the center of the kept arc's circle, and h."""
+    a, b = (structure.config.points[j] for j in structure.pairs[i].kept.support)
+    return 0.5 * (a + b), 0.5 * float(np.linalg.norm(a - b))
 
 
 class TestUnitWindow:
@@ -224,6 +234,10 @@ class TestUnitWindow:
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_draws_just_outside_map_beyond_a_center(self, name):
+        # the tighter of two boxes sets each edge: the box of all balls,
+        # beyond which draws map beyond a center, and for a wedge the box of
+        # B(m, h) on its kept support pair, beyond which they map farther
+        # than h from m
         structure = analyze_config(PointConfig(WINDOW_CONFIGS[name]))
         centers = structure.config.points
         for kind, idx in every_body(structure):
@@ -232,24 +246,81 @@ class TestUnitWindow:
             span = hi - lo
             window = _unit_window(body, lo, span)
             assert window, (kind, idx)
+            if kind == "wedge":
+                m, h = support_ball(structure, idx)
             middle = np.full(3, 0.5)
             for a, low, high in window:
                 middle[a] = 0.5 * (max(low, 0.0) + min(high, 1.0))
             for a, low, high in window:
                 sides = ((low, -1.0, centers[:, a].max()),
-                         (high, 2.0, centers[:, a].min()))
-                for edge, toward, extreme in sides:
+                         (high, 1.0, centers[:, a].min()))
+                for edge, sign, extreme in sides:
                     if not 0.0 < edge < 1.0:
                         continue
                     u = np.tile(middle, (4, 1))
                     for ulps in range(4):
                         # 1, 2, 3 and 4 ulps outside the window
-                        edge = np.nextafter(edge, toward)
+                        edge = np.nextafter(edge, 2.0 * sign)
                         u[ulps, a] = edge
                     pts = u * span
                     pts += lo
-                    assert np.all(np.abs(pts[:, a] - extreme) > 1.0), (kind, a)
+                    if kind == "wedge" and \
+                            sign * (m[a] + sign * h - (extreme + sign)) < 0.0:
+                        assert np.all(np.abs(pts[:, a] - m[a]) > h), (idx, a)
+                    else:
+                        assert np.all(np.abs(pts[:, a] - extreme) > 1.0), \
+                            (kind, a)
                     assert not contains_many(body, pts).any(), (kind, a)
+
+
+def ball_configs():
+    sets = {"tetra": config_from_generator("tetra"),
+            "pentad": config_from_generator("pentad")}
+    sets.update({f"pyramid{m + 1}": moved_pyramid(m, 7 * m)
+                 for m in (5, 9, 21, 51)})
+    sets.update({f"generic{m + 1}.{k}": cfg for m in (5, 9, 21)
+                 for k, cfg in enumerate(generic_sets(m))})
+    return sets
+
+
+BALL_CONFIGS = ball_configs()
+
+
+class TestWedgeInSupportBall:
+    """Every wedge point lies in the closed ball B(m, h) whose diameter is
+    its kept support pair p', q' (the lemma of ``oracle._unit_window``)."""
+
+    @pytest.mark.parametrize("name", sorted(BALL_CONFIGS))
+    def test_accepted_samples_lie_in_the_ball(self, name):
+        structure = analyze_config(BALL_CONFIGS[name])
+        rng = np.random.default_rng(31)
+        for i, dp in enumerate(structure.pairs):
+            body = body_from_structure(structure, "wedge", i)
+            m, h = support_ball(structure, i)
+            lo, hi = bounding_box(body)
+            probes = [lo + rng.random((20_000, 3)) * (hi - lo)]
+            # the wedge is thin: probe around its edge, the removed arc, and
+            # in shells at 1e-2 ... 1e-8 around its tips p', q', the ends
+            # of that arc, centered on the arc with spreads of 1 ... 1e-3
+            # of the shell's radius
+            arc = dp.removed.arc
+            edge = arc.sample_points(64)
+            spread = 10.0 ** -np.repeat(np.arange(4), 32)[:, None]
+            for r in 10.0 ** -np.arange(2, 9):
+                probes.append(edge + r * h * rng.standard_normal(edge.shape))
+                turn = r / arc.circle.radius
+                for psi in (arc.start_angle + turn, arc.end_angle - turn):
+                    probes.append(arc.circle.point(psi) + r * spread
+                                  * rng.standard_normal((len(spread), 3)))
+            pts = np.vstack(probes)
+            hits = pts[contains_many(body, pts)]
+            tips = structure.config.points[list(dp.kept.support)]
+            # some hits lie in the innermost shells
+            assert np.linalg.norm(hits[:, None] - tips, axis=2).min() < 1e-7, \
+                (name, i)
+            # rounding aside, far inside the window's 1e-6
+            assert np.linalg.norm(hits - m, axis=1).max() <= h + 1e-12, \
+                (name, i)
 
 
 class TestMcVolume:
