@@ -17,8 +17,8 @@ from .formulas import (AnglePair, BodyScalars, blaschke_defect_term,
                        surface_reuleaux, volume_meissner, volume_reuleaux,
                        wedge_volume, wedge_volume_via_flux)
 from .geom import ArcOnCircle, Circle3, Tolerances, circle_of_sphere_pair
-from .mesh import (MeshBuilder, TriangleMesh, build_body_mesh, export_obj,
-                   export_ply, inspect_mesh, mesh_area, mesh_volume)
+from .mesh import (TriangleMesh, build_body_mesh, export_obj, export_ply,
+                   inspect_mesh, mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
                      bounding_box, mc_volume)
 from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
@@ -46,8 +46,8 @@ __all__ = [
     "BodySpec", "McConfig", "McEstimate", "body_from_structure",
     "bounding_box", "mc_volume",
     # meshes
-    "MeshBuilder", "TriangleMesh", "build_body_mesh", "export_obj",
-    "export_ply", "inspect_mesh", "mesh_area", "mesh_volume",
+    "TriangleMesh", "build_body_mesh", "export_obj", "export_ply",
+    "inspect_mesh", "mesh_area", "mesh_volume",
     # errors
     "DegenerateInputError", "DomainError", "GeometryError", "MeshError",
     "NotExtremalError", "StructureError",

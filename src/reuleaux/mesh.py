@@ -15,15 +15,15 @@ computes them in one pass over blocks of triangles: block temporaries are
 small enough to be reused from the heap, where whole-mesh ones would be
 page-faulted afresh on every check.
 
-Meshes are written as ASCII OBJ or PLY; only OBJ is read back, for
-round-trip checks.
+Meshes are written as ASCII OBJ or PLY; only OBJ is read back, exactly as
+``export_obj`` writes it, for round-trip checks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,19 +152,22 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
     n = mesh.n_vertices
     tail = t.ravel()
     head = np.roll(t, -1, axis=1).ravel()
-    keys = np.multiply(tail, n)
+    # one sort for both checks: a directed edge's key is its undirected key
+    # min*n + max, shifted left by one, plus its direction bit
+    up = tail > head
+    keys = np.minimum(tail, head)
+    keys *= n
+    np.maximum(tail, head, out=head)
     keys += head
+    keys <<= 1
+    keys += up
     keys.sort()
     # step[i] marks keys[i] != keys[i - 1]: a new directed, then undirected, edge
     step = np.empty(keys.size, dtype=bool)
     step[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=step[1:])
     oriented = bool(step.all())
-    np.minimum(tail, head, out=keys)
-    keys *= n
-    np.maximum(tail, head, out=head)
-    keys += head
-    keys.sort()
+    keys >>= 1
     np.not_equal(keys[1:], keys[:-1], out=step[1:])
     # a run of equal sorted keys is one edge, its length the edge's use count;
     # every run has length 2 exactly when the runs start at every even slot
@@ -392,7 +395,7 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
     """Signed solid angle subtended by a closed loop of unit directions."""
     d = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     a, b, c = d[0], d[1:-1], d[2:]
-    num = np.cross(b, c) @ a
+    num = np.column_stack(cross(b.T, c.T)) @ a
     den = 1.0 + b @ a + np.einsum("ij,ij->i", b, c) + c @ a
     return float(2.0 * np.arctan2(num, den).sum())
 
@@ -539,65 +542,37 @@ def export_obj(mesh: TriangleMesh, path: str) -> None:
                  % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
-def _obj_rows(fh, tag: str):
-    """The text after ``tag`` on each line whose first whitespace token is
-    ``tag``, in one pass over ``fh``.
-
-    A bare tag is yielded whole, so numpy refuses it where it would skip a
-    blank row.  A face's ``i/j/k`` keeps its vertex index ``i``; an empty
-    ``i`` keeps the slashes, which numpy refuses.
-    """
-    for line in fh:
-        s = line.lstrip()
-        if s[:1] != tag:
-            continue
-        rest = s[1:]
-        if not rest or rest.isspace():
-            yield s
-        elif rest[0].isspace():
-            if tag == "f" and "/" in rest:
-                rest = " ".join(p.split("/")[0] or p for p in rest.split())
-            yield rest
-
-
-def _obj_block(fh, tag: str, dtype, usecols=None) -> np.ndarray:
-    """The ``tag`` rows of the file parsed by ``np.loadtxt``, (0, 3) when
-    there are none.  Raises MeshError with numpy's reason when it refuses
-    a row, or when the file is not UTF-8."""
-    fh.seek(0)
-    rows = _obj_rows(fh, tag)
-    try:
-        first = next(rows, None)
-        # loadtxt warns on an empty stream
-        if first is None:
-            return np.zeros((0, 3), dtype=dtype)
-        return np.loadtxt(itertools.chain([first], rows), dtype=dtype,
-                          usecols=usecols, ndmin=2, comments=None)
-    except ValueError as exc:
-        what = "vertex coordinate" if tag == "v" else "face index"
-        raise MeshError(f"OBJ file {fh.name}: cannot read its {tag} ({what}) "
-                        f"rows: {exc}") from None
+# export_obj's row, its tag two characters wide so that vn and the like fail
+_OBJ_ROW = np.dtype([("tag", "U2"), ("xyz", float, 3)])
 
 
 def import_obj(path: str) -> TriangleMesh:
-    """Read ``v`` and ``f`` lines; face indices must lie in 1..vertex count.
-
-    Two streaming passes over the file hand the ``v`` rows and then the
-    ``f`` rows to numpy's text reader, whose number grammar is Python's
-    without ``_`` digit grouping or non-ASCII digits.  The mesh layer is
-    triangle-only.  Raises MeshError naming the file: with numpy's reason
-    (its row and column) when it refuses a row, or when the faces have
-    other than three indices or an index outside 1..vertex count.
+    """Read what ``export_obj`` writes: ``v x y z`` and ``f i j k`` rows,
+    blank lines and text after ``#``, in one ``np.loadtxt`` call, whose
+    number grammar is Python's without ``_`` digit grouping or non-ASCII
+    digits.  Raises MeshError naming the file: with numpy's reason (its row
+    and column) when it refuses a row or the file is not UTF-8, for any
+    other tag, and for a face index not a whole number in 1..vertex count.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        v = _obj_block(fh, "v", float, usecols=(0, 1, 2))
-        t = _obj_block(fh, "f", np.int64)
-    if t.shape[1] != 3:
-        raise MeshError(f"OBJ file {path}: faces have {t.shape[1]} indices, "
-                        "need 3")
-    if t.size and (t.min() < 1 or t.max() > len(v)):
-        raise MeshError(f"OBJ file {path}: face indices must lie in "
-                        f"1..{len(v)}, got {t.min()}..{t.max()}")
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty or comment-only file is the empty mesh
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, _OBJ_ROW, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise MeshError(f"OBJ file {path}: {exc}") from None
+    tags = rows["tag"]
+    v, f = (rows["xyz"][tags == tag] for tag in "vf")
+    if len(v) + len(f) < len(rows):
+        raise MeshError(f"OBJ file {path}: only v and f records are read, got "
+                        f"{np.setdiff1d(tags, ['v', 'f']).tolist()}")
+    # the row block goes before the index cast, which bounds the peak memory
+    del rows, tags
+    bad = f[(f != np.rint(f)) | (f < 1) | (f > len(v))]
+    if bad.size:
+        raise MeshError(f"OBJ file {path}: face indices must be whole numbers "
+                        f"in 1..{len(v)}, got {bad[0]}")
+    t = f.astype(np.int64)
     t -= 1
     # read-only, so the mesh holds the parsed arrays uncopied
     v.flags.writeable = t.flags.writeable = False

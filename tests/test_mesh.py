@@ -314,9 +314,8 @@ class TestWindingConvention:
             build_body_mesh(pentad_structure, kind, 8, wedge_index=index)
 
 
-# the reasons of a refused OBJ file, after its name
-_V_ROWS = r"cannot read its v \(vertex coordinate\) rows"
-_F_ROWS = r"cannot read its f \(face index\) rows"
+# numpy's reason for a row with other than a tag and three numbers
+_COLUMNS = "the dtype passed requires 4 columns but {} were found"
 _TETRA_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
 _SQUARE_PYRAMID_VERTICES = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
 
@@ -349,45 +348,56 @@ class TestExportImport:
         assert int(face_line.split()[2]) == mesh.n_triangles
 
     @pytest.mark.parametrize("face, index", [
-        ("f 0 2 3", 0), ("f 1 -1 3", -1), ("f 2 3 9", 9)])
+        ("f 0 2 3", 0), ("f 1 -1 3", -1), ("f 2 3 9", 9), ("f 1 2 2.5", 2.5),
+        ("f 1 nan 3", math.nan), ("f -inf 2 3", -math.inf)])
     def test_obj_face_index_out_of_range(self, tmp_path, face, index):
         path = tmp_path / "bad.obj"
         path.write_text("# tetrahedron\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
                         f"f 1 3 2\n\n{face}\n")
-        # the first face, f 1 3 2, spans 1..3
-        with pytest.raises(MeshError, match=r"bad\.obj: face indices must lie "
-                                            rf"in 1\.\.4, got {min(index, 1)}"
-                                            rf"\.\.{max(index, 3)}$"):
+        # the first face, f 1 3 2, is good
+        with pytest.raises(MeshError, match=r"bad\.obj: face indices must be "
+                                            r"whole numbers in 1\.\.4, got "
+                                            rf"{re.escape(str(float(index)))}$"):
             import_obj(str(path))
 
     @pytest.mark.parametrize("text, reason", [
         # numpy's text reader skips a blank row; a bare tag is no blank row
-        pytest.param("v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", _V_ROWS,
+        pytest.param("v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", _COLUMNS.format(1),
                      id="bare-v"),
-        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\n  v  \nf 1 2 3\n", _V_ROWS,
-                     id="bare-v-between-blanks"),
-        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf\n", _F_ROWS,
-                     id="bare-f"),
-        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf", _F_ROWS,
-                     id="bare-f-at-end"),
-        # one short vertex: numpy alone would refuse the ragged rows
+        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\n  v  \nf 1 2 3\n",
+                     _COLUMNS.format(1), id="bare-v-between-blanks"),
+        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf\n",
+                     _COLUMNS.format(1), id="bare-f"),
+        pytest.param("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf",
+                     _COLUMNS.format(1), id="bare-f-at-end"),
         pytest.param("# short vertex\nv 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
-                     _V_ROWS, id="one-vertex-with-two-coordinates"),
-        # every vertex short, 6 numbers: numpy alone would regroup them as
-        # two vertices without a word
+                     _COLUMNS.format(3), id="one-vertex-with-two-coordinates"),
+        # every vertex short, 6 numbers: they must not regroup as two vertices
         pytest.param("# short vertex\nv 0 0\nv 1 0\nv 0 1\nf 1 2 3\n",
-                     _V_ROWS, id="every-vertex-with-two-coordinates"),
-        pytest.param(_TETRA_VERTICES + "f 1 3 2\nf 1 2\n", _F_ROWS,
+                     _COLUMNS.format(3), id="every-vertex-with-two-coordinates"),
+        pytest.param("v 0 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+                     _COLUMNS.format(5), id="a-fourth-vertex-number"),
+        pytest.param(_TETRA_VERTICES + "f 1 3 2\nf 1 2\n", _COLUMNS.format(3),
                      id="one-face-with-two-indices"),
         pytest.param(_TETRA_VERTICES + "f 1 2\nf 2 3\nf 3 4\n",
-                     "faces have 2 indices, need 3$",
-                     id="every-face-with-two-indices"),
+                     _COLUMNS.format(3), id="every-face-with-two-indices"),
         # a square pyramid whose base is one quad, then a pentagon
         pytest.param(_SQUARE_PYRAMID_VERTICES + "f 1 3 2\nf 1 4 3 2\n",
-                     _F_ROWS, id="one-quad"),
+                     _COLUMNS.format(5), id="one-quad"),
         pytest.param(_SQUARE_PYRAMID_VERTICES + "f 1 2 3 4 5\n",
-                     "faces have 5 indices, need 3$", id="every-face-a-pentagon"),
-        pytest.param(b"v 0 0 0\nv 1 0 \xe9\n", _V_ROWS + ": 'utf-8' codec",
+                     _COLUMNS.format(6), id="every-face-a-pentagon"),
+        # export_obj writes no corner slashes and no other records
+        pytest.param("v 0.5 -0 1e-320\nf 1 1/2/3 1//3\n",
+                     "could not convert string '1/2/3' to float64",
+                     id="slash-corners"),
+        pytest.param(_TETRA_VERTICES + "vn 0 0 1\nf 1 2 3\n",
+                     r"only v and f records are read, got \['vn'\]$",
+                     id="normal-record"),
+        pytest.param("o body\n" + _TETRA_VERTICES, _COLUMNS.format(2),
+                     id="object-record"),
+        pytest.param(_TETRA_VERTICES + "vt 0.5 0.5\n", _COLUMNS.format(3),
+                     id="texture-record"),
+        pytest.param(b"v 0 0 0\nv 1 0 \xe9\n", "'utf-8' codec",
                      id="not-utf-8")])
     def test_obj_refused(self, tmp_path, text, reason):
         path = tmp_path / "bad.obj"
@@ -400,21 +410,24 @@ class TestExportImport:
         path = tmp_path / "word.obj"
         path.write_text("# a word for a number\nv 0 0 0\n\nv 1 x 0\n"
                         "v 0 1 0\nf 1 2 3\n")
-        with pytest.raises(MeshError, match=r"word\.obj: " + _V_ROWS + ": .*'x'"):
+        with pytest.raises(MeshError, match=r"word\.obj: could not convert "
+                                            "string 'x' to float64"):
             import_obj(str(path))
 
     def test_obj_non_numeric_face_index(self, tmp_path):
         path = tmp_path / "word.obj"
         path.write_text(_TETRA_VERTICES + "f 1 3 2\n"
                         "# a word for an index\nf 1 2 a\n")
-        with pytest.raises(MeshError, match=r"word\.obj: " + _F_ROWS + ": .*'a'"):
+        with pytest.raises(MeshError, match=r"word\.obj: could not convert "
+                                            "string 'a' to float64"):
             import_obj(str(path))
 
     def test_obj_face_index_beyond_int64(self, tmp_path):
         path = tmp_path / "huge.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
-        with pytest.raises(MeshError, match=r"huge\.obj: " + _F_ROWS
-                                            + ": .*'99999999999999999999'"):
+        with pytest.raises(MeshError, match=r"huge\.obj: face indices must be "
+                                            r"whole numbers in 1\.\.3, got "
+                                            r"1e\+20$"):
             import_obj(str(path))
 
     def test_empty_mesh_header_only(self, tmp_path):
@@ -428,17 +441,22 @@ class TestExportImport:
         assert [a.shape for a in read_ply(str(ply))] == [(0, 3), (0, 4)]
 
     def test_obj_vertices_without_faces(self, tmp_path):
-        # an empty face stream: no numpy warning, which would be an error here
+        # no faces, and a file of nothing: no numpy warning, which would be an
+        # error here
         path = tmp_path / "cloud.obj"
         path.write_text("# points only\nv 0 0 0\nv 1 0 0\n")
         mesh = import_obj(str(path))
         assert mesh.vertices.shape == (2, 3)
         assert mesh.triangles.shape == (0, 3)
         assert mesh.triangles.dtype == np.int64
+        path.write_text("")
+        mesh = import_obj(str(path))
+        assert mesh.vertices.shape == mesh.triangles.shape == (0, 3)
 
     def test_obj_one_vertex_and_one_face(self, tmp_path):
+        # face indices are read as floats: 1.0 and 1e0 are the index 1
         path = tmp_path / "one.obj"
-        path.write_text("v 0.5 -0 1e-320\nf 1 1/2/3 1//3\n")
+        path.write_text("v 0.5 -0 1e-320\nf 1 1.0 1e0\n")
         mesh = import_obj(str(path))
         assert mesh.vertices.shape == (1, 3)
         assert mesh.vertices.tobytes() == np.array([[0.5, -0.0, 1e-320]]).tobytes()
@@ -447,35 +465,40 @@ class TestExportImport:
     def test_obj_face_index_one_past_the_last(self, tmp_path):
         path = tmp_path / "past.obj"
         path.write_text(_TETRA_VERTICES + "f 1 3 2\nf 1 2 5\n")
-        with pytest.raises(MeshError, match=r"past\.obj: face indices must lie "
-                                            r"in 1\.\.4, got 1\.\.5$"):
+        with pytest.raises(MeshError, match=r"past\.obj: face indices must be "
+                                            r"whole numbers in 1\.\.4, got "
+                                            r"5\.0$"):
             import_obj(str(path))
 
     def test_obj_face_corner_without_vertex_index(self, tmp_path):
         # "/4" has no vertex index; it must not vanish from a quad
         path = tmp_path / "corner.obj"
         path.write_text(_TETRA_VERTICES + "f 1 2 3 /4\n")
-        with pytest.raises(MeshError, match=r"corner\.obj: " + _F_ROWS
-                                            + ": .*'/4'"):
+        with pytest.raises(MeshError, match=r"corner\.obj: "
+                                            + _COLUMNS.format(5)):
             import_obj(str(path))
 
-    @pytest.mark.parametrize("line, lineno, what", [
-        ("v 1_0 0 0", 2, "vertex coordinate"),
-        ("v 0 \u0661 0", 2, "vertex coordinate"),
-        ("v 0 0 \uff11", 2, "vertex coordinate"),
-        ("f 1 2 3_0", 5, "face index"),
-        ("f 1 \u0662 3", 5, "face index"),
-        ("f 1 2/1 3\u0663/1", 5, "face index")])
-    def test_obj_grouped_or_non_ascii_number(self, tmp_path, line, lineno,
-                                             what):
-        # Python's float and int take these tokens; numpy's reader does not
+    @pytest.mark.parametrize("line, lineno", [
+        pytest.param(line, lineno, id=f"{line}-{lineno}-{what}")
+        for line, lineno, what in [
+            ("v 1_0 0 0", 2, "vertex coordinate"),
+            ("v 0 \u0661 0", 2, "vertex coordinate"),
+            ("v 0 0 \uff11", 2, "vertex coordinate"),
+            ("f 1 2 3_0", 5, "face index"),
+            ("f 1 \u0662 3", 5, "face index"),
+            ("f 1 2/1 3\u0663/1", 5, "face index")]])
+    def test_obj_grouped_or_non_ascii_number(self, tmp_path, line, lineno):
+        # Python's float takes these tokens, slashes aside; numpy's reader
+        # does not
         lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
         lines.insert(lineno - 1, line)
         path = tmp_path / "grouped.obj"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(MeshError, match=r"grouped\.obj: cannot read its "
-                                            rf"{line[0]} \({what}\) rows: "):
+        with pytest.raises(MeshError, match=r"grouped\.obj: could not convert "
+                                            "string '(.*)' to float64") as exc:
             import_obj(str(path))
+        token = re.search("string '(.*)' to", str(exc.value)).group(1)
+        assert token in line.split()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +507,23 @@ class TestExportImport:
 # the reference for the numpy one
 
 def _import_obj_loop(path):
-    """import_obj with Python's float and int on lists of rows."""
-    verts, tris = [], []
+    """import_obj with str.split and Python's float on lists of rows."""
+    rows = {"v": [], "f": []}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            parts = line.split()
+            parts = line.partition("#")[0].split()
+            if not parts:
+                continue
+            if parts[0] not in rows or len(parts) != 4:
+                raise MeshError("not a v or f row of three numbers")
             try:
-                if parts[:1] == ["v"]:
-                    verts.append([float(p) for p in parts[1:4]])
-                elif parts[:1] == ["f"]:
-                    tris.append([int(p.split("/")[0]) for p in parts[1:]])
+                rows[parts[0]].append([float(p) for p in parts[1:]])
             except ValueError:
                 raise MeshError("not a number") from None
-    if any(len(xyz) < 3 for xyz in verts):
-        raise MeshError("a vertex has fewer than 3 coordinates")
-    if any(len(face) != 3 for face in tris):
-        raise MeshError("a face has other than 3 indices")
-    if any(not 1 <= i <= len(verts) for face in tris for i in face):
-        raise MeshError("a face index is outside 1..vertex count")
+    verts, tris = rows["v"], rows["f"]
+    if not all(i.is_integer() and 1 <= i <= len(verts)
+               for face in tris for i in face):
+        raise MeshError("a face index is not a whole number in 1..vertex count")
     return TriangleMesh(
         vertices=np.array(verts, dtype=float).reshape(-1, 3),
         triangles=np.array(tris, dtype=np.int64).reshape(-1, 3) - 1)
@@ -896,14 +918,18 @@ class TestCheckOnce:
 COORDS = st.one_of(st.floats(width=64).map(repr), st.sampled_from(
     ["0", "-0", "+3", "nan", "-nan", "inf", "-Infinity", "1e-320",
      "4.9e-324", ".5", "1.", "1E5", "1e400"]))
-CORNER_FORMS = ["{}", "{}/1", "{}//2", "{}/3/4", "{}/"]
-OTHER_LINES = ["#", "# v 1 2 3", "", "vn 0 0 1", "vt 0.5 0.5", "o body",
-               "g part", "s off", "usemtl m", "#v 1", "vx 1 2 3", "fo 1 2 3",
-               "v#", "f#"]
+# spellings of a face index, all of which both readers take
+CORNER_FORMS = ["{}", "{}", "{}.0", "{}e0", "+{}", "0{}"]
+SKIPPED_LINES = ["#", "# v 1 2 3", "", "#v 1"]
+# records and corners that export_obj does not write
+OTHER_RECORDS = ["vn 0 0 1", "vt 0.5 0.5", "o body", "g part", "s off",
+                 "usemtl m", "vx 1 2 3", "fo 1 2 3", "v#", "f#",
+                 "f 1/1 2/2 3/3", "f 1//2 1 1", "f", "v"]
 WORDS = ["x", "1.5.2", "--1", "1/2", "0x10", "nan(1)", "1e", "/", "/3",
-         "1.0", "1e0"]
+         "1/2/3", "1//3"]
 INDICES = ["0", "-1", "-3", "99", "+1", "01", "9223372036854775807",
-           "99999999999999999999", "-99999999999999999999"]
+           "99999999999999999999", "-99999999999999999999", "1.5", "nan",
+           "inf", "-0", "1.0", "1e0"]
 GROUPED = ["1_0", "0_1", "\u0661", "\uff11", "1\u0662"]
 GAPS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\x1f", "\xa0", "\x85",
         "\u2003", "\u2028"]
@@ -916,17 +942,17 @@ def obj_texts(draw):
     n = draw(st.integers(1, 5))
     corner = st.builds(lambda form, i: form.format(i),
                        st.sampled_from(CORNER_FORMS), st.integers(1, n))
-    rows = ([["v"] + draw(st.lists(COORDS, min_size=3, max_size=4))
+    rows = ([["v"] + draw(st.lists(COORDS, min_size=3, max_size=3))
              for _ in range(n)]
             + draw(st.lists(st.lists(corner, min_size=3, max_size=3).map(
                 lambda c: ["f"] + c), max_size=6))
             + [line.split() for line in draw(st.lists(
-                st.sampled_from(OTHER_LINES), max_size=4))])
+                st.sampled_from(SKIPPED_LINES), max_size=4))])
     rows = draw(st.permutations(rows))
     grouped = False
     for _ in range(draw(st.integers(0, 3))):
         mutation = draw(st.sampled_from(
-            ["short", "long", "word", "index", "grouped"]))
+            ["short", "long", "word", "index", "grouped", "record"]))
         # an index mutant goes into a face
         targets = [k for k, row in enumerate(rows)
                    if mutation != "index" or row[:1] == ["f"]]
@@ -939,6 +965,8 @@ def obj_texts(draw):
         elif mutation == "long":
             row += draw(st.lists(st.sampled_from(["1", "2", "0.5", "x"]),
                                  min_size=1, max_size=2))
+        elif mutation == "record":
+            row = draw(st.sampled_from(OTHER_RECORDS)).split()
         elif len(row) > 1:
             pool = {"word": WORDS, "index": INDICES + [str(n + 1)],
                     "grouped": GROUPED}
@@ -951,7 +979,7 @@ def obj_texts(draw):
     for row in rows:
         gap = draw(st.sampled_from(GAPS[:3] + [draw(st.sampled_from(GAPS))]))
         lead = draw(st.sampled_from(["", "", " ", "\t "]))
-        tail = draw(st.sampled_from(["", "", " ", "\t"]))
+        tail = draw(st.sampled_from(["", "", " ", "\t", " # v 1", "#f"]))
         lines.append(lead + gap.join(row) + tail)
     text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
     return text, grouped

@@ -321,6 +321,13 @@ class TestWedgeInSupportBall:
             # rounding aside, far inside the window's 1e-6
             assert np.linalg.norm(hits - m, axis=1).max() <= h + 1e-12, \
                 (name, i)
+            # mapped back to unit draws, every hit lies in the sampler's
+            # window: a window that cut off the tips would drop these
+            span = hi - lo
+            u = (hits - lo) / span
+            for a, low, high in _unit_window(body, lo, span):
+                assert low <= u[:, a].min() and u[:, a].max() <= high, \
+                    (name, i, a)
 
 
 class TestMcVolume:

@@ -54,7 +54,7 @@ def test_removed_names_are_gone(module, name):
     (oracle, "BODY_KINDS"), (cli, "_label"), (mesh, "SpindleFrame"),
     (mesh, "_chord_angle"), (geom, "ArcOnCircle.sample_angles"),
     (mesh, "_number"), (mesh, "_obj_records"), (mesh, "_refuse_obj"),
-    (cli, "_mesh_block")])
+    (cli, "_mesh_block"), (mesh, "_obj_rows"), (mesh, "_obj_block")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
@@ -65,6 +65,13 @@ def test_obj_reader_is_not_exported():
     assert hasattr(mesh, "import_obj")
     assert not hasattr(reuleaux, "import_obj")
     assert "import_obj" not in reuleaux.__all__
+
+
+def test_mesh_builder_is_not_exported():
+    # kept in reuleaux.mesh for the body mesher and the tests only
+    assert hasattr(mesh, "MeshBuilder")
+    assert not hasattr(reuleaux, "MeshBuilder")
+    assert "MeshBuilder" not in reuleaux.__all__
 
 
 def perfbench_patches():
