@@ -9,8 +9,9 @@ boundary meshes.
 
 from .errors import (DegenerateInputError, DomainError, GeometryError,
                      MeshError, NotExtremalError, StructureError)
-from .formulas import (AnglePair, BodyScalars, blaschke_defect_term,
-                       blaschke_gap, meissner_area_term, meissner_scalars,
+from .formulas import (AnglePair, BodyScalars, PairTerm,
+                       blaschke_defect_term, blaschke_gap,
+                       meissner_area_term, meissner_scalars,
                        reuleaux_area_term, reuleaux_scalars,
                        reuleaux_volume_term, sliver_area, sliver_flux,
                        spindle_area, spindle_flux, surface_meissner,
@@ -36,12 +37,12 @@ __all__ = [
     "config_from_generator", "config_from_json_dict", "extract_edges",
     "pair_duals", "pentad_points", "tetra_points",
     # closed forms
-    "AnglePair", "BodyScalars", "blaschke_defect_term", "blaschke_gap",
-    "meissner_area_term", "meissner_scalars", "reuleaux_area_term",
-    "reuleaux_scalars", "reuleaux_volume_term", "sliver_area", "sliver_flux",
-    "spindle_area", "spindle_flux", "surface_meissner", "surface_reuleaux",
-    "volume_meissner", "volume_reuleaux", "wedge_volume",
-    "wedge_volume_via_flux",
+    "AnglePair", "BodyScalars", "PairTerm", "blaschke_defect_term",
+    "blaschke_gap", "meissner_area_term", "meissner_scalars",
+    "reuleaux_area_term", "reuleaux_scalars", "reuleaux_volume_term",
+    "sliver_area", "sliver_flux", "spindle_area", "spindle_flux",
+    "surface_meissner", "surface_reuleaux", "volume_meissner",
+    "volume_reuleaux", "wedge_volume", "wedge_volume_via_flux",
     # Monte Carlo oracle
     "BodySpec", "McConfig", "McEstimate", "body_from_structure",
     "bounding_box", "mc_volume",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import re
@@ -58,18 +59,23 @@ def parse_body(text: str) -> tuple[str, int | None]:
 
 
 def _finite(value):
-    """The payload with every non-finite float replaced by None."""
+    """The payload as JSON values: a record becomes the dict of its fields,
+    and every non-finite float None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _finite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _finite(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return value
 
 
 def emit_json(payload: dict, path: str | None) -> None:
-    """Write the payload as RFC 8259 JSON: a non-finite float becomes null."""
+    """Write the payload as RFC 8259 JSON: a record becomes the object of
+    its fields, and a non-finite float null."""
     text = json.dumps(_finite(payload), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     if path:
@@ -109,11 +115,11 @@ def analyze_payload(structure: Structure) -> dict:
             "wedge_volume": formulas.wedge_volume(p),
         })
     return {
-        "extremality": structure.extremality.to_dict(),
-        "structure": structure.report.to_dict(),
+        "extremality": structure.extremality,
+        "structure": structure.report,
         "pairs": table,
-        "reuleaux": formulas.reuleaux_scalars(pairs).to_dict(),
-        "meissner": formulas.meissner_scalars(pairs).to_dict(),
+        "reuleaux": formulas.reuleaux_scalars(pairs),
+        "meissner": formulas.meissner_scalars(pairs),
         "blaschke_gap": formulas.blaschke_gap(pairs),
     }
 
@@ -128,7 +134,7 @@ def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
         started = time.perf_counter()
         label = body_label(kind, idx, len(structure.pairs))
         body = body_from_structure(structure, kind, idx)
-        out["estimates"][label] = mc_volume(body, mc).to_dict()
+        out["estimates"][label] = mc_volume(body, mc)
         seconds[label] = time.perf_counter() - started
     return out, seconds
 
@@ -150,7 +156,7 @@ def cmd_validate(args) -> int:
     tol = Tolerances(dist_eps=args.tol_dist)
     cfg = load_input(args.input, tol)
     report = check_extremal(cfg)
-    payload = dict(_meta(args, tol), extremality=report.to_dict())
+    payload = dict(_meta(args, tol), extremality=report)
     emit_json(payload, args.json)
     if not report.is_extremal:
         return _fail(2, "validation", "point set is not extremal")
@@ -332,7 +338,7 @@ def main(argv=None) -> int:
         # the report is written first, so an unwritable --json path gives
         # one error, exit 5, as it does for validate
         try:
-            emit_json({"extremality": exc.report.to_dict()},
+            emit_json({"extremality": exc.report},
                       getattr(args, "json", None))
         except OSError as io_exc:
             return _fail(5, "io", str(io_exc))

@@ -214,22 +214,21 @@ def blaschke_defect_term(p: AnglePair) -> float:
 
 
 @dataclass(frozen=True)
+class PairTerm:
+    """One dual pair's angles and its term of a body's closed form."""
+
+    theta: float
+    theta_prime: float
+    term: float
+
+
+@dataclass(frozen=True)
 class BodyScalars:
     """Closed-form volume and surface area with the per-pair terms."""
 
     volume: float
     surface_area: float
-    per_pair_terms: tuple[tuple[float, float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "surface_area": self.surface_area,
-            "per_pair_terms": [
-                {"theta": t, "theta_prime": tp, "term": v}
-                for t, tp, v in self.per_pair_terms
-            ],
-        }
+    per_pair_terms: tuple[PairTerm, ...]
 
 
 def volume_reuleaux(pairs) -> float:
@@ -255,8 +254,9 @@ def reuleaux_scalars(pairs) -> BodyScalars:
     return BodyScalars(
         volume=volume_reuleaux(pairs),
         surface_area=surface_reuleaux(pairs),
-        per_pair_terms=tuple((p.theta, p.theta_prime, reuleaux_volume_term(p))
-                             for p in pairs),
+        per_pair_terms=tuple(
+            PairTerm(p.theta, p.theta_prime, reuleaux_volume_term(p))
+            for p in pairs),
     )
 
 
@@ -265,8 +265,9 @@ def meissner_scalars(pairs) -> BodyScalars:
     return BodyScalars(
         volume=volume_meissner(pairs),
         surface_area=surface_meissner(pairs),
-        per_pair_terms=tuple((p.theta, p.theta_prime, meissner_area_term(p))
-                             for p in pairs),
+        per_pair_terms=tuple(
+            PairTerm(p.theta, p.theta_prime, meissner_area_term(p))
+            for p in pairs),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,11 +80,10 @@ class MeshStats:
     """Closure statistics of one mesh, from its single check, held as
     ``TriangleMesh.stats``.
 
-    ``total_area`` and ``total_volume`` come from the same blocked pass over
+    ``surface_area`` and ``volume`` come from the same blocked pass over
     the triangles that gives ``min_triangle_area``: the triangle-area sum,
     which ``mesh_area`` reads, and the signed volume sum, which
-    ``mesh_volume`` reads.  They take no part in equality; ``to_dict``
-    writes them as ``surface_area`` and ``volume``.
+    ``mesh_volume`` reads.  They take no part in equality.
     """
 
     watertight: bool
@@ -95,21 +94,13 @@ class MeshStats:
     n_triangles: int
     min_triangle_area: float
     bad_edges: tuple[tuple[int, int], ...]
-    total_area: float = field(compare=False)
-    total_volume: float = field(compare=False)
+    surface_area: float = field(compare=False)
+    volume: float = field(compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "watertight": self.watertight,
-            "oriented": self.oriented,
-            "euler_characteristic": self.euler_characteristic,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_triangles": self.n_triangles,
-            "min_triangle_area": self.min_triangle_area,
-            "surface_area": self.total_area,
-            "volume": self.total_volume,
-        }
+        """The report's mesh block: every field but ``bad_edges``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "bad_edges"}
 
 
 # Triangles per block of the area and volume pass.  Each block temporary is
@@ -193,8 +184,8 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
-        total_area=float(areas.sum()),
-        total_volume=float(dets.sum() / 6.0),
+        surface_area=float(areas.sum()),
+        volume=float(dets.sum() / 6.0),
     )
 
 
@@ -210,12 +201,12 @@ def _require_closed(mesh: TriangleMesh, name: str = "mesh") -> MeshStats:
 def mesh_volume(mesh: TriangleMesh) -> float:
     """Signed volume sum det(v0, v1, v2)/6, read from the mesh's single
     closure check; positive for outward orientation."""
-    return _require_closed(mesh).total_volume
+    return _require_closed(mesh).volume
 
 
 def mesh_area(mesh: TriangleMesh) -> float:
     """Triangle-area sum, read from the mesh's single closure check."""
-    return _require_closed(mesh).total_area
+    return _require_closed(mesh).surface_area
 
 
 # ---------------------------------------------------------------------------

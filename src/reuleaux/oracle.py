@@ -79,15 +79,6 @@ class McEstimate:
     sample_count: int
     bbox_volume: float
 
-    def to_dict(self) -> dict:
-        return {
-            "volume_mean": self.volume_mean,
-            "std_error": self.std_error,
-            "hit_count": self.hit_count,
-            "sample_count": self.sample_count,
-            "bbox_volume": self.bbox_volume,
-        }
-
 
 def contains_many(body: BodySpec, points: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (N, 3) array of sample points.
@@ -114,8 +105,6 @@ def contains_many(body: BodySpec, points: np.ndarray) -> np.ndarray:
         ok = np.ones(len(sub), dtype=bool)
         for arc in body.arcs:
             ok &= max_distance_to_arc_many(sub, arc) <= 1.0
-            if not ok.any():
-                break
         idx = idx[ok]
     elif body.kind == "wedge":
         far = max_distance_to_arc_many(sub, body.arcs[body.wedge_index]) >= 1.0

@@ -71,14 +71,6 @@ class ExtremalityReport:
     is_extremal: bool
     violations: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "diameter": self.diameter,
-            "diametric_pair_count": self.diametric_pair_count,
-            "is_extremal": self.is_extremal,
-            "violations": list(self.violations),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeArc:
@@ -126,21 +118,11 @@ class DualPair:
 @dataclass(frozen=True)
 class StructureReport:
     vertex_classes: tuple[str, ...]
-    face_counts: tuple[int, ...]
+    faces_per_vertex: tuple[int, ...]
     edge_count: int
     face_count: int
     dual_pair_count: int
     euler_characteristic: int
-
-    def to_dict(self) -> dict:
-        return {
-            "vertex_classes": list(self.vertex_classes),
-            "faces_per_vertex": list(self.face_counts),
-            "edge_count": self.edge_count,
-            "face_count": self.face_count,
-            "dual_pair_count": self.dual_pair_count,
-            "euler_characteristic": self.euler_characteristic,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,14 +376,14 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
         elif c == 2:
             classes.append("dangling")
         else:
-            raise StructureError(
-                f"vertex {i} lies on only {c} faces; structure is broken")
+            raise StructureError(f"classify_vertices: vertex {i} lies on "
+                                 f"only {c} faces; structure is broken")
     # pair_duals matched the edges into exactly n - 1 disjoint pairs, so
     # E = 2n - 2 and V - E + F = n - (2n - 2) + n = 2
     euler = cfg.n - len(edges) + cfg.n
     return StructureReport(
         vertex_classes=tuple(classes),
-        face_counts=counts,
+        faces_per_vertex=counts,
         edge_count=len(edges),
         face_count=cfg.n,
         dual_pair_count=len(pairs),

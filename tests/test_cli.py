@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import re
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 from reuleaux import cli, formulas
 from reuleaux.cli import main
 from reuleaux.errors import DomainError
-from reuleaux.formulas import AnglePair, reuleaux_volume_term
-from reuleaux.mesh import build_body_mesh, import_obj, mesh_area, \
-    mesh_volume
-from reuleaux.oracle import BodySpec, body_from_structure, mc_volume
-from reuleaux.polyhedron import analyze_config, body_label, \
-    config_from_generator, tetra_points
+from reuleaux.formulas import AnglePair, BodyScalars, PairTerm, \
+    reuleaux_volume_term
+from reuleaux.mesh import MeshStats, build_body_mesh, import_obj, \
+    mesh_area, mesh_volume
+from reuleaux.oracle import BodySpec, McEstimate, body_from_structure, \
+    mc_volume
+from reuleaux.polyhedron import ExtremalityReport, StructureReport, \
+    analyze_config, body_label, config_from_generator, tetra_points
 from test_mesh import ply_mesh
 
 
@@ -287,6 +290,34 @@ class TestMeshBlocks:
         assert sorted(blocks) == ["meissner", "reuleaux"] and len(built) == 2
         for label, mesh in zip(("reuleaux", "meissner"), built):
             self.assert_block_of(blocks[label], mesh)
+
+
+class TestReportBlocksAreRecords:
+    """Each report block is its record's fields, by the fields' names."""
+
+    @staticmethod
+    def names(record, *left_out):
+        return sorted(f.name for f in dataclasses.fields(record)
+                      if f.name not in left_out)
+
+    def test_full_report_keys_are_field_names(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["report", "generator:pentad", "--full", "--samples",
+                    "2000", "--refine", "4", "--json", str(out)]) == 0
+        data = load(out)
+        assert sorted(data["extremality"]) == self.names(ExtremalityReport)
+        assert sorted(data["structure"]) == self.names(StructureReport)
+        terms = []
+        for body in ("reuleaux", "meissner"):
+            assert sorted(data[body]) == self.names(BodyScalars)
+            terms += data[body]["per_pair_terms"]
+        estimates = list(data["mc"]["estimates"].values())
+        meshes = list(data["mesh"]["bodies"].values())
+        assert (len(terms), len(estimates), len(meshes)) == (8, 6, 2)
+        assert all(sorted(t) == self.names(PairTerm) for t in terms)
+        assert all(sorted(e) == self.names(McEstimate) for e in estimates)
+        assert all(sorted(m) == self.names(MeshStats, "bad_edges")
+                   for m in meshes)
 
 
 class TestSweep:

@@ -102,7 +102,7 @@ class TestSphericalCaps:
             builder.add_points(_quarter_arc(e[2], e[0], 128))[:-1],
         ])
         builder.cap(np.zeros(3), loop, 128, 0)
-        area = inspect_mesh(builder.build()).total_area
+        area = inspect_mesh(builder.build()).surface_area
         assert area == pytest.approx(math.pi / 2, abs=1e-4)
 
     def test_a_stray_loop_names_its_face(self):
@@ -647,8 +647,8 @@ def _inspect_mesh_unique(mesh):
         n_triangles=int(t.shape[0]),
         min_triangle_area=float(areas.min()) if areas.size else 0.0,
         bad_edges=bad,
-        total_area=float(areas.sum()),
-        total_volume=_volume_reference(mesh),
+        surface_area=float(areas.sum()),
+        volume=_volume_reference(mesh),
     )
 
 
@@ -735,7 +735,7 @@ class TestKernelsAgainstReferences:
         for mesh in meshes:
             got, want = inspect_mesh(mesh), _inspect_mesh_unique(mesh)
             assert got == want, mesh.n_triangles
-            for name in ("min_triangle_area", "total_area", "total_volume"):
+            for name in ("min_triangle_area", "surface_area", "volume"):
                 assert (getattr(got, name).hex()
                         == getattr(want, name).hex()), (name, mesh.n_triangles)
         assert not inspect_mesh(holed).watertight
@@ -835,8 +835,8 @@ class TestCheckOnce:
         assert len(kernel_passes) == 1
         mesh = build_body_mesh(pentad_structure, "reuleaux", 8)
         assert len(kernel_passes) == 2
-        assert mesh_volume(mesh) == mesh.stats.total_volume
-        assert mesh_area(mesh) == mesh.stats.total_area
+        assert mesh_volume(mesh) == mesh.stats.volume
+        assert mesh_area(mesh) == mesh.stats.surface_area
         assert len(kernel_passes) == 2
 
     def test_full_report_makes_one_kernel_pass_per_body(self, kernel_passes,
@@ -883,8 +883,8 @@ class TestCheckOnce:
         assert mesh.vertices.tolist() == np.eye(3).tolist()
         after = inspect_mesh(mesh)
         assert after == before
-        assert (after.total_area, after.total_volume) == (
-            before.total_area, before.total_volume)
+        assert (after.surface_area, after.volume) == (
+            before.surface_area, before.volume)
 
     def test_only_a_writable_input_is_copied(self):
         vertices, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64)

@@ -1,5 +1,6 @@
 """Tests for extremality checking, edge extraction, and dual pairing."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -103,7 +104,7 @@ class TestCheckExtremal:
         rep = check_extremal(cfg)
         assert rep.violations[16] == f"{over - 16} more pairs exceed 1"
         assert len(rep.violations) == 19
-        assert len(json.dumps(rep.to_dict())) < 2000
+        assert len(json.dumps(dataclasses.asdict(rep))) < 2000
 
     def test_scaled_tetra_fails_on_pair_count(self):
         rep = check_extremal(PointConfig(points=0.999 * tetra_points()))
@@ -228,7 +229,7 @@ def nonempty_trims(cfg):
 def extracted_edges(cfg):
     """The edges of extract_edges, whose report must be the check's."""
     report, edges = extract_edges(cfg)
-    assert report.to_dict() == check_extremal(cfg).to_dict()
+    assert report == check_extremal(cfg)
     return edges
 
 
@@ -365,7 +366,7 @@ class TestTwoStepExtraction:
         else:
             with pytest.raises(NotExtremalError) as info:
                 extract_edges(cfg)
-            assert info.value.report.to_dict() == report.to_dict()
+            assert info.value.report == report
 
     def test_match_eps_term_keeps_an_edge_beyond_dist_eps(self):
         # the tetra plus a point 3e-8 along the circle of (0, 1) past vertex
@@ -464,6 +465,22 @@ class TestPairDuals:
     def test_unmatched_edges_raise(self, tetra_structure):
         with pytest.raises(StructureError, match="^pair_duals: "):
             pair_duals(tetra_structure.edges[:5], tetra_structure.config)
+
+    def test_a_repeated_edge_is_named(self, tetra_structure):
+        edges = tetra_structure.edges
+        with pytest.raises(StructureError, match=(
+                r"^pair_duals: two edges share support/endpoints "
+                r"\(\(0, 1\), \(2, 3\)\)$")):
+            pair_duals(edges + edges[:1], tetra_structure.config)
+
+    def test_a_dropped_pair_is_counted(self, tetra_structure):
+        # every remaining edge has its partner, so only the count is wrong
+        dropped = tetra_structure.pairs[0]
+        edges = tuple(e for e in tetra_structure.edges
+                      if e is not dropped.kept and e is not dropped.removed)
+        with pytest.raises(StructureError, match=(
+                r"^pair_duals: found 2 dual pairs, expected 3$")):
+            pair_duals(edges, tetra_structure.config)
 
     def test_angles_within_pi_over_3(self, pentad_structure):
         for dp in pentad_structure.pairs:
@@ -577,7 +594,7 @@ class TestAnalyzeConfig:
         cfg = make()
         structure = analyze_config(cfg)
         assert len(calls) == 1 and calls[0] is cfg
-        assert structure.extremality.to_dict() == check(cfg).to_dict()
+        assert structure.extremality == check(cfg)
 
 
 class TestClassifyVertices:
@@ -592,16 +609,24 @@ class TestClassifyVertices:
         rep = pentad_structure.report
         assert rep.vertex_classes.count("dangling") == 1
         assert rep.vertex_classes[3] == "dangling"
-        assert rep.face_counts[3] == 2
+        assert rep.faces_per_vertex[3] == 2
         assert rep.euler_characteristic == 2
         assert rep.face_count == 5
         assert rep.dual_pair_count == 4
+
+    def test_a_vertex_on_no_face_is_named(self, tetra_structure):
+        edges = tuple(e for e in tetra_structure.edges
+                      if 0 not in e.endpoints)
+        with pytest.raises(StructureError, match=(
+                r"^classify_vertices: vertex 0 lies on only 0 faces")):
+            classify_vertices(tetra_structure.config, edges,
+                              tetra_structure.pairs)
 
     def test_face_membership_matches_diameter_degree(self, pentad_structure):
         # a vertex lies on the face of y exactly when |v - y| = 1
         cfg = pentad_structure.config
         degree = (np.abs(cfg.dist - 1.0) <= cfg.tol.dist_eps).sum(axis=1)
-        assert pentad_structure.report.face_counts == tuple(degree)
+        assert pentad_structure.report.faces_per_vertex == tuple(degree)
 
 
 class TestFaceLoops:
@@ -637,7 +662,7 @@ class TestFaceLoops:
             ends = {v for i, _ in loop for v in structure.edges[i].endpoints}
             for v in ends:
                 visits[v] += 1
-        assert tuple(visits) == structure.report.face_counts
+        assert tuple(visits) == structure.report.faces_per_vertex
 
     @staticmethod
     def edges_on_one_arc(arc, *rows):
@@ -687,12 +712,19 @@ class TestRigidMotionInvariance:
 
 INVARIANCE = settings(max_examples=40, derandomize=True, deadline=None,
                       database=None)
-SHAPES = ["tetra", "pentad"] + [f"pyramid:{m}" for m in range(3, 52, 2)]
+SHAPES = (["tetra", "pentad"] + [f"pyramid:{m}" for m in range(3, 52, 2)]
+          + [f"generic:{m}" for m in (5, 9, 21)])
 
 
+@functools.lru_cache(maxsize=None)
 def shape_points(name):
-    if name.startswith("pyramid:"):
-        return pyramid_points(int(name.split(":")[1]))
+    """The points of a named shape: a generator, an unmoved pyramid of base
+    m, or the first generic extremal set of base m."""
+    kind, _, m = name.partition(":")
+    if kind == "pyramid":
+        return pyramid_points(int(m))
+    if kind == "generic":
+        return generic_sets(int(m))[0].points
     return config_from_generator(name).points
 
 
@@ -725,7 +757,8 @@ def scalar_values(structure):
     for scalars in (reuleaux_scalars, meissner_scalars):
         b = scalars(angle_pairs(structure))
         out += [b.volume, b.surface_area]
-        out += [v for term in b.per_pair_terms for v in term]
+        out += [v for term in b.per_pair_terms
+                for v in dataclasses.astuple(term)]
     return np.array(out)
 
 
@@ -736,6 +769,12 @@ class TestRigidMotionHypothesis:
     @example(name="pentad", motion=quaternion_motion((4, 3, 2, 1), (-2, 0, 1)))
     @example(name="pyramid:51",
              motion=quaternion_motion((1, -1, 2, -2), (2, 2, -2)))
+    @example(name="generic:5",
+             motion=quaternion_motion((2, -1, 1, 3), (-1, 2, 0)))
+    @example(name="generic:9",
+             motion=quaternion_motion((1, 3, -2, 2), (2, -1, -2)))
+    @example(name="generic:21",
+             motion=quaternion_motion((-3, 1, 2, 1), (0, -2, 1)))
     def test_counts_angles_and_scalars_survive(self, name, motion):
         rot, shift = motion
         base = unmoved_structure(name)
@@ -753,16 +792,24 @@ class TestRigidMotionHypothesis:
         assert gap <= 1e-12
 
 
+# the generators, moved pyramids of base m and the generic sets
+RELABELLED = ["tetra", "pentad", 5, 9, 21, "generic:5", "generic:9",
+              "generic:21"]
+
+
+def relabelled_points(shape):
+    if isinstance(shape, int):
+        return moved_pyramid(shape, 3 * shape).points
+    return shape_points(shape)
+
+
 class TestRelabellingInvariance:
     """Permuting X leaves V and S of the Reuleaux body and the multiset of
     unordered angle pairs: the canonical kept arc may switch sides."""
 
-    @pytest.mark.parametrize("shape", ["tetra", "pentad", 5, 9, 21])
+    @pytest.mark.parametrize("shape", RELABELLED)
     def test_permuted_points_keep_scalars_and_angles(self, shape):
-        if isinstance(shape, int):
-            pts = moved_pyramid(shape, 3 * shape).points
-        else:
-            pts = config_from_generator(shape).points
+        pts = relabelled_points(shape)
         rng = np.random.default_rng(len(pts))
 
         def invariants(points):
@@ -777,15 +824,12 @@ class TestRelabellingInvariance:
             assert np.abs(scalars - base_scalars).max() <= 1e-12
             assert np.abs(angles - base_angles).max() <= 1e-12
 
-    @pytest.mark.parametrize("shape", ["tetra", "pentad", 5, 9, 21])
+    @pytest.mark.parametrize("shape", RELABELLED)
     def test_permuted_points_swap_meissner_pairs(self, shape):
         """The Meissner body keeps the arc of smaller support, so a
         permutation swaps (theta, theta') on exactly the pairs whose kept
         support, relabelled, now sorts after the removed one."""
-        if isinstance(shape, int):
-            pts = moved_pyramid(shape, 3 * shape).points
-        else:
-            pts = config_from_generator(shape).points
+        pts = relabelled_points(shape)
         rng = np.random.default_rng(len(pts))
         base = analyze_config(PointConfig(points=pts))
 
