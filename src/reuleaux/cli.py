@@ -211,7 +211,10 @@ def cmd_sweep(args) -> int:
     lo, hi = 0.01, math.pi / 3 - 0.01
     grid = np.linspace(lo, hi, n)
     rows_per_block = max(1, SWEEP_BLOCK_CELLS // n)
-    row = ",".join(["%.17g"] * len(SWEEP_COLUMNS)) + "\n"
+    # each grid angle is formatted once; a cell formats only its six terms
+    text = ["%.17g" % x for x in grid.tolist()]
+    terms = ",".join(["%.17g"] * (len(SWEEP_COLUMNS) - 2))
+    tails = ["," + t + "," + terms + "\n" for t in text]
     violations = 0
     max_residual = 0.0
     with (open(args.out, "w", encoding="utf-8") if args.out
@@ -228,12 +231,14 @@ def cmd_sweep(args) -> int:
             violations += int(np.count_nonzero(
                 ~((defect > 0.0) & (abs(residual) < 1e-10))))
             max_residual = np.maximum(max_residual, abs(residual).max())
-            block = np.column_stack((p.theta, p.theta_prime,
-                                     formulas.meissner_area_term(p),
+            block = np.column_stack((formulas.meissner_area_term(p),
                                      formulas.reuleaux_area_term(p),
                                      formulas.reuleaux_volume_term(p),
                                      defect, wedge, residual))
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            # row (t, t') is t + tails[t'], so a theta row is t + t.join(tails)
+            fh.write("".join(t + t.join(tails)
+                             for t in text[i:i + rows_per_block])
+                     % tuple(block.ravel().tolist()))
     if args.json:
         emit_json({"grid": n, "rows": n * n, "violations": violations,
                    "max_flux_residual": float(max_residual)}, args.json)

@@ -1,8 +1,10 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import platform
 import re
 
 import numpy as np
@@ -341,24 +343,60 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 1 + 2500
         assert load(summary)["violations"] == 0
 
+    @staticmethod
+    def scalar_rows(n):
+        """The sweep's CSV rows at grid n, from one scalar pair per cell."""
+        terms = (formulas.meissner_area_term, formulas.reuleaux_area_term,
+                 formulas.reuleaux_volume_term, formulas.blaschke_defect_term,
+                 formulas.wedge_volume)
+        grid = np.linspace(0.01, math.pi / 3 - 0.01, n).tolist()
+        rows = []
+        for t in grid:
+            for tp in grid:
+                p = AnglePair(t, tp)
+                row = [t, tp] + [term(p) for term in terms]
+                row.append(row[-1] - formulas.wedge_volume_via_flux(p))
+                rows.append(",".join(f"{x:.17g}" for x in row))
+        return rows
+
     def test_cells_equal_the_scalar_terms(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run(["sweep", "--grid", "12", "--out", str(out)]) == 0
         assert run(["sweep", "--grid", "12"]) == 0
         text = out.read_text()
         assert capsys.readouterr().out == text
-        terms = (formulas.meissner_area_term, formulas.reuleaux_area_term,
-                 formulas.reuleaux_volume_term, formulas.blaschke_defect_term,
-                 formulas.wedge_volume)
-        grid = np.linspace(0.01, math.pi / 3 - 0.01, 12).tolist()
-        expect = []
-        for t in grid:
-            for tp in grid:
-                p = AnglePair(t, tp)
-                row = [t, tp] + [term(p) for term in terms]
-                row.append(row[-1] - formulas.wedge_volume_via_flux(p))
-                expect.append(",".join(f"{x:.17g}" for x in row))
-        assert text.splitlines()[1:] == expect
+        assert text.splitlines()[1:] == self.scalar_rows(12)
+
+    def test_cells_across_blocks_equal_the_scalar_terms(self, tmp_path,
+                                                        monkeypatch):
+        # 40 cells a block at grid 13: blocks of 3, 3, 3, 3 and 1 theta rows
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_CELLS", 40)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--grid", "13", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == self.scalar_rows(13)
+
+    # sha256 of the `sweep --grid 50` CSV and the platform it was recorded on
+    GRID_50_SHA256 = ("3ce00a647c8fda66d3f6428425d6ef7e"
+                      "081d5cd3b7b97b967d3e5bd2c7f98a13")
+    GRID_50_PLATFORM = "Python 3.11.7, numpy 2.4.6, x86_64, glibc 2.36"
+
+    def test_grid_50_bytes_are_pinned(self, capsys):
+        """The grid-50 CSV keeps its recorded bytes.
+
+        Another libm, numpy or Python may move last bits; the failure then
+        names the running versions.  Regenerate the hash from the repo root
+        with
+        ``PYTHONPATH=src python -c "from reuleaux.cli import main; main(['sweep', '--grid', '50'])" | sha256sum``
+        """
+        assert run(["sweep", "--grid", "50"]) == 0
+        digest = hashlib.sha256(
+            capsys.readouterr().out.encode("utf-8")).hexdigest()
+        libc = " ".join(platform.libc_ver())
+        running = (f"Python {platform.python_version()}, numpy "
+                   f"{np.__version__}, {platform.machine()}, {libc}")
+        assert digest == self.GRID_50_SHA256, (
+            f"sweep --grid 50 hashes to {digest} on {running}; the pinned "
+            f"hash was recorded on {self.GRID_50_PLATFORM}")
 
     def test_a_nan_term_is_a_violation(self, tmp_path, monkeypatch, capsys):
         flux = formulas.wedge_volume_via_flux

@@ -45,6 +45,15 @@ ANGLE = st.floats(min_value=0.0, max_value=Tolerances.theta_max,
                   exclude_min=True)
 
 
+@st.composite
+def pooled_pairs(draw):
+    """Pairs over a pool of at most four angles, theta_max and 1e-6 among
+    them, so a batch repeats its angles as a sweep block does."""
+    pool = st.sampled_from([Tolerances.theta_max, 1e-6]
+                           + draw(st.lists(ANGLE, max_size=2)))
+    return draw(st.lists(st.tuples(pool, pool), min_size=1, max_size=40))
+
+
 class TestSymmetricPointValues:
     """Anchor values at theta = theta' = pi/3, the regular tetrahedron."""
 
@@ -232,10 +241,22 @@ class TestBatchPairs:
         theta, theta_prime = (np.array(c) for c in zip(*pairs))
         self.assert_matches_scalar_pairs(theta, theta_prime)
 
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_pairs())
+    def test_repeated_angles_match_the_scalar_pairs(self, pairs):
+        theta, theta_prime = (np.array(c) for c in zip(*pairs))
+        self.assert_matches_scalar_pairs(theta, theta_prime)
+
     def test_sweep_half_angles_match_the_scalar_pairs(self):
         # numpy's tan differs from libm on one of these 200 half-angles
         grid = np.linspace(0.01, math.pi / 3 - 0.01, 200)
         self.assert_matches_scalar_pairs(grid, grid[::-1])
+
+    def test_the_sweep_square_matches_the_scalar_pairs(self):
+        # the batch of a whole sweep at grid 200: each angle 200 times over
+        grid = np.linspace(0.01, math.pi / 3 - 0.01, 200)
+        self.assert_matches_scalar_pairs(np.repeat(grid, 200),
+                                         np.tile(grid, 200))
 
     @pytest.mark.parametrize("bad", [0.0, math.nextafter(Tolerances.theta_max,
                                                          4.0), math.nan])

@@ -776,20 +776,33 @@ class TestRigidMotionHypothesis:
     @example(name="generic:21",
              motion=quaternion_motion((-3, 1, 2, 1), (0, -2, 1)))
     def test_counts_angles_and_scalars_survive(self, name, motion):
-        rot, shift = motion
-        base = unmoved_structure(name)
-        moved = analyze_config(
-            PointConfig(points=shape_points(name) @ rot.T + shift))
-        assert moved.report == base.report
-        assert moved.extremality.diametric_pair_count == \
-            base.extremality.diametric_pair_count
-        assert [(dp.kept.support, dp.removed.support) for dp in moved.pairs] \
-            == [(dp.kept.support, dp.removed.support) for dp in base.pairs]
-        angles = [(a.theta, a.theta_prime) for a in angle_pairs(moved)]
-        expect = [(a.theta, a.theta_prime) for a in angle_pairs(base)]
-        assert np.abs(np.subtract(angles, expect)).max() <= 1e-12
-        gap = np.abs(scalar_values(moved) - scalar_values(base)).max()
-        assert gap <= 1e-12
+        assert_survives_motion(name, motion)
+
+    @pytest.mark.parametrize("k, name", enumerate(SHAPES), ids=SHAPES)
+    def test_every_shape_survives_a_fixed_motion(self, k, name):
+        # the draws above reach only some shapes; this moves each one
+        rng = np.random.default_rng(k)
+        assert_survives_motion(name, quaternion_motion(
+            rng.uniform(-1.0, 1.0, 4), rng.uniform(-2.0, 2.0, 3)))
+
+
+def assert_survives_motion(name, motion):
+    """The moved shape keeps the report, the dual pairs' supports, the angle
+    pairs and the closed-form scalars of the unmoved one."""
+    rot, shift = motion
+    base = unmoved_structure(name)
+    moved = analyze_config(
+        PointConfig(points=shape_points(name) @ rot.T + shift))
+    assert moved.report == base.report
+    assert moved.extremality.diametric_pair_count == \
+        base.extremality.diametric_pair_count
+    assert [(dp.kept.support, dp.removed.support) for dp in moved.pairs] \
+        == [(dp.kept.support, dp.removed.support) for dp in base.pairs]
+    angles = [(a.theta, a.theta_prime) for a in angle_pairs(moved)]
+    expect = [(a.theta, a.theta_prime) for a in angle_pairs(base)]
+    assert np.abs(np.subtract(angles, expect)).max() <= 1e-12
+    gap = np.abs(scalar_values(moved) - scalar_values(base)).max()
+    assert gap <= 1e-12
 
 
 # the generators, moved pyramids of base m and the generic sets
