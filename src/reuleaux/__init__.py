@@ -20,8 +20,8 @@ from .formulas import (AnglePair, BodyScalars, PairTerm,
 from .geom import ArcOnCircle, Circle3, Tolerances, circle_of_sphere_pair
 from .mesh import (TriangleMesh, build_body_mesh, export_obj, export_ply,
                    inspect_mesh, mesh_area, mesh_volume)
-from .oracle import (BodySpec, McConfig, McEstimate, body_from_structure,
-                     bounding_box, mc_volume)
+from .oracle import (BodySpec, McConfig, McEstimate, UnitDraws,
+                     body_from_structure, bounding_box, mc_volume, unit_draws)
 from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
                          Structure, StructureReport, analyze_config,
                          angle_pairs, check_extremal, config_from_generator,
@@ -44,8 +44,8 @@ __all__ = [
     "surface_meissner", "surface_reuleaux", "volume_meissner",
     "volume_reuleaux", "wedge_volume", "wedge_volume_via_flux",
     # Monte Carlo oracle
-    "BodySpec", "McConfig", "McEstimate", "body_from_structure",
-    "bounding_box", "mc_volume",
+    "BodySpec", "McConfig", "McEstimate", "UnitDraws", "body_from_structure",
+    "bounding_box", "mc_volume", "unit_draws",
     # meshes
     "TriangleMesh", "build_body_mesh", "export_obj", "export_ply",
     "inspect_mesh", "mesh_area", "mesh_volume",

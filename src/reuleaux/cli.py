@@ -24,7 +24,7 @@ from . import formulas
 from .errors import DomainError, MeshError, NotExtremalError, StructureError
 from .geom import Tolerances
 from .mesh import build_body_mesh, export_obj, export_ply
-from .oracle import McConfig, body_from_structure, mc_volume
+from .oracle import McConfig, body_from_structure, mc_volume, unit_draws
 from .polyhedron import Structure, analyze_config, angle_pairs, \
     body_label, check_extremal, config_from_generator, config_from_json_dict
 
@@ -126,17 +126,22 @@ def analyze_payload(structure: Structure) -> dict:
 
 def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
                workers: int, bodies) -> tuple[dict, dict]:
-    """The mc block and the seconds of each body's run, by label."""
+    """The mc block and its timing: the seconds of the draws all bodies
+    share (``draws_s``) and of each body's run after them (``mc_s``, by
+    label)."""
     out = {"seed": seed, "samples": samples, "batch": batch, "estimates": {}}
     seconds = {}
     mc = McConfig(seed=seed, samples=samples, batch=batch, workers=workers)
-    for kind, idx in bodies:
+    specs = {body_label(kind, idx, len(structure.pairs)):
+             body_from_structure(structure, kind, idx) for kind, idx in bodies}
+    started = time.perf_counter()
+    draws = unit_draws(specs.values(), mc)
+    draws_s = time.perf_counter() - started
+    for label, body in specs.items():
         started = time.perf_counter()
-        label = body_label(kind, idx, len(structure.pairs))
-        body = body_from_structure(structure, kind, idx)
-        out["estimates"][label] = mc_volume(body, mc)
+        out["estimates"][label] = mc_volume(body, mc, draws)
         seconds[label] = time.perf_counter() - started
-    return out, seconds
+    return out, {"draws_s": draws_s, "mc_s": seconds}
 
 
 def mesh_payload(structure: Structure, refine: int, bodies) -> tuple[dict, dict]:
@@ -260,9 +265,10 @@ def cmd_report(args) -> int:
         # any draw
         payload["mesh"], timing["mesh_s"] = mesh_payload(
             structure, args.refine, bodies)
-        payload["mc"], timing["mc_s"] = mc_payload(
+        payload["mc"], mc_timing = mc_payload(
             structure, args.seed, args.samples, args.batch, args.workers,
             bodies + wedges)
+        timing.update(mc_timing)
     payload["timing"] = dict(timing, elapsed_s=time.perf_counter() - started)
     emit_json(payload, args.json)
     return 0

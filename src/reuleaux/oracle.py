@@ -15,6 +15,17 @@ and mapped back to the unit draws, is a window that every hit lies in.  A
 wedge's window is also cut to the box of the ball on its kept arc's support
 segment, which holds the wedge.  Only the kept draws are scaled, to the same
 floats as before, so hit counts are those of testing every draw.
+
+Every body of a run reads the same unit draws, so ``unit_draws`` draws each
+chunk once, in the calling thread, for a set of bodies.  It keeps the rows in
+the hull of their windows: on each axis, from the lowest to the highest
+bound of any window, and uncut on an axis some window leaves uncut.  The
+hull contains every window and the filter keeps row order, so each body,
+filtering the pool by its own window, gets the very rows, and after scaling
+the very floats, it would get from the whole chunk; its hit count is
+unchanged.  The pool holds about half the draws on tetra, pentad and an
+n = 6 pyramid, about 12 bytes per sample, until the run's last body is
+tested.
 """
 
 from __future__ import annotations
@@ -190,44 +201,95 @@ def _unit_window(body: BodySpec, lo: np.ndarray,
             if low[a] > 0.0 or high[a] < 1.0]
 
 
-def _chunk_hits(body: BodySpec, lo: np.ndarray, span: np.ndarray,
-                window: list[tuple[int, float, float]], seed: int, chunk: int,
-                size: int) -> int:
-    """Hits among the chunk's draws: the rows outside ``window`` are dropped
-    one axis at a time, and only the kept rows are scaled to the box, as the
-    same floats as if every row were, and tested."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-    pts = rng.random((size, 3))
+@dataclass(frozen=True, eq=False)
+class UnitDraws:
+    """The unit draws of one run, drawn once for ``bodies``: ``rows[k]``
+    holds, in draw order, the rows of ``Philox(key=seed).jumped(k)``'s
+    (size, 3) draw that lie in the hull of those bodies' unit windows."""
+
+    mc: McConfig
+    bodies: tuple[BodySpec, ...]
+    rows: tuple[np.ndarray, ...]
+
+
+def _box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The body's sampling box as ``lo`` and ``span``."""
+    lo, hi = bounding_box(body)
+    return lo, hi - lo
+
+
+def _inside(rows: np.ndarray,
+            window: list[tuple[int, float, float]]) -> np.ndarray:
+    """The rows inside ``window``, in order, dropped one axis at a time."""
     for a, low, high in window:
-        col = pts[:, a]
-        pts = pts.take(np.flatnonzero((col >= low) & (col <= high)), axis=0)
-    pts *= span
-    pts += lo
-    return int(contains_many(body, pts).sum())
+        col = rows[:, a]
+        rows = rows.take(np.flatnonzero((col >= low) & (col <= high)), axis=0)
+    return rows
 
 
-def mc_volume(body: BodySpec, mc: McConfig) -> McEstimate:
+def unit_draws(bodies, mc: McConfig) -> UnitDraws:
+    """Draw every chunk of ``mc`` once, in the calling thread, and keep the
+    rows that some body's unit window may keep: on each axis every window
+    cuts, those between the lowest low and the highest high."""
+    bodies = tuple(bodies)
+    if not bodies:
+        raise ValueError("unit draws need at least one body")
+    cuts = [{a: (low, high) for a, low, high in _unit_window(b, *_box(b))}
+            for b in bodies]
+    hull = sorted(((a, min(c[a][0] for c in cuts), max(c[a][1] for c in cuts))
+                   for a in range(3) if all(a in c for c in cuts)),
+                  key=lambda w: w[2] - w[1])
+    rows = []
+    for k, start in enumerate(range(0, mc.samples, mc.batch)):
+        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(k))
+        rows.append(_inside(rng.random((min(mc.batch, mc.samples - start), 3)),
+                            hull))
+    return UnitDraws(mc=mc, bodies=bodies, rows=tuple(rows))
+
+
+def mc_volume(body: BodySpec, mc: McConfig,
+              draws: UnitDraws | None = None) -> McEstimate:
     """Unbiased hit-or-miss volume estimate over the bounding box.
 
-    Draws outside the unit window of ``_unit_window`` skip the scaling and
-    the exact test, which would reject them; hit counts are those of
-    testing every draw.
+    The unit draws come from ``draws``, drawn for a set of bodies that holds
+    this one, or, without it, from a pool drawn for this body alone.  Draws
+    outside the unit window of ``_unit_window`` skip the scaling and the
+    exact test, which would reject them; hit counts are those of testing
+    every draw.
     """
-    lo, hi = bounding_box(body)
-    span = hi - lo
+    if draws is None:
+        draws = unit_draws((body,), mc)
+    else:
+        label = body_label(body.kind, body.wedge_index, len(body.arcs))
+        drawn = draws.mc
+        if (drawn.seed, drawn.samples, drawn.batch) != \
+                (mc.seed, mc.samples, mc.batch):
+            raise ValueError(f"the draws for {label} were made with seed "
+                             f"{drawn.seed}, {drawn.samples} samples and "
+                             f"batch {drawn.batch}, not with seed {mc.seed}, "
+                             f"{mc.samples} samples and batch {mc.batch}")
+        if not any(b is body for b in draws.bodies):
+            raise ValueError(f"the draws were not made for {label}: they "
+                             "hold only the rows their own bodies may hit")
+    lo, span = _box(body)
     window = _unit_window(body, lo, span)
     box_volume = float(np.prod(span))
-    sizes = [min(mc.batch, mc.samples - k)
-             for k in range(0, mc.samples, mc.batch)]
 
-    def hits_of(k: int) -> int:
-        return _chunk_hits(body, lo, span, window, mc.seed, k, sizes[k])
+    def hits_of(rows: np.ndarray) -> int:
+        pts = _inside(rows, window)
+        if pts is rows:
+            # an uncut window keeps the pool's own array, which other bodies
+            # still read
+            pts = pts.copy()
+        pts *= span
+        pts += lo
+        return int(contains_many(body, pts).sum())
 
-    if mc.workers > 1 and len(sizes) > 1:
+    if mc.workers > 1 and len(draws.rows) > 1:
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            hits = sum(pool.map(hits_of, range(len(sizes))))
+            hits = sum(pool.map(hits_of, draws.rows))
     else:
-        hits = sum(map(hits_of, range(len(sizes))))
+        hits = sum(map(hits_of, draws.rows))
     n = mc.samples
     p = hits / n
     return McEstimate(

@@ -478,10 +478,10 @@ class TestReportRun:
         # the traced benchmark keys its spans by the body of each call
         calls = []
 
-        def counted(body, mc):
+        def counted(body, mc, *draws):
             calls.append(body_label(body.kind, body.wedge_index,
                                     len(body.arcs)))
-            return mc_volume(body, mc)
+            return mc_volume(body, mc, *draws)
 
         monkeypatch.setattr(cli, "mc_volume", counted)
         out = tmp_path / "r.json"
@@ -497,17 +497,20 @@ class TestReportRun:
                     "2000", "--refine", "4", "--json", str(out)]) == 0
         data = load(out)
         timing = data["timing"]
-        assert sorted(timing) == ["elapsed_s", "mc_s", "mesh_s"]
+        assert sorted(timing) == ["draws_s", "elapsed_s", "mc_s", "mesh_s"]
         assert sorted(timing["mc_s"]) == sorted(data["mc"]["estimates"])
         assert sorted(timing["mesh_s"]) == sorted(data["mesh"]["bodies"])
-        seconds = [*timing["mc_s"].values(), *timing["mesh_s"].values()]
+        # the shared draws, then each body's run without them
+        seconds = [timing["draws_s"], *timing["mc_s"].values(),
+                   *timing["mesh_s"].values()]
         assert all(s > 0.0 for s in seconds)
         assert sum(seconds) < timing["elapsed_s"]
 
     def test_bad_refine_exits_before_any_draw(self, capsys, monkeypatch):
-        def refused(body, mc):
-            raise AssertionError("mc_volume ran before the refine check")
+        def refused(*args):
+            raise AssertionError("MC ran before the refine check")
 
+        monkeypatch.setattr(cli, "unit_draws", refused)
         monkeypatch.setattr(cli, "mc_volume", refused)
         assert run(["report", "generator:tetra", "--full",
                     "--refine", "1"]) == 2

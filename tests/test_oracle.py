@@ -1,15 +1,16 @@
 """Tests for the Monte Carlo membership oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from reuleaux.formulas import volume_meissner, volume_reuleaux, wedge_volume
-from reuleaux.geom import max_distance_to_arc_many
+from reuleaux.geom import Tolerances, max_distance_to_arc_many
 from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
                              body_from_structure, bounding_box, contains_many,
-                             mc_volume)
+                             mc_volume, unit_draws)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
 from test_polyhedron import generic_sets, moved_pyramid, pyramid_points
@@ -222,15 +223,21 @@ class TestUnitWindow:
     @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_hit_counts_equal_the_reference_sampler(self, name):
         structure = analyze_config(PointConfig(WINDOW_CONFIGS[name]))
-        for kind, idx in every_body(structure):
-            body = body_from_structure(structure, kind, idx)
-            for seed in (1, 7):
-                # three chunks, the last one ragged
-                runs = [McConfig(seed=seed, samples=100_000, batch=40_000,
-                                 workers=w) for w in (1, 2)]
+        bodies = [body_from_structure(structure, kind, idx)
+                  for kind, idx in every_body(structure)]
+        for seed in (1, 7):
+            # three chunks, the last one ragged
+            runs = [McConfig(seed=seed, samples=100_000, batch=40_000,
+                             workers=w) for w in (1, 2)]
+            # one pool for every body, as a report draws it
+            shared = unit_draws(bodies, runs[0])
+            for body in bodies:
                 expect = mc_hits_reference(body, runs[0])
+                label = (body.kind, body.wedge_index, seed)
                 assert [mc_volume(body, mc).hit_count for mc in runs] == \
-                    [expect, expect], (kind, idx, seed)
+                    [expect, expect], label
+                assert [mc_volume(body, mc, shared).hit_count
+                        for mc in runs] == [expect, expect], label
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_draws_just_outside_map_beyond_a_center(self, name):
@@ -271,6 +278,53 @@ class TestUnitWindow:
                         assert np.all(np.abs(pts[:, a] - extreme) > 1.0), \
                             (kind, a)
                     assert not contains_many(body, pts).any(), (kind, a)
+
+
+class TestUnitDraws:
+    MC = McConfig(seed=4, samples=30_000, batch=10_000)
+
+    @pytest.mark.parametrize("other", [
+        dict(seed=5), dict(samples=40_000), dict(batch=15_000)])
+    def test_draws_of_another_config_are_refused(self, tetra_structure,
+                                                 other):
+        body = body_from_structure(tetra_structure, "wedge", 1)
+        draws = unit_draws([body], self.MC)
+        mc = dataclasses.replace(self.MC, **other)
+        with pytest.raises(ValueError, match="draws for wedge:1 were made"):
+            mc_volume(body, mc, draws)
+
+    def test_draws_for_other_bodies_are_refused(self, tetra_structure):
+        draws = unit_draws([body_from_structure(tetra_structure, "reuleaux"),
+                            body_from_structure(tetra_structure, "wedge", 0)],
+                           self.MC)
+        for kind, idx, label in (("meissner", None, "meissner"),
+                                 ("wedge", 2, "wedge:2"),
+                                 ("reuleaux", None, "reuleaux")):
+            # a body is one of the pool's only if it is the same object
+            body = body_from_structure(tetra_structure, kind, idx)
+            with pytest.raises(ValueError,
+                               match=f"draws were not made for {label}"):
+                mc_volume(body, self.MC, draws)
+
+    def test_no_body_is_refused(self):
+        with pytest.raises(ValueError, match="at least one body"):
+            unit_draws([], self.MC)
+
+    def test_an_uncut_window_leaves_the_pool_unchanged(self):
+        # four centers within 1e-15 of each other: the window is the whole
+        # box, so the body reads every pooled row as the pool holds it
+        tiny = PointConfig(np.eye(4)[:, :3] * 1e-15,
+                           tol=Tolerances(dist_eps=1e-17))
+        body = BodySpec("reuleaux", tiny)
+        lo, hi = bounding_box(body)
+        assert _unit_window(body, lo, hi - lo) == []
+        draws = unit_draws([body], self.MC)
+        before = [rows.copy() for rows in draws.rows]
+        expect = mc_hits_reference(body, self.MC)
+        for _ in range(2):
+            assert mc_volume(body, self.MC, draws).hit_count == expect
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(draws.rows, before))
 
 
 def ball_configs():
