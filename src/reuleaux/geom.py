@@ -86,13 +86,13 @@ class Tolerances:
     Fixed where they act: edge extraction trims the pairs with two common
     neighbours within max(dist_eps, 2 match_eps) of distance 1, a mesh face
     of solid angle below 1e-9 is collapsed, a face cap refuses a loop point
-    more than 3.0 rad from its barycenter direction and floors the sine it
-    divides by at 1e-14 (``MeshBuilder.cap``), ``pair_duals`` refuses a
-    dual pair whose orientation sign is exactly 0, ``Circle3`` checks its
-    frame to 1e-9 and its radius to 1 + 1e-12, ``circle_of_sphere_pair``
-    takes centers within 1e-12 as coincident, and the Monte Carlo window of
-    unit draws is widened by 64 eps (1 + max |x|), far above its rounding,
-    and a wedge's ball box m +- h by a further 1e-6 (``oracle._unit_window``).
+    more than 3.0 rad from its barycenter direction (``MeshBuilder.cap``),
+    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0,
+    ``Circle3`` checks its frame to 1e-9 and its radius to 1 + 1e-12,
+    ``circle_of_sphere_pair`` takes centers within 1e-12 as coincident, and
+    the Monte Carlo window of unit draws is widened by 64 eps (1 + max |x|),
+    far above its rounding, and a wedge's ball box m +- h by a further 1e-6
+    (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9

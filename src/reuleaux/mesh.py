@@ -1,10 +1,11 @@
 """Watertight triangle meshes of the body boundaries, plus mesh metrics.
 
 Faces are spherical polygons triangulated in concentric rings around the
-spherical barycenter of their boundary loop, read from
-``Structure.face_loops``; Meissner surgery swaps each removed arc for the
-geodesic between its endpoints on the face's own sphere and inserts the
-spindle patch swept between the two geodesics of the pair.
+spherical barycenter of their boundary loop (``Structure.face_loops``); ring
+r of ``rows`` lies r/rows along the geodesics from it to the loop's geodesic
+polygon, so inside the convex face.  Meissner surgery swaps each removed arc
+for the geodesic between its endpoints on the face's own sphere and inserts
+the spindle patch swept between the two geodesics of the pair.
 
 Watertightness comes from construction, not welding: every boundary polyline
 (edge arc, geodesic, single vertex) is sampled once into a shared vertex pool
@@ -22,7 +23,6 @@ Meshes are written as ASCII OBJ or PLY; only OBJ is read back, exactly as
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -266,11 +266,12 @@ class MeshBuilder:
         sphere around ``center``, listed counterclockwise or clockwise; the
         orientation is fixed internally so triangles face outward.  Interior
         ring r of ``rows`` carries max(3, round(L*r/rows)) points for a loop
-        of L, so triangle sizes stay uniform from apex to boundary.  All
-        interior rings are computed in one pass, ring after ring, and all
-        ladders from the apex fan to the loop are stitched in one call.  A
-        loop of solid angle below 1e-9 (a face fully excised, both arcs of a
-        dangling vertex replaced by the same geodesic) gets no patch.
+        of L, so triangle sizes stay uniform from apex to boundary, and each
+        lies at r/rows of the apex geodesic to a point of the loop's geodesic
+        polygon, so inside the face.  All rings are computed in one pass and
+        stitched, apex fan to loop, in one call.  A loop of solid angle below
+        1e-9 (a face fully excised, both arcs of a dangling vertex replaced
+        by the same geodesic) gets no patch.
         """
         dirs = self.coords_of(loop_ids) - center
         solid = _loop_solid_angle(dirs)
@@ -297,15 +298,10 @@ class MeshBuilder:
         k = np.floor(c).astype(int)
         frac = c - k
         kn = (k + 1) % L
-        # interpolate along the loop, then pull toward the apex
         between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
         between /= np.linalg.norm(between, axis=1)[:, None]
-        ang = ((1.0 - frac) * omega[k] + frac * omega[kn]) * ((r + 1) / rows)
-        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))
-        safe = np.maximum(np.sin(full), 1e-14)
-        ring = (np.sin(full - ang) / safe)[:, None] * apex_dir \
-            + (np.sin(ang) / safe)[:, None] * between
-        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))[:, None]
+        ring = _slerp(apex_dir, between, full, (r + 1)[:, None] / rows)
         ids = np.concatenate([apex, self.add_points(center + ring),
                               np.asarray(loop_ids, dtype=np.int64)])
         self.emit(_stitch_rings(ids, np.concatenate([[1], sizes, [L]])))
@@ -391,6 +387,13 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
     return float(2.0 * np.arctan2(num, den).sum())
 
 
+def _slerp(u: np.ndarray, w: np.ndarray, angle, f) -> np.ndarray:
+    """The points at fractions f of the geodesic of length ``angle`` from the
+    unit vector u to the unit vector w; broadcasts over rows."""
+    return (np.sin((1.0 - f) * angle) * u
+            + np.sin(f * angle) * w) / np.sin(angle)
+
+
 # ---------------------------------------------------------------------------
 # Body meshes
 
@@ -401,10 +404,7 @@ def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
     pooled vertices.  A stack of k centers gives shape (k, n - 1, 3)."""
     center = np.asarray(center)[..., None, :]
     f = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
-    out = (np.sin((1.0 - f) * angle) * (u - center)
-           + np.sin(f * angle) * (w - center)) / math.sin(angle)
-    out += center
-    return out
+    return _slerp(u - center, w - center, angle, f) + center
 
 
 class _BodyMesher:

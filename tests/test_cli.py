@@ -23,7 +23,7 @@ from reuleaux.oracle import BodySpec, McEstimate, body_from_structure, \
     mc_volume
 from reuleaux.polyhedron import ExtremalityReport, StructureReport, \
     analyze_config, body_label, config_from_generator, tetra_points
-from test_mesh import ply_mesh
+from test_mesh import pentad_grown, ply_mesh
 
 
 def run(argv):
@@ -754,3 +754,27 @@ class TestFuzzedPointSets:
                 one_error(capsys, code)
             else:
                 assert capsys.readouterr().err == ""
+
+
+class TestDegeneracyLadder:
+    """The pentad plus the point at fraction f of one of its edge arcs.  The
+    set is extremal for every f in (0, 1); as f shrinks the new point nears
+    the arc's first end, until the structure analysis (exit 3), then
+    validation (exit 2), refuses it."""
+
+    @pytest.mark.parametrize("f, code, kind", [
+        (1e-2, 0, None), (1e-4, 0, None), (1e-6, 0, None),
+        (1e-7, 3, "structure"), (1e-8, 3, "structure"),
+        (1e-10, 2, "validation")])
+    def test_analyze_on_every_edge(self, tmp_path, capsys, f, code, kind):
+        geo = tmp_path / "grown.json"
+        for edge, pts in enumerate(pentad_grown(f)):
+            geo.write_text(json.dumps({"points": pts.tolist()}))
+            capsys.readouterr()
+            assert run(["analyze", str(geo), "--json",
+                        str(tmp_path / "a.json")]) == code, edge
+            if code:
+                # one error object, so no traceback
+                assert one_error(capsys, code)["kind"] == kind, edge
+            else:
+                assert capsys.readouterr().err == "", edge

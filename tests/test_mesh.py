@@ -1,7 +1,10 @@
 """Tests for mesh generation, mesh metrics, and export round-trips."""
 
+import functools
+import hashlib
 import itertools
 import math
+import platform
 import re
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reuleaux.errors import MeshError
+from reuleaux.geom import max_distance_to_arc_many
 from reuleaux.formulas import (surface_meissner, surface_reuleaux,
                                volume_meissner, volume_reuleaux, wedge_volume)
 import reuleaux.mesh
@@ -21,7 +25,7 @@ from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh,
                            export_obj, export_ply, import_obj, inspect_mesh,
                            mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
-                                 config_from_generator)
+                                 config_from_generator, pentad_points)
 from test_polyhedron import generic_sets, moved_pyramid
 
 
@@ -314,10 +318,121 @@ class TestWindingConvention:
             build_body_mesh(pentad_structure, kind, 8, wedge_index=index)
 
 
+@functools.lru_cache(maxsize=None)
+def pentad_relabellings():
+    return tuple(analyze_config(PointConfig(points=pentad_points()[list(p)]))
+                 for p in itertools.permutations(range(5)))
+
+
+def pentad_grown(f):
+    """The pentad's points plus the point at fraction f of one of its edge
+    arcs, one array per edge: each set is extremal, with one more diameter
+    pair."""
+    edges = analyze_config(config_from_generator("pentad")).edges
+    return [np.vstack([pentad_points(), e.arc.circle.point(
+        e.arc.start_angle + f * e.arc.span)]) for e in edges]
+
+
+class TestCapsStayInsideTheirFaces:
+    """Each ring point of a face cap lies on a geodesic from the apex to the
+    loop's geodesic polygon, so inside the face, which is spherically
+    convex.  Hence every R and M vertex lies within 1 of every point of X,
+    every M vertex within 1 of every kept arc, every triangle faces away
+    from mean X (which lies inside both bodies), and the mesh, inscribed in
+    its body, has less volume than the closed form."""
+
+    CLOSED_FORMS = {"reuleaux": (volume_reuleaux, surface_reuleaux),
+                    "meissner": (volume_meissner, surface_meissner)}
+
+    def faults(self, structure, kind, refine):
+        """The invariants the mesh breaks, each with its measure, and the
+        mesh's area error."""
+        pts = structure.config.points
+        mesh = build_body_mesh(structure, kind, refine)
+        v = mesh.vertices
+        reach = np.linalg.norm(v[:, None] - pts, axis=2).max()
+        if kind == "meissner":
+            reach = max(reach, *(max_distance_to_arc_many(v, p.kept.arc).max()
+                                 for p in structure.pairs))
+        a, b, c = v[mesh.triangles].transpose(1, 0, 2)
+        inward = int(np.count_nonzero(np.einsum(
+            "ij,ij->i", np.cross(b - a, c - a),
+            (a + b + c) / 3.0 - pts.mean(axis=0)) <= 0.0))
+        volume, area = (form(angle_pairs(structure))
+                        for form in self.CLOSED_FORMS[kind])
+        excess = mesh.stats.volume - volume
+        checks = {"outside by": (reach - 1.0, reach <= 1.0 + 1e-12),
+                  "inward triangles": (inward, inward == 0),
+                  "volume excess": (excess, excess < 0.0)}
+        return ({name: x for name, (x, ok) in checks.items() if not ok},
+                mesh.stats.surface_area - area)
+
+    @pytest.mark.parametrize("refine", [16, 32])
+    def test_pentad_relabellings(self, refine):
+        # the area errors are negative too; a grown set may overshoot its
+        # area without a fold (R, edge 1 at f = 0.5, refine 16: +2.9e-4)
+        for i, structure in enumerate(pentad_relabellings()):
+            for kind in self.CLOSED_FORMS:
+                faults, area_error = self.faults(structure, kind, refine)
+                assert not faults, (i, kind, faults)
+                assert area_error < 0.0, (i, kind, area_error)
+
+    @pytest.mark.parametrize("refine", [16, 32, 64, 128])
+    def test_pentad(self, pentad_structure, refine):
+        for kind in self.CLOSED_FORMS:
+            faults = self.faults(pentad_structure, kind, refine)[0]
+            assert not faults, (kind, faults)
+
+    @pytest.mark.parametrize("refine", [16, 32])
+    @pytest.mark.parametrize("f", [0.25, 0.5])
+    def test_pentad_grown_on_each_edge(self, f, refine):
+        for edge, pts in enumerate(pentad_grown(f)):
+            structure = analyze_config(PointConfig(points=pts))
+            for kind in self.CLOSED_FORMS:
+                faults = self.faults(structure, kind, refine)[0]
+                assert not faults, (edge, kind, faults)
+
+
 # numpy's reason for a row with other than a tag and three numbers
 _COLUMNS = "the dtype passed requires 4 columns but {} were found"
 _TETRA_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
 _SQUARE_PYRAMID_VERTICES = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
+
+
+class TestWedgeBytes:
+    # sha256 of export_obj for each wedge at refine 16, by generator
+    WEDGE_OBJ_SHA256 = {
+        "tetra": [
+            "bcec8a9eab579970add2a99d0e3c0df5cfa3c2db4d17ef6903ede2567df2c943",
+            "78c1823fd429b2724491c47759996f9c1cb50b2b5fa8c078557b751f0f804329",
+            "bd5a8ec865dd67b57712f0feff318636f2492536e65c7d3204816d84e86d62f3"],
+        "pentad": [
+            "891c7577880e1dfdd9c470bc9a0a822d7c647e65aaefa04587c7a883304571d0",
+            "91f07b6dc7e133176287323686d4e17998fe9ff1d7ae9a4c4ac43556c0c9845f",
+            "f29f696751a274a31dd90b447e18ad5150bf4e50ecf8dd46a614dcfc61062c39",
+            "275ba43539477533fb9e9bce2d59c1df27b7de812764deaf9cfcd785dda26139"]}
+    WEDGE_OBJ_PLATFORM = "Python 3.11.7, numpy 2.4.6, x86_64, glibc 2.36"
+
+    @pytest.mark.parametrize("generator", ["tetra", "pentad"])
+    def test_wedge_obj_bytes_are_pinned(self, request, tmp_path, generator):
+        """Every wedge OBJ at refine 16 keeps its recorded bytes.
+
+        Another libm, numpy or Python may move last bits; the failure then
+        names the running versions.  Regenerate the digests as the sha256
+        of each file this test writes."""
+        structure = request.getfixturevalue(f"{generator}_structure")
+        digests = []
+        for i in range(len(structure.pairs)):
+            path = tmp_path / f"wedge{i}.obj"
+            export_obj(build_body_mesh(structure, "wedge", 16, wedge_index=i),
+                       str(path))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        running = (f"Python {platform.python_version()}, numpy "
+                   f"{np.__version__}, {platform.machine()}, "
+                   f"{' '.join(platform.libc_ver())}")
+        assert digests == self.WEDGE_OBJ_SHA256[generator], (
+            f"wedge OBJ digests on {running}; the pinned ones were recorded "
+            f"on {self.WEDGE_OBJ_PLATFORM}")
 
 
 class TestExportImport:
@@ -582,7 +697,6 @@ def _cap_per_ring(self, center, loop_ids, refine, face):
     apex_dir = apex_dir / np.linalg.norm(apex_dir)
     apex = int(self.add_points((center + apex_dir)[None, :])[0])
     L = len(loop_ids)
-    omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
     rows = max(2, refine)
 
     def ring_ids(r):
@@ -595,12 +709,11 @@ def _cap_per_ring(self, center, loop_ids, refine, face):
         kn = (k + 1) % L
         between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
         between /= np.linalg.norm(between, axis=1)[:, None]
-        ang = ((1.0 - frac) * omega[k] + frac * omega[kn]) * (r / rows)
-        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))
-        safe = np.maximum(np.sin(full), 1e-14)
-        ring = (np.sin(full - ang) / safe)[:, None] * apex_dir \
-            + (np.sin(ang) / safe)[:, None] * between
-        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        # the slerp at r/rows from the apex toward the loop's geodesic polygon
+        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))[:, None]
+        f = r / rows
+        ring = (np.sin((1.0 - f) * full) * apex_dir
+                + np.sin(f * full) * between) / np.sin(full)
         return self.add_points(center + ring)
 
     prev = np.array([apex], dtype=np.int64)
