@@ -1,11 +1,10 @@
 """Primitive geometry for unit-ball intersections.
 
 Circles arising as intersections of two unit spheres, arcs on those circles,
-and closed angular-interval arithmetic on canonical tuples used to trim
-circles against further ball constraints.  All values are immutable after
-construction and every operation is a pure function, so everything here is
-safe to share across workers.  Lengths are unitless; the unit ball radius 1
-sets the scale.
+and the one numpy batch that trims circles against further ball
+constraints.  All values are immutable after construction and every
+operation is a pure function, so everything here is safe to share across
+workers.  Lengths are unitless; the unit ball radius 1 sets the scale.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ import numpy as np
 from .errors import DegenerateInputError
 
 TWO_PI = 2.0 * math.pi
-# An angular set is a finite union of closed intervals on the circle
-# [0, 2*pi), held as a canonical tuple ((lo, hi), ...): sorted, pairwise
-# disjoint, each interval inside [0, 2*pi].  () is the empty set and FULL
-# the whole circle.  Intervals shorter than Tolerances.ang_eps are dropped
-# and gaps shorter than it closed, which suppresses tangency noise.
-FULL = ((0.0, TWO_PI),)
 
 _BASIS = np.eye(3)
 
@@ -73,12 +66,13 @@ class Tolerances:
 
     dist_eps (the CLI's --tol-dist): a pair within dist_eps of distance 1
         is diametric; one beyond 1 + dist_eps breaks the diameter.
-    ang_eps: circle intervals and gaps shorter than this are tangency noise
-        (edge extraction).
+    ang_eps: trimmed circle components and pieces of them no longer than
+        this are tangency noise, and a vertex this near a component's end
+        does not split it (edge extraction).
     match_eps: how near an arc endpoint must come to its vertex, and a
         point of X to a support circle.
     on_axis: a ball constraint of amplitude below this has its center on
-        the circle's axis (``trim_circle``).
+        the circle's axis (``trim_circles``).
     theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
         1.15e-9: the chord angle of the longest distance the default
         dist_eps accepts, so a set that validates at the default also
@@ -152,7 +146,8 @@ class Circle3:
     def angle_of(self, p: np.ndarray) -> float:
         """Angle of the (projected) point ``p`` on this circle, in [0, 2*pi)."""
         w = as_point(p) - self.center
-        return math.atan2(float(w @ self.v_ref), float(w @ self.u_ref)) % TWO_PI
+        psi = math.atan2(float(w @ self.v_ref), float(w @ self.u_ref)) % TWO_PI
+        return psi if psi < TWO_PI else 0.0  # -tiny % 2*pi rounds to 2*pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,83 +177,6 @@ class ArcOnCircle:
             np.linspace(self.start_angle, self.end_angle, n + 1)[1:-1])
 
 
-def _canonical(raw) -> tuple[tuple[float, float], ...]:
-    """The canonical intervals (see ``FULL``) of raw (lo, hi) pairs, any
-    real lo; a pair with hi <= lo is skipped."""
-    eps = Tolerances.ang_eps
-    pieces = []
-    for lo, hi in raw:
-        span = hi - lo
-        if span <= 0.0:
-            continue
-        if span >= TWO_PI - eps:
-            return FULL
-        lo = lo % TWO_PI
-        hi = lo + span
-        if hi > TWO_PI:
-            pieces.append((lo, TWO_PI))
-            pieces.append((0.0, hi - TWO_PI))
-        else:
-            pieces.append((lo, hi))
-    if not pieces:
-        return ()
-    pieces.sort()
-    merged = [pieces[0]]
-    for lo, hi in pieces[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi + eps:
-            merged[-1] = (mlo, max(mhi, hi))
-        else:
-            merged.append((lo, hi))
-    kept = tuple([iv for iv in merged if iv[1] - iv[0] > eps])
-    if sum([hi - lo for lo, hi in kept]) >= TWO_PI - eps:
-        return FULL
-    return kept
-
-
-def _arc(lo: float, hi: float) -> tuple[tuple[float, float], ...]:
-    """``_canonical(((lo, hi),))``, float for float; only an arc that is
-    empty, nearly full or wraps past 2*pi goes through the list and sort."""
-    eps = Tolerances.ang_eps
-    span = hi - lo
-    start = lo % TWO_PI
-    end = start + span
-    if not 0.0 < span < TWO_PI - eps or end > TWO_PI:
-        return _canonical(((lo, hi),))
-    span = end - start
-    return (FULL if span >= TWO_PI - eps
-            else ((start, end),) if span > eps else ())
-
-
-def _meet(a, b) -> tuple[tuple[float, float], ...]:
-    """The canonical intersection of canonical intervals ``a`` and ``b``."""
-    if a == FULL:
-        return b
-    if b == FULL:
-        return a
-    if len(a) == 1 == len(b):
-        return _arc(max(a[0][0], b[0][0]), min(a[0][1], b[0][1]))
-    out = []
-    for alo, ahi in a:
-        for blo, bhi in b:
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if hi - lo > 0.0:
-                out.append((lo, hi))
-    return _arc(*out[0]) if len(out) == 1 else _canonical(out)
-
-
-def components(intervals) -> list[tuple[float, float]]:
-    """Connected components of canonical intervals; a component crossing the
-    angle origin is returned as one interval with hi > 2*pi."""
-    eps = Tolerances.ang_eps
-    ivs = list(intervals)
-    if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
-        first = ivs.pop(0)
-        last = ivs.pop()
-        ivs.append((last[0], first[1] + TWO_PI))
-    return ivs
-
-
 def circle_of_sphere_pair(b, c) -> Circle3:
     """Circle of points at distance 1 from both ``b`` and ``c``.
 
@@ -280,39 +198,81 @@ def circle_of_sphere_pair(b, c) -> Circle3:
                    u_ref=reference_direction(axis))
 
 
-def trim_circle(circle: Circle3, centers: np.ndarray
-                ) -> tuple[tuple[float, float], ...]:
-    """The canonical intervals of the angles psi with
-    |circle.point(psi) - x| <= 1 for every row x of the (m, 3) float array
-    ``centers``: () when a ball misses the circle, FULL when none cuts it.
-    Rows are intersected in order up to the first empty set.  A row's
-    constraint K*cos(psi - alpha) >= C takes its three dots from one
-    ``np.vecdot`` batch (rounded per row as the 1-D ``@``) and its angles
-    from ``math`` (numpy's round differently)."""
-    w = centers - circle.center
-    wu = np.vecdot(w, circle.u_ref).tolist()
-    wv = np.vecdot(w, circle.v_ref).tolist()
-    ww = np.vecdot(w, w).tolist()
-    r = circle.radius
+# the cosine at which a ball's arc falls within ang_eps of the full turn
+_NEARLY_FULL = -math.cos(0.5 * Tolerances.ang_eps)
+
+
+def trim_circles(circles, centers: np.ndarray, skip: np.ndarray
+                 ) -> list[list[tuple[float, float]]]:
+    """For each circle of ``circles``, the connected components of the
+    angles psi with |circle.point(psi) - x| <= 1 for every row x of the
+    (m, 3) float array ``centers`` but the rows ``skip`` names (an int
+    array, one row per circle, possibly of length 0): [] when a ball misses
+    the circle, [(0, 2*pi)] when none cuts it.  A component is (lo, hi)
+    with lo in [0, 2*pi) and hi - lo in (ang_eps, 2*pi), in angle order; one
+    crossing the angle origin has hi > 2*pi and comes last.
+
+    One numpy batch over circles x centers, a row per circle.  Center x
+    confines the circle to K*cos(psi - alpha) >= C, an arc of half-width
+    acos(C/K) about alpha: no cut if C/K <= -1 (its ball holds the whole
+    circle, or all but ang_eps of it), the empty set if C/K >= 1.  One sort
+    of every row's arc starts and ends by angle counts the arcs over each
+    angle; an angle survives where the count is the row's number of cuts.
+    Each component so found is maximal, across the angle origin too, and
+    no two are within ang_eps of each other (a gap holds the whole
+    complement of some arc), so the one tangency rule left drops
+    components of ang_eps or less.  The components decide which vertices
+    bound an edge; numpy rounds their angles, not ``math`` as ``Circle3``
+    does.
+    """
+    if not circles:
+        return []
+    m = len(centers)
+    center = np.array([c.center for c in circles])[:, None]
+    r = np.array([[c.radius] for c in circles])
+    w = centers - center
     two_r = 2.0 * r
-    r2 = r * r
-    surviving = FULL
-    for pu, pv, pw in zip(wu, wv, ww):
-        a = two_r * pu
-        b = two_r * pv
-        c = pw + r2 - 1.0
-        k = math.hypot(a, b)
-        ratio = (c / k if k >= Tolerances.on_axis
-                 else -1.0 if c <= 0.0 else 1.0)  # x on the circle's axis
-        if ratio >= 1.0:
-            return ()
-        if ratio > -1.0:
-            alpha = math.atan2(b, a)
-            half = math.acos(ratio)
-            surviving = _meet(surviving, _arc(alpha - half, alpha + half))
-            if not surviving:
-                break
-    return surviving
+    a = two_r * np.vecdot(w, np.array([c.u_ref for c in circles])[:, None])
+    b = two_r * np.vecdot(w, np.array([c.v_ref for c in circles])[:, None])
+    c = np.vecdot(w, w) + r * r - 1.0
+    k = np.hypot(a, b)
+    # a center on the circle's axis holds all of it or none
+    ratio = np.divide(c, k, out=np.where(c <= 0.0, -1.0, 1.0),
+                      where=k >= Tolerances.on_axis)
+    ratio[np.arange(len(circles))[:, None], skip] = -1.0
+    empty = (ratio >= 1.0).any(axis=1)
+    cut = (ratio > _NEARLY_FULL) & ~empty[:, None]
+    cuts = cut.sum(axis=1)
+    half = np.arccos(np.where(cut, ratio, 0.0))
+    start = np.mod(np.arctan2(b, a) - half, TWO_PI)
+    start[start == TWO_PI] = 0.0  # np.mod(-tiny) rounds to 2*pi
+    stop = start + 2.0 * half
+    wraps = cut & (stop > TWO_PI)
+    stop[wraps] -= TWO_PI
+    # a row holds its starts, then its ends, the centers that cut nothing
+    # at infinity; sorted stably, a start comes before an end at one angle,
+    # so arcs that only touch meet in a piece of length 0
+    events = np.concatenate((start, stop), axis=1)
+    events[np.concatenate((~cut, ~cut), axis=1)] = np.inf
+    order = np.argsort(events, axis=1, kind="stable")
+    events = np.take_along_axis(events, order, axis=1)
+    # the arcs over each event's angle: the arcs that wrap cover angle 0
+    cover = wraps.sum(axis=1)[:, None] + np.cumsum(
+        np.where(order < m, 1, -1), axis=1)
+    inside = (cover == cuts[:, None]) & (events < np.inf)
+    # a piece runs from an event that completes the cover to the next one,
+    # past 2*pi to the row's first event from its last
+    first = events[:, :1] + TWO_PI
+    nxt = np.concatenate((events[:, 1:], first), axis=1)
+    nxt = np.where(nxt < np.inf, nxt, first)
+    eps = Tolerances.ang_eps
+    pieces = [[] for _ in circles]
+    for p, lo, hi in zip(np.nonzero(inside)[0].tolist(),
+                         events[inside].tolist(), nxt[inside].tolist()):
+        if hi - lo > eps:
+            pieces[p].append((lo, hi))
+    return [[] if gone else [(0.0, TWO_PI)] if not n else ps
+            for gone, n, ps in zip(empty.tolist(), cuts.tolist(), pieces)]
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

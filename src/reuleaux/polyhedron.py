@@ -6,13 +6,13 @@ vertices coincide with X, it has one spherical face per point, and its edges
 are circular arcs that come in |X|-1 dual pairs: the supporting center pair
 of each edge equals the endpoint pair of its partner and vice versa.
 
-This module validates extremality, extracts the edge arcs by angular-interval
-arithmetic on the support circles, matches dual pairs, walks each face's
-boundary loop once for the mesh module, and classifies vertices.  Every edge
-arc of a dual pair is kept on one side and removed on the other when the
-associated Meissner body is formed; the canonical orientation chosen here
-(lexicographically smaller support keeps its arc) is what the oracle and
-mesh modules consume.
+This module validates extremality, extracts the edge arcs by trimming the
+support circles against the balls in one batch, matches dual pairs, walks
+each face's boundary loop once for the mesh module, and classifies
+vertices.  Every edge arc of a dual pair is kept on one side and removed on
+the other when the associated Meissner body is formed; the canonical
+orientation chosen here (lexicographically smaller support keeps its arc) is
+what the oracle and mesh modules consume.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
 from .geom import (TWO_PI, ArcOnCircle, Tolerances,
-                   circle_of_sphere_pair, components, cross, trim_circle)
+                   circle_of_sphere_pair, cross, trim_circles)
 
 @dataclass(frozen=True, eq=False)
 class PointConfig:
@@ -170,18 +170,20 @@ def check_extremal(cfg: PointConfig) -> ExtremalityReport:
 
 
 def _match_vertices(cfg: PointConfig, ends: np.ndarray,
-                    support: tuple[int, int]) -> list[int]:
+                    supports: list[tuple[int, int]]) -> list[int]:
     """For each row of ``ends``, the nearest point of X within match_eps;
-    lowest index on ties.  The error names the support pair whose arc ends
-    at the first row that matches none."""
+    lowest index on ties.  The error names the support pair
+    (``supports[r]`` for row r) whose arc ends at the first row that
+    matches none."""
     d = np.linalg.norm(cfg.points - ends[:, None], axis=2)
-    near = d.argmin(axis=1).tolist()
-    for p, row, k in zip(ends, d, near):
-        if row[k] > cfg.tol.match_eps:
-            raise StructureError(
-                f"extract_edges: support pair {support}: arc endpoint {p} "
-                f"matches no vertex (nearest at distance {row[k]:.3g})")
-    return near
+    gap = d.min(axis=1)
+    miss = np.flatnonzero(gap > cfg.tol.match_eps)
+    if miss.size:
+        r = miss[0]
+        raise StructureError(
+            f"extract_edges: support pair {supports[r]}: arc endpoint "
+            f"{ends[r]} matches no vertex (nearest at distance {gap[r]:.3g})")
+    return d.argmin(axis=1).tolist()
 
 
 def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
@@ -193,7 +195,7 @@ def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
     to rounding and within match_eps of its point.  The dist_eps term keeps
     the diametric pairs, so an arc end that misses its vertex is named.  The
     outcome differs from trimming every pair only on sets refused either
-    way: a sliver whose two ends match one vertex has no dual partner.
+    way: a sliver whose two ends match one vertex, which is no edge.
     """
     tol = cfg.tol
     near = np.abs(cfg.dist - 1.0) <= max(tol.dist_eps, 2.0 * tol.match_eps)
@@ -204,42 +206,23 @@ def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def _pair_edges(cfg: PointConfig, on_sphere: np.ndarray, i: int, j: int
-                ) -> list[tuple[tuple[int, int], tuple[int, int], ArcOnCircle]]:
-    """The exact trim-and-split of one support pair's circle, as
-    (support, endpoints, arc) triples."""
-    pts = cfg.points
+def _split_at_vertices(comps: list[tuple[float, float]], splits
+                       ) -> list[tuple[float, float]]:
+    """The pieces (lo, hi) of one support pair's trimmed circle: each
+    component cut at the split angles interior to it.  Pieces up to ang_eps
+    are tangency noise and dropped."""
     eps = Tolerances.ang_eps
-    circle = circle_of_sphere_pair(pts[i], pts[j])
-    # the other centers in order (i < j); slices cost less than np.delete
-    surviving = trim_circle(
-        circle, np.concatenate((pts[:i], pts[i + 1:j], pts[j + 1:])))
-    if not surviving:
-        return []
-    # Points of X on this circle (distance 1 from both centers)
-    # split the surviving set: edges live on the circle minus X.
-    # The zero diagonal of dist keeps i and j themselves out.
-    splits = [circle.angle_of(pts[k])
-              for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
-    # never the full circle: a common neighbour of a candidate pair lies on
-    # it, and its ball keeps at most 2.47 rad of it
-    comps = []
-    for lo, hi in components(surviving):
+    pieces = []
+    for lo, hi in comps:
         inner = []
         for s in splits:
             rel = (s - lo) % TWO_PI
             if eps < rel < (hi - lo) - eps:
                 inner.append(lo + rel)
         bounds = [lo] + sorted(inner) + [hi]
-        comps.extend(zip(bounds[:-1], bounds[1:]))
-    edges = []
-    for lo, hi in comps:
-        if hi - lo <= eps:
-            continue
-        u, w = _match_vertices(
-            cfg, np.array([circle.point(lo), circle.point(hi)]), (i, j))
-        edges.append(((i, j), (u, w), ArcOnCircle(circle, lo, hi)))
-    return edges
+        pieces.extend((a, b) for a, b in zip(bounds[:-1], bounds[1:])
+                      if b - a > eps)
+    return pieces
 
 
 def extract_edges(cfg: PointConfig
@@ -247,21 +230,53 @@ def extract_edges(cfg: PointConfig
     """The extremality report of X and the edge arcs of B(X), one per
     connected boundary component.
 
-    Two steps, for extremal X only (NotExtremalError otherwise).  On each
-    pair that ``_candidate_pairs`` keeps, in (i, j) order, the circle of the
-    sphere intersection is trimmed against every other ball, then split
-    where a point of X lies on the circle interior to the surviving set (a
-    dangling vertex cuts the arc in two).  Components shorter than ang_eps
-    are tangency noise and dropped.  The float sequence of the trim
-    (``geom.trim_circle``) fixes every arc angle.
+    Two steps, for extremal X only (NotExtremalError otherwise).  The
+    circles of the pairs that ``_candidate_pairs`` keeps are trimmed
+    against every other ball in one batch (``geom.trim_circles``).  Each
+    surviving component is split where a point of X lies on the circle
+    interior to it (a dangling vertex cuts the arc in two).  The ends of
+    all pieces match their vertices in one batch, and each arc runs from
+    the angle (``Circle3.angle_of``) of its first endpoint vertex to that
+    of its second: the trim decides which vertices bound an edge, and the
+    vertices fix every arc angle.
     """
     report = check_extremal(cfg)
     if not report.is_extremal:
         raise NotExtremalError(report)
+    pts = cfg.points
+    pairs = _candidate_pairs(cfg)
+    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
+    # Points of X on a circle (distance 1 from both centers) split its
+    # surviving set: edges live on the circle minus X.  The zero diagonal
+    # of dist keeps a pair's own two points out.
     on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
+    on_circle = [[] for _ in pairs]
+    for p, k in np.argwhere(on_sphere[ij[:, 0]] & on_sphere[ij[:, 1]]).tolist():
+        on_circle[p].append(k)
+    pieces = []
+    for pair, circle, comps, ks in zip(
+            pairs, circles, trim_circles(circles, pts, ij), on_circle):
+        # never the full circle: a common neighbour of a candidate pair
+        # lies on it, and its ball keeps at most 2.47 rad of it
+        angles = {k: circle.angle_of(pts[k]) for k in ks}
+        pieces += [(pair, circle, angles, lo, hi)
+                   for lo, hi in _split_at_vertices(comps, angles.values())]
+    near = _match_vertices(
+        cfg, np.array([circle.point(x) for _, circle, _, lo, hi in pieces
+                       for x in (lo, hi)]).reshape(-1, 3),
+        [piece[0] for piece in pieces for _ in (0, 1)])
     found = []
-    for i, j in _candidate_pairs(cfg):
-        found.extend(_pair_edges(cfg, on_sphere, i, j))
+    for (pair, circle, angles, lo, hi), u, w in zip(pieces, near[::2],
+                                                    near[1::2]):
+        if u == w:
+            raise StructureError(
+                f"extract_edges: support pair {pair}: arc from {lo:.12g} to "
+                f"{hi:.12g} rad starts and ends at vertex {u}")
+        start, end = (angles[v] if v in angles else circle.angle_of(pts[v])
+                      for v in (u, w))
+        found.append((pair, (u, w), ArcOnCircle(
+            circle, start, start + (end - start) % TWO_PI)))
     found.sort(key=lambda t: (t[0], sorted(t[1])))
     return report, tuple(EdgeArc(support, ends, arc, k)
                          for k, (support, ends, arc) in enumerate(found))

@@ -6,8 +6,7 @@ in the z = 0 plane; the scalar trim of edge extraction: the ball
 constraint one center at a time, intersected by a frozen copy of the
 angular-interval arithmetic; and frozen copies of the support-circle frame
 and of the matching of an arc end to its vertex.  Nothing here calls the
-closed forms, the interval layer, the circle constructor or the batched
-trim under test.
+closed forms, the circle constructor or the batched trim under test.
 """
 
 import math
@@ -109,9 +108,9 @@ def spindle_flux_quad(theta, theta_prime):
 
 
 class FrozenIntervalSet:
-    """The angular-interval arithmetic as it stood before ``geom`` moved it
-    to canonical tuples (``_canonical``, ``_meet``, ``components``), kept
-    verbatim: the float sequence the package must reproduce."""
+    """The scalar angular-interval arithmetic that edge extraction ran
+    before the trim became one numpy batch (``geom.trim_circles``), kept
+    verbatim: the components the batch must reproduce."""
 
     __slots__ = ("intervals",)
 
@@ -235,7 +234,7 @@ def scalar_ball_constraint(circle, x):
 def scalar_trim(circle, centers):
     """The circle's angles inside every ball of ``centers``, one
     ``scalar_ball_constraint`` at a time up to the first empty set: the
-    float sequence ``geom.trim_circle`` must reproduce."""
+    components ``geom.trim_circles`` must reproduce to rounding."""
     surviving = FrozenIntervalSet.full()
     for x in centers:
         surviving = surviving.intersect(scalar_ball_constraint(circle, x))

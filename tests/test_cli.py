@@ -23,7 +23,8 @@ from reuleaux.oracle import BodySpec, McEstimate, body_from_structure, \
     mc_volume
 from reuleaux.polyhedron import ExtremalityReport, StructureReport, \
     analyze_config, body_label, config_from_generator, tetra_points
-from test_mesh import pentad_grown, ply_mesh
+from test_mesh import ply_mesh
+from test_polyhedron import pentad_grown
 
 
 def run(argv):

@@ -1,31 +1,28 @@
-"""Tests for circles, arcs, and angular-interval arithmetic."""
+"""Tests for circles, arcs, and the batched trim of circles by balls."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
-from reuleaux.geom import (FULL, TWO_PI, ArcOnCircle, Circle3, Tolerances,
-                           circle_of_sphere_pair, components,
-                           max_distance_to_arc_many, reference_direction,
-                           trim_circle)
+from reuleaux.geom import (TWO_PI, ArcOnCircle, Circle3, Tolerances,
+                           circle_of_sphere_pair, max_distance_to_arc_many,
+                           reference_direction, trim_circles)
 from reuleaux.polyhedron import (PointConfig, _candidate_pairs,
-                                 config_from_generator, tetra_points)
+                                 config_from_generator, extract_edges,
+                                 tetra_points)
 
-from oracles import (FrozenIntervalSet, frozen_circle_frame,
-                     scalar_ball_constraint, scalar_trim)
+from oracles import frozen_circle_frame, scalar_ball_constraint, scalar_trim
 from test_polyhedron import generic_sets, moved_pyramid
 
 RNG = np.random.default_rng(20260811)
 
 
 def contains(intervals, angle, slack=0.0):
-    """Whether the angle, taken mod 2*pi, lies in the canonical intervals
+    """Whether the angle, taken mod 2*pi, lies in the components (lo, hi)
     widened by slack."""
     a = angle % TWO_PI
     for lo, hi in intervals:
@@ -33,11 +30,6 @@ def contains(intervals, angle, slack=0.0):
             if lo - slack <= cand <= hi + slack:
                 return True
     return False
-
-
-def measure(intervals):
-    """Total length of the canonical intervals."""
-    return sum(hi - lo for lo, hi in intervals)
 
 
 def random_unit(rng):
@@ -130,22 +122,27 @@ class TestCircleOfSpherePair:
             assert np.array_equal(u, reference_direction(axis))
 
 
+def trim_one(circ, centers):
+    """The components of one circle trimmed against ``centers``."""
+    (comps,) = trim_circles([circ], np.asarray(centers, dtype=float),
+                            np.empty((1, 0), dtype=int))
+    return comps
+
+
 class TestBallConstraintInterval:
     def test_center_gives_full_circle(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert trim_circle(circ, np.array([circ.center], dtype=float)) == FULL
+        assert trim_one(circ, [circ.center]) == [(0.0, TWO_PI)]
 
     def test_far_point_gives_empty_set(self):
         circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        assert trim_circle(
-            circ, np.array([(5.0, 0.0, 0.0)], dtype=float)) == ()
+        assert trim_one(circ, [(5.0, 0.0, 0.0)]) == []
 
     def test_unit_circle_halfwidth_matches_root_finding(self):
         circ = Circle3(center=np.zeros(3), radius=1.0, axis=np.array([0.0, 0.0, 1.0]),
                        u_ref=np.array([1.0, 0.0, 0.0]))
         x = np.array([1.5, 0.0, 0.0])
-        ivs = trim_circle(circ, np.array([x], dtype=float))
-        (lo, hi), = components(ivs)
+        (lo, hi), = trim_one(circ, [x])
         half = math.acos(0.75)
         # independent oracle: solve |p(psi) - x| = 1 directly
         root = brentq(lambda p: np.linalg.norm(circ.point(p) - x) - 1.0, 1e-9, math.pi)
@@ -160,34 +157,38 @@ class TestBallConstraintInterval:
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
             circ = circle_of_sphere_pair(b, c)
             x = RNG.normal(size=3) * 0.8
-            ivs = trim_circle(circ, np.array([x], dtype=float))
-            if ivs == FULL or not ivs:
+            comps = trim_one(circ, [x])
+            if comps == [(0.0, TWO_PI)]:
                 continue
-            for lo, hi in components(ivs):
+            for lo, hi in comps:
                 for psi in (lo, hi):
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
 
 
-def hexed(intervals):
-    return [(lo.hex(), hi.hex()) for lo, hi in intervals]
+# numpy rounds the batch's angles and math the frozen chain's; on these
+# sets they part by at most a few 1e-15 rad
+TRIM_RAD = 1e-12
+EPS = Tolerances.ang_eps
 
 
-def batch_against_scalar(circ, centers):
-    """Each center's constraint, then the whole trim, by ``trim_circle`` and
-    by the frozen scalar chain, as float.hex intervals; the kinds of set the
-    scalar formula gave."""
-    scalar = [scalar_ball_constraint(circ, x) for x in centers]
-    kinds = {"full" if s.is_full else "empty" if s.is_empty else "arc"
-             for s in scalar}
-    got = [trim_circle(circ, centers[k:k + 1]) for k in range(len(centers))]
-    got.append(trim_circle(circ, centers))
-    scalar.append(scalar_trim(circ, centers))
-    return ([hexed(s) for s in got],
-            [hexed(s.intervals) for s in scalar], kinds)
+def turn_gap(x, y):
+    """The distance of two angles around the circle."""
+    return abs((x - y + math.pi) % TWO_PI - math.pi)
+
+
+def assert_trims_agree(got, frozen):
+    """``trim_circles`` components against the frozen chain's set: as many
+    components, and each end within TRIM_RAD."""
+    want = frozen.components()
+    assert len(got) == len(want), (got, want)
+    for (lo, hi), (want_lo, want_hi) in zip(got, want):
+        assert turn_gap(lo, want_lo) <= TRIM_RAD, (got, want)
+        assert turn_gap(hi, want_hi) <= TRIM_RAD, (got, want)
 
 
 class TestBallConstraintIntervals:
-    """The batched trim is bit-identical to the frozen scalar chain."""
+    """The batched trim agrees with the frozen scalar chain: the same
+    components, with ends within TRIM_RAD."""
 
     def test_random_circles_and_centers(self):
         rng = np.random.default_rng(1206)
@@ -201,154 +202,123 @@ class TestBallConstraintIntervals:
                        * dirs / np.linalg.norm(dirs, axis=1)[:, None])
             # a center on the circle's axis has no direction on the circle
             on_axis = circ.center + rng.uniform(-1.0, 1.0) * circ.axis
-            got, want, seen = batch_against_scalar(
-                circ, np.vstack([centers, on_axis]))
-            assert got == want
-            kinds |= seen
+            centers = np.vstack([centers, on_axis])
+            # each center alone, then all of them
+            for x in centers:
+                frozen = scalar_ball_constraint(circ, x)
+                kinds.add("full" if frozen.is_full
+                          else "empty" if frozen.is_empty else "arc")
+                assert_trims_agree(trim_one(circ, [x]), frozen)
+            assert_trims_agree(trim_one(circ, centers),
+                               scalar_trim(circ, centers))
         assert kinds == {"full", "empty", "arc"}
 
     def test_candidate_circles_of_a_moved_pyramid(self):
         # every candidate pair of an n = 102 pyramid and of the m = 21
-        # generic sets: the pairs the trim runs on in extract_edges
+        # generic sets, in the one batch extract_edges runs
         for cfg in [moved_pyramid(101, 102)] + generic_sets(21):
             pts = cfg.points
-            for i, j in _candidate_pairs(cfg):
-                circ = circle_of_sphere_pair(pts[i], pts[j])
-                others = np.delete(pts, (i, j), axis=0)
-                assert (hexed(trim_circle(circ, others))
-                        == hexed(scalar_trim(circ, others).intervals))
+            pairs = _candidate_pairs(cfg)
+            circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
+            trims = trim_circles(circles, pts, np.array(pairs))
+            assert len(trims) == len(pairs)
+            for (i, j), circ, got in zip(pairs, circles, trims):
+                assert_trims_agree(
+                    got, scalar_trim(circ, np.delete(pts, (i, j), axis=0)))
+
+    def test_an_arc_that_ends_at_two_pi(self):
+        # the tetra's pair (1, 3) keeps an arc that ends at 2*pi exactly;
+        # its end event sorts last, not first, and the edge survives
+        cfg = config_from_generator("tetra")
+        pts = cfg.points
+        circ = circle_of_sphere_pair(pts[1], pts[3])
+        (got,) = trim_circles([circ], pts, np.array([(1, 3)]))
+        (lo, hi), = got
+        assert hi == TWO_PI and 0.0 < lo < TWO_PI
+        assert_trims_agree(got, scalar_trim(circ, pts[[0, 2]]))
+        _, edges = extract_edges(cfg)
+        assert [e.arc.end_angle for e in edges if e.support == (1, 3)] == [TWO_PI]
 
 
-EPS = Tolerances.ang_eps
-# lengths of pieces and of the gaps between them: zero (touching endpoints),
-# up to 2 ang_eps (tangency noise), ordinary, within 2 ang_eps of a full
-# turn; gaps may also be negative (overlaps)
-_SHORT = st.floats(0.0, 2.0 * EPS)
-_SPAN = st.one_of(_SHORT, st.floats(1e-3, TWO_PI),
-                  st.floats(TWO_PI - 2.0 * EPS, TWO_PI + 2.0 * EPS))
-_GAP = st.one_of(st.just(0.0), _SHORT, st.floats(1e-3, 3.0),
-                 st.floats(-1.0, 0.0))
-# starts on either side of [0, 2*pi), so pieces wrap past 2*pi or start at
-# a negative lo, and on the ends of one turn
-_START = st.one_of(st.floats(-2.0 * TWO_PI, 2.0 * TWO_PI),
-                   st.sampled_from([0.0, EPS, TWO_PI - EPS, TWO_PI, -TWO_PI]))
-TUPLE_LAYER = settings(max_examples=400, derandomize=True, deadline=None,
-                       database=None)
+HALF_CIRCLE = Circle3(center=(0, 0, 0), radius=0.5, axis=(0, 0, 1),
+                      u_ref=(1, 0, 0))
 
 
-@st.composite
-def raw_pieces(draw, most=4):
-    """Raw (lo, hi) pieces laid end to end by _SPAN and _GAP, shuffled."""
-    lo = draw(_START)
-    raw = []
-    for _ in range(draw(st.integers(1, most))):
-        hi = lo + draw(_SPAN)
-        raw.append((lo, hi))
-        lo = hi + draw(_GAP)
-    return draw(st.permutations(raw))
+def ball_for_arc(lo, hi):
+    """The center in the plane z = 0 whose unit ball keeps exactly the
+    angles [lo, hi] of HALF_CIRCLE, the circle of radius 1/2 about the
+    origin: at distance s = r cos h + sqrt(1 - r^2 sin^2 h) from it, in the
+    direction of the arc's middle, for half-width h."""
+    mid, h, r = 0.5 * (lo + hi), 0.5 * (hi - lo), HALF_CIRCLE.radius
+    s = r * math.cos(h) + math.sqrt(1.0 - (r * math.sin(h)) ** 2)
+    return (s * math.cos(mid), s * math.sin(mid), 0.0)
 
 
-class TestTupleLayer:
-    """The tuple canonicalizer, the one-arc step, the intersection and the
-    components give the frozen arithmetic's floats (float.hex)."""
-
-    @TUPLE_LAYER
-    @given(raw=raw_pieces())
-    @example(raw=[(-0.5, 0.5)])
-    @example(raw=[(1.0, 1.0 + TWO_PI - 1.5 * EPS)])
-    @example(raw=[(1.0, 1.0 + 0.5 * EPS)])
-    @example(raw=[(0.0, 1.0), (1.0 + 0.5 * EPS, 2.0)])
-    @example(raw=[(TWO_PI - 1.0, TWO_PI), (0.0, 1.0)])
-    @example(raw=[(TWO_PI - 0.5 * EPS, TWO_PI + 3.0)])
-    # a span just under ang_eps whose re-rounded span lo + (hi - lo) is over
-    @example(raw=[(-1e-4, -9.990000000007484e-05)])
-    def test_canonical_form(self, raw):
-        want = hexed(FrozenIntervalSet.from_raw(raw).intervals)
-        assert hexed(geom._canonical(raw)) == want
-        if len(raw) == 1:
-            assert hexed(geom._arc(*raw[0])) == want
-
-    @TUPLE_LAYER
-    @given(raw_a=st.one_of(raw_pieces(1), raw_pieces()),
-           raw_b=st.one_of(raw_pieces(1), raw_pieces()))
-    @example(raw_a=[(0.0, 1.0)], raw_b=[(1.0, 2.0)])
-    @example(raw_a=[(0.5, 1.0)], raw_b=[(1.0 - 0.5 * EPS, 2.0)])
-    @example(raw_a=[(-1.0, 1.0)], raw_b=[(0.5, TWO_PI - 0.5)])
-    def test_intersection(self, raw_a, raw_b):
-        a = FrozenIntervalSet.from_raw(raw_a)
-        b = FrozenIntervalSet.from_raw(raw_b)
-        want = hexed(a.intersect(b).intervals)
-        assert hexed(geom._meet(a.intervals, b.intervals)) == want
-
-    @TUPLE_LAYER
-    @given(raw=raw_pieces())
-    # wrapping past 2*pi: one piece, and two pieces that meet at 0
-    @example(raw=[(1.5 * math.pi, 2.5 * math.pi)])
-    @example(raw=[(TWO_PI - 1.0, TWO_PI), (0.0, 1.0)])
-    # ends within ang_eps of the angle origin are joined, just beyond not
-    @example(raw=[(0.5 * EPS, 1.0), (3.0, TWO_PI - 0.5 * EPS)])
-    @example(raw=[(EPS, 1.0), (3.0, TWO_PI - EPS)])
-    @example(raw=[(1.5 * EPS, 1.0), (3.0, TWO_PI)])
-    @example(raw=[(0.0, 1.0), (3.0, TWO_PI - 1.5 * EPS)])
-    def test_components(self, raw):
-        want = [(lo.hex(), hi.hex())
-                for lo, hi in FrozenIntervalSet.from_raw(raw).components()]
-        assert hexed(components(geom._canonical(raw))) == want
+def trim_arcs(*arcs):
+    """HALF_CIRCLE trimmed by the balls that keep each arc (lo, hi)."""
+    return trim_one(HALF_CIRCLE, [ball_for_arc(lo, hi) for lo, hi in arcs])
 
 
 class TestAngularIntervalSet:
-    """Angular sets held as canonical tuples."""
+    """The batch meets the arcs of the balls on a circle, with the ang_eps
+    rules applied once."""
 
     def test_intersection_with_full_is_identity(self):
-        s = geom._canonical([(0.3, 1.2), (2.0, 2.5)])
-        assert geom._meet(s, FULL) == s
+        # a ball about the circle's center keeps all of it: no cut
+        arc = trim_arcs((0.3, 1.2))
+        both = trim_one(HALF_CIRCLE, [ball_for_arc(0.3, 1.2), (0, 0, 0)])
+        assert both == arc
+        (lo, hi), = arc
+        assert lo == pytest.approx(0.3, abs=1e-12)
+        assert hi == pytest.approx(1.2, abs=1e-12)
 
     def test_simple_overlap(self):
-        a = geom._canonical([(0.0, math.pi)])
-        b = geom._canonical([(math.pi / 2, 1.5 * math.pi)])
-        (lo, hi), = geom._meet(a, b)
+        (lo, hi), = trim_arcs((0.0, math.pi), (math.pi / 2, 1.5 * math.pi))
         assert lo == pytest.approx(math.pi / 2)
         assert hi == pytest.approx(math.pi)
 
     def test_wraparound_intersection(self):
-        wrap = geom._canonical([(1.5 * math.pi, 2.5 * math.pi)])
-        assert len(wrap) == 2
-        other = geom._canonical([(0.0, math.pi)])
-        (lo, hi), = geom._meet(wrap, other)
-        assert lo == pytest.approx(0.0)
+        (lo, hi), = trim_arcs((1.5 * math.pi, 2.5 * math.pi), (0.0, math.pi))
+        assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(math.pi / 2)
+        # two arcs longer than pi meet in two components, one across 0
+        assert trim_arcs((-2.0, 2.0), (1.0, 5.0)) == [
+            (pytest.approx(1.0), pytest.approx(2.0)),
+            (pytest.approx(TWO_PI - 2.0), pytest.approx(5.0))]
 
     def test_wrap_component_is_rejoined(self):
-        wrap = geom._canonical([(1.5 * math.pi, 2.5 * math.pi)])
-        (lo, hi), = components(wrap)
+        (lo, hi), = trim_arcs((1.5 * math.pi, 2.5 * math.pi))
         assert lo == pytest.approx(1.5 * math.pi)
         assert hi == pytest.approx(2.5 * math.pi)
 
     def test_degenerate_intervals_are_discarded(self):
-        s = geom._canonical([(1.0, 1.0 + 1e-9)])
-        assert s == ()
+        # meets of 1e-9 rad are tangency noise, at one end or at both
+        assert trim_arcs((0.0, 1.0), (1.0 - 1e-9, 2.0)) == []
+        assert trim_arcs((0.0, 4.0), (4.0 - 1e-9, TWO_PI + 1e-9)) == []
 
     def test_measure_capped_by_full_circle(self):
-        s = geom._canonical([(0.0, TWO_PI + 1.0)])
-        assert s == FULL
-        assert measure(s) == pytest.approx(TWO_PI)
+        # a ball that leaves only ang_eps / 2 of the circle out cuts nothing
+        assert trim_arcs((1.0, 1.0 + TWO_PI - 0.5 * EPS)) == [(0.0, TWO_PI)]
+        # one that leaves 2 ang_eps out cuts; acos near -1 keeps about 1e-8
+        # rad of the arc's ends
+        (lo, hi), = trim_arcs((1.0, 1.0 + TWO_PI - 2.0 * EPS))
+        assert TWO_PI - 3.0 * EPS < hi - lo < TWO_PI - EPS
 
     def test_intersection_matches_pointwise_and_on_grid(self):
         grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        points = HALF_CIRCLE.points(grid)
         for _ in range(50):
-            raw_a = [(lo, lo + RNG.uniform(0.05, 2.5))
-                     for lo in RNG.uniform(0, TWO_PI, size=3)]
-            raw_b = [(lo, lo + RNG.uniform(0.05, 2.5))
-                     for lo in RNG.uniform(0, TWO_PI, size=2)]
-            a = geom._canonical(raw_a)
-            b = geom._canonical(raw_b)
-            both = geom._meet(a, b)
-            for ang in grid:
-                expect = contains(a, ang, 1e-9) and contains(b, ang, 1e-9)
+            arcs = [(lo, lo + RNG.uniform(0.05, 5.0))
+                    for lo in RNG.uniform(0, TWO_PI, size=3)]
+            centers = np.array([ball_for_arc(lo, hi) for lo, hi in arcs])
+            both = trim_one(HALF_CIRCLE, centers)
+            dist = np.linalg.norm(points[:, None] - centers, axis=2)
+            for ang, row in zip(grid, dist):
                 got = contains(both, ang, 1e-9)
-                if expect != got:
+                if got != bool(np.all(row <= 1.0)):
                     # disagreements may only happen within eps of a boundary
-                    assert contains(a, ang, 1e-6) and contains(b, ang, 1e-6)
+                    assert np.all(row <= 1.0 + 1e-6)
+                    assert not np.all(row <= 1.0 - 1e-6)
 
 
 class TestMaxDistanceToArc:

@@ -26,7 +26,7 @@ from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh,
                            mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator, pentad_points)
-from test_polyhedron import generic_sets, moved_pyramid
+from test_polyhedron import generic_sets, moved_pyramid, pentad_grown
 
 
 def read_ply(path):
@@ -324,15 +324,6 @@ def pentad_relabellings():
                  for p in itertools.permutations(range(5)))
 
 
-def pentad_grown(f):
-    """The pentad's points plus the point at fraction f of one of its edge
-    arcs, one array per edge: each set is extremal, with one more diameter
-    pair."""
-    edges = analyze_config(config_from_generator("pentad")).edges
-    return [np.vstack([pentad_points(), e.arc.circle.point(
-        e.arc.start_angle + f * e.arc.span)]) for e in edges]
-
-
 class TestCapsStayInsideTheirFaces:
     """Each ring point of a face cap lies on a geodesic from the apex to the
     loop's geodesic polygon, so inside the face, which is spherically
@@ -403,13 +394,13 @@ class TestWedgeBytes:
     # sha256 of export_obj for each wedge at refine 16, by generator
     WEDGE_OBJ_SHA256 = {
         "tetra": [
-            "bcec8a9eab579970add2a99d0e3c0df5cfa3c2db4d17ef6903ede2567df2c943",
-            "78c1823fd429b2724491c47759996f9c1cb50b2b5fa8c078557b751f0f804329",
+            "db1138da9e88a868e33bd823cb8061d7448e38924b4ed4926c31006d37f62fc4",
+            "92d1754c0e36b31e94362d009bec92f90e58bc2118138937075a9021691182e4",
             "bd5a8ec865dd67b57712f0feff318636f2492536e65c7d3204816d84e86d62f3"],
         "pentad": [
-            "891c7577880e1dfdd9c470bc9a0a822d7c647e65aaefa04587c7a883304571d0",
-            "91f07b6dc7e133176287323686d4e17998fe9ff1d7ae9a4c4ac43556c0c9845f",
-            "f29f696751a274a31dd90b447e18ad5150bf4e50ecf8dd46a614dcfc61062c39",
+            "e29352018163fb65dd696486a42c3d070f041eec42b2c713e3fb036eb2599d8f",
+            "a4b42f9edc92027d47bc76b6eb2938f33d8145da522f851ea568a43b2f0f58e2",
+            "743cedda7514e3bac2b1f7d493e52e9d5aaef9daadd6705c2494a6cb6d488ae5",
             "275ba43539477533fb9e9bce2d59c1df27b7de812764deaf9cfcd785dda26139"]}
     WEDGE_OBJ_PLATFORM = "Python 3.11.7, numpy 2.4.6, x86_64, glibc 2.36"
 

@@ -60,7 +60,9 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "ExtremalityReport.to_dict"),
     (polyhedron, "StructureReport.to_dict"), (formulas, "BodyScalars.to_dict"),
     (oracle, "McEstimate.to_dict"), (polyhedron, "StructureReport.face_counts"),
-    (mesh, "MeshStats.total_area"), (mesh, "MeshStats.total_volume")])
+    (mesh, "MeshStats.total_area"), (mesh, "MeshStats.total_volume"),
+    (geom, "FULL"), (geom, "_canonical"), (geom, "_arc"), (geom, "_meet"),
+    (geom, "components"), (geom, "trim_circle")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
@@ -125,9 +127,7 @@ def test_dist_eps_is_the_only_tolerance_setting():
 
 
 @pytest.mark.parametrize("module, name, params", [
-    (geom, "_canonical", ["raw"]), (geom, "_meet", ["a", "b"]),
-    (geom, "components", ["intervals"]),
-    (geom, "trim_circle", ["circle", "centers"])])
+    (geom, "trim_circles", ["circles", "centers", "skip"])])
 def test_interval_layer_takes_no_slack_argument(module, name, params):
     # the one angular slack is Tolerances.ang_eps, read where it acts
     assert list(inspect.signature(resolve(module, name)).parameters) == params

@@ -15,7 +15,7 @@ from reuleaux import polyhedron
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import (TWO_PI, ArcOnCircle, circle_of_sphere_pair,
-                          trim_circle)
+                          trim_circles)
 from reuleaux.mesh import build_body_mesh
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
@@ -167,12 +167,14 @@ class TestExtractEdges:
 
 # The scalar extraction that trims every support pair, one 1-D constraint at
 # a time on the frozen interval arithmetic, kept as the reference the
-# two-step extract_edges must reproduce bit for bit.
+# two-step extract_edges must reproduce bit for bit.  It matches every arc
+# end before it builds an arc, which runs between the angles of its two
+# endpoint vertices.
 def reference_extract_edges(cfg):
     pts = cfg.points
     tol = cfg.tol
     on_sphere = np.abs(cfg.dist - 1.0) <= tol.match_eps
-    edges = []
+    pieces = []
     for i in range(cfg.n):
         for j in range(i + 1, cfg.n):
             if cfg.dist[i, j] > 1.0 + tol.dist_eps:
@@ -201,12 +203,20 @@ def reference_extract_edges(cfg):
                             inner.append(lo + rel)
                     bounds = [lo] + sorted(inner) + [hi]
                     comps.extend(zip(bounds[:-1], bounds[1:]))
-            for lo, hi in comps:
-                if hi - lo <= tol.ang_eps:
-                    continue
-                u = match_vertex(cfg, circle.point(lo), (i, j))
-                w = match_vertex(cfg, circle.point(hi), (i, j))
-                edges.append(((i, j), (u, w), ArcOnCircle(circle, lo, hi)))
+            pieces += [((i, j), circle, lo, hi) for lo, hi in comps
+                       if hi - lo > tol.ang_eps]
+    ends = [(match_vertex(cfg, circle.point(lo), support),
+             match_vertex(cfg, circle.point(hi), support))
+            for support, circle, lo, hi in pieces]
+    edges = []
+    for (support, circle, lo, hi), (u, w) in zip(pieces, ends):
+        if u == w:
+            raise StructureError(
+                f"extract_edges: support pair {support}: arc from {lo:.12g} "
+                f"to {hi:.12g} rad starts and ends at vertex {u}")
+        start = circle.angle_of(pts[u])
+        span = (circle.angle_of(pts[w]) - start) % TWO_PI
+        edges.append((support, (u, w), ArcOnCircle(circle, start, start + span)))
     edges.sort(key=lambda t: (t[0], sorted(t[1])))
     return tuple(EdgeArc(support, ends, arc, k)
                  for k, (support, ends, arc) in enumerate(edges))
@@ -324,6 +334,42 @@ def ladder_structures():
     return tuple(analyze_config(cfg) for cfg in ladder_configs())
 
 
+def pentad_grown(f):
+    """The pentad's points plus the point at fraction f of one of its edge
+    arcs, one array per edge: each set is extremal, with one more diameter
+    pair."""
+    edges = analyze_config(config_from_generator("pentad")).edges
+    return [np.vstack([pentad_points(), e.arc.circle.point(
+        e.arc.start_angle + f * e.arc.span)]) for e in edges]
+
+
+class TestArcsFromVertices:
+    """Every arc runs from the angle of its first endpoint vertex on its
+    circle to the angle of its second, float for float: the vertices, not
+    the trim, fix the angles."""
+
+    @staticmethod
+    def assert_arcs_from_vertices(structure):
+        pts = structure.config.points
+        for e in structure.edges:
+            circle, (u, w) = e.arc.circle, e.endpoints
+            start = circle.angle_of(pts[u])
+            assert e.arc.start_angle.hex() == start.hex()
+            assert e.arc.end_angle.hex() == (
+                start + (circle.angle_of(pts[w]) - start) % TWO_PI).hex()
+
+    def test_the_ladder(self):
+        # tetra, the pentad relabellings, pyramids and the generic sets
+        for structure in ladder_structures():
+            self.assert_arcs_from_vertices(structure)
+
+    @pytest.mark.parametrize("f", [1e-2, 1e-4, 1e-6])
+    def test_the_grown_pentads(self, f):
+        for pts in pentad_grown(f):
+            self.assert_arcs_from_vertices(
+                analyze_config(PointConfig(points=pts)))
+
+
 class TestTwoStepExtraction:
     @pytest.mark.parametrize("name", ["tetra", "pentad"])
     def test_generators_match_reference(self, name):
@@ -406,14 +452,14 @@ class TestTwoStepExtraction:
     def test_no_candidate_circle_survives_whole(self):
         # a common neighbour x_k of a candidate pair lies within 1e-3 of its
         # circle, whose radius is at least 0.86, so ball k keeps at most
-        # 2.47 rad of it: _pair_edges never meets the full circle
+        # 2.47 rad of it: extraction never meets the full circle
         widest = 0.0
         for cfg in (*ladder_configs(), off_extremal_configs()[2]):
             pts = cfg.points
-            for i, j in _candidate_pairs(cfg):
-                surviving = trim_circle(circle_of_sphere_pair(pts[i], pts[j]),
-                                        np.delete(pts, (i, j), axis=0))
-                widest = max(widest, sum(hi - lo for lo, hi in surviving))
+            pairs = _candidate_pairs(cfg)
+            circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
+            for comps in trim_circles(circles, pts, np.array(pairs)):
+                widest = max(widest, sum(hi - lo for lo, hi in comps))
         # 1.23 rad at most on these sets
         assert 0.0 < widest <= 2.47, widest
 
