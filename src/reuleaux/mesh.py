@@ -12,12 +12,17 @@ Watertightness comes from construction, not welding: every boundary polyline
 and all adjacent patches index the same records.  Mesh volume is the signed
 divergence-theorem sum of tetrahedra against the origin and area the plain
 triangle-area sum; both come from the mesh's single closure check, which
-computes them in one pass over blocks of triangles: block temporaries are
-small enough to be reused from the heap, where whole-mesh ones would be
-page-faulted afresh on every check.
+computes them in one pass over blocks of ``_BLOCK_ROWS`` triangles: block
+temporaries are small enough to be reused from the heap, where whole-mesh
+ones would be page-faulted afresh on every check.  The check reduces those
+per-triangle terms to its scalars before it fills its edge keys, one corner
+at a time, so beside the mesh it holds at most T-long temporaries and the
+3T keys, for T triangles.
 
-Meshes are written as ASCII OBJ or PLY; only OBJ is read back, exactly as
-``export_obj`` writes it, for round-trip checks.
+Meshes are written as ASCII OBJ or PLY, ``_BLOCK_ROWS`` rows formatted and
+written at a time, so a writer's temporaries do not grow with the mesh;
+only OBJ is read back, exactly as ``export_obj`` writes it, for round-trip
+checks.
 """
 
 from __future__ import annotations
@@ -103,17 +108,18 @@ class MeshStats:
                 if f.name != "bad_edges"}
 
 
-# Triangles per block of the area and volume pass.  Each block temporary is
-# 8192 float64, 64 KB: under glibc's default 128 KB mmap threshold, so it is
-# reused from the heap instead of page-faulted afresh, and the block's working
-# set stays in L2.
-_BLOCK_TRIANGLES = 8192
+# Rows per block of the area and volume pass, and of the writers.  Each pass
+# temporary is 8192 float64, 64 KB: under glibc's default 128 KB mmap
+# threshold, so it is reused from the heap instead of page-faulted afresh, and
+# the block's working set stays in L2.  A writer's block of text is about
+# 0.5 MB.
+_BLOCK_ROWS = 8192
 
 
 def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     """Per triangle: its area and its volume term det(v0, v1, v2).
 
-    One pass over blocks of ``_BLOCK_TRIANGLES`` triangles, each block
+    One pass over blocks of ``_BLOCK_ROWS`` triangles, each block
     written into the two T-long outputs.  Both cross products are
     ``geom.cross``'s, on the coordinate columns of the corners a, b, c.  The
     area is half the norm of (b - a) x (c - a) with the squares summed
@@ -123,8 +129,8 @@ def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     v, t = mesh.vertices, mesh.triangles
     areas = np.empty(t.shape[0])
     dets = np.empty(t.shape[0])
-    for lo in range(0, t.shape[0], _BLOCK_TRIANGLES):
-        rows = slice(lo, lo + _BLOCK_TRIANGLES)
+    for lo in range(0, t.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
         a, b, c = ([v[:, axis][t[rows, corner]] for axis in range(3)]
                    for corner in range(3))
         x, y, z = cross(b, c)
@@ -137,21 +143,31 @@ def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
 
 def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
     """Connectivity, orientation, area and volume statistics; never raises."""
-    # the areas and volume terms come first, before the key arrays hold memory
     areas, dets = _triangle_terms(mesh)
+    min_area = float(areas.min()) if areas.size else 0.0
+    area, volume = float(areas.sum()), float(dets.sum() / 6.0)
+    # the per-triangle terms go before any edge key holds memory
+    del areas, dets
     t = mesh.triangles
     n = mesh.n_vertices
-    tail = t.ravel()
-    head = np.roll(t, -1, axis=1).ravel()
     # one sort for both checks: a directed edge's key is its undirected key
-    # min*n + max, shifted left by one, plus its direction bit
-    up = tail > head
-    keys = np.minimum(tail, head)
-    keys *= n
-    np.maximum(tail, head, out=head)
-    keys += head
-    keys <<= 1
-    keys += up
+    # min*n + max, shifted left by one, plus its direction bit; row c of the
+    # keys holds the edges from corner c, and min*n + max is formed in place
+    # as min*(n - 1) + tail + head
+    keys = np.empty((3, t.shape[0]), dtype=np.int64)
+    # a mask, not np.bincount: bincount copies a read-only input, as a built
+    # mesh's triangles are
+    used_ids = np.zeros(n, dtype=bool)
+    for corner, key in enumerate(keys):
+        tail, head = t[:, corner], t[:, (corner + 1) % 3]
+        np.minimum(tail, head, out=key)
+        key *= n - 1
+        key += tail
+        key += head
+        key <<= 1
+        key += tail > head
+        used_ids[tail] = True
+    keys = keys.ravel()
     keys.sort()
     # step[i] marks keys[i] != keys[i - 1]: a new directed, then undirected, edge
     step = np.empty(keys.size, dtype=bool)
@@ -170,10 +186,6 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         counts = np.diff(first, append=keys.size)
         bad = tuple((int(k // n), int(k % n))
                     for k in keys[first[counts != 2][:16]])
-    # a mask, not np.bincount: bincount copies a read-only input, as a built
-    # mesh's triangles are
-    used_ids = np.zeros(n, dtype=bool)
-    used_ids[tail] = True
     used = int(np.count_nonzero(used_ids))
     return MeshStats(
         watertight=watertight,
@@ -182,10 +194,10 @@ def inspect_mesh(mesh: TriangleMesh) -> MeshStats:
         n_vertices=used,
         n_edges=n_edges,
         n_triangles=int(t.shape[0]),
-        min_triangle_area=float(areas.min()) if areas.size else 0.0,
+        min_triangle_area=min_area,
         bad_edges=bad,
-        surface_area=float(areas.sum()),
-        volume=float(dets.sum() / 6.0),
+        surface_area=area,
+        volume=volume,
     )
 
 
@@ -217,7 +229,8 @@ class MeshBuilder:
 
     The points live in one array whose capacity doubles when full, so a
     point is copied once on insertion and once per doubling, and
-    ``coords_of`` reads the array in place."""
+    ``coords_of`` reads the array in place.  ``build`` shrinks that array to
+    its points in place and hands it to the mesh."""
 
     def __init__(self):
         self._coords = np.empty((1024, 3))
@@ -250,11 +263,16 @@ class MeshBuilder:
 
     def build(self) -> TriangleMesh:
         """The mesh of the points and triangles so far, its arrays made
-        read-only here so that the mesh holds them uncopied."""
+        read-only here so that the mesh holds them uncopied.  The point
+        array loses its spare capacity in place, and the triangle blocks
+        give way to their stack, so the builder holds nothing beside the
+        mesh; a later ``add_points`` grows into a new array."""
+        # no view of the point array outlives a call, so none can dangle
+        self._coords.resize((self._count, 3), refcheck=False)
         tris = np.vstack(self._tris) if self._tris else np.zeros((0, 3), dtype=np.int64)
-        coords = self._coords[:self._count]
-        coords.flags.writeable = tris.flags.writeable = False
-        return TriangleMesh(vertices=coords, triangles=tris)
+        self._tris = [tris]
+        self._coords.flags.writeable = tris.flags.writeable = False
+        return TriangleMesh(vertices=self._coords, triangles=tris)
 
     # -- patches ------------------------------------------------------------
 
@@ -523,14 +541,23 @@ def build_body_mesh(structure: Structure, kind: str, refine: int,
 # ---------------------------------------------------------------------------
 # Export / import
 
+def _write_rows(fh, row: str, array: np.ndarray, offset: int = 0) -> None:
+    """Write each row of ``array``, plus ``offset``, as ``row`` formats it,
+    one block of ``_BLOCK_ROWS`` rows at a time."""
+    for lo in range(0, len(array), _BLOCK_ROWS):
+        block = array[lo:lo + _BLOCK_ROWS]
+        if offset:
+            # only when nonzero: adding 0 would turn -0.0 into 0.0
+            block = block + offset
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def export_obj(mesh: TriangleMesh, path: str) -> None:
     """ASCII OBJ with v/f records and 1-based indices."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# reuleaux mesh\n")
-        fh.write(("v %.17g %.17g %.17g\n" * mesh.n_vertices)
-                 % tuple(mesh.vertices.ravel().tolist()))
-        fh.write(("f %d %d %d\n" * mesh.n_triangles)
-                 % tuple((mesh.triangles + 1).ravel().tolist()))
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.triangles, offset=1)
 
 
 # export_obj's row, its tag two characters wide so that vn and the like fail
@@ -578,7 +605,5 @@ def export_ply(mesh: TriangleMesh, path: str) -> None:
         fh.write("property float64 x\nproperty float64 y\nproperty float64 z\n")
         fh.write(f"element face {mesh.n_triangles}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        fh.write(("%.17g %.17g %.17g\n" * mesh.n_vertices)
-                 % tuple(mesh.vertices.ravel().tolist()))
-        fh.write(("3 %d %d %d\n" * mesh.n_triangles)
-                 % tuple(mesh.triangles.ravel().tolist()))
+        _write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)

@@ -343,7 +343,6 @@ class TestMaxDistanceToArc:
                 expect, abs=1e-13)
 
     def test_matches_dense_sampling(self):
-        psi = None
         for _ in range(25):
             b = RNG.normal(size=3)
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
@@ -351,8 +350,7 @@ class TestMaxDistanceToArc:
             start = RNG.uniform(0, TWO_PI)
             arc = ArcOnCircle(circ, start, start + RNG.uniform(0.2, 5.0))
             p = RNG.normal(size=3)
-            if psi is None or True:
-                psi = np.linspace(arc.start_angle, arc.end_angle, 1_000_001)
+            psi = np.linspace(arc.start_angle, arc.end_angle, 1_000_001)
             dense = np.linalg.norm(circ.points(psi) - p, axis=1).max()
             got = max_distance_to_arc_many(p[None], arc)[0]
             assert got >= dense - 1e-12

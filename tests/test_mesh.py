@@ -58,6 +58,20 @@ def ply_mesh(path):
     return TriangleMesh(vertices=v, triangles=f[:, 1:])
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory that tracemalloc traced during
+    the call, above what it traced at the call's start; numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def _quarter_arc(u, w, n):
     f = np.linspace(0.0, 1.0, n + 1)
     pts = (np.sin((1.0 - f) * math.pi / 2)[:, None] * u
@@ -424,6 +438,58 @@ class TestWedgeBytes:
         assert digests == self.WEDGE_OBJ_SHA256[generator], (
             f"wedge OBJ digests on {running}; the pinned ones were recorded "
             f"on {self.WEDGE_OBJ_PLATFORM}")
+
+
+@pytest.fixture(scope="module")
+def tetra_meissner_64(tetra_structure):
+    """36,674 vertices and 73,344 triangles: several writer blocks, each
+    array ending in a part block."""
+    return build_body_mesh(tetra_structure, "meissner", 64)
+
+
+class TestBlockSeamBytes:
+    # sha256 of each writer's output for tetra Meissner at refine 64
+    SHA256 = {
+        export_obj: "61c0b39f6d97ee00d1aee38ac7ec278741d04415e78cb75e1918bcbffbe48a61",
+        export_ply: "b4ebea7b2060ed3c112fd9ec538f54da6b623f2b5fbb591c1e644f999d5f5b10"}
+
+    @pytest.mark.parametrize("export", [export_obj, export_ply])
+    def test_bytes_across_block_seams_are_pinned(self, tetra_meissner_64,
+                                                 tmp_path, export):
+        """The rows on both sides of every block seam, and the part blocks
+        at the ends, keep the bytes that whole-file formatting wrote.  The
+        platform caveat and the way to regenerate are TestWedgeBytes'."""
+        mesh = tetra_meissner_64
+        block = reuleaux.mesh._BLOCK_ROWS
+        assert mesh.n_vertices > 4 * block and mesh.n_vertices % block
+        assert mesh.n_triangles > 8 * block and mesh.n_triangles % block
+        path = tmp_path / "body"
+        export(mesh, str(path))
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.SHA256[export])
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("export", [export_obj, export_ply])
+    def test_writer_peak_does_not_grow_with_the_mesh(
+            self, tetra_structure, tetra_meissner_64, tmp_path, export):
+        # whole-file formatting peaked at 2.8 MB at refine 32 and 11.3 MB at
+        # refine 64; a block of rows is about 1.6 MB at both
+        path = str(tmp_path / "body")
+        coarse = build_body_mesh(tetra_structure, "meissner", 32)
+        peaks = [traced_peak(lambda: export(mesh, path))[1]
+                 for mesh in (coarse, tetra_meissner_64)]
+        assert peaks[1] <= peaks[0] + 0.5e6, peaks
+
+    def test_build_holds_little_beside_its_mesh(self, pentad_structure):
+        # building and checking pentad Meissner at refine 64 peaked at 3.8x
+        # the mesh's arrays with whole-mesh temporaries; now about 1.9x
+        mesh, peak = traced_peak(
+            lambda: build_body_mesh(pentad_structure, "meissner", 64))
+        arrays = mesh.vertices.nbytes + mesh.triangles.nbytes
+        assert peak < 2.2 * arrays, (peak, arrays)
+        # the point array is the builder's own, shrunk to its rows
+        assert mesh.vertices.base is None and mesh.vertices.flags.owndata
 
 
 class TestExportImport:
@@ -827,7 +893,7 @@ class TestKernelsAgainstReferences:
         # the edges of the blocked area and volume pass: one triangle, a
         # block less one, one block, one more, and built meshes of several
         # whole blocks and of several blocks plus a remainder
-        block = reuleaux.mesh._BLOCK_TRIANGLES
+        block = reuleaux.mesh._BLOCK_ROWS
         whole = build_body_mesh(tetra_structure, "reuleaux", 64)
         remainder = build_body_mesh(tetra_structure, "meissner", 32)
         assert whole.n_triangles == 6 * block
@@ -1151,11 +1217,6 @@ class TestObjReaderAgainstTheLoop:
         path = tmp_path / "body.obj"
         arrays = mesh.vertices.nbytes + mesh.triangles.nbytes
         export_obj(mesh, str(path))
-        tracemalloc.start()
-        try:
-            import_obj(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: import_obj(str(path)))[1]
         assert peak < 3 * arrays, (peak, arrays)
 
