@@ -7,6 +7,16 @@ polygon, so inside the convex face.  Meissner surgery swaps each removed arc
 for the geodesic between its endpoints on the face's own sphere and inserts
 the spindle patch swept between the two geodesics of the pair.
 
+Points are placed in column form: ``_slerp``, the one slerp of the mesher,
+runs each op once per coordinate column over all of a block's points, where
+an op on (N, 3) rows with an (N, 1) factor would loop three elements at a
+time.  Cap rings and spindle rows are written straight into the builder's
+point array, ``_BLOCK_ROWS`` points at a time, so no whole-face array is
+built and then copied in.  Each step keeps the bits of the row form: a norm
+sums its squares (x + y) + z, as ``np.linalg.norm(axis=1)`` does, and the
+apex angle of a cap ring point stays the gemv ``between @ apex_dir``, on a
+(block, 3) array of rows.
+
 Watertightness comes from construction, not welding: every boundary polyline
 (edge arc, geodesic, single vertex) is sampled once into a shared vertex pool
 and all adjacent patches index the same records.  Mesh volume is the signed
@@ -108,11 +118,11 @@ class MeshStats:
                 if f.name != "bad_edges"}
 
 
-# Rows per block of the area and volume pass, and of the writers.  Each pass
-# temporary is 8192 float64, 64 KB: under glibc's default 128 KB mmap
-# threshold, so it is reused from the heap instead of page-faulted afresh, and
-# the block's working set stays in L2.  A writer's block of text is about
-# 0.5 MB.
+# Rows per block of the area and volume pass, of the point placement, and of
+# the writers.  Each pass or placement temporary is 8192 float64, 64 KB:
+# under glibc's default 128 KB mmap threshold, so it is reused from the heap
+# instead of page-faulted afresh, and the block's working set stays in L2.  A
+# writer's block of text is about 0.5 MB.
 _BLOCK_ROWS = 8192
 
 
@@ -228,9 +238,11 @@ class MeshBuilder:
     """Accumulates vertices and triangles with pooled boundary polylines.
 
     The points live in one array whose capacity doubles when full, so a
-    point is copied once on insertion and once per doubling, and
-    ``coords_of`` reads the array in place.  ``build`` shrinks that array to
-    its points in place and hands it to the mesh."""
+    point is copied once per doubling, and ``coords_of`` reads the array in
+    place.  ``reserve`` hands out rows of that array for the caller to fill,
+    as the patches do; ``add_points`` copies given points into such rows.
+    Both grow the array the same way.  ``build`` shrinks it to its points in
+    place and hands it to the mesh."""
 
     def __init__(self):
         self._coords = np.empty((1024, 3))
@@ -238,16 +250,23 @@ class MeshBuilder:
         self._tris: list[np.ndarray] = []
         self.pool: dict = {}
 
-    def add_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        start, stop = self._count, self._count + len(pts)
+    def reserve(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of n new points and their (n, 3) rows of the point array,
+        which the caller fills before its next reservation: a growth moves
+        the points to a new array, and the rows would then be lost."""
+        start, stop = self._count, self._count + n
         if stop > len(self._coords):
             grown = np.empty((max(stop, 2 * len(self._coords)), 3))
             grown[:start] = self._coords[:start]
             self._coords = grown
-        self._coords[start:stop] = pts
         self._count = stop
-        return np.arange(start, stop, dtype=np.int64)
+        return np.arange(start, stop, dtype=np.int64), self._coords[start:stop]
+
+    def add_points(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        ids, rows = self.reserve(len(pts))
+        rows[...] = pts
+        return ids
 
     def polyline(self, key, points_fn) -> np.ndarray:
         """Pooled polyline: the first caller materializes it, later callers
@@ -286,7 +305,10 @@ class MeshBuilder:
         ring r of ``rows`` carries max(3, round(L*r/rows)) points for a loop
         of L, so triangle sizes stay uniform from apex to boundary, and each
         lies at r/rows of the apex geodesic to a point of the loop's geodesic
-        polygon, so inside the face.  All rings are computed in one pass and
+        polygon, so inside the face.  The apex and the rings take one
+        reservation of the point array; the rings are placed in column form,
+        ``_BLOCK_ROWS`` points at a time from the blend of two loop
+        directions to the slerp, each block written into its rows, and are
         stitched, apex fan to loop, in one call.  A loop of solid angle below
         1e-9 (a face fully excised, both arcs of a dangling vertex replaced
         by the same geodesic) gets no patch.
@@ -300,7 +322,6 @@ class MeshBuilder:
             dirs = dirs[::-1]
         apex_dir = dirs.mean(axis=0)
         apex_dir = apex_dir / np.linalg.norm(apex_dir)
-        apex = self.add_points((center + apex_dir)[None, :])
         L = len(loop_ids)
         omega = np.arccos(np.clip(dirs @ apex_dir, -1.0, 1.0))
         if np.any(omega > 3.0):
@@ -311,17 +332,29 @@ class MeshBuilder:
         # rint rounds half to even, as round does
         sizes = np.maximum(3, np.rint(L * np.arange(1, rows) / rows)).astype(np.int64)
         r, pos = _ranks(sizes)
-        m = sizes[r]
-        c = pos * (L / m)
-        k = np.floor(c).astype(int)
-        frac = c - k
-        kn = (k + 1) % L
-        between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
-        between /= np.linalg.norm(between, axis=1)[:, None]
-        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))[:, None]
-        ring = _slerp(apex_dir, between, full, (r + 1)[:, None] / rows)
-        ids = np.concatenate([apex, self.add_points(center + ring),
-                              np.asarray(loop_ids, dtype=np.int64)])
+        ids, out = self.reserve(1 + r.size)
+        out[0] = center + apex_dir
+        dirs = np.ascontiguousarray(dirs.T)
+        # rows, not columns, for the gemv below, whose bits a column dot
+        # would not keep
+        between = np.empty((min(r.size, _BLOCK_ROWS), 3))
+        for lo in range(0, r.size, _BLOCK_ROWS):
+            rb, pb = r[lo:lo + _BLOCK_ROWS], pos[lo:lo + _BLOCK_ROWS]
+            c = pb * (L / sizes.take(rb))
+            k = np.floor(c).astype(int)
+            frac = c - k
+            kn = (k + 1) % L
+            b = between[:rb.size]
+            cols = b.T
+            for col, d in zip(cols, dirs):
+                np.add((1.0 - frac) * d.take(k), frac * d.take(kn), out=col)
+            x, y, z = cols
+            # the squares summed as np.linalg.norm(axis=1) sums them
+            cols /= np.sqrt((x * x + y * y) + z * z)
+            full = np.arccos(np.clip(b @ apex_dir, -1.0, 1.0))
+            _slerp(apex_dir, cols, full, (rb + 1) / rows, center,
+                   out[1 + lo:1 + lo + rb.size].T)
+        ids = np.concatenate([ids, np.asarray(loop_ids, dtype=np.int64)])
         self.emit(_stitch_rings(ids, np.concatenate([[1], sizes, [L]])))
 
     def grid(self, grid_ids: np.ndarray, flip: bool) -> None:
@@ -405,24 +438,34 @@ def _loop_solid_angle(dirs: np.ndarray) -> float:
     return float(2.0 * np.arctan2(num, den).sum())
 
 
-def _slerp(u: np.ndarray, w: np.ndarray, angle, f) -> np.ndarray:
-    """The points at fractions f of the geodesic of length ``angle`` from the
-    unit vector u to the unit vector w; broadcasts over rows."""
-    return (np.sin((1.0 - f) * angle) * u
-            + np.sin(f * angle) * w) / np.sin(angle)
+def _slerp(u, w, angle, f, center, out) -> None:
+    """Write into ``out`` the points at fractions f of the geodesic of
+    length ``angle`` from the unit vector u to the unit vector w, plus
+    ``center``.  ``out``, u, w and ``center`` are each given by their x, y
+    and z columns, and everything broadcasts to the shape of a column of
+    ``out``: each op runs once per column over all of its points, not once
+    per point over three coordinates."""
+    a, b, s = np.sin((1.0 - f) * angle), np.sin(f * angle), np.sin(angle)
+    for col, uc, wc, cc in zip(out, u, w, center):
+        np.add(a * uc, b * wc, out=col)
+        col /= s
+        col += cc
 
 
 # ---------------------------------------------------------------------------
 # Body meshes
 
 def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
-                     angle: float, n: int) -> np.ndarray:
-    """The n - 1 inner points of n equal steps along the geodesic of length
-    ``angle`` from u to w on the unit sphere around ``center``, whose ends are
-    pooled vertices.  A stack of k centers gives shape (k, n - 1, 3)."""
-    center = np.asarray(center)[..., None, :]
-    f = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
-    return _slerp(u - center, w - center, angle, f) + center
+                     angle: float, n: int, out: np.ndarray) -> None:
+    """Write into ``out``, of shape (n - 1, 3), the n - 1 inner points of n
+    equal steps along the geodesic of length ``angle`` from u to w on the
+    unit sphere around ``center``, whose ends are pooled vertices.  A stack
+    of k centers takes an ``out`` of shape (k, n - 1, 3)."""
+    center = [np.asarray(center)[..., i, None] for i in range(3)]
+    f = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    _slerp([x - c for x, c in zip(u, center)],
+           [x - c for x, c in zip(w, center)], angle, f, center,
+           np.moveaxis(out, -1, 0))
 
 
 class _BodyMesher:
@@ -451,9 +494,10 @@ class _BodyMesher:
         lo, hi = sorted((pair.p_prime, pair.q_prime))
 
         def sample():
-            return _geodesic_points(self.pts[sphere], self.pts[lo],
-                                    self.pts[hi], pair.angles.theta_prime,
-                                    self.refine)
+            points = np.empty((self.refine - 1, 3))
+            _geodesic_points(self.pts[sphere], self.pts[lo], self.pts[hi],
+                             pair.angles.theta_prime, self.refine, points)
+            return points
         inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
         ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
         return ids if lo == pair.p_prime else ids[::-1]
@@ -489,11 +533,16 @@ class _BodyMesher:
         grid[n, :] = self.geodesic_ids(pair.q, pair)
         grid[:, 0] = self.vx(pair.p_prime)
         grid[:, n] = self.vx(pair.q_prime)
-        interior = _geodesic_points(
-            pair.kept.arc.sample_points(n), self.pts[pair.p_prime],
-            self.pts[pair.q_prime], pair.angles.theta_prime, n)
-        grid[1:-1, 1:-1] = self.builder.add_points(
-            interior.reshape(-1, 3)).reshape(n - 1, n - 1)
+        centers = pair.kept.arc.sample_points(n)
+        ids, out = self.builder.reserve((n - 1) ** 2)
+        grid[1:-1, 1:-1] = ids.reshape(n - 1, n - 1)
+        out = out.reshape(n - 1, n - 1, 3)
+        # whole rows of about _BLOCK_ROWS points at a time
+        step = max(1, _BLOCK_ROWS // (n - 1))
+        for lo in range(0, n - 1, step):
+            _geodesic_points(centers[lo:lo + step], self.pts[pair.p_prime],
+                             self.pts[pair.q_prime], pair.angles.theta_prime,
+                             n, out[lo:lo + step])
         return grid
 
     # The right-handed (p, q, p', q') of each dual pair fixes every winding:

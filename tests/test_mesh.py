@@ -20,7 +20,7 @@ from reuleaux.formulas import (surface_meissner, surface_reuleaux,
                                volume_meissner, volume_reuleaux, wedge_volume)
 import reuleaux.mesh
 from reuleaux import cli
-from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh,
+from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh, _BodyMesher,
                            _loop_solid_angle, _stitch_rings, build_body_mesh,
                            export_obj, export_ply, import_obj, inspect_mesh,
                            mesh_area, mesh_volume)
@@ -56,6 +56,13 @@ def ply_mesh(path):
     v, f = read_ply(path)
     assert np.all(f[:, 0] == 3)
     return TriangleMesh(vertices=v, triangles=f[:, 1:])
+
+
+def running_platform():
+    """The versions a pinned digest depends on: another libm, numpy or
+    Python may move last bits."""
+    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"{platform.machine()}, {' '.join(platform.libc_ver())}")
 
 
 def traced_peak(fn):
@@ -432,12 +439,56 @@ class TestWedgeBytes:
             export_obj(build_body_mesh(structure, "wedge", 16, wedge_index=i),
                        str(path))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        running = (f"Python {platform.python_version()}, numpy "
-                   f"{np.__version__}, {platform.machine()}, "
-                   f"{' '.join(platform.libc_ver())}")
         assert digests == self.WEDGE_OBJ_SHA256[generator], (
-            f"wedge OBJ digests on {running}; the pinned ones were recorded "
-            f"on {self.WEDGE_OBJ_PLATFORM}")
+            f"wedge OBJ digests on {running_platform()}; the pinned ones were "
+            f"recorded on {self.WEDGE_OBJ_PLATFORM}")
+
+
+class TestCapBytes:
+    """The bodies with face caps keep their recorded bytes.  The platform
+    caveat and the way to regenerate are TestWedgeBytes'."""
+
+    # sha256 of export_obj at refine 16, by generator and body
+    OBJ_SHA256 = {
+        ("tetra", "reuleaux"):
+            "7b2dab6dec98a87e3f82b87f747abd6a04d23530b7cd9cf06d3e877c3aeabf5d",
+        ("tetra", "meissner"):
+            "e6dad1f3405667f09f28389e898f9aa47f15732992c091340ae1a1c9db206f2b",
+        ("pentad", "reuleaux"):
+            "d876b4c35752eb7c8f8d08d41c08d91c3cc29f3c1e718c2718b8f782e8527623",
+        ("pentad", "meissner"):
+            "d842aff7dd6adf0a2d9d6f5d8c82ca7d7d29e1a02cab49629f42d18877e78c80"}
+    # sha256 of vertices.tobytes() + triangles.tobytes() of the pentad at
+    # refine 128, whose caps run to several blocks of points
+    ARRAYS_SHA256 = {
+        "reuleaux":
+            "f055650caf4b13bdd1ad50d5a53071e989d45dbb0e0ed75823c686a4011b7df0",
+        "meissner":
+            "eb2f1318616ca4b1510167c4f7bd4b010c219a669f5b6a3c5bade5682a03a8f5"}
+
+    @pytest.mark.parametrize("kind", ["reuleaux", "meissner"])
+    @pytest.mark.parametrize("generator", ["tetra", "pentad"])
+    def test_obj_bytes_are_pinned(self, request, tmp_path, generator, kind):
+        structure = request.getfixturevalue(f"{generator}_structure")
+        path = tmp_path / "body.obj"
+        export_obj(build_body_mesh(structure, kind, 16), str(path))
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.OBJ_SHA256[generator, kind]), (
+            f"{generator} {kind} OBJ digest on {running_platform()}; the "
+            f"pinned one was recorded on {TestWedgeBytes.WEDGE_OBJ_PLATFORM}")
+
+    @pytest.mark.parametrize("kind", ["reuleaux", "meissner"])
+    def test_arrays_across_point_blocks_are_pinned(self, pentad_structure,
+                                                   kind):
+        mesh = build_body_mesh(pentad_structure, kind, 128)
+        # its five caps place 16,257 to 32,512 ring points each: two to four
+        # blocks, the last one part-filled
+        assert mesh.n_vertices > 4 * reuleaux.mesh._BLOCK_ROWS
+        digest = hashlib.sha256(mesh.vertices.tobytes()
+                                + mesh.triangles.tobytes()).hexdigest()
+        assert digest == self.ARRAYS_SHA256[kind], (
+            f"pentad {kind} array digest on {running_platform()}; the pinned "
+            f"one was recorded on {TestWedgeBytes.WEDGE_OBJ_PLATFORM}")
 
 
 @pytest.fixture(scope="module")
@@ -472,13 +523,15 @@ class TestBlockSeamBytes:
 class TestBoundedMemory:
     @pytest.mark.parametrize("export", [export_obj, export_ply])
     def test_writer_peak_does_not_grow_with_the_mesh(
-            self, tetra_structure, tetra_meissner_64, tmp_path, export):
-        # whole-file formatting peaked at 2.8 MB at refine 32 and 11.3 MB at
-        # refine 64; a block of rows is about 1.6 MB at both
+            self, tetra_structure, tmp_path, export):
+        # whole-file formatting peaked at 1.5 MB at refine 24 and 6.3 MB at
+        # refine 48; a block of rows is 1.2 to 1.6 MB at both
         path = str(tmp_path / "body")
-        coarse = build_body_mesh(tetra_structure, "meissner", 32)
-        peaks = [traced_peak(lambda: export(mesh, path))[1]
-                 for mesh in (coarse, tetra_meissner_64)]
+        meshes = [build_body_mesh(tetra_structure, "meissner", refine)
+                  for refine in (24, 48)]
+        # 10,224 and 41,184 triangles: more than one block in both
+        assert meshes[0].n_triangles > reuleaux.mesh._BLOCK_ROWS
+        peaks = [traced_peak(lambda: export(mesh, path))[1] for mesh in meshes]
         assert peaks[1] <= peaks[0] + 0.5e6, peaks
 
     def test_build_holds_little_beside_its_mesh(self, pentad_structure):
@@ -741,6 +794,54 @@ def _ladder_sorted(inner, outer):
     return np.stack([inner[i], outer[j % k], third], axis=1)
 
 
+def _slerp_rows(u, w, angle, f):
+    """mesh._slerp in its row form: the points at fractions f of the geodesic
+    of length ``angle`` from the unit vector u to the unit vector w;
+    broadcasts over rows."""
+    return (np.sin((1.0 - f) * angle) * u
+            + np.sin(f * angle) * w) / np.sin(angle)
+
+
+def _geodesic_points_rows(center, u, w, angle, n):
+    """mesh._geodesic_points in its row form: the n - 1 inner points of n
+    equal steps along the geodesic of length ``angle`` from u to w on the
+    unit sphere around ``center``.  A stack of k centers gives shape
+    (k, n - 1, 3)."""
+    center = np.asarray(center)[..., None, :]
+    f = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
+    return _slerp_rows(u - center, w - center, angle, f) + center
+
+
+def _geodesic_ids_rows(self, sphere, pair):
+    """_BodyMesher.geodesic_ids, sampled by _geodesic_points_rows."""
+    lo, hi = sorted((pair.p_prime, pair.q_prime))
+
+    def sample():
+        return _geodesic_points_rows(self.pts[sphere], self.pts[lo],
+                                     self.pts[hi], pair.angles.theta_prime,
+                                     self.refine)
+    inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
+    ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
+    return ids if lo == pair.p_prime else ids[::-1]
+
+
+def _spindle_grid_rows(self, pair):
+    """_BodyMesher.spindle_grid with all interior rows placed at once by
+    _geodesic_points_rows and then copied into the pool."""
+    n = self.refine
+    grid = np.empty((n + 1, n + 1), dtype=np.int64)
+    grid[0, :] = self.geodesic_ids(pair.p, pair)
+    grid[n, :] = self.geodesic_ids(pair.q, pair)
+    grid[:, 0] = self.vx(pair.p_prime)
+    grid[:, n] = self.vx(pair.q_prime)
+    interior = _geodesic_points_rows(
+        pair.kept.arc.sample_points(n), self.pts[pair.p_prime],
+        self.pts[pair.q_prime], pair.angles.theta_prime, n)
+    grid[1:-1, 1:-1] = self.builder.add_points(
+        interior.reshape(-1, 3)).reshape(n - 1, n - 1)
+    return grid
+
+
 def _cap_per_ring(self, center, loop_ids, refine, face):
     """MeshBuilder.cap one ring at a time, each ring stitched to the last."""
     dirs = self.coords_of(loop_ids) - center
@@ -768,10 +869,8 @@ def _cap_per_ring(self, center, loop_ids, refine, face):
         between /= np.linalg.norm(between, axis=1)[:, None]
         # the slerp at r/rows from the apex toward the loop's geodesic polygon
         full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))[:, None]
-        f = r / rows
-        ring = (np.sin((1.0 - f) * full) * apex_dir
-                + np.sin(f * full) * between) / np.sin(full)
-        return self.add_points(center + ring)
+        return self.add_points(center + _slerp_rows(apex_dir, between, full,
+                                                    r / rows))
 
     prev = np.array([apex], dtype=np.int64)
     for r in range(1, rows + 1):
@@ -914,18 +1013,40 @@ class TestKernelsAgainstReferences:
         assert not inspect_mesh(tripled).watertight
 
 
+# the point sets of the placement tests, by name
+PLACEMENT_SETS = {
+    "tetra": lambda: [config_from_generator("tetra")],
+    "pentad": lambda: [config_from_generator("pentad")],
+    "pyramid5": lambda: [moved_pyramid(5, 35)],
+    "pyramid9": lambda: [moved_pyramid(9, 63)],
+    "generic9": lambda: generic_sets(9, 1),
+    # one set per pentad edge
+    "grown": lambda: [PointConfig(points=pts) for pts in pentad_grown(0.25)],
+}
+
+
+@functools.cache
+def placement_structures(name):
+    return tuple(analyze_config(cfg) for cfg in PLACEMENT_SETS[name]())
+
+
+def all_bodies(structure):
+    """(kind, wedge index) of every body of the structure."""
+    return [("reuleaux", None), ("meissner", None)] + [
+        ("wedge", i) for i in range(len(structure.pairs))]
+
+
 class TestOnePassMeshes:
     """One-pass caps and column integrals against the per-ring caps and the
     np.cross / norm / einsum integrals, bit for bit."""
 
     @pytest.mark.parametrize("refine", [2, 3, 8, 16, 33, 64, 128])
-    @pytest.mark.parametrize("generator", ["tetra", "pentad"])
-    def test_meshes_match_the_per_ring_build(self, request, monkeypatch,
-                                             generator, refine):
-        structure = request.getfixturevalue(f"{generator}_structure")
-        bodies = [("reuleaux", None), ("meissner", None)] + [
-            ("wedge", i) for i in range(len(structure.pairs))]
-        for kind, index in bodies:
+    @pytest.mark.parametrize("generator",
+                             ["tetra", "pentad", "pyramid5", "generic9"])
+    def test_meshes_match_the_per_ring_build(self, monkeypatch, generator,
+                                             refine):
+        (structure,) = placement_structures(generator)
+        for kind, index in all_bodies(structure):
             label = (kind, index, refine)
             mesh = build_body_mesh(structure, kind, refine, wedge_index=index)
             with monkeypatch.context() as patch:
@@ -940,6 +1061,33 @@ class TestOnePassMeshes:
                 ref.stats, min_triangle_area=float(areas.min())), label
             assert mesh_volume(mesh).hex() == _volume_reference(ref).hex(), label
             assert mesh_area(mesh).hex() == float(areas.sum()).hex(), label
+
+
+class TestColumnPlacement:
+    """The column-form placement, written into the pool block by block,
+    against the row form, computed whole and then copied in: the per-ring
+    caps, and every geodesic and spindle row from _geodesic_points_rows,
+    bit for bit."""
+
+    @pytest.mark.parametrize("name, refine", [
+        (name, refine) for name in PLACEMENT_SETS for refine in (2, 3, 16, 33)]
+        + [("tetra", 128), ("pentad", 128)])
+    def test_meshes_match_the_row_form(self, monkeypatch, name, refine):
+        for n, structure in enumerate(placement_structures(name)):
+            for kind, index in all_bodies(structure):
+                label = (n, kind, index)
+                mesh = build_body_mesh(structure, kind, refine,
+                                       wedge_index=index)
+                with monkeypatch.context() as patch:
+                    patch.setattr(MeshBuilder, "cap", _cap_per_ring)
+                    patch.setattr(_BodyMesher, "geodesic_ids",
+                                  _geodesic_ids_rows)
+                    patch.setattr(_BodyMesher, "spindle_grid",
+                                  _spindle_grid_rows)
+                    ref = build_body_mesh(structure, kind, refine,
+                                          wedge_index=index)
+                assert mesh.vertices.tobytes() == ref.vertices.tobytes(), label
+                assert mesh.triangles.tobytes() == ref.triangles.tobytes(), label
 
 
 class TestCheckOnce:

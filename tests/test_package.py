@@ -118,6 +118,24 @@ def test_mesh_fields_are_its_two_arrays():
         "vertices", "triangles"]
 
 
+def test_only_slerp_calls_sin():
+    # every cap ring, spindle row and geodesic point is placed by the one
+    # slerp, mesh._slerp; a second copy could drift from it bit by bit
+    tree = ast.parse(inspect.getsource(mesh))
+
+    def sines(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and n.attr == "sin" and ast.unparse(n.value) in ("np", "numpy")]
+    users = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and sines(node)}
+    assert users == {"_slerp"}
+    (slerp,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_slerp"]
+    # none outside a function either
+    assert len(sines(tree)) == len(sines(slerp)) > 0
+
+
 def test_dist_eps_is_the_only_tolerance_setting():
     assert [f.name for f in dataclasses.fields(geom.Tolerances)] == ["dist_eps"]
     tol = geom.Tolerances(dist_eps=1e-8)
