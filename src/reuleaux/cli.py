@@ -88,8 +88,7 @@ def emit_json(payload: dict, path: str | None) -> None:
 def _meta(args, tol: Tolerances) -> dict:
     return {
         "input": args.input,
-        "tolerances": {"dist_eps": tol.dist_eps, "ang_eps": tol.ang_eps,
-                       "match_eps": tol.match_eps},
+        "tolerances": {"dist_eps": tol.dist_eps},
     }
 
 

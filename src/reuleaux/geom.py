@@ -1,10 +1,12 @@
 """Primitive geometry for unit-ball intersections.
 
-Circles arising as intersections of two unit spheres, arcs on those circles,
-and the one numpy batch that trims circles against further ball
-constraints.  All values are immutable after construction and every
-operation is a pure function, so everything here is safe to share across
-workers.  Lengths are unitless; the unit ball radius 1 sets the scale.
+Circles arising as intersections of two unit spheres, arcs on those
+circles, and the distance from points to an arc.  No circle is trimmed
+against the balls: edge extraction reads the diameter graph alone
+(``polyhedron.extract_edges``).  All values are immutable after
+construction and every operation is a pure function, so everything here is
+safe to share across workers.  Lengths are unitless; the unit ball radius 1
+sets the scale.
 """
 
 from __future__ import annotations
@@ -65,34 +67,26 @@ class Tolerances:
     """The one table of numerical slack; ``dist_eps`` is its only setting.
 
     dist_eps (the CLI's --tol-dist): a pair within dist_eps of distance 1
-        is diametric; one beyond 1 + dist_eps breaks the diameter.
-    ang_eps: trimmed circle components and pieces of them no longer than
-        this are tangency noise, and a vertex this near a component's end
-        does not split it (edge extraction).
-    match_eps: how near an arc endpoint must come to its vertex, and a
-        point of X to a support circle.
-    on_axis: a ball constraint of amplitude below this has its center on
-        the circle's axis (``trim_circles``).
+        is diametric; one beyond 1 + dist_eps breaks the diameter.  The
+        diameter graph it decides is all that edge extraction reads, with
+        one more use: an edge arc's midpoint lies within 1 + dist_eps of
+        every point.
     theta_max: the bound on the angles of every ``AnglePair``, about pi/3 +
         1.15e-9: the chord angle of the longest distance the default
         dist_eps accepts, so a set that validates at the default also
         analyzes.  A larger dist_eps leaves it in place.
-    Fixed where they act: edge extraction trims the pairs with two common
-    neighbours within max(dist_eps, 2 match_eps) of distance 1, a mesh face
-    of solid angle below 1e-9 is collapsed, a face cap refuses a loop point
-    more than 3.0 rad from its barycenter direction (``MeshBuilder.cap``),
-    ``pair_duals`` refuses a dual pair whose orientation sign is exactly 0,
-    ``Circle3`` checks its frame to 1e-9 and its radius to 1 + 1e-12,
-    ``circle_of_sphere_pair`` takes centers within 1e-12 as coincident, and
-    the Monte Carlo window of unit draws is widened by 64 eps (1 + max |x|),
-    far above its rounding, and a wedge's ball box m +- h by a further 1e-6
+    Fixed where they act: a mesh face of solid angle below 1e-9 is
+    collapsed, a face cap refuses a loop point more than 3.0 rad from its
+    barycenter direction (``MeshBuilder.cap``), ``pair_duals`` refuses a
+    dual pair whose orientation sign is exactly 0, ``Circle3`` checks its
+    frame to 1e-9 and its radius to 1 + 1e-12, ``circle_of_sphere_pair``
+    takes centers within 1e-12 as coincident, and the Monte Carlo window of
+    unit draws is widened by 64 eps (1 + max |x|), far above its rounding,
+    and a wedge's ball box m +- h by a further 1e-6
     (``oracle._unit_window``).
     """
 
     dist_eps: float = 1e-9
-    ang_eps: ClassVar[float] = 1e-7
-    match_eps: ClassVar[float] = 1e-7
-    on_axis: ClassVar[float] = 1e-15
     theta_max: ClassVar[float] = 2.0 * math.asin((1.0 + dist_eps) / 2.0)
 
     def __post_init__(self) -> None:
@@ -196,83 +190,6 @@ def circle_of_sphere_pair(b, c) -> Circle3:
     axis = diff / d
     return Circle3(center=0.5 * (b + c), radius=math.sqrt(r2), axis=axis,
                    u_ref=reference_direction(axis))
-
-
-# the cosine at which a ball's arc falls within ang_eps of the full turn
-_NEARLY_FULL = -math.cos(0.5 * Tolerances.ang_eps)
-
-
-def trim_circles(circles, centers: np.ndarray, skip: np.ndarray
-                 ) -> list[list[tuple[float, float]]]:
-    """For each circle of ``circles``, the connected components of the
-    angles psi with |circle.point(psi) - x| <= 1 for every row x of the
-    (m, 3) float array ``centers`` but the rows ``skip`` names (an int
-    array, one row per circle, possibly of length 0): [] when a ball misses
-    the circle, [(0, 2*pi)] when none cuts it.  A component is (lo, hi)
-    with lo in [0, 2*pi) and hi - lo in (ang_eps, 2*pi), in angle order; one
-    crossing the angle origin has hi > 2*pi and comes last.
-
-    One numpy batch over circles x centers, a row per circle.  Center x
-    confines the circle to K*cos(psi - alpha) >= C, an arc of half-width
-    acos(C/K) about alpha: no cut if C/K <= -1 (its ball holds the whole
-    circle, or all but ang_eps of it), the empty set if C/K >= 1.  One sort
-    of every row's arc starts and ends by angle counts the arcs over each
-    angle; an angle survives where the count is the row's number of cuts.
-    Each component so found is maximal, across the angle origin too, and
-    no two are within ang_eps of each other (a gap holds the whole
-    complement of some arc), so the one tangency rule left drops
-    components of ang_eps or less.  The components decide which vertices
-    bound an edge; numpy rounds their angles, not ``math`` as ``Circle3``
-    does.
-    """
-    if not circles:
-        return []
-    m = len(centers)
-    center = np.array([c.center for c in circles])[:, None]
-    r = np.array([[c.radius] for c in circles])
-    w = centers - center
-    two_r = 2.0 * r
-    a = two_r * np.vecdot(w, np.array([c.u_ref for c in circles])[:, None])
-    b = two_r * np.vecdot(w, np.array([c.v_ref for c in circles])[:, None])
-    c = np.vecdot(w, w) + r * r - 1.0
-    k = np.hypot(a, b)
-    # a center on the circle's axis holds all of it or none
-    ratio = np.divide(c, k, out=np.where(c <= 0.0, -1.0, 1.0),
-                      where=k >= Tolerances.on_axis)
-    ratio[np.arange(len(circles))[:, None], skip] = -1.0
-    empty = (ratio >= 1.0).any(axis=1)
-    cut = (ratio > _NEARLY_FULL) & ~empty[:, None]
-    cuts = cut.sum(axis=1)
-    half = np.arccos(np.where(cut, ratio, 0.0))
-    start = np.mod(np.arctan2(b, a) - half, TWO_PI)
-    start[start == TWO_PI] = 0.0  # np.mod(-tiny) rounds to 2*pi
-    stop = start + 2.0 * half
-    wraps = cut & (stop > TWO_PI)
-    stop[wraps] -= TWO_PI
-    # a row holds its starts, then its ends, the centers that cut nothing
-    # at infinity; sorted stably, a start comes before an end at one angle,
-    # so arcs that only touch meet in a piece of length 0
-    events = np.concatenate((start, stop), axis=1)
-    events[np.concatenate((~cut, ~cut), axis=1)] = np.inf
-    order = np.argsort(events, axis=1, kind="stable")
-    events = np.take_along_axis(events, order, axis=1)
-    # the arcs over each event's angle: the arcs that wrap cover angle 0
-    cover = wraps.sum(axis=1)[:, None] + np.cumsum(
-        np.where(order < m, 1, -1), axis=1)
-    inside = (cover == cuts[:, None]) & (events < np.inf)
-    # a piece runs from an event that completes the cover to the next one,
-    # past 2*pi to the row's first event from its last
-    first = events[:, :1] + TWO_PI
-    nxt = np.concatenate((events[:, 1:], first), axis=1)
-    nxt = np.where(nxt < np.inf, nxt, first)
-    eps = Tolerances.ang_eps
-    pieces = [[] for _ in circles]
-    for p, lo, hi in zip(np.nonzero(inside)[0].tolist(),
-                         events[inside].tolist(), nxt[inside].tolist()):
-        if hi - lo > eps:
-            pieces[p].append((lo, hi))
-    return [[] if gone else [(0.0, TWO_PI)] if not n else ps
-            for gone, n, ps in zip(empty.tolist(), cuts.tolist(), pieces)]
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

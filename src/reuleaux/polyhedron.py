@@ -6,13 +6,14 @@ vertices coincide with X, it has one spherical face per point, and its edges
 are circular arcs that come in |X|-1 dual pairs: the supporting center pair
 of each edge equals the endpoint pair of its partner and vice versa.
 
-This module validates extremality, extracts the edge arcs by trimming the
-support circles against the balls in one batch, matches dual pairs, walks
-each face's boundary loop once for the mesh module, and classifies
-vertices.  Every edge arc of a dual pair is kept on one side and removed on
-the other when the associated Meissner body is formed; the canonical
-orientation chosen here (lexicographically smaller support keeps its arc) is
-what the oracle and mesh modules consume.
+This module validates extremality and reads the rest from the diameter
+graph alone: every face's neighbours in angular order, one edge arc per
+step of each face order (no circle is trimmed against the balls and no arc
+end is matched to a vertex), the dual pairs, each face's boundary loop for
+the mesh module, and the vertex classes.  Every edge arc of a dual pair is
+kept on one side and removed on the other when the associated Meissner
+body is formed; the canonical orientation chosen here (lexicographically
+smaller support keeps its arc) is what the oracle and mesh modules consume.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
-from .geom import (TWO_PI, ArcOnCircle, Tolerances,
-                   circle_of_sphere_pair, cross, trim_circles)
+from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
+                   cross)
 
 @dataclass(frozen=True, eq=False)
 class PointConfig:
@@ -169,117 +170,151 @@ def check_extremal(cfg: PointConfig) -> ExtremalityReport:
     )
 
 
-def _match_vertices(cfg: PointConfig, ends: np.ndarray,
-                    supports: list[tuple[int, int]]) -> list[int]:
-    """For each row of ``ends``, the nearest point of X within match_eps;
-    lowest index on ties.  The error names the support pair
-    (``supports[r]`` for row r) whose arc ends at the first row that
-    matches none."""
-    d = np.linalg.norm(cfg.points - ends[:, None], axis=2)
-    gap = d.min(axis=1)
-    miss = np.flatnonzero(gap > cfg.tol.match_eps)
-    if miss.size:
-        r = miss[0]
-        raise StructureError(
-            f"extract_edges: support pair {supports[r]}: arc endpoint "
-            f"{ends[r]} matches no vertex (nearest at distance {gap[r]:.3g})")
-    return d.argmin(axis=1).tolist()
-
-
-def _candidate_pairs(cfg: PointConfig) -> list[tuple[int, int]]:
-    """Support pairs (i < j, in lexicographic order) with two or more common
-    neighbours at distance within max(dist_eps, 2 match_eps) of 1.
-
-    For extremal X each edge joins two distinct points of X on both support
-    spheres (its dual swaps support and endpoints); an arc end is on both up
-    to rounding and within match_eps of its point.  The dist_eps term keeps
-    the diametric pairs, so an arc end that misses its vertex is named.  The
-    outcome differs from trimming every pair only on sets refused either
-    way: a sliver whose two ends match one vertex, which is no edge.
-    """
-    tol = cfg.tol
-    near = np.abs(cfg.dist - 1.0) <= max(tol.dist_eps, 2.0 * tol.match_eps)
-    a = near.astype(float)
-    # einsum's single-threaded loop, not BLAS: at n = 102 on a loaded 2-core
-    # VM, OpenBLAS's threaded product took 17-21 ms on 5 % of calls
-    i, j = np.nonzero(np.triu(np.einsum("ik,kj->ij", a, a) >= 2.0, k=1))
-    return list(zip(i.tolist(), j.tolist()))
-
-
-def _split_at_vertices(comps: list[tuple[float, float]], splits
-                       ) -> list[tuple[float, float]]:
-    """The pieces (lo, hi) of one support pair's trimmed circle: each
-    component cut at the split angles interior to it.  Pieces up to ang_eps
-    are tangency noise and dropped."""
-    eps = Tolerances.ang_eps
-    pieces = []
-    for lo, hi in comps:
-        inner = []
-        for s in splits:
-            rel = (s - lo) % TWO_PI
-            if eps < rel < (hi - lo) - eps:
-                inner.append(lo + rel)
-        bounds = [lo] + sorted(inner) + [hi]
-        pieces.extend((a, b) for a, b in zip(bounds[:-1], bounds[1:])
-                      if b - a > eps)
-    return pieces
+def _face_orders(cfg: PointConfig, g: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (x, u) of the diameter graph ``g``, sorted by face x and then
+    by the angle of u about the mean direction from x to its neighbours,
+    with each row's position in its face.  The frame about that direction
+    is built as ``reference_direction`` builds one."""
+    pts = cfg.points
+    x, u = np.nonzero(g)
+    d = pts[u] - pts[x]
+    mean = np.stack([np.bincount(x, d[:, k], cfg.n) for k in range(3)], axis=1)
+    axis = mean / np.sqrt(np.vecdot(mean, mean))[:, None]
+    k = np.argmin(np.abs(axis), axis=1)
+    ref = np.eye(3)[k] - axis[np.arange(cfg.n), k][:, None] * axis
+    ref /= np.sqrt(np.vecdot(ref, ref))[:, None]
+    other = np.stack(cross(axis.T, ref.T), axis=1)
+    order = np.lexsort((np.arctan2(np.vecdot(d, other[x]),
+                                   np.vecdot(d, ref[x])), x))
+    x, u = x[order], u[order]
+    return x, u, np.arange(len(x)) - np.searchsorted(x, x)
 
 
 def extract_edges(cfg: PointConfig
-                  ) -> tuple[ExtremalityReport, tuple[EdgeArc, ...]]:
-    """The extremality report of X and the edge arcs of B(X), one per
-    connected boundary component.
+                  ) -> tuple[ExtremalityReport, tuple[EdgeArc, ...],
+                             tuple[tuple[tuple[int, bool], ...], ...]]:
+    """The extremality report of X, the edge arcs of B(X) and the boundary
+    loop of each face, for extremal X only (NotExtremalError otherwise).
 
-    Two steps, for extremal X only (NotExtremalError otherwise).  The
-    circles of the pairs that ``_candidate_pairs`` keeps are trimmed
-    against every other ball in one batch (``geom.trim_circles``).  Each
-    surviving component is split where a point of X lies on the circle
-    interior to it (a dangling vertex cuts the arc in two).  The ends of
-    all pieces match their vertices in one batch, and each arc runs from
-    the angle (``Circle3.angle_of``) of its first endpoint vertex to that
-    of its second: the trim decides which vertices bound an edge, and the
-    vertices fix every arc angle.
+    For extremal X, B(X) is combinatorially self-dual (Kupitz, Martini and
+    Perles 2010): face x is the convex spherical polygon on x's diameter
+    neighbours N(x), and its edge from u to the next vertex w lies on the
+    circle of x and some z in N(u) & N(w) - {x}.  So three batches on the
+    diameter graph, the one relation ``dist_eps`` decides, give the edges:
+    the graph, every face order in one lexsort (``_face_orders``), and the
+    arcs.  For each step (u, w) of a face and each candidate z, the short
+    arc of circle (x, z) from u to w is kept when its midpoint lies within
+    1 + dist_eps of every point and no other point of N(x) & N(z) lies on
+    it (nearer to both u and w than they are to each other).  A face keeps
+    one arc per step, a digon face (two neighbours) two arcs on its one
+    step, and every edge must come from both its support faces;
+    StructureError names the face and step, or the support pair, that
+    breaks this.  Each arc runs counterclockwise, by less than pi, from the
+    angle (``Circle3.angle_of``) of one endpoint vertex to the other's.
+
+    ``face_loops[x]`` lists face x's edges in angular order as (edge index,
+    forward) steps, from its lowest-index edge, which runs forward.
     """
     report = check_extremal(cfg)
     if not report.is_extremal:
         raise NotExtremalError(report)
-    pts = cfg.points
-    pairs = _candidate_pairs(cfg)
-    ij = np.array(pairs, dtype=int).reshape(-1, 2)
-    circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
-    # Points of X on a circle (distance 1 from both centers) split its
-    # surviving set: edges live on the circle minus X.  The zero diagonal
-    # of dist keeps a pair's own two points out.
-    on_sphere = np.abs(cfg.dist - 1.0) <= cfg.tol.match_eps
-    on_circle = [[] for _ in pairs]
-    for p, k in np.argwhere(on_sphere[ij[:, 0]] & on_sphere[ij[:, 1]]).tolist():
-        on_circle[p].append(k)
-    pieces = []
-    for pair, circle, comps, ks in zip(
-            pairs, circles, trim_circles(circles, pts, ij), on_circle):
-        # never the full circle: a common neighbour of a candidate pair
-        # lies on it, and its ball keeps at most 2.47 rad of it
-        angles = {k: circle.angle_of(pts[k]) for k in ks}
-        pieces += [(pair, circle, angles, lo, hi)
-                   for lo, hi in _split_at_vertices(comps, angles.values())]
-    near = _match_vertices(
-        cfg, np.array([circle.point(x) for _, circle, _, lo, hi in pieces
-                       for x in (lo, hi)]).reshape(-1, 3),
-        [piece[0] for piece in pieces for _ in (0, 1)])
-    found = []
-    for (pair, circle, angles, lo, hi), u, w in zip(pieces, near[::2],
-                                                    near[1::2]):
-        if u == w:
-            raise StructureError(
-                f"extract_edges: support pair {pair}: arc from {lo:.12g} to "
-                f"{hi:.12g} rad starts and ends at vertex {u}")
-        start, end = (angles[v] if v in angles else circle.angle_of(pts[v])
-                      for v in (u, w))
-        found.append((pair, (u, w), ArcOnCircle(
-            circle, start, start + (end - start) % TWO_PI)))
-    found.sort(key=lambda t: (t[0], sorted(t[1])))
-    return report, tuple(EdgeArc(support, ends, arc, k)
-                         for k, (support, ends, arc) in enumerate(found))
+    pts, dist, n = cfg.points, cfg.dist, cfg.n
+    eps = cfg.tol.dist_eps
+    g = np.abs(dist - 1.0) <= eps
+    degree = g.sum(axis=1)
+    if degree.min() < 2:
+        x = int(degree.argmin())
+        raise StructureError(f"extract_edges: face {x} has {degree[x]} "
+                             "diameter neighbours; a face needs 2 or more")
+    x, u, pos = _face_orders(cfg, g)
+    size = degree[x]
+    rows = np.arange(len(x))
+    w = u[np.where(pos + 1 < size, rows + 1, rows - pos)]
+    # a digon face has one step, and both of its arcs run along it
+    step = np.flatnonzero((size != 2) | (pos == 0))
+    need = np.where(size[step] == 2, 2, 1)
+    cand = g[u[step]] & g[w[step]]
+    cand[np.arange(len(step)), x[step]] = False
+    s, z = np.nonzero(cand)
+    cx, cu, cw = x[step[s]], u[step[s]], w[step[s]]
+    # the midpoint of the short arc of circle (x, z) from u to w
+    center = 0.5 * (pts[cx] + pts[z])
+    along = pts[cx] - pts[z]
+    half2 = 0.25 * np.vecdot(along, along)
+    along /= np.sqrt(4.0 * half2)[:, None]
+    mid = np.zeros_like(center)
+    for end in (pts[cu], pts[cw]):
+        r = end - center
+        r -= np.vecdot(r, along)[:, None] * along
+        mid += r / np.sqrt(np.vecdot(r, r))[:, None]
+    mid *= np.sqrt((1.0 - half2) / np.vecdot(mid, mid))[:, None]
+    gap = pts[None] - center[:, None] - mid[:, None]
+    chord = dist[cu, cw][:, None]
+    on_arc = g[cx] & g[z] & (dist[cu] < chord) & (dist[cw] < chord)
+    inside = (np.vecdot(gap, gap) <= (1.0 + eps) ** 2).all(axis=1)
+    keep = np.flatnonzero(inside & ~on_arc.any(axis=1))
+    found = np.bincount(s[keep], minlength=len(step))
+    bad = np.flatnonzero(found != need)
+    if bad.size:
+        t = bad[0]
+        r = step[t]
+        raise StructureError(
+            f"extract_edges: face {x[r]}, step ({u[r]}, {w[r]}): found "
+            f"{found[t]} arcs, expected {need[t]}")
+    s, cx, z, cu, cw = s[keep], cx[keep], z[keep], cu[keep], cw[keep]
+    lo, hi = np.minimum(cx, z), np.maximum(cx, z)
+    a, b = np.minimum(cu, cw), np.maximum(cu, cw)
+    keys, edge_of, twice = np.unique(((lo * n + hi) * n + a) * n + b,
+                                     return_inverse=True, return_counts=True)
+    once = np.flatnonzero(twice[edge_of] != 2)
+    if once.size:
+        c = once[0]
+        raise StructureError(
+            f"extract_edges: support pair ({lo[c]}, {hi[c]}): its edge "
+            f"between vertices {a[c]} and {b[c]} comes from face {cx[c]} only")
+    edges = []
+    circles = {}
+    for key in keys.tolist():
+        key, v1 = divmod(key, n)
+        key, v0 = divmod(key, n)
+        support = divmod(key, n)
+        if support not in circles:
+            circles[support] = circle_of_sphere_pair(*pts[list(support)])
+        circle = circles[support]
+        ends = (v0, v1)
+        start, end = (circle.angle_of(pts[v]) for v in ends)
+        span = (end - start) % TWO_PI
+        if span >= math.pi:
+            ends, start, span = (v1, v0), end, (start - end) % TWO_PI
+        edges.append(EdgeArc(support, ends, ArcOnCircle(
+            circle, start, start + span), len(edges)))
+    # each row's edge; a digon's two arcs go to its two rows
+    row_edge = np.empty(len(x), dtype=int)
+    row_edge[step[s] + np.arange(len(s)) - np.searchsorted(s, s)] = edge_of
+    edges = tuple(edges)
+    return report, edges, _face_loops(n, x, u, row_edge, edges)
+
+
+def _face_loops(n: int, x: np.ndarray, u: np.ndarray, row_edge: np.ndarray,
+                edges: tuple[EdgeArc, ...]
+                ) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Each face's edges in its angular order (row r of the face orders runs
+    from u[r] to the next row's vertex along edge row_edge[r]), rotated to
+    start at the face's lowest-index edge and turned so that it runs
+    forward, as (edge index, forward) steps."""
+    bounds = np.searchsorted(x, np.arange(n + 1)).tolist()
+    ids = row_edge.tolist()
+    along = (np.array([e.endpoints[0] for e in edges])[row_edge] == u).tolist()
+    loops = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        face, runs = ids[lo:hi], along[lo:hi]
+        k = face.index(min(face))
+        turn = 1 if runs[k] else -1
+        loops.append(tuple(
+            (face[t], runs[t] == runs[k]) for t in
+            ((k + turn * i) % len(face) for i in range(len(face)))))
+    return tuple(loops)
 
 
 def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:
@@ -337,44 +372,6 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
     return tuple(pairs)
 
 
-def _face_loops(n: int, edges: tuple[EdgeArc, ...]
-                ) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """The boundary cycle of each face as (edge index, forward) steps, from
-    the first edge it supports; raises StructureError naming a face with no
-    boundary edges or whose edges do not form one simple cycle."""
-    incident: list[list[EdgeArc]] = [[] for _ in range(n)]
-    for e in edges:
-        for x in e.support:
-            incident[x].append(e)
-    loops = []
-    for x, face in enumerate(incident):
-        if not face:
-            raise StructureError(f"face_loops: face {x} has no boundary edges")
-        at_vertex: dict[int, list[EdgeArc]] = {}
-        for e in face:
-            for v in e.endpoints:
-                at_vertex.setdefault(v, []).append(e)
-        if any(len(ends) != 2 for ends in at_vertex.values()):
-            raise StructureError(
-                f"face_loops: face {x} boundary is not a simple cycle")
-        start = step = face[0]
-        loop = [(start.index, True)]
-        vertex = start.endpoints[1]
-        # every vertex has exactly two edge ends, and one other than the
-        # start is entered with one of them used, so the other is unused
-        while vertex != start.endpoints[0]:
-            a, b = at_vertex[vertex]
-            step = b if a is step else a
-            forward = step.endpoints[0] == vertex
-            loop.append((step.index, forward))
-            vertex = step.endpoints[1] if forward else step.endpoints[0]
-        if len(loop) != len(face):
-            raise StructureError(
-                f"face_loops: face {x} boundary has several components")
-        loops.append(tuple(loop))
-    return tuple(loops)
-
-
 def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
                       pairs: tuple[DualPair, ...]) -> StructureReport:
     """Count per-vertex face membership from incident edge supports and
@@ -409,9 +406,8 @@ def classify_vertices(cfg: PointConfig, edges: tuple[EdgeArc, ...],
 def analyze_config(cfg: PointConfig) -> Structure:
     """Full validation pipeline; raises NotExtremalError, StructureError or
     DomainError."""
-    extremality, edges = extract_edges(cfg)
+    extremality, edges, face_loops = extract_edges(cfg)
     pairs = pair_duals(edges, cfg)
-    face_loops = _face_loops(cfg.n, edges)
     report = classify_vertices(cfg, edges, pairs)
     return Structure(config=cfg, extremality=extremality, edges=edges,
                      pairs=pairs, face_loops=face_loops, report=report)

@@ -2,11 +2,12 @@
 
 Adaptive 2-D quadrature of the boundary-patch integrands, parametrized in the
 frame where the kept chord sits on the z-axis and the removed endpoints lie
-in the z = 0 plane; the scalar trim of edge extraction: the ball
-constraint one center at a time, intersected by a frozen copy of the
-angular-interval arithmetic; and frozen copies of the support-circle frame
-and of the matching of an arc end to its vertex.  Nothing here calls the
-closed forms, the circle constructor or the batched trim under test.
+in the z = 0 plane; the scalar trim of the edge extraction this package
+once ran: the ball constraint one center at a time, intersected by a frozen
+copy of the angular-interval arithmetic; and frozen copies of the
+support-circle frame and of the matching of an arc end to its vertex, with
+their own slacks.  Nothing here calls the closed forms, the circle
+constructor or the extraction under test.
 """
 
 import math
@@ -15,9 +16,17 @@ import numpy as np
 from scipy import integrate
 
 from reuleaux.errors import StructureError
-from reuleaux.geom import TWO_PI, Tolerances, as_point
+from reuleaux.geom import TWO_PI, as_point
 
 QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11)
+
+# the reference trim's slacks: trimmed components and pieces no longer than
+# ANG_EPS are tangency noise, an arc end matches a vertex within MATCH_EPS
+# (as does a point of X its support circle), and a ball constraint of
+# amplitude below ON_AXIS has its center on the circle's axis
+ANG_EPS = 1e-7
+MATCH_EPS = 1e-7
+ON_AXIS = 1e-15
 
 
 def special_frame(theta, theta_prime):
@@ -109,8 +118,8 @@ def spindle_flux_quad(theta, theta_prime):
 
 class FrozenIntervalSet:
     """The scalar angular-interval arithmetic that edge extraction ran
-    before the trim became one numpy batch (``geom.trim_circles``), kept
-    verbatim: the components the batch must reproduce."""
+    when it trimmed circles against the balls, kept verbatim: the judge
+    whose edges the diameter-graph extraction must reproduce."""
 
     __slots__ = ("intervals",)
 
@@ -128,7 +137,7 @@ class FrozenIntervalSet:
     @classmethod
     def from_raw(cls, raw):
         """Canonicalize raw (lo, hi) pairs with hi > lo, any real lo."""
-        eps = Tolerances.ang_eps
+        eps = ANG_EPS
         pieces = []
         for lo, hi in raw:
             span = hi - lo
@@ -184,7 +193,7 @@ class FrozenIntervalSet:
         returned as one interval with hi > 2*pi."""
         if self.is_full or self.is_empty:
             return list(self.intervals)
-        eps = Tolerances.ang_eps
+        eps = ANG_EPS
         ivs = list(self.intervals)
         if len(ivs) >= 2 and ivs[0][0] <= eps and ivs[-1][1] >= TWO_PI - eps:
             first = ivs.pop(0)
@@ -219,7 +228,7 @@ def scalar_ball_constraint(circle, x):
     b = 2.0 * r * float(w @ circle.v_ref)
     c = float(w @ w) + r * r - 1.0
     k = math.hypot(a, b)
-    if k < Tolerances.on_axis:
+    if k < ON_AXIS:
         return FrozenIntervalSet.full() if c <= 0.0 else FrozenIntervalSet.empty()
     ratio = c / k
     if ratio >= 1.0:
@@ -233,8 +242,7 @@ def scalar_ball_constraint(circle, x):
 
 def scalar_trim(circle, centers):
     """The circle's angles inside every ball of ``centers``, one
-    ``scalar_ball_constraint`` at a time up to the first empty set: the
-    components ``geom.trim_circles`` must reproduce to rounding."""
+    ``scalar_ball_constraint`` at a time up to the first empty set."""
     surviving = FrozenIntervalSet.full()
     for x in centers:
         surviving = surviving.intersect(scalar_ball_constraint(circle, x))
@@ -244,12 +252,12 @@ def scalar_trim(circle, centers):
 
 
 def match_vertex(cfg, p, support):
-    """Nearest point of X within match_eps; lowest index on ties.  The error
+    """Nearest point of X within MATCH_EPS; lowest index on ties.  The error
     names the support pair whose arc ends at ``p``: extraction's matching
     of one arc end, as it stood before both ends were matched in one call."""
     d = np.linalg.norm(cfg.points - p, axis=1)
     i = int(np.argmin(d))
-    if d[i] > cfg.tol.match_eps:
+    if d[i] > MATCH_EPS:
         raise StructureError(
             f"extract_edges: support pair {support}: arc endpoint {p} matches "
             f"no vertex (nearest at distance {d[i]:.3g})")

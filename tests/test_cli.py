@@ -160,29 +160,29 @@ class TestValidate:
             assert (error["exit_code"], error["kind"]) == (4, "domain")
             assert error["message"].startswith("theta must lie in (0, pi/3]")
 
-    @pytest.mark.parametrize("command, code", [
-        ("validate", 0), ("analyze", 3), ("mesh", 3), ("report", 3)])
-    def test_pulled_vertex_is_a_structure_error(self, tmp_path, capsys,
-                                                command, code):
+    @pytest.mark.parametrize("command", ["validate", "analyze", "mesh",
+                                         "report"])
+    def test_pulled_vertex_analyzes_at_its_tolerance(self, tmp_path, capsys,
+                                                     command):
         # vertex 0 moved 5e-5 toward the centroid: its diameters still pass
-        # --tol-dist 1e-4, but the arcs no longer meet at the vertex
+        # --tol-dist 1e-4, and the diameter graph they form, the
+        # tetrahedron's, fixes every face and edge
         pts = tetra_points()
         toward = pts.mean(axis=0) - pts[0]
         pts[0] += 5e-5 * toward / np.linalg.norm(toward)
         geo = tmp_path / "pulled.json"
         geo.write_text(json.dumps({"points": pts.tolist()}))
+        out = tmp_path / "out.json"
         assert run([command, str(geo), "--tol-dist", "1e-4",
-                    "--json", str(tmp_path / "out.json")]) == code
-        if code == 0:
-            assert capsys.readouterr().err == ""
-        else:
-            error = one_error(capsys, 3)
-            assert error["kind"] == "structure"
-            # the error names the stage and the support pair of the arc
-            assert re.fullmatch(
-                r"extract_edges: support pair \(0, 1\): arc endpoint \[.*\] "
-                r"matches no vertex \(nearest at distance 5e-05\)",
-                error["message"])
+                    "--json", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "analyze":
+            data = load(out)
+            assert data["tolerances"] == {"dist_eps": 1e-4}
+            assert data["structure"]["edge_count"] == 6
+            tetra = formulas.volume_reuleaux(
+                [AnglePair(math.pi / 3, math.pi / 3)] * 3)
+            assert abs(data["reuleaux"]["volume"] - tetra) < 1e-4
 
 
 class TestAnalyze:
@@ -452,7 +452,7 @@ class TestReportDeterminism:
         assert data["mc"]["seed"] == 9
         assert data["mc"]["samples"] == 50000
         assert data["mesh"]["refine"] == 12
-        assert data["tolerances"]["dist_eps"] == 1e-9
+        assert data["tolerances"] == {"dist_eps": 1e-9}
         assert "timing" in data
 
 
@@ -760,12 +760,12 @@ class TestFuzzedPointSets:
 class TestDegeneracyLadder:
     """The pentad plus the point at fraction f of one of its edge arcs.  The
     set is extremal for every f in (0, 1); as f shrinks the new point nears
-    the arc's first end, until the structure analysis (exit 3), then
-    validation (exit 2), refuses it."""
+    the arc's first end, until the structure analysis (exit 3, at 1e-8),
+    then validation (exit 2), refuses it."""
 
     @pytest.mark.parametrize("f, code, kind", [
         (1e-2, 0, None), (1e-4, 0, None), (1e-6, 0, None),
-        (1e-7, 3, "structure"), (1e-8, 3, "structure"),
+        (1e-7, 0, None), (1e-8, 3, "structure"),
         (1e-10, 2, "validation")])
     def test_analyze_on_every_edge(self, tmp_path, capsys, f, code, kind):
         geo = tmp_path / "grown.json"
@@ -776,6 +776,12 @@ class TestDegeneracyLadder:
                         str(tmp_path / "a.json")]) == code, edge
             if code:
                 # one error object, so no traceback
-                assert one_error(capsys, code)["kind"] == kind, edge
+                error = one_error(capsys, code)
+                assert error["kind"] == kind, edge
+                if kind == "structure":
+                    # the refusal names the face and the step it fails on
+                    assert re.fullmatch(
+                        r"extract_edges: face \d+, step \(\d+, \d+\): "
+                        r"found \d+ arcs, expected 1", error["message"]), edge
             else:
                 assert capsys.readouterr().err == "", edge

@@ -1,4 +1,5 @@
-"""Tests for circles, arcs, and the batched trim of circles by balls."""
+"""Tests for circles and arcs, and for the reference trim of circles by
+balls that judges edge extraction."""
 
 import math
 
@@ -10,12 +11,11 @@ from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, ArcOnCircle, Circle3, Tolerances,
                            circle_of_sphere_pair, max_distance_to_arc_many,
-                           reference_direction, trim_circles)
-from reuleaux.polyhedron import (PointConfig, _candidate_pairs,
-                                 config_from_generator, extract_edges,
+                           reference_direction)
+from reuleaux.polyhedron import (PointConfig, config_from_generator,
                                  tetra_points)
 
-from oracles import frozen_circle_frame, scalar_ball_constraint, scalar_trim
+from oracles import ANG_EPS, frozen_circle_frame, scalar_trim
 from test_polyhedron import generic_sets, moved_pyramid
 
 RNG = np.random.default_rng(20260811)
@@ -41,8 +41,9 @@ class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
         assert tol.dist_eps == 1e-9
-        assert tol.ang_eps == 1e-7
-        assert tol.match_eps == 1e-7
+        assert Tolerances.theta_max == 2.0 * math.asin((1.0 + 1e-9) / 2.0)
+        for gone in ("ang_eps", "match_eps", "on_axis"):
+            assert not hasattr(tol, gone)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -123,10 +124,9 @@ class TestCircleOfSpherePair:
 
 
 def trim_one(circ, centers):
-    """The components of one circle trimmed against ``centers``."""
-    (comps,) = trim_circles([circ], np.asarray(centers, dtype=float),
-                            np.empty((1, 0), dtype=int))
-    return comps
+    """The components of one circle trimmed against ``centers`` by the
+    reference trim of ``tests/oracles.py``."""
+    return scalar_trim(circ, np.asarray(centers, dtype=float)).components()
 
 
 class TestBallConstraintInterval:
@@ -165,81 +165,6 @@ class TestBallConstraintInterval:
                     assert abs(np.linalg.norm(circ.point(psi) - x) - 1.0) < 1e-9
 
 
-# numpy rounds the batch's angles and math the frozen chain's; on these
-# sets they part by at most a few 1e-15 rad
-TRIM_RAD = 1e-12
-EPS = Tolerances.ang_eps
-
-
-def turn_gap(x, y):
-    """The distance of two angles around the circle."""
-    return abs((x - y + math.pi) % TWO_PI - math.pi)
-
-
-def assert_trims_agree(got, frozen):
-    """``trim_circles`` components against the frozen chain's set: as many
-    components, and each end within TRIM_RAD."""
-    want = frozen.components()
-    assert len(got) == len(want), (got, want)
-    for (lo, hi), (want_lo, want_hi) in zip(got, want):
-        assert turn_gap(lo, want_lo) <= TRIM_RAD, (got, want)
-        assert turn_gap(hi, want_hi) <= TRIM_RAD, (got, want)
-
-
-class TestBallConstraintIntervals:
-    """The batched trim agrees with the frozen scalar chain: the same
-    components, with ends within TRIM_RAD."""
-
-    def test_random_circles_and_centers(self):
-        rng = np.random.default_rng(1206)
-        kinds = set()
-        for _ in range(300):
-            b = rng.normal(size=3)
-            c = b + rng.uniform(0.3, 1.5) * random_unit(rng)
-            circ = circle_of_sphere_pair(b, c)
-            dirs = rng.normal(size=(6, 3))
-            centers = (circ.center + rng.uniform(0.0, 2.5, size=(6, 1))
-                       * dirs / np.linalg.norm(dirs, axis=1)[:, None])
-            # a center on the circle's axis has no direction on the circle
-            on_axis = circ.center + rng.uniform(-1.0, 1.0) * circ.axis
-            centers = np.vstack([centers, on_axis])
-            # each center alone, then all of them
-            for x in centers:
-                frozen = scalar_ball_constraint(circ, x)
-                kinds.add("full" if frozen.is_full
-                          else "empty" if frozen.is_empty else "arc")
-                assert_trims_agree(trim_one(circ, [x]), frozen)
-            assert_trims_agree(trim_one(circ, centers),
-                               scalar_trim(circ, centers))
-        assert kinds == {"full", "empty", "arc"}
-
-    def test_candidate_circles_of_a_moved_pyramid(self):
-        # every candidate pair of an n = 102 pyramid and of the m = 21
-        # generic sets, in the one batch extract_edges runs
-        for cfg in [moved_pyramid(101, 102)] + generic_sets(21):
-            pts = cfg.points
-            pairs = _candidate_pairs(cfg)
-            circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
-            trims = trim_circles(circles, pts, np.array(pairs))
-            assert len(trims) == len(pairs)
-            for (i, j), circ, got in zip(pairs, circles, trims):
-                assert_trims_agree(
-                    got, scalar_trim(circ, np.delete(pts, (i, j), axis=0)))
-
-    def test_an_arc_that_ends_at_two_pi(self):
-        # the tetra's pair (1, 3) keeps an arc that ends at 2*pi exactly;
-        # its end event sorts last, not first, and the edge survives
-        cfg = config_from_generator("tetra")
-        pts = cfg.points
-        circ = circle_of_sphere_pair(pts[1], pts[3])
-        (got,) = trim_circles([circ], pts, np.array([(1, 3)]))
-        (lo, hi), = got
-        assert hi == TWO_PI and 0.0 < lo < TWO_PI
-        assert_trims_agree(got, scalar_trim(circ, pts[[0, 2]]))
-        _, edges = extract_edges(cfg)
-        assert [e.arc.end_angle for e in edges if e.support == (1, 3)] == [TWO_PI]
-
-
 HALF_CIRCLE = Circle3(center=(0, 0, 0), radius=0.5, axis=(0, 0, 1),
                       u_ref=(1, 0, 0))
 
@@ -260,8 +185,8 @@ def trim_arcs(*arcs):
 
 
 class TestAngularIntervalSet:
-    """The batch meets the arcs of the balls on a circle, with the ang_eps
-    rules applied once."""
+    """The reference trim meets the arcs of the balls on a circle, with the
+    ANG_EPS rules applied once."""
 
     def test_intersection_with_full_is_identity(self):
         # a ball about the circle's center keeps all of it: no cut
@@ -298,11 +223,12 @@ class TestAngularIntervalSet:
 
     def test_measure_capped_by_full_circle(self):
         # a ball that leaves only ang_eps / 2 of the circle out cuts nothing
-        assert trim_arcs((1.0, 1.0 + TWO_PI - 0.5 * EPS)) == [(0.0, TWO_PI)]
+        assert trim_arcs((1.0, 1.0 + TWO_PI - 0.5 * ANG_EPS)) == [
+            (0.0, TWO_PI)]
         # one that leaves 2 ang_eps out cuts; acos near -1 keeps about 1e-8
         # rad of the arc's ends
-        (lo, hi), = trim_arcs((1.0, 1.0 + TWO_PI - 2.0 * EPS))
-        assert TWO_PI - 3.0 * EPS < hi - lo < TWO_PI - EPS
+        (lo, hi), = trim_arcs((1.0, 1.0 + TWO_PI - 2.0 * ANG_EPS))
+        assert TWO_PI - 3.0 * ANG_EPS < hi - lo < TWO_PI - ANG_EPS
 
     def test_intersection_matches_pointwise_and_on_grid(self):
         grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)

@@ -62,7 +62,11 @@ def test_removed_names_are_gone(module, name):
     (oracle, "McEstimate.to_dict"), (polyhedron, "StructureReport.face_counts"),
     (mesh, "MeshStats.total_area"), (mesh, "MeshStats.total_volume"),
     (geom, "FULL"), (geom, "_canonical"), (geom, "_arc"), (geom, "_meet"),
-    (geom, "components"), (geom, "trim_circle")])
+    (geom, "components"), (geom, "trim_circle"), (geom, "trim_circles"),
+    (geom, "_NEARLY_FULL"), (geom, "Tolerances.ang_eps"),
+    (geom, "Tolerances.match_eps"), (geom, "Tolerances.on_axis"),
+    (polyhedron, "_candidate_pairs"), (polyhedron, "_split_at_vertices"),
+    (polyhedron, "_match_vertices")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
@@ -138,17 +142,11 @@ def test_only_slerp_calls_sin():
 
 def test_dist_eps_is_the_only_tolerance_setting():
     assert [f.name for f in dataclasses.fields(geom.Tolerances)] == ["dist_eps"]
-    tol = geom.Tolerances(dist_eps=1e-8)
-    assert (tol.ang_eps, tol.match_eps) == (1e-7, 1e-7)
+    # theta_max is the one other entry, a constant
+    assert [name for name in vars(geom.Tolerances)
+            if not name.startswith("_")] == ["dist_eps", "theta_max"]
     with pytest.raises(TypeError):
         geom.Tolerances(match_eps=1e-6)
-
-
-@pytest.mark.parametrize("module, name, params", [
-    (geom, "trim_circles", ["circles", "centers", "skip"])])
-def test_interval_layer_takes_no_slack_argument(module, name, params):
-    # the one angular slack is Tolerances.ang_eps, read where it acts
-    assert list(inspect.signature(resolve(module, name)).parameters) == params
 
 
 def test_circle_derives_v_ref():

@@ -14,18 +14,16 @@ from hypothesis import strategies as st
 from reuleaux import polyhedron
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
-from reuleaux.geom import (TWO_PI, ArcOnCircle, circle_of_sphere_pair,
-                          trim_circles)
+from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
 from reuleaux.mesh import build_body_mesh
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
-                                 _candidate_pairs, _face_loops,
                                  analyze_config, angle_pairs, check_extremal,
                                  classify_vertices, config_from_generator,
                                  config_from_json_dict, extract_edges,
                                  pair_duals, pentad_points, tetra_points)
 
-from oracles import match_vertex, scalar_trim
+from oracles import ANG_EPS, MATCH_EPS, match_vertex, scalar_trim
 
 RNG = np.random.default_rng(4207)
 
@@ -166,14 +164,14 @@ class TestExtractEdges:
 
 
 # The scalar extraction that trims every support pair, one 1-D constraint at
-# a time on the frozen interval arithmetic, kept as the reference the
-# two-step extract_edges must reproduce bit for bit.  It matches every arc
-# end before it builds an arc, which runs between the angles of its two
-# endpoint vertices.
+# a time on the frozen interval arithmetic, kept as the reference that
+# extract_edges, which reads only the diameter graph, must reproduce bit for
+# bit.  It matches every arc end before it builds an arc, which runs between
+# the angles of its two endpoint vertices.
 def reference_extract_edges(cfg):
     pts = cfg.points
     tol = cfg.tol
-    on_sphere = np.abs(cfg.dist - 1.0) <= tol.match_eps
+    on_sphere = np.abs(cfg.dist - 1.0) <= MATCH_EPS
     pieces = []
     for i in range(cfg.n):
         for j in range(i + 1, cfg.n):
@@ -199,12 +197,12 @@ def reference_extract_edges(cfg):
                     inner = []
                     for s in splits:
                         rel = (s - lo) % TWO_PI
-                        if tol.ang_eps < rel < (hi - lo) - tol.ang_eps:
+                        if ANG_EPS < rel < (hi - lo) - ANG_EPS:
                             inner.append(lo + rel)
                     bounds = [lo] + sorted(inner) + [hi]
                     comps.extend(zip(bounds[:-1], bounds[1:]))
             pieces += [((i, j), circle, lo, hi) for lo, hi in comps
-                       if hi - lo > tol.ang_eps]
+                       if hi - lo > ANG_EPS]
     ends = [(match_vertex(cfg, circle.point(lo), support),
              match_vertex(cfg, circle.point(hi), support))
             for support, circle, lo, hi in pieces]
@@ -222,23 +220,9 @@ def reference_extract_edges(cfg):
                  for k, (support, ends, arc) in enumerate(edges))
 
 
-def nonempty_trims(cfg):
-    """Support pairs whose circle keeps a non-empty set after the trim."""
-    out = []
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if cfg.dist[i, j] > 1.0 + cfg.tol.dist_eps:
-                continue
-            circle = circle_of_sphere_pair(cfg.points[i], cfg.points[j])
-            others = np.delete(cfg.points, (i, j), axis=0)
-            if not scalar_trim(circle, others).is_empty:
-                out.append((i, j))
-    return out
-
-
 def extracted_edges(cfg):
     """The edges of extract_edges, whose report must be the check's."""
-    report, edges = extract_edges(cfg)
+    report, edges, _ = extract_edges(cfg)
     assert report == check_extremal(cfg)
     return edges
 
@@ -363,11 +347,18 @@ class TestArcsFromVertices:
         for structure in ladder_structures():
             self.assert_arcs_from_vertices(structure)
 
-    @pytest.mark.parametrize("f", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("f", [1e-2, 1e-4, 1e-6, 1e-7])
     def test_the_grown_pentads(self, f):
         for pts in pentad_grown(f):
             self.assert_arcs_from_vertices(
                 analyze_config(PointConfig(points=pts)))
+
+    def test_an_arc_that_ends_at_two_pi(self):
+        # the tetra's arc on (1, 3) ends at 2*pi exactly: angle_of keeps to
+        # [0, 2*pi) and the span is taken mod 2*pi
+        _, edges, _ = extract_edges(config_from_generator("tetra"))
+        assert [e.arc.end_angle for e in edges if e.support == (1, 3)] == \
+            [TWO_PI]
 
 
 class TestTwoStepExtraction:
@@ -414,62 +405,82 @@ class TestTwoStepExtraction:
                 extract_edges(cfg)
             assert info.value.report == report
 
-    def test_match_eps_term_keeps_an_edge_beyond_dist_eps(self):
+    @pytest.mark.parametrize("f", [0.5, 0.25, 1e-2, 1e-4, 1e-6])
+    def test_grown_pentads_match_reference(self, f):
+        for pts in pentad_grown(f):
+            cfg = PointConfig(points=pts)
+            got = extraction_outcome(extracted_edges, cfg)
+            assert got[0] == "edges" and len(got[1]) == 10
+            assert got == extraction_outcome(reference_extract_edges, cfg)
+
+    def test_shifted_pyramids_match_reference(self):
+        # far from the origin the distances round to the coordinates'
+        # magnitude: the pyramid moved by 3e6 is still extremal, the one
+        # moved by 1e7 is not
+        base = moved_pyramid(21, 21).points
+        for shift in (1e3, 3e6):
+            cfg = PointConfig(points=base + shift)
+            got = extraction_outcome(extracted_edges, cfg)
+            assert got[0] == "edges" and len(got[1]) == 42
+            assert got == extraction_outcome(reference_extract_edges, cfg)
+        with pytest.raises(NotExtremalError):
+            extract_edges(PointConfig(points=base + 1e7))
+
+    def test_match_eps_set_is_refused_in_extraction(self):
         # the tetra plus a point 3e-8 along the circle of (0, 1) past vertex
-        # 2, all shaken by noise of scale 3e-8: at dist_eps = 5e-8 pair
-        # (0, 1) falls 5.7e-8 short of 1 and the fifth point makes up the
-        # count, yet the edges on (0, 2) and (1, 2) end at vertex 1 or 0.
-        # Within dist_eps those pairs have one common neighbour, so only
-        # the 2 match_eps term of the relation keeps them.
+        # 2, all shaken by noise of scale 3e-8: at dist_eps = 5e-8 it is
+        # extremal, but a step of face 0 carries two arcs
         base = tetra_points()
         circle = circle_of_sphere_pair(base[0], base[1])
         extra = circle.point(circle.angle_of(base[2]) + 3e-8 / circle.radius)
         noise = np.random.default_rng(40).normal(scale=3e-8, size=(5, 3))
         cfg = PointConfig(points=np.vstack([base, extra]) + noise,
                           tol=Tolerances(dist_eps=5e-8))
-        assert extraction_outcome(extracted_edges, cfg) == \
-            extraction_outcome(reference_extract_edges, cfg)
-        gaps = [abs(cfg.dist[s, x] - 1.0) for e in extracted_edges(cfg)
-                for s in e.support for x in e.endpoints]
-        assert any(cfg.tol.dist_eps < g <= 2.0 * cfg.tol.match_eps
-                   for g in gaps)
+        assert check_extremal(cfg).is_extremal
+        with pytest.raises(StructureError, match=(
+                r"^extract_edges: face 0, step \(4, 2\): found 2 arcs, "
+                r"expected 1$")):
+            analyze_config(cfg)
 
-    def test_candidates_hold_every_nonempty_trim(self):
-        # far from the origin the trim rounds to the coordinates' magnitude;
-        # analyze_config still accepts this pyramid moved by 3e6 (but not
-        # by 1e7)
-        far = [PointConfig(points=moved_pyramid(21, 21).points + shift)
-               for shift in (1e3, 3e6)]
-        relabelled = [PointConfig(points=pentad_points()[list(perm)])
-                      for perm in itertools.permutations(range(5))]
-        cfgs = ([config_from_generator("tetra")]
-                + [moved_pyramid(m, 21) for m in (3, 5, 9, 21, 31)]
-                + far + generic_sets(5) + generic_sets(9) + generic_sets(21)
-                + relabelled)
-        for cfg in cfgs:
-            assert set(nonempty_trims(cfg)) <= set(_candidate_pairs(cfg))
+    def test_a_face_on_one_neighbour_is_named(self):
+        # at a wide tolerance the tetra plus a point 1.19e-3 from vertex 0
+        # (within 9.9e-4 of distance 1 from vertices 1 to 3) and a point at
+        # distance 1 from vertex 0 alone is extremal, 10 = 2n - 2 pairs,
+        # but face 5 has one neighbour
+        t = tetra_points()
+        toward = t.mean(axis=0) - t[0]
+        toward /= np.linalg.norm(toward)
+        cfg = PointConfig(points=np.vstack([t, t[0] + 1.19e-3 * toward,
+                                            t[0] + toward]),
+                          tol=Tolerances(dist_eps=9.9e-4))
+        assert check_extremal(cfg).is_extremal
+        with pytest.raises(StructureError, match=(
+                r"^extract_edges: face 5 has 1 diameter neighbours; a face "
+                r"needs 2 or more$")):
+            extract_edges(cfg)
 
-    def test_no_candidate_circle_survives_whole(self):
-        # a common neighbour x_k of a candidate pair lies within 1e-3 of its
-        # circle, whose radius is at least 0.86, so ball k keeps at most
-        # 2.47 rad of it: extraction never meets the full circle
-        widest = 0.0
-        for cfg in (*ladder_configs(), off_extremal_configs()[2]):
-            pts = cfg.points
-            pairs = _candidate_pairs(cfg)
-            circles = [circle_of_sphere_pair(pts[i], pts[j]) for i, j in pairs]
-            for comps in trim_circles(circles, pts, np.array(pairs)):
-                widest = max(widest, sum(hi - lo for lo, hi in comps))
-        # 1.23 rad at most on these sets
-        assert 0.0 < widest <= 2.47, widest
+    def test_every_edge_is_a_short_arc(self):
+        # each edge is the short arc between its ends: on the ladder and the
+        # grown pentads the widest is the tetrahedron's, acos(1/3), far
+        # below pi
+        spans = [e.arc.span for s in ladder_structures() for e in s.edges]
+        spans += [e.arc.span for f in (0.5, 1e-6) for pts in pentad_grown(f)
+                  for e in analyze_config(PointConfig(points=pts)).edges]
+        assert 0.0 < min(spans)
+        assert max(spans) == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
 
-    def test_pyramid_candidates_are_the_edge_supports(self):
-        # n = 52 and 102 are the structure benchmark's sizes
+    def test_pyramid_edge_supports_share_two_neighbours(self):
+        # n = 52 and 102 are the structure benchmark's sizes; on the odd-m
+        # pyramids each pair with two common diameter neighbours, and no
+        # other, supports one edge
         for m in (21, 51, 101):
             cfg = moved_pyramid(m, 5)
-            _, edges = extract_edges(cfg)
+            _, edges, _ = extract_edges(cfg)
             assert len(edges) == 2 * cfg.n - 2
-            assert _candidate_pairs(cfg) == sorted({e.support for e in edges})
+            g = (np.abs(cfg.dist - 1.0) <= cfg.tol.dist_eps).astype(int)
+            i, j = np.nonzero(np.triu(g @ g >= 2, k=1))
+            assert [e.support for e in edges] == list(zip(i.tolist(),
+                                                         j.tolist()))
 
 
 class TestPairDuals:
@@ -710,32 +721,57 @@ class TestFaceLoops:
                 visits[v] += 1
         assert tuple(visits) == structure.report.faces_per_vertex
 
-    @staticmethod
-    def edges_on_one_arc(arc, *rows):
-        """Synthetic edges with the given (support, endpoints) rows."""
-        return tuple(EdgeArc(support, ends, arc, index=k)
-                     for k, (support, ends) in enumerate(rows))
+    def test_loops_visit_each_diameter_neighbour_once(self, structure):
+        # face x is the spherical polygon on N(x), one vertex per neighbour
+        cfg, edges = structure.config, structure.edges
+        g = np.abs(cfg.dist - 1.0) <= cfg.tol.dist_eps
+        for x, loop in enumerate(structure.face_loops):
+            starts = [edges[i].endpoints[0 if fwd else 1] for i, fwd in loop]
+            assert sorted(starts) == np.flatnonzero(g[x]).tolist(), x
 
-    @pytest.mark.parametrize("n, rows, error", [
-        # digons between vertices 0 and 1 close faces 0, 1 and 2, not 3
-        (4, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1))],
-         "face 3 has no boundary edges"),
-        # face 1 is an open path 0 -> 1 -> 2
-        (3, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (1, 2))],
-         "face 1 boundary is not a simple cycle"),
-        # three edge ends of face 1 meet at vertex 0, and at vertex 1
-        (3, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1)),
-             ((1, 2), (1, 0))],
-         "face 1 boundary is not a simple cycle"),
-        # face 2 is two digons, on vertices 0, 1 and on vertices 2, 3
-        (4, [((0, 1), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (0, 1)),
-             ((2, 3), (2, 3)), ((2, 3), (3, 2))],
-         "face 2 boundary has several components"),
-    ])
-    def test_broken_faces_are_named(self, tetra_structure, n, rows, error):
-        edges = self.edges_on_one_arc(tetra_structure.edges[0].arc, *rows)
-        with pytest.raises(StructureError, match=f"^face_loops: {error}"):
-            _face_loops(n, edges)
+
+def edge_multiset(structure, relabel=None):
+    """The sorted (support, endpoint set) rows of the edges, with each index
+    k read as relabel[k] when a relabelling is given."""
+    def pair(ij):
+        return tuple(sorted(int(relabel[k]) if relabel is not None else k
+                            for k in ij))
+    return sorted((pair(e.support), pair(e.endpoints))
+                  for e in structure.edges)
+
+
+class TestGrownPentadsNearAVertex:
+    """The pentad plus the point at f = 1e-7 of one of its edge arcs: every
+    diameter holds to 1e-9, so the diameter graph fixes the faces."""
+
+    def test_each_analyzes_to_the_pentad_volume(self):
+        pentad = reuleaux_scalars(angle_pairs(
+            analyze_config(config_from_generator("pentad")))).volume
+        for pts in pentad_grown(1e-7):
+            structure = analyze_config(PointConfig(points=pts))
+            assert structure.report.edge_count == 10
+            assert structure.report.euler_characteristic == 2
+            volume = reuleaux_scalars(angle_pairs(structure)).volume
+            assert abs(volume - pentad) < 1e-9
+
+    def test_edges_survive_a_motion_and_a_relabelling(self):
+        rng = np.random.default_rng(107)
+        for pts in pentad_grown(1e-7):
+            base = edge_multiset(analyze_config(PointConfig(points=pts)))
+            rot, shift = random_rigid_motion(rng)
+            moved = analyze_config(PointConfig(points=pts @ rot.T + shift))
+            assert edge_multiset(moved) == base
+            perm = rng.permutation(len(pts))
+            permuted = analyze_config(PointConfig(points=pts[perm]))
+            assert edge_multiset(permuted, perm) == base
+
+    def test_nearer_still_a_face_is_named(self):
+        # at f = 1e-8 the midpoint test keeps two arcs on one step
+        for pts in pentad_grown(1e-8):
+            with pytest.raises(StructureError, match=(
+                    r"^extract_edges: face \d+, step \(\d+, \d+\): found "
+                    r"\d+ arcs, expected 1$")):
+                analyze_config(PointConfig(points=pts))
 
 
 class TestRigidMotionInvariance:
