@@ -7,6 +7,14 @@ against the balls: edge extraction reads the diameter graph alone
 construction and every operation is a pure function, so everything here is
 safe to share across workers.  Lengths are unitless; the unit ball radius 1
 sets the scale.
+
+Support circles are built in one batch (``circles_of_sphere_pairs``), each
+frame checked once over the whole batch (``_check_frames``); one circle is
+its one-row case.  The batch keeps the floats of the one-row formulas: its
+dot products are ``np.vecdot`` over 3-wide rows, which rounds as the ddot
+of ``v @ v`` and ``np.linalg.norm`` do (a matrix product over a stack of
+rows may not), and its angles are ``math.atan2`` per value, whose floats
+``np.arctan2`` does not always reproduce.
 """
 
 from __future__ import annotations
@@ -24,11 +32,17 @@ TWO_PI = 2.0 * math.pi
 _BASIS = np.eye(3)
 
 
-def as_point(p) -> np.ndarray:
-    """A finite float 3-vector copied from ``p``, so a record may freeze it."""
+def _vector(p) -> np.ndarray:
+    """A float 3-vector copied from ``p``, so a record may freeze it."""
     a = np.array(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    return a
+
+
+def as_point(p) -> np.ndarray:
+    """A finite float 3-vector copied from ``p``, so a record may freeze it."""
+    a = _vector(p)
     if not all(map(math.isfinite, a.tolist())):
         raise ValueError("coordinates must be finite")
     return a
@@ -43,23 +57,18 @@ def cross(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    # the ddot of np.linalg.norm; a Python sum of squares rounds otherwise
-    n = math.sqrt(float(v @ v))
-    if n == 0.0:
-        raise DegenerateInputError("zero vector has no direction")
-    return v / n
+def reference_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angle-zero direction u of each unit row of ``axes``, and
+    v = axis x u, as (k, 3) arrays.
 
-
-def reference_direction(axis: np.ndarray) -> np.ndarray:
-    """Deterministic angle-zero direction orthogonal to ``axis``.
-
-    Uses the global basis vector least aligned with the axis (lowest index on
-    ties), so arc parametrizations are reproducible across runs.
+    u is the global basis vector least aligned with the axis (lowest index
+    on ties) made orthogonal to it and unit, so arc parametrizations are
+    reproducible across runs.
     """
-    a = axis.tolist()
-    k = min(range(3), key=lambda i: abs(a[i]))
-    return _unit(_BASIS[k] - a[k] * axis)
+    k = np.argmin(np.abs(axes), axis=1)
+    u = _BASIS[k] - axes[np.arange(len(axes)), k][:, None] * axes
+    u /= np.sqrt(np.vecdot(u, u))[:, None]
+    return u, np.stack(cross(axes.T, u.T), axis=1)
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,11 @@ class Tolerances:
     Fixed where they act: a mesh face of solid angle below 1e-9 is
     collapsed, a face cap refuses a loop point more than 3.0 rad from its
     barycenter direction (``MeshBuilder.cap``), ``pair_duals`` refuses a
-    dual pair whose orientation sign is exactly 0, ``Circle3`` checks its
-    frame to 1e-9 and its radius to 1 + 1e-12, ``circle_of_sphere_pair``
-    takes centers within 1e-12 as coincident, and the Monte Carlo window of
+    dual pair whose orientation sign is exactly 0, the frame check
+    (``_check_frames``, run once over each batch of support circles and once
+    per hand-built ``Circle3``) holds axis and u_ref unit and orthogonal to
+    1e-9 and the radius to 1 + 1e-12, ``circles_of_sphere_pairs`` takes
+    centers within 1e-12 as coincident, and the Monte Carlo window of
     unit draws is widened by 64 eps (1 + max |x|), far above its rounding,
     and a wedge's ball box m +- h by a further 1e-6
     (``oracle._unit_window``).
@@ -92,6 +103,53 @@ class Tolerances:
     def __post_init__(self) -> None:
         if not 0.0 < self.dist_eps < 1e-3:
             raise ValueError("dist_eps must lie in (0, 1e-3)")
+
+
+def _named(message: str, k: int, centers) -> str:
+    """``message``, naming row k by its sphere centers (b, c) when a batch
+    of sphere pairs made the row; a hand-built circle has no centers."""
+    if centers is None:
+        return message
+    b, c = centers
+    return f"{message} (row {k}: centers {b[k].tolist()} and {c[k].tolist()})"
+
+
+def _check_frames(center: np.ndarray, radius: np.ndarray, axis: np.ndarray,
+                  u_ref: np.ndarray, centers=None) -> None:
+    """Refuse the first row of the (k, 3) frame arrays (k radii) that is not
+    a circle's: ValueError unless every coordinate is finite, then
+    DegenerateInputError unless axis and u_ref are unit and orthogonal to
+    1e-9 and the radius lies in (0, 1 + 1e-12]."""
+    checks = (
+        (ValueError, "coordinates must be finite", lambda: ~(
+            np.isfinite(center) & np.isfinite(axis)
+            & np.isfinite(u_ref)).all(axis=1)),
+        (DegenerateInputError, "axis must be a unit vector",
+         lambda: np.abs(np.sqrt(np.vecdot(axis, axis)) - 1.0) > 1e-9),
+        (DegenerateInputError, "u_ref must be a unit vector",
+         lambda: np.abs(np.sqrt(np.vecdot(u_ref, u_ref)) - 1.0) > 1e-9),
+        (DegenerateInputError, "u_ref must be orthogonal to axis",
+         lambda: np.abs(np.vecdot(axis, u_ref)) > 1e-9),
+        (DegenerateInputError, "radius must lie in (0, 1]",
+         lambda: ~((0.0 < radius) & (radius <= 1.0 + 1e-12))))
+    # in order: a NaN passes the unit and orthogonality checks
+    for error, message, bad in checks:
+        rows = np.flatnonzero(bad())
+        if rows.size:
+            raise error(_named(message, rows[0], centers))
+
+
+def circle_angles(points: np.ndarray, center: np.ndarray, u_ref: np.ndarray,
+                  v_ref: np.ndarray) -> list[float]:
+    """The angle in [0, 2*pi) of each (projected) row of ``points`` on the
+    circle of the same row of the frame arrays, or of one frame for all."""
+    w = points - center
+    angles = []
+    for y, x in zip(np.vecdot(w, v_ref).tolist(),
+                    np.vecdot(w, u_ref).tolist()):
+        psi = math.atan2(y, x) % TWO_PI
+        angles.append(psi if psi < TWO_PI else 0.0)  # -tiny % 2*pi is 2*pi
+    return angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,23 +167,24 @@ class Circle3:
     v_ref: np.ndarray = field(init=False)  # axis x u_ref, set in __post_init__
 
     def __post_init__(self) -> None:
-        center = as_point(self.center)
-        axis = as_point(self.axis)
-        u_ref = as_point(self.u_ref)
-        a = axis.tolist()
-        u = u_ref.tolist()
-        if abs(math.hypot(*a) - 1.0) > 1e-9:
-            raise DegenerateInputError("axis must be a unit vector")
-        if abs(math.hypot(*u) - 1.0) > 1e-9:
-            raise DegenerateInputError("u_ref must be a unit vector")
-        if abs(a[0] * u[0] + a[1] * u[1] + a[2] * u[2]) > 1e-9:
-            raise DegenerateInputError("u_ref must be orthogonal to axis")
-        if not 0.0 < self.radius <= 1.0 + 1e-12:
-            raise DegenerateInputError("radius must lie in (0, 1]")
+        center, axis, u_ref = map(_vector, (self.center, self.axis, self.u_ref))
+        _check_frames(center[None], np.array([self.radius], dtype=float),
+                      axis[None], u_ref[None])
+        v_ref = np.array(cross(axis.tolist(), u_ref.tolist()))
         for name, arr in (("center", center), ("axis", axis), ("u_ref", u_ref),
-                          ("v_ref", np.array(cross(a, u)))):
+                          ("v_ref", v_ref)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _of_rows(cls, center: np.ndarray, radius: float, axis: np.ndarray,
+                 u_ref: np.ndarray, v_ref: np.ndarray) -> Circle3:
+        """A record on read-only rows of a batch that ``_check_frames``
+        has passed, so its frame is not checked a second time."""
+        circle = object.__new__(cls)
+        vars(circle).update(center=center, radius=radius, axis=axis,
+                            u_ref=u_ref, v_ref=v_ref)
+        return circle
 
     def point(self, psi: float) -> np.ndarray:
         return self.center + self.radius * (
@@ -139,9 +198,8 @@ class Circle3:
 
     def angle_of(self, p: np.ndarray) -> float:
         """Angle of the (projected) point ``p`` on this circle, in [0, 2*pi)."""
-        w = as_point(p) - self.center
-        psi = math.atan2(float(w @ self.v_ref), float(w @ self.u_ref)) % TWO_PI
-        return psi if psi < TWO_PI else 0.0  # -tiny % 2*pi rounds to 2*pi
+        return circle_angles(as_point(p)[None], self.center, self.u_ref,
+                             self.v_ref)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,25 +229,46 @@ class ArcOnCircle:
             np.linspace(self.start_angle, self.end_angle, n + 1)[1:-1])
 
 
-def circle_of_sphere_pair(b, c) -> Circle3:
-    """Circle of points at distance 1 from both ``b`` and ``c``.
+def circles_of_sphere_pairs(b: np.ndarray, c: np.ndarray
+                            ) -> tuple[Circle3, ...]:
+    """The circle of points at distance 1 from both ``b[k]`` and ``c[k]``,
+    for each row k of the (k, 3) center arrays, in one batch.
 
-    Requires 0 < |b - c| < 2; the center is the midpoint, the axis points
-    from c to b, and the radius is sqrt(1 - |b-c|^2/4).
+    Requires 0 < |b - c| < 2 on every row; the center is the midpoint, the
+    axis points from c to b, the radius is sqrt(1 - |b-c|^2/4), and the
+    frame is ``reference_frames``'.  The frames are checked once, over the
+    whole batch, and a refusal names the row and its centers.
     """
-    b = as_point(b)
-    c = as_point(c)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     diff = b - c
-    d = math.sqrt(float(diff @ diff))  # the ddot of np.linalg.norm
-    if d < 1e-12:
-        raise DegenerateInputError("sphere centers coincide")
-    r2 = 1.0 - 0.25 * d * d
-    if r2 <= 0.0:
+    d = np.sqrt(np.vecdot(diff, diff))
+    rows = np.flatnonzero(d < 1e-12)
+    if rows.size:
         raise DegenerateInputError(
-            f"sphere centers too far apart for a common circle: |b-c|={d}")
-    axis = diff / d
-    return Circle3(center=0.5 * (b + c), radius=math.sqrt(r2), axis=axis,
-                   u_ref=reference_direction(axis))
+            _named("sphere centers coincide", rows[0], (b, c)))
+    r2 = 1.0 - 0.25 * d * d
+    rows = np.flatnonzero(r2 <= 0.0)
+    if rows.size:
+        k = rows[0]
+        raise DegenerateInputError(_named(
+            "sphere centers too far apart for a common circle: "
+            f"|b-c|={float(d[k])}", k, (b, c)))
+    axis = diff / d[:, None]
+    u_ref, v_ref = reference_frames(axis)
+    center = 0.5 * (b + c)
+    radius = np.sqrt(r2)
+    _check_frames(center, radius, axis, u_ref, (b, c))
+    for arr in (center, axis, u_ref, v_ref):
+        arr.flags.writeable = False
+    return tuple(map(Circle3._of_rows, center, radius.tolist(), axis, u_ref,
+                     v_ref))
+
+
+def circle_of_sphere_pair(b, c) -> Circle3:
+    """The circle of points at distance 1 from both ``b`` and ``c``: the
+    one-row case of ``circles_of_sphere_pairs``."""
+    return circles_of_sphere_pairs(as_point(b)[None], as_point(c)[None])[0]
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

@@ -10,7 +10,12 @@ This module validates extremality and reads the rest from the diameter
 graph alone: every face's neighbours in angular order, one edge arc per
 step of each face order (no circle is trimmed against the balls and no arc
 end is matched to a vertex), the dual pairs, each face's boundary loop for
-the mesh module, and the vertex classes.  Every edge arc of a dual pair is
+the mesh module, and the vertex classes.  The geometry of every edge is one
+batch: the support circles (``geom.circles_of_sphere_pairs``, each frame
+checked once), the arc angles of both ends (``geom.circle_angles``) and,
+in ``pair_duals``, every chord angle; each keeps the floats of the
+one-row formulas (``np.vecdot`` for dot products, ``math.atan2`` and
+``math.asin`` per value).  Every edge arc of a dual pair is
 kept on one side and removed on the other when the associated Meissner
 body is formed; the canonical orientation chosen here (lexicographically
 smaller support keeps its arc) is what the oracle and mesh modules consume.
@@ -25,8 +30,8 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, StructureError
 from .formulas import AnglePair
-from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_of_sphere_pair,
-                   cross)
+from .geom import (TWO_PI, ArcOnCircle, Tolerances, circle_angles,
+                   circles_of_sphere_pairs, cross, reference_frames)
 
 @dataclass(frozen=True, eq=False)
 class PointConfig:
@@ -175,16 +180,13 @@ def _face_orders(cfg: PointConfig, g: np.ndarray
     """The rows (x, u) of the diameter graph ``g``, sorted by face x and then
     by the angle of u about the mean direction from x to its neighbours,
     with each row's position in its face.  The frame about that direction
-    is built as ``reference_direction`` builds one."""
+    is a support circle's (``reference_frames``)."""
     pts = cfg.points
     x, u = np.nonzero(g)
     d = pts[u] - pts[x]
     mean = np.stack([np.bincount(x, d[:, k], cfg.n) for k in range(3)], axis=1)
-    axis = mean / np.sqrt(np.vecdot(mean, mean))[:, None]
-    k = np.argmin(np.abs(axis), axis=1)
-    ref = np.eye(3)[k] - axis[np.arange(cfg.n), k][:, None] * axis
-    ref /= np.sqrt(np.vecdot(ref, ref))[:, None]
-    other = np.stack(cross(axis.T, ref.T), axis=1)
+    ref, other = reference_frames(
+        mean / np.sqrt(np.vecdot(mean, mean))[:, None])
     order = np.lexsort((np.arctan2(np.vecdot(d, other[x]),
                                    np.vecdot(d, ref[x])), x))
     x, u = x[order], u[order]
@@ -211,7 +213,8 @@ def extract_edges(cfg: PointConfig
     step, and every edge must come from both its support faces;
     StructureError names the face and step, or the support pair, that
     breaks this.  Each arc runs counterclockwise, by less than pi, from the
-    angle (``Circle3.angle_of``) of one endpoint vertex to the other's.
+    angle of one endpoint vertex on its circle to the other's; the circles
+    are one batch over the support pairs, and the angles one more.
 
     ``face_loops[x]`` lists face x's edges in angular order as (edge index,
     forward) steps, from its lowest-index edge, which runs forward.
@@ -273,22 +276,25 @@ def extract_edges(cfg: PointConfig
         raise StructureError(
             f"extract_edges: support pair ({lo[c]}, {hi[c]}): its edge "
             f"between vertices {a[c]} and {b[c]} comes from face {cx[c]} only")
+    # one circle per support pair, in one batch, and both arc ends' angles
+    # on it
+    pair, v0 = np.divmod(keys, n * n)
+    v0, v1 = np.divmod(v0, n)
+    pair, circle_of = np.unique(pair, return_inverse=True)
+    first, second = np.divmod(pair, n)
+    circles = circles_of_sphere_pairs(pts[first], pts[second])
+    supports = list(zip(first.tolist(), second.tolist()))
+    frame = np.array([(c.center, c.u_ref, c.v_ref) for c in circles])[circle_of]
+    starts, ends = (circle_angles(pts[v], frame[:, 0], frame[:, 1],
+                                  frame[:, 2]) for v in (v0, v1))
     edges = []
-    circles = {}
-    for key in keys.tolist():
-        key, v1 = divmod(key, n)
-        key, v0 = divmod(key, n)
-        support = divmod(key, n)
-        if support not in circles:
-            circles[support] = circle_of_sphere_pair(*pts[list(support)])
-        circle = circles[support]
-        ends = (v0, v1)
-        start, end = (circle.angle_of(pts[v]) for v in ends)
+    for k, (c, u0, u1, start, end) in enumerate(zip(
+            circle_of.tolist(), v0.tolist(), v1.tolist(), starts, ends)):
         span = (end - start) % TWO_PI
         if span >= math.pi:
-            ends, start, span = (v1, v0), end, (start - end) % TWO_PI
-        edges.append(EdgeArc(support, ends, ArcOnCircle(
-            circle, start, start + span), len(edges)))
+            u0, u1, start, span = u1, u0, end, (start - end) % TWO_PI
+        edges.append(EdgeArc(supports[c], (u0, u1), ArcOnCircle(
+            circles[c], start, start + span), k))
     # each row's edge; a digon's two arcs go to its two rows
     row_edge = np.empty(len(x), dtype=int)
     row_edge[step[s] + np.arange(len(s)) - np.searchsorted(s, s)] = edge_of
@@ -317,38 +323,41 @@ def _face_loops(n: int, x: np.ndarray, u: np.ndarray, row_edge: np.ndarray,
     return tuple(loops)
 
 
-def _chord_angle(pts: np.ndarray, u: int, w: int) -> float:
-    half = 0.5 * float(np.linalg.norm(pts[u] - pts[w]))
-    return 2.0 * math.asin(half)
-
-
 def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, ...]:
     """Match every edge with the unique partner whose support and endpoint
     pairs swap, and populate the angle data.
 
     One pass in edge order emits each pair at its kept edge, the one with
     the lower support, and skips the partner; on the support-sorted list of
-    ``extract_edges`` the pairs come out in kept-support order.
+    ``extract_edges`` the pairs come out in kept-support order.  Each edge's
+    chord angle 2 asin(|P - Q| / 2) comes from one ``np.vecdot`` batch of
+    the chords, with ``math.asin`` per value; the kept edge's is theta and
+    its partner's theta'.
 
     Raises StructureError if any edge is unmatched or the pair count differs
     from |X| - 1, and DomainError if a pair's angles fail AnglePair's checks.
     """
     pts = cfg.points
     xs = pts.tolist()
+    ends = np.array([e.endpoints for e in edges], dtype=int).reshape(-1, 2)
+    chord = pts[ends[:, 0]] - pts[ends[:, 1]]
+    theta = [2.0 * math.asin(0.5 * length)
+             for length in np.sqrt(np.vecdot(chord, chord)).tolist()]
     by_key = {}
-    for e in edges:
+    for k, e in enumerate(edges):
         key = (e.support, e.endpoint_set)
         if key in by_key:
             raise StructureError(
                 f"pair_duals: two edges share support/endpoints {key}")
-        by_key[key] = e
+        by_key[key] = k
     pairs = []
-    for kept in edges:
-        removed = by_key.get((kept.endpoint_set, kept.support))
-        if removed is None:
+    for k, kept in enumerate(edges):
+        r = by_key.get((kept.endpoint_set, kept.support))
+        if r is None:
             raise StructureError(
                 f"pair_duals: edge with support {kept.support} and endpoints "
                 f"{kept.endpoints} has no dual partner")
+        removed = edges[r]
         if removed.support < kept.support:
             continue
         p, q = kept.endpoints
@@ -363,8 +372,8 @@ def pair_duals(edges: tuple[EdgeArc, ...], cfg: PointConfig) -> tuple[DualPair, 
             raise StructureError(
                 "pair_duals: degenerate orientation for dual pair "
                 f"{kept.support}/{removed.support}")
-        angles = AnglePair(_chord_angle(pts, p, q), _chord_angle(pts, pp, qp))
-        pairs.append(DualPair(kept=kept, removed=removed, angles=angles,
+        pairs.append(DualPair(kept=kept, removed=removed,
+                              angles=AnglePair(theta[k], theta[r]),
                               p=p, q=q, p_prime=pp, q_prime=qp))
     if len(pairs) != cfg.n - 1:
         raise StructureError(

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, ArcOnCircle, Circle3, Tolerances,
-                           circle_of_sphere_pair, max_distance_to_arc_many,
-                           reference_direction)
+                           circle_of_sphere_pair, circles_of_sphere_pairs,
+                           max_distance_to_arc_many, reference_frames)
 from reuleaux.polyhedron import (PointConfig, config_from_generator,
                                  tetra_points)
 
@@ -95,13 +95,16 @@ class TestCircleOfSpherePair:
         pairs += [(b, b + RNG.uniform(0.1, 1.9) * random_unit(RNG))
                   for b in RNG.normal(size=(2000, 3))]
         assert len(pairs) > 12_000
-        for b, c in pairs:
-            circ = circle_of_sphere_pair(b, c)
+        # one batch of every pair, and each pair alone
+        batch = circles_of_sphere_pairs(*np.array(pairs).transpose(1, 0, 2))
+        for (b, c), row in zip(pairs, batch, strict=True):
             center, radius, axis, u_ref, v_ref = frozen_circle_frame(b, c)
-            assert circ.radius.hex() == radius.hex()
-            for got, want in ((circ.center, center), (circ.axis, axis),
-                              (circ.u_ref, u_ref), (circ.v_ref, v_ref)):
-                assert got.tobytes() == want.tobytes()
+            for circ in (row, circle_of_sphere_pair(b, c)):
+                assert circ.radius.hex() == radius.hex()
+                for got, want in ((circ.center, center), (circ.axis, axis),
+                                  (circ.u_ref, u_ref), (circ.v_ref, v_ref)):
+                    assert got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
 
     def test_cross_is_np_cross_float_for_float(self):
         scale = 10.0 ** RNG.integers(-150, 150, size=(2, 500, 1))
@@ -114,13 +117,56 @@ class TestCircleOfSpherePair:
             assert np.array(geom.cross(x.tolist(), y.tolist())).tobytes() == \
                 row.tobytes()
 
-    def test_reference_direction_is_deterministic_and_orthogonal(self):
-        for _ in range(100):
-            axis = random_unit(RNG)
-            u = reference_direction(axis)
-            assert abs(u @ axis) < 1e-12
-            assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-            assert np.array_equal(u, reference_direction(axis))
+    def test_reference_frames_are_deterministic_and_orthonormal(self):
+        axes = np.array([random_unit(RNG) for _ in range(100)])
+        u, v = reference_frames(axes)
+        assert np.abs(np.vecdot(u, axes)).max() < 1e-12
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-12
+        assert v.tobytes() == np.cross(axes, u).tobytes()
+        # a row's frame does not depend on the rows batched with it
+        for k in range(100):
+            one = reference_frames(axes[k][None])
+            assert one[0].tobytes() == u[k].tobytes()
+            assert one[1].tobytes() == v[k].tobytes()
+
+    @pytest.mark.parametrize("row, b, c, message", [
+        (1, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], "sphere centers coincide"),
+        (2, [0.0, 0.0, 0.0], [0.0, 0.0, 2.5],
+         "sphere centers too far apart for a common circle: |b-c|=2.5")])
+    def test_batch_refusals_name_the_row(self, row, b, c, message):
+        bs = np.array([[0.0, 0.0, 0.5]] * 3)
+        cs = -bs
+        bs[row], cs[row] = b, c
+        with pytest.raises(DegenerateInputError) as info:
+            circles_of_sphere_pairs(bs, cs)
+        assert str(info.value) == f"{message} (row {row}: centers {b} and {c})"
+
+    def test_a_nonfinite_row_is_named(self):
+        bs = np.array([[0.0, 0.0, 0.5]] * 3)
+        bs[1, 0] = math.nan
+        with pytest.raises(ValueError) as info:
+            circles_of_sphere_pairs(bs, -bs)
+        assert str(info.value) == ("coordinates must be finite (row 1: "
+                                   "centers [nan, 0.0, 0.5] and "
+                                   "[nan, -0.0, -0.5])")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("axis", (0.0, 0.0, 1.1), "axis must be a unit vector"),
+        ("u_ref", (0.9, 0.0, 0.0), "u_ref must be a unit vector"),
+        ("u_ref", (0.6, 0.0, 0.8), "u_ref must be orthogonal to axis"),
+        ("radius", 1.1, "radius must lie in (0, 1]")])
+    def test_a_bad_frame_row_is_named(self, field, value, message):
+        # the batch builds frames that pass; its one check names the row
+        # of any that does not
+        rows = dict(center=np.zeros((3, 3)), radius=np.full(3, 0.5),
+                    axis=np.tile([0.0, 0.0, 1.0], (3, 1)),
+                    u_ref=np.tile([1.0, 0.0, 0.0], (3, 1)))
+        rows[field][2] = value
+        bs = np.array([[0.0, 0.0, 0.5]] * 3)
+        with pytest.raises(DegenerateInputError) as info:
+            geom._check_frames(**rows, centers=(bs, -bs))
+        assert str(info.value) == (f"{message} (row 2: centers "
+                                   "[0.0, 0.0, 0.5] and [-0.0, -0.0, -0.5])")
 
 
 def trim_one(circ, centers):
@@ -269,6 +315,10 @@ class TestMaxDistanceToArc:
                 expect, abs=1e-13)
 
     def test_matches_dense_sampling(self):
+        # 1,001 samples, the best one refined by bounded Brent between its
+        # neighbours: the distance is one sinusoid in psi, so the arc's
+        # maximum is an end (a sample) or the one interior peak, which lies
+        # between the best sample's neighbours
         for _ in range(25):
             b = RNG.normal(size=3)
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
@@ -276,11 +326,19 @@ class TestMaxDistanceToArc:
             start = RNG.uniform(0, TWO_PI)
             arc = ArcOnCircle(circ, start, start + RNG.uniform(0.2, 5.0))
             p = RNG.normal(size=3)
-            psi = np.linspace(arc.start_angle, arc.end_angle, 1_000_001)
-            dense = np.linalg.norm(circ.points(psi) - p, axis=1).max()
+
+            def dist(psi):
+                return np.linalg.norm(circ.points(psi) - p, axis=-1)
+            psi = np.linspace(arc.start_angle, arc.end_angle, 1_001)
+            k = int(np.argmax(dist(psi)))
+            peak = minimize_scalar(
+                lambda t: -dist(t), method="bounded",
+                bounds=(psi[max(k - 1, 0)], psi[min(k + 1, 1_000)]),
+                options={"xatol": 1e-12})
+            ref = max(dist(psi[k]), -peak.fun)
             got = max_distance_to_arc_many(p[None], arc)[0]
-            assert got >= dense - 1e-12
-            assert got == pytest.approx(dense, abs=1e-9)
+            assert got >= ref - 1e-12
+            assert got == pytest.approx(ref, abs=1e-9)
 
     def test_at_least_endpoint_distances(self):
         for _ in range(200):

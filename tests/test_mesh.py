@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import math
-import platform
 import re
 import tracemalloc
 from dataclasses import replace
@@ -26,7 +25,8 @@ from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh, _BodyMesher,
                            mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator, pentad_points)
-from test_polyhedron import generic_sets, moved_pyramid, pentad_grown
+from test_polyhedron import (generic_sets, moved_pyramid, pentad_grown,
+                             running_platform)
 
 
 def read_ply(path):
@@ -56,13 +56,6 @@ def ply_mesh(path):
     v, f = read_ply(path)
     assert np.all(f[:, 0] == 3)
     return TriangleMesh(vertices=v, triangles=f[:, 1:])
-
-
-def running_platform():
-    """The versions a pinned digest depends on: another libm, numpy or
-    Python may move last bits."""
-    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
-            f"{platform.machine()}, {' '.join(platform.libc_ver())}")
 
 
 def traced_peak(fn):

@@ -66,7 +66,8 @@ def test_removed_names_are_gone(module, name):
     (geom, "_NEARLY_FULL"), (geom, "Tolerances.ang_eps"),
     (geom, "Tolerances.match_eps"), (geom, "Tolerances.on_axis"),
     (polyhedron, "_candidate_pairs"), (polyhedron, "_split_at_vertices"),
-    (polyhedron, "_match_vertices")])
+    (polyhedron, "_match_vertices"), (geom, "reference_direction"),
+    (geom, "_unit"), (polyhedron, "_chord_angle")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__

@@ -2,16 +2,19 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reuleaux import polyhedron
+from reuleaux import geom, polyhedron
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
 from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
@@ -325,6 +328,75 @@ def pentad_grown(f):
     edges = analyze_config(config_from_generator("pentad")).edges
     return [np.vstack([pentad_points(), e.arc.circle.point(
         e.arc.start_angle + f * e.arc.span)]) for e in edges]
+
+
+def running_platform():
+    """The versions a pinned digest depends on: another libm, numpy or
+    Python may move last bits."""
+    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"{platform.machine()}, {' '.join(platform.libc_ver())}")
+
+
+def extraction_digest(points):
+    """sha256 of the float.hex rows of the analysis of ``points``: each
+    edge's support, endpoints, index, start and end angle, and its circle's
+    center, radius, axis, u_ref and v_ref; then each dual pair's (p, q, p',
+    q'), theta and theta'."""
+    structure = analyze_config(PointConfig(points=points))
+
+    def hexes(*values):
+        return " ".join(float(v).hex() for v in values)
+    rows = []
+    for e in structure.edges:
+        c = e.arc.circle
+        rows.append(f"edge {e.index} {e.support} {e.endpoints} " + hexes(
+            e.arc.start_angle, e.arc.end_angle, *c.center, c.radius, *c.axis,
+            *c.u_ref, *c.v_ref))
+    for dp in structure.pairs:
+        rows.append(f"pair {dp.p} {dp.q} {dp.p_prime} {dp.q_prime} " + hexes(
+            dp.angles.theta, dp.angles.theta_prime))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def golden_sets(family):
+    """The (name, points) rows of one family of sets whose extraction
+    digests are pinned."""
+    if family == "generators":
+        return [(name, config_from_generator(name).points)
+                for name in ("tetra", "pentad")]
+    if family == "pyramids":
+        return [(f"pyramid:{m}", moved_pyramid(m, 7 * m).points)
+                for m in range(3, 102, 2)]
+    if family == "generic":
+        return [(f"generic:{m}:{k}", cfg.points) for m in (5, 9, 21)
+                for k, cfg in enumerate(generic_sets(m))]
+    return [(f"grown:{f!r}:{k}", pts)
+            for f in (0.5, 0.25, 1e-2, 1e-4, 1e-6, 1e-7)
+            for k, pts in enumerate(pentad_grown(f))]
+
+
+class TestExtractionBytes:
+    """Every edge and dual pair keeps its recorded bits on 109 sets: tetra,
+    pentad, the moved pyramids m = 3...101 (odd, seed 7m), the generic sets
+    m = 5, 9 and 21, and the pentad grown at f = 0.5...1e-7 on each of its
+    8 edges.  Another libm, numpy or Python may move last bits; the failure
+    then names the running versions.  Regenerate the file as
+    {"platform": running_platform(), "sha256": {family: {name:
+    extraction_digest(points)}}} over the rows of ``golden_sets``."""
+
+    @pytest.mark.parametrize("family",
+                             ["generators", "pyramids", "generic", "grown"])
+    def test_digests_are_pinned(self, family):
+        path = Path(__file__).parent / "golden" / "extraction_sha256.json"
+        pinned = json.loads(path.read_text())
+        want = pinned["sha256"][family]
+        got = {name: extraction_digest(pts)
+               for name, pts in golden_sets(family)}
+        assert list(got) == list(want)
+        moved = [name for name in want if got[name] != want[name]]
+        assert not moved, (
+            f"extraction digests of {moved} on {running_platform()}; the "
+            f"pinned ones were recorded on {pinned['platform']}")
 
 
 class TestArcsFromVertices:
@@ -652,6 +724,31 @@ class TestAnalyzeConfig:
         structure = analyze_config(cfg)
         assert len(calls) == 1 and calls[0] is cfg
         assert structure.extremality == check(cfg)
+
+    @pytest.mark.parametrize("make", [
+        lambda: config_from_generator("tetra"),
+        lambda: config_from_generator("pentad"),
+        lambda: moved_pyramid(51, 5), lambda: moved_pyramid(101, 5)],
+        ids=["tetra", "pentad", "pyramid-52", "pyramid-102"])
+    def test_builds_and_checks_the_circles_in_one_batch(self, monkeypatch,
+                                                        make):
+        batches, checks = [], []
+        build, check = polyhedron.circles_of_sphere_pairs, geom._check_frames
+
+        def counting_build(b, c):
+            batches.append(len(b))
+            return build(b, c)
+
+        def counting_check(center, *args, **kwargs):
+            checks.append(len(center))
+            return check(center, *args, **kwargs)
+        monkeypatch.setattr(polyhedron, "circles_of_sphere_pairs",
+                            counting_build)
+        monkeypatch.setattr(geom, "_check_frames", counting_check)
+        structure = analyze_config(make())
+        # one row, and one frame check, per support pair
+        supports = len({e.support for e in structure.edges})
+        assert batches == checks == [supports]
 
 
 class TestClassifyVertices:
