@@ -17,7 +17,7 @@ from .formulas import (AnglePair, BodyScalars, PairTerm,
                        spindle_area, spindle_flux, surface_meissner,
                        surface_reuleaux, volume_meissner, volume_reuleaux,
                        wedge_volume, wedge_volume_via_flux)
-from .geom import ArcOnCircle, Circle3, Tolerances, circle_of_sphere_pair
+from .geom import ArcOnCircle, Circle3, Tolerances
 from .mesh import (TriangleMesh, build_body_mesh, export_obj, export_ply,
                    inspect_mesh, mesh_area, mesh_volume)
 from .oracle import (BodySpec, McConfig, McEstimate, UnitDraws,
@@ -30,7 +30,7 @@ from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
 
 __all__ = [
     # geometry primitives
-    "ArcOnCircle", "Circle3", "Tolerances", "circle_of_sphere_pair",
+    "ArcOnCircle", "Circle3", "Tolerances",
     # structure
     "DualPair", "EdgeArc", "ExtremalityReport", "PointConfig", "Structure",
     "StructureReport", "analyze_config", "angle_pairs", "check_extremal",

@@ -9,12 +9,12 @@ safe to share across workers.  Lengths are unitless; the unit ball radius 1
 sets the scale.
 
 Support circles are built in one batch (``circles_of_sphere_pairs``), each
-frame checked once over the whole batch (``_check_frames``); one circle is
-its one-row case.  The batch keeps the floats of the one-row formulas: its
-dot products are ``np.vecdot`` over 3-wide rows, which rounds as the ddot
-of ``v @ v`` and ``np.linalg.norm`` do (a matrix product over a stack of
-rows may not), and its angles are ``math.atan2`` per value, whose floats
-``np.arctan2`` does not always reproduce.
+frame checked once over the whole batch (``_check_frames``).  The batch
+keeps the floats of the one-row formulas: its dot products are
+``np.vecdot`` over 3-wide rows, which rounds as the ddot of ``v @ v`` and
+``np.linalg.norm`` do (a matrix product over a stack of rows may not), and
+its angles are ``math.atan2`` per value, whose floats ``np.arctan2`` does
+not always reproduce.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ def _vector(p) -> np.ndarray:
     a = np.array(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    return a
-
-
-def as_point(p) -> np.ndarray:
-    """A finite float 3-vector copied from ``p``, so a record may freeze it."""
-    a = _vector(p)
-    if not all(map(math.isfinite, a.tolist())):
-        raise ValueError("coordinates must be finite")
     return a
 
 
@@ -196,11 +188,6 @@ class Circle3:
                 + self.radius * (np.cos(psi)[..., None] * self.u_ref
                                  + np.sin(psi)[..., None] * self.v_ref))
 
-    def angle_of(self, p: np.ndarray) -> float:
-        """Angle of the (projected) point ``p`` on this circle, in [0, 2*pi)."""
-        return circle_angles(as_point(p)[None], self.center, self.u_ref,
-                             self.v_ref)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ArcOnCircle:
@@ -263,12 +250,6 @@ def circles_of_sphere_pairs(b: np.ndarray, c: np.ndarray
         arr.flags.writeable = False
     return tuple(map(Circle3._of_rows, center, radius.tolist(), axis, u_ref,
                      v_ref))
-
-
-def circle_of_sphere_pair(b, c) -> Circle3:
-    """The circle of points at distance 1 from both ``b`` and ``c``: the
-    one-row case of ``circles_of_sphere_pairs``."""
-    return circles_of_sphere_pairs(as_point(b)[None], as_point(c)[None])[0]
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

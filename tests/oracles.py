@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from reuleaux.errors import StructureError
-from reuleaux.geom import TWO_PI, as_point
+from reuleaux.geom import TWO_PI
 
 QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11)
 
@@ -204,10 +204,11 @@ class FrozenIntervalSet:
 
 def frozen_circle_frame(b, c):
     """(center, radius, axis, u_ref, v_ref) of the circle of the unit
-    spheres about ``b`` and ``c``, as ``geom.circle_of_sphere_pair`` built
-    them before its frame moved to plain floats: norms by
-    ``np.linalg.norm``, the angle-zero axis by ``np.argmin`` and v_ref by
-    ``np.cross``.  The floats the package must reproduce."""
+    spheres about ``b`` and ``c``, as the package built one circle at a
+    time before its frames moved to plain floats and then to one batch
+    (``geom.circles_of_sphere_pairs``): norms by ``np.linalg.norm``, the
+    angle-zero axis by ``np.argmin`` and v_ref by ``np.cross``.  The floats
+    the package must reproduce."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     d = float(np.linalg.norm(b - c))
@@ -222,7 +223,7 @@ def frozen_circle_frame(b, c):
 def scalar_ball_constraint(circle, x):
     """Angles psi with |circle.point(psi) - x| <= 1, by three 1-D dots, as a
     ``FrozenIntervalSet``."""
-    w = as_point(x) - circle.center
+    w = np.asarray(x, dtype=float) - circle.center
     r = circle.radius
     a = 2.0 * r * float(w @ circle.u_ref)
     b = 2.0 * r * float(w @ circle.v_ref)

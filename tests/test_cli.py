@@ -1,10 +1,8 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
 import dataclasses
-import hashlib
 import json
 import math
-import platform
 import re
 
 import numpy as np
@@ -23,8 +21,9 @@ from reuleaux.oracle import BodySpec, McEstimate, body_from_structure, \
     mc_volume
 from reuleaux.polyhedron import ExtremalityReport, StructureReport, \
     analyze_config, body_label, config_from_generator, tetra_points
+import golden
+from golden import pentad_grown
 from test_mesh import ply_mesh
-from test_polyhedron import pentad_grown
 
 
 def run(argv):
@@ -376,28 +375,9 @@ class TestSweep:
         assert run(["sweep", "--grid", "13", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1:] == self.scalar_rows(13)
 
-    # sha256 of the `sweep --grid 50` CSV and the platform it was recorded on
-    GRID_50_SHA256 = ("3ce00a647c8fda66d3f6428425d6ef7e"
-                      "081d5cd3b7b97b967d3e5bd2c7f98a13")
-    GRID_50_PLATFORM = "Python 3.11.7, numpy 2.4.6, x86_64, glibc 2.36"
-
-    def test_grid_50_bytes_are_pinned(self, capsys):
-        """The grid-50 CSV keeps its recorded bytes.
-
-        Another libm, numpy or Python may move last bits; the failure then
-        names the running versions.  Regenerate the hash from the repo root
-        with
-        ``PYTHONPATH=src python -c "from reuleaux.cli import main; main(['sweep', '--grid', '50'])" | sha256sum``
-        """
-        assert run(["sweep", "--grid", "50"]) == 0
-        digest = hashlib.sha256(
-            capsys.readouterr().out.encode("utf-8")).hexdigest()
-        libc = " ".join(platform.libc_ver())
-        running = (f"Python {platform.python_version()}, numpy "
-                   f"{np.__version__}, {platform.machine()}, {libc}")
-        assert digest == self.GRID_50_SHA256, (
-            f"sweep --grid 50 hashes to {digest} on {running}; the pinned "
-            f"hash was recorded on {self.GRID_50_PLATFORM}")
+    def test_grid_50_bytes_are_pinned(self):
+        """The grid-50 CSV keeps its recorded bytes."""
+        golden.check(golden.CLI, "sweep")
 
     def test_a_nan_term_is_a_violation(self, tmp_path, monkeypatch, capsys):
         flux = formulas.wedge_volume_via_flux
@@ -454,6 +434,16 @@ class TestReportDeterminism:
         assert data["mesh"]["refine"] == 12
         assert data["tolerances"] == {"dist_eps": 1e-9}
         assert "timing" in data
+
+
+class TestPinnedPayloads:
+    """The analyze and report --full JSON outside its timing block, and the
+    OBJ and PLY files of the mesh command, on tetra, pentad and a JSON n = 6
+    pyramid, keep their recorded bytes."""
+
+    @pytest.mark.parametrize("corpus", ["analyze", "report_full", "mesh"])
+    def test_payloads_are_pinned(self, corpus):
+        golden.check(golden.CLI, corpus)
 
 
 class TestOneSampler:

@@ -10,13 +10,14 @@ from scipy.optimize import brentq, minimize_scalar
 from reuleaux import geom
 from reuleaux.errors import DegenerateInputError
 from reuleaux.geom import (TWO_PI, ArcOnCircle, Circle3, Tolerances,
-                           circle_of_sphere_pair, circles_of_sphere_pairs,
-                           max_distance_to_arc_many, reference_frames)
+                           circles_of_sphere_pairs, max_distance_to_arc_many,
+                           reference_frames)
 from reuleaux.polyhedron import (PointConfig, config_from_generator,
                                  tetra_points)
 
+from golden import generic_sets, moved_pyramid
 from oracles import ANG_EPS, frozen_circle_frame, scalar_trim
-from test_polyhedron import generic_sets, moved_pyramid
+from test_polyhedron import circle_of
 
 RNG = np.random.default_rng(20260811)
 
@@ -54,7 +55,7 @@ class TestTolerances:
 
 class TestCircleOfSpherePair:
     def test_axis_aligned_example(self):
-        c = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
+        c = circle_of((0, 0, 0.5), (0, 0, -0.5))
         assert np.allclose(c.center, [0, 0, 0])
         assert c.radius == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
         assert np.allclose(c.axis, [0, 0, 1])
@@ -62,27 +63,27 @@ class TestCircleOfSpherePair:
     def test_unit_chord_radius_is_cos_pi_over_6(self):
         b = np.array([0.2, -0.4, 0.1])
         c = b + np.array([1.0, 0.0, 0.0])
-        circ = circle_of_sphere_pair(b, c)
+        circ = circle_of(b, c)
         assert circ.radius == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
 
     def test_circle_points_at_unit_distance_from_both_centers(self):
-        # 1e4 random valid pairs, 16 sampled points each
+        # 1e4 random valid pairs in one batch, 16 sampled points each
         psi = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-        for _ in range(10_000):
-            b = RNG.normal(size=3)
-            c = b + RNG.uniform(0.1, 1.9) * random_unit(RNG)
-            circ = circle_of_sphere_pair(b, c)
-            pts = circ.points(psi)
-            db = np.linalg.norm(pts - b, axis=1)
-            dc = np.linalg.norm(pts - c, axis=1)
-            assert np.max(np.abs(db - 1.0)) < 1e-12
-            assert np.max(np.abs(dc - 1.0)) < 1e-12
+        b, c = np.empty((2, 10_000, 3))
+        for k in range(10_000):
+            b[k] = RNG.normal(size=3)
+            c[k] = b[k] + RNG.uniform(0.1, 1.9) * random_unit(RNG)
+        pts = np.array([circ.points(psi)
+                        for circ in circles_of_sphere_pairs(b, c)])
+        for centers in (b, c):
+            dist = np.linalg.norm(pts - centers[:, None], axis=2)
+            assert np.max(np.abs(dist - 1.0)) < 1e-12
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):
-            circle_of_sphere_pair((0, 0, 0), (0, 0, 0))
+            circle_of((0, 0, 0), (0, 0, 0))
         with pytest.raises(DegenerateInputError):
-            circle_of_sphere_pair((0, 0, 0), (0, 0, 2.5))
+            circle_of((0, 0, 0), (0, 0, 2.5))
 
     def test_frames_match_the_frozen_constructor(self):
         # every support circle extraction may build, byte for byte
@@ -99,7 +100,7 @@ class TestCircleOfSpherePair:
         batch = circles_of_sphere_pairs(*np.array(pairs).transpose(1, 0, 2))
         for (b, c), row in zip(pairs, batch, strict=True):
             center, radius, axis, u_ref, v_ref = frozen_circle_frame(b, c)
-            for circ in (row, circle_of_sphere_pair(b, c)):
+            for circ in (row, circle_of(b, c)):
                 assert circ.radius.hex() == radius.hex()
                 for got, want in ((circ.center, center), (circ.axis, axis),
                                   (circ.u_ref, u_ref), (circ.v_ref, v_ref)):
@@ -177,11 +178,11 @@ def trim_one(circ, centers):
 
 class TestBallConstraintInterval:
     def test_center_gives_full_circle(self):
-        circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
+        circ = circle_of((0, 0, 0.5), (0, 0, -0.5))
         assert trim_one(circ, [circ.center]) == [(0.0, TWO_PI)]
 
     def test_far_point_gives_empty_set(self):
-        circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
+        circ = circle_of((0, 0, 0.5), (0, 0, -0.5))
         assert trim_one(circ, [(5.0, 0.0, 0.0)]) == []
 
     def test_unit_circle_halfwidth_matches_root_finding(self):
@@ -201,7 +202,7 @@ class TestBallConstraintInterval:
         for _ in range(200):
             b = RNG.normal(size=3)
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
-            circ = circle_of_sphere_pair(b, c)
+            circ = circle_of(b, c)
             x = RNG.normal(size=3) * 0.8
             comps = trim_one(circ, [x])
             if comps == [(0.0, TWO_PI)]:
@@ -295,7 +296,7 @@ class TestAngularIntervalSet:
 
 class TestMaxDistanceToArc:
     def _arc(self, start, end):
-        circ = circle_of_sphere_pair((0, 0, 0.35), (0, 0, -0.35))
+        circ = circle_of((0, 0, 0.35), (0, 0, -0.35))
         return ArcOnCircle(circ, start, end)
 
     def test_circle_center_sees_radius(self):
@@ -305,7 +306,7 @@ class TestMaxDistanceToArc:
             arc.circle.radius, abs=1e-14)
 
     def test_on_axis_point_sees_hypotenuse_for_any_arc(self):
-        circ = circle_of_sphere_pair((0, 0, 0.35), (0, 0, -0.35))
+        circ = circle_of((0, 0, 0.35), (0, 0, -0.35))
         h = 0.77
         p = circ.center + h * circ.axis
         expect = math.hypot(h, circ.radius)
@@ -322,7 +323,7 @@ class TestMaxDistanceToArc:
         for _ in range(25):
             b = RNG.normal(size=3)
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
-            circ = circle_of_sphere_pair(b, c)
+            circ = circle_of(b, c)
             start = RNG.uniform(0, TWO_PI)
             arc = ArcOnCircle(circ, start, start + RNG.uniform(0.2, 5.0))
             p = RNG.normal(size=3)
@@ -344,7 +345,7 @@ class TestMaxDistanceToArc:
         for _ in range(200):
             b = RNG.normal(size=3)
             c = b + RNG.uniform(0.3, 1.5) * random_unit(RNG)
-            circ = circle_of_sphere_pair(b, c)
+            circ = circle_of(b, c)
             start = RNG.uniform(0, TWO_PI)
             arc = ArcOnCircle(circ, start, start + RNG.uniform(0.2, 6.0))
             p = RNG.normal(size=3) * 1.5
@@ -374,13 +375,9 @@ class TestInputChecks:
         ((0, math.nan, 0), "coordinates must be finite"),
         ((math.inf, 0, 0), "coordinates must be finite")])
     def test_points_must_be_finite_3_vectors(self, bad, message):
-        circ = circle_of_sphere_pair((0, 0, 0.5), (0, 0, -0.5))
-        calls = [lambda: circle_of_sphere_pair(bad, (0, 0, 0.5)),
-                 lambda: circle_of_sphere_pair((0, 0, 0.5), bad),
-                 lambda: circ.angle_of(bad)]
-        for call in calls:
+        for name in ("center", "axis", "u_ref"):
             with pytest.raises(ValueError, match=message):
-                call()
+                Circle3(**dict(self.UNIT_CIRCLE, **{name: bad}))
 
     @pytest.mark.parametrize("change, message", [
         (dict(axis=(0, 0, 1.1)), "axis must be a unit vector"),
@@ -394,8 +391,8 @@ class TestInputChecks:
         (dict(u_ref=(1, math.nan, 0)), "coordinates must be finite"),
         (dict(u_ref=(1, 0, -math.inf)), "coordinates must be finite")])
     def test_circle_frame_checks(self, change, message):
-        # a non-finite frame is refused by as_point, a plain ValueError,
-        # before the unit and orthogonality checks (which a NaN would pass)
+        # a non-finite frame is refused first, a plain ValueError, before
+        # the unit and orthogonality checks (which a NaN would pass)
         error = (ValueError if message == "coordinates must be finite"
                  else DegenerateInputError)
         with pytest.raises(error, match=message) as info:

@@ -1,7 +1,6 @@
 """Tests for mesh generation, mesh metrics, and export round-trips."""
 
 import functools
-import hashlib
 import itertools
 import math
 import re
@@ -19,14 +18,14 @@ from reuleaux.formulas import (surface_meissner, surface_reuleaux,
                                volume_meissner, volume_reuleaux, wedge_volume)
 import reuleaux.mesh
 from reuleaux import cli
-from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh, _BodyMesher,
-                           _loop_solid_angle, _stitch_rings, build_body_mesh,
-                           export_obj, export_ply, import_obj, inspect_mesh,
-                           mesh_area, mesh_volume)
+from reuleaux.mesh import (MeshBuilder, MeshStats, TriangleMesh, _stitch_rings,
+                           build_body_mesh, export_obj, export_ply, import_obj,
+                           inspect_mesh, mesh_area, mesh_volume)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator, pentad_points)
-from test_polyhedron import (generic_sets, moved_pyramid, pentad_grown,
-                             running_platform)
+
+import golden
+from golden import generic_sets, moved_pyramid, pentad_grown
 
 
 def read_ply(path):
@@ -175,7 +174,7 @@ class TestSpindleGeometry:
                                        "mirrored"])
     def test_interior_rows_lie_on_spheres_around_the_kept_arc(self, shape):
         if shape == "generic9":
-            cfg = generic_sets(9, 1)[0]
+            cfg = generic_sets(9)[0]
         elif shape == "mirrored":
             cfg = PointConfig(points=config_from_generator("pentad").points
                               * [-1.0, 1.0, 1.0])
@@ -405,112 +404,42 @@ _SQUARE_PYRAMID_VERTICES = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
 
 
 class TestWedgeBytes:
-    # sha256 of export_obj for each wedge at refine 16, by generator
-    WEDGE_OBJ_SHA256 = {
-        "tetra": [
-            "db1138da9e88a868e33bd823cb8061d7448e38924b4ed4926c31006d37f62fc4",
-            "92d1754c0e36b31e94362d009bec92f90e58bc2118138937075a9021691182e4",
-            "bd5a8ec865dd67b57712f0feff318636f2492536e65c7d3204816d84e86d62f3"],
-        "pentad": [
-            "e29352018163fb65dd696486a42c3d070f041eec42b2c713e3fb036eb2599d8f",
-            "a4b42f9edc92027d47bc76b6eb2938f33d8145da522f851ea568a43b2f0f58e2",
-            "743cedda7514e3bac2b1f7d493e52e9d5aaef9daadd6705c2494a6cb6d488ae5",
-            "275ba43539477533fb9e9bce2d59c1df27b7de812764deaf9cfcd785dda26139"]}
-    WEDGE_OBJ_PLATFORM = "Python 3.11.7, numpy 2.4.6, x86_64, glibc 2.36"
-
     @pytest.mark.parametrize("generator", ["tetra", "pentad"])
-    def test_wedge_obj_bytes_are_pinned(self, request, tmp_path, generator):
-        """Every wedge OBJ at refine 16 keeps its recorded bytes.
-
-        Another libm, numpy or Python may move last bits; the failure then
-        names the running versions.  Regenerate the digests as the sha256
-        of each file this test writes."""
-        structure = request.getfixturevalue(f"{generator}_structure")
-        digests = []
-        for i in range(len(structure.pairs)):
-            path = tmp_path / f"wedge{i}.obj"
-            export_obj(build_body_mesh(structure, "wedge", 16, wedge_index=i),
-                       str(path))
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert digests == self.WEDGE_OBJ_SHA256[generator], (
-            f"wedge OBJ digests on {running_platform()}; the pinned ones were "
-            f"recorded on {self.WEDGE_OBJ_PLATFORM}")
+    def test_wedge_obj_bytes_are_pinned(self, generator):
+        """Every wedge OBJ at refine 16 keeps its recorded bytes."""
+        golden.check(golden.MESH, "wedge_obj", generator)
 
 
 class TestCapBytes:
-    """The bodies with face caps keep their recorded bytes.  The platform
-    caveat and the way to regenerate are TestWedgeBytes'."""
-
-    # sha256 of export_obj at refine 16, by generator and body
-    OBJ_SHA256 = {
-        ("tetra", "reuleaux"):
-            "7b2dab6dec98a87e3f82b87f747abd6a04d23530b7cd9cf06d3e877c3aeabf5d",
-        ("tetra", "meissner"):
-            "e6dad1f3405667f09f28389e898f9aa47f15732992c091340ae1a1c9db206f2b",
-        ("pentad", "reuleaux"):
-            "d876b4c35752eb7c8f8d08d41c08d91c3cc29f3c1e718c2718b8f782e8527623",
-        ("pentad", "meissner"):
-            "d842aff7dd6adf0a2d9d6f5d8c82ca7d7d29e1a02cab49629f42d18877e78c80"}
-    # sha256 of vertices.tobytes() + triangles.tobytes() of the pentad at
-    # refine 128, whose caps run to several blocks of points
-    ARRAYS_SHA256 = {
-        "reuleaux":
-            "f055650caf4b13bdd1ad50d5a53071e989d45dbb0e0ed75823c686a4011b7df0",
-        "meissner":
-            "eb2f1318616ca4b1510167c4f7bd4b010c219a669f5b6a3c5bade5682a03a8f5"}
+    """The bodies with face caps keep their recorded bytes."""
 
     @pytest.mark.parametrize("kind", ["reuleaux", "meissner"])
     @pytest.mark.parametrize("generator", ["tetra", "pentad"])
-    def test_obj_bytes_are_pinned(self, request, tmp_path, generator, kind):
-        structure = request.getfixturevalue(f"{generator}_structure")
-        path = tmp_path / "body.obj"
-        export_obj(build_body_mesh(structure, kind, 16), str(path))
-        assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == self.OBJ_SHA256[generator, kind]), (
-            f"{generator} {kind} OBJ digest on {running_platform()}; the "
-            f"pinned one was recorded on {TestWedgeBytes.WEDGE_OBJ_PLATFORM}")
+    def test_obj_bytes_are_pinned(self, generator, kind):
+        golden.check(golden.MESH, "cap_obj", generator, kind)
 
     @pytest.mark.parametrize("kind", ["reuleaux", "meissner"])
-    def test_arrays_across_point_blocks_are_pinned(self, pentad_structure,
-                                                   kind):
-        mesh = build_body_mesh(pentad_structure, kind, 128)
-        # its five caps place 16,257 to 32,512 ring points each: two to four
-        # blocks, the last one part-filled
-        assert mesh.n_vertices > 4 * reuleaux.mesh._BLOCK_ROWS
-        digest = hashlib.sha256(mesh.vertices.tobytes()
-                                + mesh.triangles.tobytes()).hexdigest()
-        assert digest == self.ARRAYS_SHA256[kind], (
-            f"pentad {kind} array digest on {running_platform()}; the pinned "
-            f"one was recorded on {TestWedgeBytes.WEDGE_OBJ_PLATFORM}")
-
-
-@pytest.fixture(scope="module")
-def tetra_meissner_64(tetra_structure):
-    """36,674 vertices and 73,344 triangles: several writer blocks, each
-    array ending in a part block."""
-    return build_body_mesh(tetra_structure, "meissner", 64)
+    def test_arrays_across_point_blocks_are_pinned(self, kind):
+        golden.check(golden.MESH, "cap_arrays", kind)
 
 
 class TestBlockSeamBytes:
-    # sha256 of each writer's output for tetra Meissner at refine 64
-    SHA256 = {
-        export_obj: "61c0b39f6d97ee00d1aee38ac7ec278741d04415e78cb75e1918bcbffbe48a61",
-        export_ply: "b4ebea7b2060ed3c112fd9ec538f54da6b623f2b5fbb591c1e644f999d5f5b10"}
-
     @pytest.mark.parametrize("export", [export_obj, export_ply])
-    def test_bytes_across_block_seams_are_pinned(self, tetra_meissner_64,
-                                                 tmp_path, export):
-        """The rows on both sides of every block seam, and the part blocks
-        at the ends, keep the bytes that whole-file formatting wrote.  The
-        platform caveat and the way to regenerate are TestWedgeBytes'."""
-        mesh = tetra_meissner_64
-        block = reuleaux.mesh._BLOCK_ROWS
-        assert mesh.n_vertices > 4 * block and mesh.n_vertices % block
-        assert mesh.n_triangles > 8 * block and mesh.n_triangles % block
-        path = tmp_path / "body"
-        export(mesh, str(path))
-        assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == self.SHA256[export])
+    def test_bytes_across_block_seams_are_pinned(self, export):
+        """The rows on both sides of every writer block seam, and the part
+        blocks at the ends, keep their bytes."""
+        golden.check(golden.MESH, "block_seams",
+                     export.__name__.removeprefix("export_"))
+
+
+class TestPlacementBytes:
+    """Every body of the placement sets keeps its vertex and triangle bytes
+    and its closure statistics."""
+
+    @pytest.mark.parametrize("name, refine",
+                             golden.CORPORA[golden.MESH, "placement"][0])
+    def test_meshes_are_pinned(self, name, refine):
+        golden.check(golden.MESH, "placement", name, refine)
 
 
 class TestBoundedMemory:
@@ -720,9 +649,9 @@ class TestExportImport:
 
 
 # ---------------------------------------------------------------------------
-# Loop, per-ring, np.unique and np.cross/norm/einsum versions kept as
-# references for the vectorized kernels, and the line-by-line OBJ reader as
-# the reference for the numpy one
+# Loop, np.unique and np.cross/norm/einsum versions kept as references for
+# the vectorized kernels, and the line-by-line OBJ reader as the reference
+# for the numpy one
 
 def _import_obj_loop(path):
     """import_obj with str.split and Python's float on lists of rows."""
@@ -771,105 +700,6 @@ def _stitch_rings_loop(ids, sizes, tie_to_outer=True):
     rings = np.split(np.asarray(ids), np.cumsum(sizes)[:-1])
     return np.vstack([_ladder_loop(inner, outer, tie_to_outer)
                       for inner, outer in zip(rings, rings[1:])])
-
-
-def _ladder_sorted(inner, outer):
-    """One ladder, its steps merged by a stable sort."""
-    m, k = len(inner), len(outer)
-    if m == 1:
-        j = np.arange(k)
-        return np.stack([np.full(k, inner[0]), outer[j], outer[(j + 1) % k]], axis=1)
-    steps = np.concatenate([np.arange(1, k + 1) * m, np.arange(1, m + 1) * k])
-    outer_step = np.argsort(steps, kind="stable") < k
-    j = np.cumsum(outer_step) - outer_step
-    i = np.cumsum(~outer_step) - ~outer_step
-    third = np.where(outer_step, outer[(j + 1) % k], inner[(i + 1) % m])
-    return np.stack([inner[i], outer[j % k], third], axis=1)
-
-
-def _slerp_rows(u, w, angle, f):
-    """mesh._slerp in its row form: the points at fractions f of the geodesic
-    of length ``angle`` from the unit vector u to the unit vector w;
-    broadcasts over rows."""
-    return (np.sin((1.0 - f) * angle) * u
-            + np.sin(f * angle) * w) / np.sin(angle)
-
-
-def _geodesic_points_rows(center, u, w, angle, n):
-    """mesh._geodesic_points in its row form: the n - 1 inner points of n
-    equal steps along the geodesic of length ``angle`` from u to w on the
-    unit sphere around ``center``.  A stack of k centers gives shape
-    (k, n - 1, 3)."""
-    center = np.asarray(center)[..., None, :]
-    f = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
-    return _slerp_rows(u - center, w - center, angle, f) + center
-
-
-def _geodesic_ids_rows(self, sphere, pair):
-    """_BodyMesher.geodesic_ids, sampled by _geodesic_points_rows."""
-    lo, hi = sorted((pair.p_prime, pair.q_prime))
-
-    def sample():
-        return _geodesic_points_rows(self.pts[sphere], self.pts[lo],
-                                     self.pts[hi], pair.angles.theta_prime,
-                                     self.refine)
-    inner = self.builder.polyline(("geo", sphere, lo, hi), sample)
-    ids = np.concatenate([[self.vx(lo)], inner, [self.vx(hi)]])
-    return ids if lo == pair.p_prime else ids[::-1]
-
-
-def _spindle_grid_rows(self, pair):
-    """_BodyMesher.spindle_grid with all interior rows placed at once by
-    _geodesic_points_rows and then copied into the pool."""
-    n = self.refine
-    grid = np.empty((n + 1, n + 1), dtype=np.int64)
-    grid[0, :] = self.geodesic_ids(pair.p, pair)
-    grid[n, :] = self.geodesic_ids(pair.q, pair)
-    grid[:, 0] = self.vx(pair.p_prime)
-    grid[:, n] = self.vx(pair.q_prime)
-    interior = _geodesic_points_rows(
-        pair.kept.arc.sample_points(n), self.pts[pair.p_prime],
-        self.pts[pair.q_prime], pair.angles.theta_prime, n)
-    grid[1:-1, 1:-1] = self.builder.add_points(
-        interior.reshape(-1, 3)).reshape(n - 1, n - 1)
-    return grid
-
-
-def _cap_per_ring(self, center, loop_ids, refine, face):
-    """MeshBuilder.cap one ring at a time, each ring stitched to the last."""
-    dirs = self.coords_of(loop_ids) - center
-    solid = _loop_solid_angle(dirs)
-    if abs(solid) < 1e-9:
-        return
-    if solid < 0.0:
-        loop_ids = loop_ids[::-1]
-        dirs = dirs[::-1]
-    apex_dir = dirs.mean(axis=0)
-    apex_dir = apex_dir / np.linalg.norm(apex_dir)
-    apex = int(self.add_points((center + apex_dir)[None, :])[0])
-    L = len(loop_ids)
-    rows = max(2, refine)
-
-    def ring_ids(r):
-        if r == rows:
-            return np.asarray(loop_ids, dtype=np.int64)
-        m = max(3, round(L * r / rows))
-        c = np.arange(m) * (L / m)
-        k = np.floor(c).astype(int)
-        frac = c - k
-        kn = (k + 1) % L
-        between = (1.0 - frac)[:, None] * dirs[k] + frac[:, None] * dirs[kn]
-        between /= np.linalg.norm(between, axis=1)[:, None]
-        # the slerp at r/rows from the apex toward the loop's geodesic polygon
-        full = np.arccos(np.clip(between @ apex_dir, -1.0, 1.0))[:, None]
-        return self.add_points(center + _slerp_rows(apex_dir, between, full,
-                                                    r / rows))
-
-    prev = np.array([apex], dtype=np.int64)
-    for r in range(1, rows + 1):
-        ring = ring_ids(r)
-        self.emit(_ladder_sorted(prev, ring))
-        prev = ring
 
 
 def _areas_reference(mesh):
@@ -924,7 +754,6 @@ class TestKernelsAgainstReferences:
                 assert np.array_equal(
                     _stitch_rings(np.concatenate([inner, outer]), [m, k]),
                     expect), (m, k)
-                assert np.array_equal(_ladder_sorted(inner, outer), expect), (m, k)
 
     def test_multi_ring_ladders_match_the_loop(self):
         rng = np.random.default_rng(7)
@@ -1004,83 +833,6 @@ class TestKernelsAgainstReferences:
         assert not inspect_mesh(misoriented).oriented
         assert not inspect_mesh(lowest_twice).oriented
         assert not inspect_mesh(tripled).watertight
-
-
-# the point sets of the placement tests, by name
-PLACEMENT_SETS = {
-    "tetra": lambda: [config_from_generator("tetra")],
-    "pentad": lambda: [config_from_generator("pentad")],
-    "pyramid5": lambda: [moved_pyramid(5, 35)],
-    "pyramid9": lambda: [moved_pyramid(9, 63)],
-    "generic9": lambda: generic_sets(9, 1),
-    # one set per pentad edge
-    "grown": lambda: [PointConfig(points=pts) for pts in pentad_grown(0.25)],
-}
-
-
-@functools.cache
-def placement_structures(name):
-    return tuple(analyze_config(cfg) for cfg in PLACEMENT_SETS[name]())
-
-
-def all_bodies(structure):
-    """(kind, wedge index) of every body of the structure."""
-    return [("reuleaux", None), ("meissner", None)] + [
-        ("wedge", i) for i in range(len(structure.pairs))]
-
-
-class TestOnePassMeshes:
-    """One-pass caps and column integrals against the per-ring caps and the
-    np.cross / norm / einsum integrals, bit for bit."""
-
-    @pytest.mark.parametrize("refine", [2, 3, 8, 16, 33, 64, 128])
-    @pytest.mark.parametrize("generator",
-                             ["tetra", "pentad", "pyramid5", "generic9"])
-    def test_meshes_match_the_per_ring_build(self, monkeypatch, generator,
-                                             refine):
-        (structure,) = placement_structures(generator)
-        for kind, index in all_bodies(structure):
-            label = (kind, index, refine)
-            mesh = build_body_mesh(structure, kind, refine, wedge_index=index)
-            with monkeypatch.context() as patch:
-                patch.setattr(MeshBuilder, "cap", _cap_per_ring)
-                ref = build_body_mesh(structure, kind, refine, wedge_index=index)
-            assert mesh.vertices.tobytes() == ref.vertices.tobytes(), label
-            assert np.array_equal(mesh.triangles, ref.triangles), label
-            # connectivity is checked against np.unique elsewhere; here the
-            # area fields come from the np.cross / norm reference
-            areas = _areas_reference(ref)
-            assert mesh.stats == replace(
-                ref.stats, min_triangle_area=float(areas.min())), label
-            assert mesh_volume(mesh).hex() == _volume_reference(ref).hex(), label
-            assert mesh_area(mesh).hex() == float(areas.sum()).hex(), label
-
-
-class TestColumnPlacement:
-    """The column-form placement, written into the pool block by block,
-    against the row form, computed whole and then copied in: the per-ring
-    caps, and every geodesic and spindle row from _geodesic_points_rows,
-    bit for bit."""
-
-    @pytest.mark.parametrize("name, refine", [
-        (name, refine) for name in PLACEMENT_SETS for refine in (2, 3, 16, 33)]
-        + [("tetra", 128), ("pentad", 128)])
-    def test_meshes_match_the_row_form(self, monkeypatch, name, refine):
-        for n, structure in enumerate(placement_structures(name)):
-            for kind, index in all_bodies(structure):
-                label = (n, kind, index)
-                mesh = build_body_mesh(structure, kind, refine,
-                                       wedge_index=index)
-                with monkeypatch.context() as patch:
-                    patch.setattr(MeshBuilder, "cap", _cap_per_ring)
-                    patch.setattr(_BodyMesher, "geodesic_ids",
-                                  _geodesic_ids_rows)
-                    patch.setattr(_BodyMesher, "spindle_grid",
-                                  _spindle_grid_rows)
-                    ref = build_body_mesh(structure, kind, refine,
-                                          wedge_index=index)
-                assert mesh.vertices.tobytes() == ref.vertices.tobytes(), label
-                assert mesh.triangles.tobytes() == ref.triangles.tobytes(), label
 
 
 class TestCheckOnce:

@@ -13,7 +13,7 @@ from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
                              mc_volume, unit_draws)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
                                  config_from_generator)
-from test_polyhedron import generic_sets, moved_pyramid, pyramid_points
+from golden import generic_sets, moved_pyramid, pyramid_points
 
 RNG = np.random.default_rng(555)
 

@@ -5,7 +5,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,6 +17,8 @@ import pytest
 
 import reuleaux
 from reuleaux import cli, formulas, geom, mesh, oracle, polyhedron
+
+import golden
 
 
 def resolve(module, dotted):
@@ -67,7 +72,9 @@ def test_removed_names_are_gone(module, name):
     (geom, "Tolerances.match_eps"), (geom, "Tolerances.on_axis"),
     (polyhedron, "_candidate_pairs"), (polyhedron, "_split_at_vertices"),
     (polyhedron, "_match_vertices"), (geom, "reference_direction"),
-    (geom, "_unit"), (polyhedron, "_chord_angle")])
+    (geom, "_unit"), (polyhedron, "_chord_angle"),
+    (geom, "circle_of_sphere_pair"), (geom, "Circle3.angle_of"),
+    (geom, "as_point")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
@@ -139,6 +146,20 @@ def test_only_slerp_calls_sin():
                 if isinstance(node, ast.FunctionDef) and node.name == "_slerp"]
     # none outside a function either
     assert len(sines(tree)) == len(sines(slerp)) > 0
+
+
+def test_pinned_digests_live_in_golden():
+    # no test file holds a sha256, and the files under tests/golden/ hold
+    # exactly the corpora and keys that golden.py computes
+    tests = pathlib.Path(__file__).parent
+    assert [path.name for path in tests.glob("*.py")
+            if re.search(r"[0-9a-fA-F]{64}", path.read_text())] == []
+    committed = {}
+    for path in (tests / "golden").glob("*.json"):
+        for name, digests in json.loads(path.read_text())["sha256"].items():
+            committed[path.name, name] = list(digests)
+    assert committed == {file_corpus: list(map(golden.label, keys))
+                         for file_corpus, (keys, _) in golden.CORPORA.items()}
 
 
 def test_dist_eps_is_the_only_tolerance_setting():

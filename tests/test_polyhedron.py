@@ -2,12 +2,9 @@
 
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
-import platform
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +14,8 @@ from hypothesis import strategies as st
 from reuleaux import geom, polyhedron
 from reuleaux.errors import DomainError, NotExtremalError, StructureError
 from reuleaux.formulas import AnglePair, meissner_scalars, reuleaux_scalars
-from reuleaux.geom import TWO_PI, ArcOnCircle, circle_of_sphere_pair
+from reuleaux.geom import (TWO_PI, ArcOnCircle, circle_angles,
+                           circles_of_sphere_pairs)
 from reuleaux.mesh import build_body_mesh
 from reuleaux.oracle import body_from_structure
 from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
@@ -26,29 +24,24 @@ from reuleaux.polyhedron import (DualPair, EdgeArc, PointConfig, Tolerances,
                                  config_from_json_dict, extract_edges,
                                  pair_duals, pentad_points, tetra_points)
 
+import golden
+from golden import (generic_sets, moved_pyramid, pentad_grown, pyramid_points,
+                    random_rigid_motion)
 from oracles import ANG_EPS, MATCH_EPS, match_vertex, scalar_trim
 
 RNG = np.random.default_rng(4207)
 
 
-def pyramid_points(m):
-    """Odd regular m-gon with longest diagonal 1 in the plane z = 0, then an
-    apex at unit distance from every base vertex: 2m = 2n - 2 diameters on
-    n = m + 1 points, so the set is extremal; m = 3 is the tetrahedron."""
-    radius = 0.5 / math.cos(math.pi / (2 * m))
-    angles = 2 * math.pi * np.arange(m) / m
-    base = np.column_stack([radius * np.cos(angles), radius * np.sin(angles),
-                            np.zeros(m)])
-    return np.vstack([base, [0.0, 0.0, math.sqrt(1.0 - radius * radius)]])
+def circle_of(b, c):
+    """The circle of the unit spheres about b and c, as a batch of one."""
+    return circles_of_sphere_pairs(np.asarray(b, dtype=float)[None],
+                                   np.asarray(c, dtype=float)[None])[0]
 
 
-def random_rigid_motion(rng):
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q, rng.normal(size=3)
+def angle_on(circle, p):
+    """The angle of the (projected) point p on the circle."""
+    return circle_angles(np.asarray(p, dtype=float)[None], circle.center,
+                         circle.u_ref, circle.v_ref)[0]
 
 
 class TestDiameterGraph:
@@ -180,11 +173,11 @@ def reference_extract_edges(cfg):
         for j in range(i + 1, cfg.n):
             if cfg.dist[i, j] > 1.0 + tol.dist_eps:
                 continue
-            circle = circle_of_sphere_pair(pts[i], pts[j])
+            circle = circle_of(pts[i], pts[j])
             surviving = scalar_trim(circle, np.delete(pts, (i, j), axis=0))
             if surviving.is_empty:
                 continue
-            splits = [circle.angle_of(pts[k])
+            splits = [angle_on(circle, pts[k])
                       for k in np.flatnonzero(on_sphere[i] & on_sphere[j])]
             if surviving.is_full:
                 if not splits:
@@ -215,8 +208,8 @@ def reference_extract_edges(cfg):
             raise StructureError(
                 f"extract_edges: support pair {support}: arc from {lo:.12g} "
                 f"to {hi:.12g} rad starts and ends at vertex {u}")
-        start = circle.angle_of(pts[u])
-        span = (circle.angle_of(pts[w]) - start) % TWO_PI
+        start = angle_on(circle, pts[u])
+        span = (angle_on(circle, pts[w]) - start) % TWO_PI
         edges.append((support, (u, w), ArcOnCircle(circle, start, start + span)))
     edges.sort(key=lambda t: (t[0], sorted(t[1])))
     return tuple(EdgeArc(support, ends, arc, k)
@@ -239,44 +232,6 @@ def extraction_outcome(extract, cfg):
     return ("edges", [(e.support, e.endpoints, e.index,
                        e.arc.start_angle.hex(), e.arc.end_angle.hex())
                       for e in edges])
-
-
-def moved_pyramid(m, seed):
-    rot, shift = random_rigid_motion(np.random.default_rng(seed))
-    return PointConfig(points=pyramid_points(m) @ rot.T + shift)
-
-
-def generic_extremal(m, seed):
-    """The odd-m pyramid moved by normal noise of scale 0.02, then pulled
-    back onto |x_i - x_j| = 1 over the pyramid's diameter graph by
-    Gauss-Newton (minimum-norm ``lstsq`` steps); None unless analyze_config
-    accepts the result.  Its angles take about n distinct values."""
-    x = pyramid_points(m)
-    dist = np.linalg.norm(x[:, None] - x[None], axis=2)
-    i, j = np.nonzero(np.triu(np.abs(dist - 1.0) < 1e-9, k=1))
-    x = x + np.random.default_rng(seed).normal(scale=0.02, size=x.shape)
-    rows = np.arange(len(i))[:, None]
-    cols = np.arange(3)
-    # quadratic convergence reaches rounding in about five steps
-    for _ in range(12):
-        diff = x[i] - x[j]
-        jac = np.zeros((len(i), x.size))
-        jac[rows, 3 * i[:, None] + cols] = 2.0 * diff
-        jac[rows, 3 * j[:, None] + cols] = -2.0 * diff
-        res = np.einsum("ek,ek->e", diff, diff) - 1.0
-        x = x - np.linalg.lstsq(jac, res)[0].reshape(x.shape)
-    cfg = PointConfig(points=x)
-    try:
-        analyze_config(cfg)
-    except (NotExtremalError, StructureError, DomainError):
-        return None
-    return cfg
-
-
-def generic_sets(m, count=3):
-    """The first ``count`` generic extremal sets of base m, by seed."""
-    cfgs = (generic_extremal(m, seed) for seed in range(10 * count))
-    return [cfg for cfg in cfgs if cfg is not None][:count]
 
 
 def off_extremal_configs():
@@ -321,82 +276,14 @@ def ladder_structures():
     return tuple(analyze_config(cfg) for cfg in ladder_configs())
 
 
-def pentad_grown(f):
-    """The pentad's points plus the point at fraction f of one of its edge
-    arcs, one array per edge: each set is extremal, with one more diameter
-    pair."""
-    edges = analyze_config(config_from_generator("pentad")).edges
-    return [np.vstack([pentad_points(), e.arc.circle.point(
-        e.arc.start_angle + f * e.arc.span)]) for e in edges]
-
-
-def running_platform():
-    """The versions a pinned digest depends on: another libm, numpy or
-    Python may move last bits."""
-    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
-            f"{platform.machine()}, {' '.join(platform.libc_ver())}")
-
-
-def extraction_digest(points):
-    """sha256 of the float.hex rows of the analysis of ``points``: each
-    edge's support, endpoints, index, start and end angle, and its circle's
-    center, radius, axis, u_ref and v_ref; then each dual pair's (p, q, p',
-    q'), theta and theta'."""
-    structure = analyze_config(PointConfig(points=points))
-
-    def hexes(*values):
-        return " ".join(float(v).hex() for v in values)
-    rows = []
-    for e in structure.edges:
-        c = e.arc.circle
-        rows.append(f"edge {e.index} {e.support} {e.endpoints} " + hexes(
-            e.arc.start_angle, e.arc.end_angle, *c.center, c.radius, *c.axis,
-            *c.u_ref, *c.v_ref))
-    for dp in structure.pairs:
-        rows.append(f"pair {dp.p} {dp.q} {dp.p_prime} {dp.q_prime} " + hexes(
-            dp.angles.theta, dp.angles.theta_prime))
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
-
-
-def golden_sets(family):
-    """The (name, points) rows of one family of sets whose extraction
-    digests are pinned."""
-    if family == "generators":
-        return [(name, config_from_generator(name).points)
-                for name in ("tetra", "pentad")]
-    if family == "pyramids":
-        return [(f"pyramid:{m}", moved_pyramid(m, 7 * m).points)
-                for m in range(3, 102, 2)]
-    if family == "generic":
-        return [(f"generic:{m}:{k}", cfg.points) for m in (5, 9, 21)
-                for k, cfg in enumerate(generic_sets(m))]
-    return [(f"grown:{f!r}:{k}", pts)
-            for f in (0.5, 0.25, 1e-2, 1e-4, 1e-6, 1e-7)
-            for k, pts in enumerate(pentad_grown(f))]
-
-
 class TestExtractionBytes:
-    """Every edge and dual pair keeps its recorded bits on 109 sets: tetra,
-    pentad, the moved pyramids m = 3...101 (odd, seed 7m), the generic sets
-    m = 5, 9 and 21, and the pentad grown at f = 0.5...1e-7 on each of its
-    8 edges.  Another libm, numpy or Python may move last bits; the failure
-    then names the running versions.  Regenerate the file as
-    {"platform": running_platform(), "sha256": {family: {name:
-    extraction_digest(points)}}} over the rows of ``golden_sets``."""
+    """Every edge and dual pair keeps its recorded bits on 109 sets
+    (``golden.extraction_digest``)."""
 
     @pytest.mark.parametrize("family",
                              ["generators", "pyramids", "generic", "grown"])
     def test_digests_are_pinned(self, family):
-        path = Path(__file__).parent / "golden" / "extraction_sha256.json"
-        pinned = json.loads(path.read_text())
-        want = pinned["sha256"][family]
-        got = {name: extraction_digest(pts)
-               for name, pts in golden_sets(family)}
-        assert list(got) == list(want)
-        moved = [name for name in want if got[name] != want[name]]
-        assert not moved, (
-            f"extraction digests of {moved} on {running_platform()}; the "
-            f"pinned ones were recorded on {pinned['platform']}")
+        golden.check(golden.EXTRACTION, family)
 
 
 class TestArcsFromVertices:
@@ -409,10 +296,10 @@ class TestArcsFromVertices:
         pts = structure.config.points
         for e in structure.edges:
             circle, (u, w) = e.arc.circle, e.endpoints
-            start = circle.angle_of(pts[u])
+            start = angle_on(circle, pts[u])
             assert e.arc.start_angle.hex() == start.hex()
             assert e.arc.end_angle.hex() == (
-                start + (circle.angle_of(pts[w]) - start) % TWO_PI).hex()
+                start + (angle_on(circle, pts[w]) - start) % TWO_PI).hex()
 
     def test_the_ladder(self):
         # tetra, the pentad relabellings, pyramids and the generic sets
@@ -426,7 +313,7 @@ class TestArcsFromVertices:
                 analyze_config(PointConfig(points=pts)))
 
     def test_an_arc_that_ends_at_two_pi(self):
-        # the tetra's arc on (1, 3) ends at 2*pi exactly: angle_of keeps to
+        # the tetra's arc on (1, 3) ends at 2*pi exactly: its angles keep to
         # [0, 2*pi) and the span is taken mod 2*pi
         _, edges, _ = extract_edges(config_from_generator("tetra"))
         assert [e.arc.end_angle for e in edges if e.support == (1, 3)] == \
@@ -503,8 +390,8 @@ class TestTwoStepExtraction:
         # 2, all shaken by noise of scale 3e-8: at dist_eps = 5e-8 it is
         # extremal, but a step of face 0 carries two arcs
         base = tetra_points()
-        circle = circle_of_sphere_pair(base[0], base[1])
-        extra = circle.point(circle.angle_of(base[2]) + 3e-8 / circle.radius)
+        circle = circle_of(base[0], base[1])
+        extra = circle.point(angle_on(circle, base[2]) + 3e-8 / circle.radius)
         noise = np.random.default_rng(40).normal(scale=3e-8, size=(5, 3))
         cfg = PointConfig(points=np.vstack([base, extra]) + noise,
                           tol=Tolerances(dist_eps=5e-8))
@@ -691,7 +578,7 @@ class TestPairDuals:
         # below is exactly 0, whichever way it is rounded
         cfg = PointConfig(points=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
                                   [0.0, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        arc = ArcOnCircle(circle_of_sphere_pair(*cfg.points[:2]), 0.0, 1.0)
+        arc = ArcOnCircle(circle_of(*cfg.points[:2]), 0.0, 1.0)
         edges = (EdgeArc((0, 1), (2, 3), arc, index=0),
                  EdgeArc((2, 3), (0, 1), arc, index=1))
         with pytest.raises(StructureError, match=(
