@@ -253,17 +253,23 @@ def placement(name, refine):
     triangle bytes, and the float.hex or repr of each field of its closure
     statistics."""
     h = hashlib.sha256()
+    for mesh in placement_meshes(name, refine):
+        h.update(mesh.vertices.tobytes())
+        h.update(mesh.triangles.tobytes())
+        values = [getattr(mesh.stats, f.name) for f in fields(mesh.stats)]
+        h.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                          for v in values).encode())
+    return h.hexdigest()
+
+
+def placement_meshes(name, refine):
+    """The mesh of every body of every set of ``name`` at ``refine``, one
+    at a time: R, M, then each wedge."""
     for structure in itertools.starmap(analyzed, PLACEMENT_SETS[name]):
         bodies = [("reuleaux", None), ("meissner", None)] + [
             ("wedge", i) for i in range(len(structure.pairs))]
         for kind, index in bodies:
-            mesh = build_body_mesh(structure, kind, refine, wedge_index=index)
-            h.update(mesh.vertices.tobytes())
-            h.update(mesh.triangles.tobytes())
-            values = [getattr(mesh.stats, f.name) for f in fields(mesh.stats)]
-            h.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
-                              for v in values).encode())
-    return h.hexdigest()
+            yield build_body_mesh(structure, kind, refine, wedge_index=index)
 
 
 # the inputs of the pinned command payloads: two generators and a JSON file

@@ -432,13 +432,36 @@ class TestBlockSeamBytes:
                      export.__name__.removeprefix("export_"))
 
 
-class TestPlacementBytes:
-    """Every body of the placement sets keeps its vertex and triangle bytes
-    and its closure statistics."""
+PLACEMENT_KEYS = golden.CORPORA[golden.MESH, "placement"][0]
 
-    @pytest.mark.parametrize("name, refine",
-                             golden.CORPORA[golden.MESH, "placement"][0])
-    def test_meshes_are_pinned(self, name, refine):
+
+class TestOnePassMeshes:
+    """One-pass caps and column integrals: every body keeps the bytes and
+    closure statistics that the per-ring cap build gave, as the placement
+    corpus records them, and its volume, area and smallest triangle equal
+    the np.cross / norm / einsum integrals, bit for bit."""
+
+    @pytest.mark.parametrize("generator, refine", [
+        key for key in PLACEMENT_KEYS
+        if key[0] in ("tetra", "pentad", "pyramid5", "generic9")])
+    def test_meshes_match_the_per_ring_build(self, generator, refine):
+        golden.check(golden.MESH, "placement", generator, refine)
+        for mesh in golden.placement_meshes(generator, refine):
+            areas = _areas_reference(mesh)
+            assert mesh.stats.min_triangle_area == float(areas.min())
+            assert mesh_volume(mesh).hex() == _volume_reference(mesh).hex()
+            assert mesh_area(mesh).hex() == float(areas.sum()).hex()
+
+
+class TestColumnPlacement:
+    """The column-form placement, written into the pool block by block,
+    keeps the bytes of the row form, computed whole and then copied in, as
+    the placement corpus records them."""
+
+    @pytest.mark.parametrize("name, refine", [
+        key for key in PLACEMENT_KEYS if key[1] in (2, 3, 16, 33)]
+        + [("tetra", 128), ("pentad", 128)])
+    def test_meshes_match_the_row_form(self, name, refine):
         golden.check(golden.MESH, "placement", name, refine)
 
 
