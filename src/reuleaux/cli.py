@@ -288,7 +288,10 @@ OPTIONS = {
     "--batch": dict(type=int, default=1_000_000),
     "--workers": dict(type=int, default=1,
                       help="threads over the sample chunks; no effect unless "
-                           "--samples > --batch"),
+                           "--samples > --batch, and the estimates do not "
+                           "depend on it. More threads do not pay: on a "
+                           "2-core VM, 2 ran report --full's MC at "
+                           "0.88-0.94x the speed of 1"),
     "--refine": dict(type=int, default=64),
     "--format": dict(choices=("obj", "ply"), default="obj"),
     "--grid": dict(type=int, default=50),

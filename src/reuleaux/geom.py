@@ -9,7 +9,8 @@ safe to share across workers.  Lengths are unitless; the unit ball radius 1
 sets the scale.
 
 Support circles are built in one batch (``circles_of_sphere_pairs``), each
-frame checked once over the whole batch (``_check_frames``).  The batch
+frame checked once over the whole batch (``_check_frames``), and the batch
+hands back its frame arrays with its records.  The batch
 keeps the floats of the one-row formulas: its dot products are
 ``np.vecdot`` over 3-wide rows, which rounds as the ddot of ``v @ v`` and
 ``np.linalg.norm`` do (a matrix product over a stack of rows may not), and
@@ -216,8 +217,17 @@ class ArcOnCircle:
             np.linspace(self.start_angle, self.end_angle, n + 1)[1:-1])
 
 
-def circles_of_sphere_pairs(b: np.ndarray, c: np.ndarray
-                            ) -> tuple[Circle3, ...]:
+class CircleBatch(tuple):
+    """The ``Circle3`` records of one batch, in row order, with the batch's
+    read-only (k, 3) arrays ``center``, ``u_ref`` and ``v_ref``, whose rows
+    the records hold, for callers that work on the whole batch."""
+
+    center: np.ndarray
+    u_ref: np.ndarray
+    v_ref: np.ndarray
+
+
+def circles_of_sphere_pairs(b: np.ndarray, c: np.ndarray) -> CircleBatch:
     """The circle of points at distance 1 from both ``b[k]`` and ``c[k]``,
     for each row k of the (k, 3) center arrays, in one batch.
 
@@ -248,8 +258,10 @@ def circles_of_sphere_pairs(b: np.ndarray, c: np.ndarray
     _check_frames(center, radius, axis, u_ref, (b, c))
     for arr in (center, axis, u_ref, v_ref):
         arr.flags.writeable = False
-    return tuple(map(Circle3._of_rows, center, radius.tolist(), axis, u_ref,
-                     v_ref))
+    batch = CircleBatch(map(Circle3._of_rows, center, radius.tolist(), axis,
+                            u_ref, v_ref))
+    batch.center, batch.u_ref, batch.v_ref = center, u_ref, v_ref
+    return batch
 
 
 def max_distance_to_arc_many(points: np.ndarray, arc: ArcOnCircle) -> np.ndarray:

@@ -17,15 +17,23 @@ segment, which holds the wedge.  Only the kept draws are scaled, to the same
 floats as before, so hit counts are those of testing every draw.
 
 Every body of a run reads the same unit draws, so ``unit_draws`` draws each
-chunk once, in the calling thread, for a set of bodies.  It keeps the rows in
-the hull of their windows: on each axis, from the lowest to the highest
+chunk once, in the calling thread, for a set of bodies.  It keeps the draws
+in the hull of their windows: on each axis, from the lowest to the highest
 bound of any window, and uncut on an axis some window leaves uncut.  The
-hull contains every window and the filter keeps row order, so each body,
-filtering the pool by its own window, gets the very rows, and after scaling
+hull contains every window and the filter keeps draw order, so each body,
+filtering the pool by its own window, gets the very draws, and after scaling
 the very floats, it would get from the whole chunk; its hit count is
 unchanged.  The pool holds about half the draws on tetra, pentad and an
 n = 6 pyramid, about 12 bytes per sample, until the run's last body is
 tested.
+
+The oracle works on coordinate columns.  Each chunk's pooled draws are one
+contiguous (3, m) block, cut from the (size, 3) draw by one mask over every
+axis of the hull; each body's window is one mask and one ``take`` of that
+block, scaled in place per coordinate, which gives the floats of scaling
+the rows.  One kernel, ``_members``, tests the columns against the balls,
+center by center, for ``mc_volume`` and ``contains_many`` alike, and only
+its survivors, about 2 % of a box, go back to rows for the arc tests.
 """
 
 from __future__ import annotations
@@ -92,36 +100,52 @@ class McEstimate:
 
 
 def contains_many(body: BodySpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership for an (N, 3) array of sample points.
-
-    The ball test takes one center at a time and keeps only the points still
-    inside, so most samples leave after the first few centers.  The squared
-    distances must come from the row-wise ``einsum``: a hand-written column
-    sum or the expanded |p|^2 - 2 p.c + |c|^2 rounds differently and moves
-    points near a sphere across it (``tests/test_oracle.py`` keeps the
-    all-centers reference that pins this).
-    """
+    """Vectorized membership for an (N, 3) array of sample points: the
+    rows' columns, tested by the one kernel ``mc_volume`` runs too."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     inside = np.zeros(len(pts), dtype=bool)
-    idx = np.arange(len(pts))
-    sub = pts
-    for c in body.config.points:
-        d = sub - c
-        keep = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= 1.0)
-        idx = idx.take(keep)
-        sub = sub.take(keep, axis=0)
-        if not len(idx):
-            return inside
+    inside[_members(body, pts.T)] = True
+    return inside
+
+
+def _members(body: BodySpec, cols: np.ndarray) -> np.ndarray:
+    """The indices, in order, of the points in ``body`` among those whose
+    coordinate columns are the three rows of ``cols``.
+
+    The ball test takes one center at a time and keeps only the points still
+    inside, so most points leave after the first few centers.  A squared
+    distance is summed (dx^2 + dz^2) + dy^2, the order in which
+    ``np.einsum("ij,ij->i")`` sums a row: any other order, or the expanded
+    |p|^2 - 2 p.c + |c|^2, rounds differently and moves points near a sphere
+    across it (``tests/test_oracle.py`` keeps the all-centers reference that
+    pins this).  The arc tests read the ball test's survivors as rows.
+    """
+    x, y, z = cols
+    idx = None
+    for cx, cy, cz in body.config.points.tolist():
+        d2 = x - cx
+        d2 *= d2
+        t = z - cz
+        t *= t
+        d2 += t
+        np.subtract(y, cy, out=t)
+        t *= t
+        d2 += t
+        keep = np.flatnonzero(d2 <= 1.0)
+        x, y, z = x.take(keep), y.take(keep), z.take(keep)
+        idx = keep if idx is None else idx.take(keep)
+        if not idx.size:
+            return idx
+    if body.kind == "reuleaux":
+        return idx
+    sub = np.stack((x, y, z), axis=1)
     if body.kind == "meissner":
         ok = np.ones(len(sub), dtype=bool)
         for arc in body.arcs:
             ok &= max_distance_to_arc_many(sub, arc) <= 1.0
-        idx = idx[ok]
-    elif body.kind == "wedge":
-        far = max_distance_to_arc_many(sub, body.arcs[body.wedge_index]) >= 1.0
-        idx = idx[far]
-    inside[idx] = True
-    return inside
+        return idx[ok]
+    return idx[max_distance_to_arc_many(sub, body.arcs[body.wedge_index])
+               >= 1.0]
 
 
 def bounding_box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +228,9 @@ def _unit_window(body: BodySpec, lo: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class UnitDraws:
     """The unit draws of one run, drawn once for ``bodies``: ``rows[k]``
-    holds, in draw order, the rows of ``Philox(key=seed).jumped(k)``'s
-    (size, 3) draw that lie in the hull of those bodies' unit windows."""
+    holds, in draw order, the draws of ``Philox(key=seed).jumped(k)``'s
+    (size, 3) draw that lie in the hull of those bodies' unit windows, as
+    one contiguous (3, m) block of coordinate columns."""
 
     mc: McConfig
     bodies: tuple[BodySpec, ...]
@@ -218,18 +243,33 @@ def _box(body: BodySpec) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi - lo
 
 
-def _inside(rows: np.ndarray,
-            window: list[tuple[int, float, float]]) -> np.ndarray:
-    """The rows inside ``window``, in order, dropped one axis at a time."""
+def _kept(cols: np.ndarray,
+          window: list[tuple[int, float, float]]) -> np.ndarray:
+    """The indices, in order, of the points of the coordinate columns
+    ``cols`` inside ``window``: one mask over every axis the window cuts."""
+    keep = np.ones(cols.shape[1], dtype=bool)
     for a, low, high in window:
-        col = rows[:, a]
-        rows = rows.take(np.flatnonzero((col >= low) & (col <= high)), axis=0)
-    return rows
+        keep &= cols[a] >= low
+        keep &= cols[a] <= high
+    return np.flatnonzero(keep)
+
+
+def _pooled(draw: np.ndarray,
+            hull: list[tuple[int, float, float]]) -> np.ndarray:
+    """The rows of the (size, 3) ``draw`` inside ``hull``, in order, as one
+    contiguous (3, m) block of coordinate columns."""
+    idx = _kept(draw.T, hull)
+    block = np.empty((3, idx.size))
+    # column by column: one take of the draw's strided columns would first
+    # copy the whole draw into columns
+    for col, out in zip(draw.T, block):
+        out[:] = col[idx]
+    return block
 
 
 def unit_draws(bodies, mc: McConfig) -> UnitDraws:
     """Draw every chunk of ``mc`` once, in the calling thread, and keep the
-    rows that some body's unit window may keep: on each axis every window
+    draws that some body's unit window may keep: on each axis every window
     cuts, those between the lowest low and the highest high."""
     bodies = tuple(bodies)
     if not bodies:
@@ -242,8 +282,9 @@ def unit_draws(bodies, mc: McConfig) -> UnitDraws:
     rows = []
     for k, start in enumerate(range(0, mc.samples, mc.batch)):
         rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(k))
-        rows.append(_inside(rng.random((min(mc.batch, mc.samples - start), 3)),
-                            hull))
+        # the draw is a temporary: it is freed before the next one is made
+        rows.append(_pooled(
+            rng.random((min(mc.batch, mc.samples - start), 3)), hull))
     return UnitDraws(mc=mc, bodies=bodies, rows=tuple(rows))
 
 
@@ -275,15 +316,11 @@ def mc_volume(body: BodySpec, mc: McConfig,
     window = _unit_window(body, lo, span)
     box_volume = float(np.prod(span))
 
-    def hits_of(rows: np.ndarray) -> int:
-        pts = _inside(rows, window)
-        if pts is rows:
-            # an uncut window keeps the pool's own array, which other bodies
-            # still read
-            pts = pts.copy()
-        pts *= span
-        pts += lo
-        return int(contains_many(body, pts).sum())
+    def hits_of(block: np.ndarray) -> int:
+        pts = block.take(_kept(block, window), axis=1)
+        pts *= span[:, None]
+        pts += lo[:, None]
+        return len(_members(body, pts))
 
     if mc.workers > 1 and len(draws.rows) > 1:
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:

@@ -284,9 +284,9 @@ def extract_edges(cfg: PointConfig
     first, second = np.divmod(pair, n)
     circles = circles_of_sphere_pairs(pts[first], pts[second])
     supports = list(zip(first.tolist(), second.tolist()))
-    frame = np.array([(c.center, c.u_ref, c.v_ref) for c in circles])[circle_of]
-    starts, ends = (circle_angles(pts[v], frame[:, 0], frame[:, 1],
-                                  frame[:, 2]) for v in (v0, v1))
+    frame = [rows[circle_of] for rows in
+             (circles.center, circles.u_ref, circles.v_ref)]
+    starts, ends = (circle_angles(pts[v], *frame) for v in (v0, v1))
     edges = []
     for k, (c, u0, u1, start, end) in enumerate(zip(
             circle_of.tolist(), v0.tolist(), v1.tolist(), starts, ends)):

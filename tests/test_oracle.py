@@ -151,6 +151,14 @@ def probe_points(body, rng):
     return box, centers, np.vstack(shells)
 
 
+def order_flips(points, centers):
+    """The per-center ball decisions on ``points`` that differ between the
+    squares summed (x + z) + y, the kernel's order, and (x + y) + z."""
+    sq = (points[:, None, :] - centers[None]) ** 2
+    x, y, z = sq[..., 0], sq[..., 1], sq[..., 2]
+    return int(np.count_nonzero(((x + z) + y <= 1.0) != ((x + y) + z <= 1.0)))
+
+
 def every_body(structure):
     return ([("reuleaux", None), ("meissner", None)]
             + [("wedge", i) for i in range(len(structure.pairs))])
@@ -169,17 +177,26 @@ class TestKernelMatchesReference:
             if kind == "reuleaux":
                 # the shells straddle the body's boundary: both answers occur
                 assert expect.any() and not expect.all()
+                # and they see the order the squares are summed in
+                assert order_flips(pts, structure.config.points) > 0
 
     @pytest.mark.parametrize("name, hits", [
         ("tetra", (17540, 17437, 236, 114, 85)),
         ("pentad", (17430, 17386, 10, 13, 113, 118)),
+        ("pyramid6", (18335, 18315, 13, 7, 17, 11, 9)),
     ])
     def test_hit_counts_pinned(self, name, hits):
-        structure = analyze_config(config_from_generator(name))
-        mc = McConfig(seed=1, samples=1_000_000, batch=250_000)
-        got = tuple(mc_volume(body_from_structure(structure, kind, idx), mc).hit_count
-                    for kind, idx in every_body(structure))
-        assert got == hits
+        # pyramid6 is the n = 6 JSON input of the golden report corpus
+        cfg = (moved_pyramid(5, 35) if name == "pyramid6"
+               else config_from_generator(name))
+        structure = analyze_config(cfg)
+        for workers in (1, 2):
+            mc = McConfig(seed=1, samples=1_000_000, batch=250_000,
+                          workers=workers)
+            got = tuple(mc_volume(body_from_structure(structure, kind, idx),
+                                  mc).hit_count
+                        for kind, idx in every_body(structure))
+            assert got == hits, workers
 
 
 def mc_hits_reference(body, mc):
