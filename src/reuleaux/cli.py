@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NoReturn
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import formulas
 from .errors import DomainError, MeshError, NotExtremalError, StructureError
 from .geom import Tolerances
-from .mesh import build_body_mesh, export_obj, export_ply
+from .mesh import build_body_mesh, check_refine, export_obj, export_ply
 from .oracle import McConfig, body_from_structure, mc_volume, unit_draws
 from .polyhedron import Structure, analyze_config, angle_pairs, \
     body_label, check_extremal, config_from_generator, config_from_json_dict
@@ -260,13 +261,24 @@ def cmd_report(args) -> int:
     if args.full:
         bodies = [("reuleaux", None), ("meissner", None)]
         wedges = [("wedge", i) for i in range(len(structure.pairs))]
-        # the meshes first: a refine they refuse stops the report before
-        # any draw
-        payload["mesh"], timing["mesh_s"] = mesh_payload(
-            structure, args.refine, bodies)
-        payload["mc"], mc_timing = mc_payload(
-            structure, args.seed, args.samples, args.batch, args.workers,
-            bodies + wedges)
+        # a refine the mesher refuses stops the report before any draw
+        check_refine(args.refine)
+
+        def run_mc(workers):
+            return mc_payload(structure, args.seed, args.samples, args.batch,
+                              workers, bodies + wedges)
+
+        # neither oracle reads the other: with --workers >= 2 the MC runs on
+        # workers - 1 threads beside the meshes, so the report never runs
+        # more than --workers threads; with 1 it runs after them.  Leaving
+        # the block, on an error too, waits for the MC and joins its thread
+        with ThreadPoolExecutor(max_workers=1) as beside:
+            mc = beside.submit(run_mc, args.workers - 1) \
+                if args.workers > 1 else None
+            payload["mesh"], timing["mesh_s"] = mesh_payload(
+                structure, args.refine, bodies)
+            payload["mc"], mc_timing = mc.result() if mc else \
+                run_mc(args.workers)
         timing.update(mc_timing)
     payload["timing"] = dict(timing, elapsed_s=time.perf_counter() - started)
     emit_json(payload, args.json)
@@ -287,10 +299,12 @@ OPTIONS = {
     "--samples": dict(type=int, default=1_000_000),
     "--batch": dict(type=int, default=1_000_000),
     "--workers": dict(type=int, default=1,
-                      help="threads over the sample chunks; no effect unless "
-                           "--samples > --batch, and the estimates do not "
-                           "depend on it. More threads do not pay: on a "
-                           "2-core VM, 2 ran report --full's MC at "
+                      help="threads over the sample chunks, with no effect "
+                           "unless --samples > --batch; the estimates do not "
+                           "depend on it. report --full with 2 or more runs "
+                           "the MC on workers - 1 threads beside its meshes, "
+                           "even with one chunk. Chunk threads alone do not "
+                           "pay: on a 2-core VM, 2 ran report --full's MC at "
                            "0.88-0.94x the speed of 1"),
     "--refine": dict(type=int, default=64),
     "--format": dict(choices=("obj", "ply"), default="obj"),

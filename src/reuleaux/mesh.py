@@ -468,10 +468,15 @@ def _geodesic_points(center: np.ndarray, u: np.ndarray, w: np.ndarray,
            np.moveaxis(out, -1, 0))
 
 
+def check_refine(refine: int) -> None:
+    """Refuse a per-boundary sample count the mesher cannot use."""
+    if refine < 2:
+        raise ValueError("refine must be at least 2")
+
+
 class _BodyMesher:
     def __init__(self, structure: Structure, refine: int):
-        if refine < 2:
-            raise ValueError("refine must be at least 2")
+        check_refine(refine)
         self.structure = structure
         self.refine = refine
         self.builder = MeshBuilder()

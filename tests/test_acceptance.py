@@ -18,7 +18,8 @@ from reuleaux.formulas import (AnglePair, blaschke_defect_term, blaschke_gap,
                                volume_reuleaux, wedge_volume,
                                wedge_volume_via_flux)
 from reuleaux.mesh import build_body_mesh, inspect_mesh, mesh_area, mesh_volume
-from reuleaux.oracle import McConfig, body_from_structure, mc_volume
+from reuleaux.oracle import McConfig, body_from_structure, mc_volume, \
+    unit_draws
 from reuleaux.polyhedron import angle_pairs
 
 from oracles import (sliver_area_quad, sliver_flux_quad, spindle_area_quad,
@@ -72,10 +73,15 @@ def test_c4_monte_carlo_tetra(tetra_structure):
     checks = [("reuleaux", None, volume_reuleaux(pairs)),
               ("meissner", None, volume_meissner(pairs))]
     checks += [("wedge", i, wedge_volume(pairs[i])) for i in range(3)]
+    bodies = [body_from_structure(tetra_structure, kind, idx)
+              for kind, idx, _ in checks]
+    # one Philox stream for the five bodies; each body's hits are those of
+    # drawing it alone (test_oracle.py's pinned counts cover that path)
+    draws = unit_draws(bodies, mc)
     ok = True
     zs = []
-    for kind, idx, expect in checks:
-        est = mc_volume(body_from_structure(tetra_structure, kind, idx), mc)
+    for body, (kind, idx, expect) in zip(bodies, checks):
+        est = mc_volume(body, mc, draws)
         z = (est.volume_mean - expect) / est.std_error
         zs.append(f"{kind}{'' if idx is None else idx}:{z:+.2f}")
         ok &= abs(est.volume_mean - expect) < 3.0 * est.std_error

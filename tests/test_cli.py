@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from reuleaux import cli, formulas
 from reuleaux.cli import main
-from reuleaux.errors import DomainError
+from reuleaux.errors import DomainError, MeshError
 from reuleaux.formulas import AnglePair, BodyScalars, PairTerm, \
     reuleaux_volume_term
 from reuleaux.mesh import MeshStats, build_body_mesh, import_obj, \
@@ -497,15 +498,50 @@ class TestReportRun:
         assert all(s > 0.0 for s in seconds)
         assert sum(seconds) < timing["elapsed_s"]
 
-    def test_bad_refine_exits_before_any_draw(self, capsys, monkeypatch):
+    def test_timing_under_overlap(self, tmp_path):
+        # with 2 workers the MC runs beside the meshes, so each stage fits
+        # in the elapsed time but the two together may not
+        out = tmp_path / "r.json"
+        assert run(["report", "generator:tetra", "--full", "--samples",
+                    "2000", "--refine", "4", "--workers", "2",
+                    "--json", str(out)]) == 0
+        timing = load(out)["timing"]
+        assert sorted(timing) == ["draws_s", "elapsed_s", "mc_s", "mesh_s"]
+        assert sum(timing["mesh_s"].values()) < timing["elapsed_s"]
+        assert timing["draws_s"] + sum(timing["mc_s"].values()) \
+            < timing["elapsed_s"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_refine_exits_before_any_draw(self, capsys, monkeypatch,
+                                              workers):
+        # an MC thread's error would be lost behind the refine error, so
+        # the calls are counted
+        calls = []
+
         def refused(*args):
+            calls.append(args)
             raise AssertionError("MC ran before the refine check")
 
         monkeypatch.setattr(cli, "unit_draws", refused)
         monkeypatch.setattr(cli, "mc_volume", refused)
         assert run(["report", "generator:tetra", "--full",
-                    "--refine", "1"]) == 2
+                    "--refine", "1", "--workers", workers]) == 2
         assert one_error(capsys, 2)["message"] == "refine must be at least 2"
+        assert not calls
+
+    def test_mesh_error_beside_the_mc_exits_three(self, capsys,
+                                                  monkeypatch):
+        def refused(*args, **kwargs):
+            raise MeshError("reuleaux mesh is not closed")
+
+        monkeypatch.setattr(cli, "build_body_mesh", refused)
+        threads = threading.active_count()
+        assert run(["report", "generator:tetra", "--full", "--samples",
+                    "2000", "--workers", "2"]) == 3
+        assert threading.active_count() == threads
+        error = one_error(capsys, 3)
+        assert error == {"exit_code": 3, "kind": "structure",
+                         "message": "reuleaux mesh is not closed"}
 
 
 def one_error(capsys, code):
@@ -641,9 +677,14 @@ class TestOptionErrors:
     @pytest.mark.parametrize("argv", [
         ["mesh", "generator:tetra", "--refine", str(10 ** 14)],
         ["mc", "generator:tetra", "--samples", str(10 ** 13),
-         "--batch", str(10 ** 13)]])
+         "--batch", str(10 ** 13)],
+        # the MC fails on its own thread, beside the meshes
+        ["report", "generator:tetra", "--full", "--workers", "2",
+         "--samples", str(10 ** 13), "--batch", str(10 ** 13)]])
     def test_allocation_failure_exits_four(self, capsys, argv):
+        threads = threading.active_count()
         assert run(argv) == 4
+        assert threading.active_count() == threads
         error = one_error(capsys, 4)
         assert error["kind"] == "domain"
         assert error["message"].startswith("Unable to allocate ")
