@@ -20,7 +20,7 @@ from .formulas import (AnglePair, BodyScalars, PairTerm,
 from .geom import ArcOnCircle, Circle3, Tolerances
 from .mesh import (TriangleMesh, build_body_mesh, export_obj, export_ply,
                    inspect_mesh, mesh_area, mesh_volume)
-from .oracle import (BodySpec, McConfig, McEstimate, UnitDraws,
+from .oracle import (BodySpec, McConfig, McEstimate, McRun, UnitDraws,
                      body_from_structure, bounding_box, mc_volume, unit_draws)
 from .polyhedron import (DualPair, EdgeArc, ExtremalityReport, PointConfig,
                          Structure, StructureReport, analyze_config,
@@ -44,8 +44,8 @@ __all__ = [
     "surface_meissner", "surface_reuleaux", "volume_meissner",
     "volume_reuleaux", "wedge_volume", "wedge_volume_via_flux",
     # Monte Carlo oracle
-    "BodySpec", "McConfig", "McEstimate", "UnitDraws", "body_from_structure",
-    "bounding_box", "mc_volume", "unit_draws",
+    "BodySpec", "McConfig", "McEstimate", "McRun", "UnitDraws",
+    "body_from_structure", "bounding_box", "mc_volume", "unit_draws",
     # meshes
     "TriangleMesh", "build_body_mesh", "export_obj", "export_ply",
     "inspect_mesh", "mesh_area", "mesh_volume",

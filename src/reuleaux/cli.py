@@ -16,7 +16,6 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import NoReturn
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import formulas
 from .errors import DomainError, MeshError, NotExtremalError, StructureError
 from .geom import Tolerances
 from .mesh import build_body_mesh, check_refine, export_obj, export_ply
-from .oracle import McConfig, body_from_structure, mc_volume, unit_draws
+from .oracle import McConfig, McRun, body_from_structure, mc_volume
 from .polyhedron import Structure, analyze_config, angle_pairs, \
     body_label, check_extremal, config_from_generator, config_from_json_dict
 
@@ -124,24 +123,25 @@ def analyze_payload(structure: Structure) -> dict:
     }
 
 
-def mc_payload(structure: Structure, seed: int, samples: int, batch: int,
-               workers: int, bodies) -> tuple[dict, dict]:
-    """The mc block and its timing: the seconds of the draws all bodies
-    share (``draws_s``) and of each body's run after them (``mc_s``, by
-    label)."""
-    out = {"seed": seed, "samples": samples, "batch": batch, "estimates": {}}
-    seconds = {}
+def mc_run(structure: Structure, seed: int, samples: int, batch: int,
+           workers: int, bodies) -> McRun:
+    """The MC of ``bodies`` as one job list, drained by ``workers`` threads
+    once entered: the shared draws of each sample chunk, then one
+    ``mc_volume`` call per body."""
     mc = McConfig(seed=seed, samples=samples, batch=batch, workers=workers)
-    specs = {body_label(kind, idx, len(structure.pairs)):
-             body_from_structure(structure, kind, idx) for kind, idx in bodies}
-    started = time.perf_counter()
-    draws = unit_draws(specs.values(), mc)
-    draws_s = time.perf_counter() - started
-    for label, body in specs.items():
-        started = time.perf_counter()
-        out["estimates"][label] = mc_volume(body, mc, draws)
-        seconds[label] = time.perf_counter() - started
-    return out, {"draws_s": draws_s, "mc_s": seconds}
+    return McRun((body_from_structure(structure, kind, idx)
+                  for kind, idx in bodies), mc, mc_volume)
+
+
+def mc_payload(run: McRun) -> tuple[dict, dict]:
+    """Drain ``run`` on the calling thread beside its helpers, then the mc
+    block and its timing: the wall time of the draws all bodies share
+    (``draws_s``) and of each body's run after them (``mc_s``, by label)."""
+    estimates = run.result()
+    mc = run.mc
+    out = {"seed": mc.seed, "samples": mc.samples, "batch": mc.batch,
+           "estimates": estimates}
+    return out, {"draws_s": run.draws_s, "mc_s": run.mc_s}
 
 
 def mesh_payload(structure: Structure, refine: int, bodies) -> tuple[dict, dict]:
@@ -179,8 +179,9 @@ def cmd_mc(args) -> int:
     meta, structure = _analyzed(args)
     kind, idx = parse_body(args.body)
     payload = dict(meta, **analyze_payload(structure))
-    payload["mc"], _ = mc_payload(structure, args.seed, args.samples,
-                                  args.batch, args.workers, [(kind, idx)])
+    with mc_run(structure, args.seed, args.samples, args.batch, args.workers,
+                [(kind, idx)]) as run:
+        payload["mc"], _ = mc_payload(run)
     emit_json(payload, args.json)
     return 0
 
@@ -263,22 +264,15 @@ def cmd_report(args) -> int:
         wedges = [("wedge", i) for i in range(len(structure.pairs))]
         # a refine the mesher refuses stops the report before any draw
         check_refine(args.refine)
-
-        def run_mc(workers):
-            return mc_payload(structure, args.seed, args.samples, args.batch,
-                              workers, bodies + wedges)
-
-        # neither oracle reads the other: with --workers >= 2 the MC runs on
-        # workers - 1 threads beside the meshes, so the report never runs
-        # more than --workers threads; with 1 it runs after them.  Leaving
-        # the block, on an error too, waits for the MC and joins its thread
-        with ThreadPoolExecutor(max_workers=1) as beside:
-            mc = beside.submit(run_mc, args.workers - 1) \
-                if args.workers > 1 else None
+        # with --workers >= 2, workers - 1 helpers drain the MC's job list
+        # while this thread builds and checks the meshes, then this thread
+        # drains it too; with 1 it runs after them.  A mesh error stops the
+        # list, and leaving the block joins the helpers
+        with mc_run(structure, args.seed, args.samples, args.batch,
+                    args.workers, bodies + wedges) as run:
             payload["mesh"], timing["mesh_s"] = mesh_payload(
                 structure, args.refine, bodies)
-            payload["mc"], mc_timing = mc.result() if mc else \
-                run_mc(args.workers)
+            payload["mc"], mc_timing = mc_payload(run)
         timing.update(mc_timing)
     payload["timing"] = dict(timing, elapsed_s=time.perf_counter() - started)
     emit_json(payload, args.json)
@@ -299,13 +293,12 @@ OPTIONS = {
     "--samples": dict(type=int, default=1_000_000),
     "--batch": dict(type=int, default=1_000_000),
     "--workers": dict(type=int, default=1,
-                      help="threads over the sample chunks, with no effect "
-                           "unless --samples > --batch; the estimates do not "
-                           "depend on it. report --full with 2 or more runs "
-                           "the MC on workers - 1 threads beside its meshes, "
-                           "even with one chunk. Chunk threads alone do not "
-                           "pay: on a 2-core VM, 2 ran report --full's MC at "
-                           "0.88-0.94x the speed of 1"),
+                      help="threads that share the MC's one job list: each "
+                           "sample chunk's draws, then each body's test; the "
+                           "estimates do not depend on it. report --full "
+                           "starts workers - 1 of them before it builds the "
+                           "meshes on the main thread, which then joins "
+                           "them on the list"),
     "--refine": dict(type=int, default=64),
     "--format": dict(choices=("obj", "ply"), default="obj"),
     "--grid": dict(type=int, default=50),

@@ -16,16 +16,21 @@ wedge's window is also cut to the box of the ball on its kept arc's support
 segment, which holds the wedge.  Only the kept draws are scaled, to the same
 floats as before, so hit counts are those of testing every draw.
 
-Every body of a run reads the same unit draws, so ``unit_draws`` draws each
-chunk once, in the calling thread, for a set of bodies.  It keeps the draws
-in the hull of their windows: on each axis, from the lowest to the highest
-bound of any window, and uncut on an axis some window leaves uncut.  The
-hull contains every window and the filter keeps draw order, so each body,
-filtering the pool by its own window, gets the very draws, and after scaling
-the very floats, it would get from the whole chunk; its hit count is
-unchanged.  The pool holds about half the draws on tetra, pentad and an
-n = 6 pyramid, about 12 bytes per sample, until the run's last body is
-tested.
+Every body of a run reads the same unit draws, so each chunk is drawn once
+for a set of bodies.  The draws are kept in the hull of the bodies'
+windows: on each axis, from the lowest to the highest bound of any window,
+and uncut on an axis some window leaves uncut.  The hull contains every
+window and the filter keeps draw order, so each body, filtering the pool by
+its own window, gets the very draws, and after scaling the very floats, it
+would get from the whole chunk; its hit count is unchanged.  The pool holds
+about half the draws on tetra, pentad and an n = 6 pyramid, about 12 bytes
+per sample, until the run's last body is tested.
+
+A run is one list of jobs, ``McRun``, that any number of threads drain:
+one job per chunk, then one per body, whose test waits until every chunk
+is pooled.  Each result is kept by chunk index or by body, so no estimate
+depends on which thread ran which job.  The Philox draws release the GIL,
+so threads pay on the draws; a body's test is many short numpy calls.
 
 The oracle works on coordinate columns.  Each chunk's pooled draws are one
 contiguous (3, m) block, cut from the (size, 3) draw by one mask over every
@@ -39,7 +44,8 @@ its survivors, about 2 % of a box, go back to rows for the arc tests.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,10 +260,14 @@ def _kept(cols: np.ndarray,
     return np.flatnonzero(keep)
 
 
-def _pooled(draw: np.ndarray,
-            hull: list[tuple[int, float, float]]) -> np.ndarray:
-    """The rows of the (size, 3) ``draw`` inside ``hull``, in order, as one
-    contiguous (3, m) block of coordinate columns."""
+def draw_chunk(mc: McConfig, k: int,
+               hull: list[tuple[int, float, float]]) -> np.ndarray:
+    """Chunk ``k`` of the run: the rows of ``Philox(key=seed).jumped(k)``'s
+    (size, 3) draw inside ``hull``, in order, as one contiguous (3, m)
+    block of coordinate columns."""
+    rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(k))
+    # the draw is a temporary: it is freed once its rows are pooled
+    draw = rng.random((min(mc.batch, mc.samples - k * mc.batch), 3))
     idx = _kept(draw.T, hull)
     block = np.empty((3, idx.size))
     # column by column: one take of the draw's strided columns would first
@@ -267,25 +277,152 @@ def _pooled(draw: np.ndarray,
     return block
 
 
-def unit_draws(bodies, mc: McConfig) -> UnitDraws:
-    """Draw every chunk of ``mc`` once, in the calling thread, and keep the
-    draws that some body's unit window may keep: on each axis every window
-    cuts, those between the lowest low and the highest high."""
-    bodies = tuple(bodies)
-    if not bodies:
-        raise ValueError("unit draws need at least one body")
+def _hull(bodies) -> list[tuple[int, float, float]]:
+    """The window that keeps the draws some body's unit window may keep: on
+    each axis every window cuts, the lowest low to the highest high."""
     cuts = [{a: (low, high) for a, low, high in _unit_window(b, *_box(b))}
             for b in bodies]
-    hull = sorted(((a, min(c[a][0] for c in cuts), max(c[a][1] for c in cuts))
+    return sorted(((a, min(c[a][0] for c in cuts), max(c[a][1] for c in cuts))
                    for a in range(3) if all(a in c for c in cuts)),
                   key=lambda w: w[2] - w[1])
-    rows = []
-    for k, start in enumerate(range(0, mc.samples, mc.batch)):
-        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(k))
-        # the draw is a temporary: it is freed before the next one is made
-        rows.append(_pooled(
-            rng.random((min(mc.batch, mc.samples - start), 3)), hull))
-    return UnitDraws(mc=mc, bodies=bodies, rows=tuple(rows))
+
+
+def _label(body: BodySpec) -> str:
+    return body_label(body.kind, body.wedge_index, len(body.arcs))
+
+
+class McRun:
+    """The MC of one run over ``bodies`` as one list of jobs that any number
+    of threads drain: first one job per sample chunk, ``draw_chunk``, then,
+    given ``estimate``, one job per body, in body order, that calls
+    ``estimate(body, mc, draws)`` once every chunk is drawn.
+
+    Entering the run starts ``mc.workers - 1`` helper threads on the list;
+    ``result`` drains it on the calling thread too.  Leaving the run, on an
+    error too, stops the list and joins the helpers, each after its current
+    job.  The first job that raises stops the list as well, and ``result``
+    raises its error.
+    """
+
+    def __init__(self, bodies, mc: McConfig, estimate=None):
+        self.mc = mc
+        self.bodies = tuple(bodies)
+        if not self.bodies:
+            raise ValueError("unit draws need at least one body")
+        self._labels = tuple(map(_label, self.bodies))
+        self._hull = _hull(self.bodies)
+        self._estimate = estimate
+        self._chunks = [None] * -(-mc.samples // mc.batch)
+        tested = len(self.bodies) if estimate else 0
+        self._estimates = [None] * tested
+        self._seconds = [None] * tested
+        self._jobs = len(self._chunks) + tested
+        self._taken = self._done = 0
+        self._stopped = False
+        self._error = None
+        self._ready = threading.Condition()
+        self._helpers = []
+        self._first_draw = 0.0
+        # the unit draws and the wall time of drawing them, once whole
+        self.draws: UnitDraws | None = None
+        self.draws_s: float | None = None
+
+    def __enter__(self) -> McRun:
+        try:
+            for _ in range(self.mc.workers - 1):
+                helper = threading.Thread(target=self._help)
+                helper.start()
+                self._helpers.append(helper)
+        except BaseException:
+            # a thread that could not start stops the ones that did
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._ready:
+            self._stopped = True
+            self._ready.notify_all()
+        for helper in self._helpers:
+            helper.join()
+
+    @property
+    def mc_s(self) -> dict[str, float]:
+        """The wall time of each body's job, by label."""
+        return dict(zip(self._labels, self._seconds))
+
+    def result(self) -> dict[str, McEstimate]:
+        """Drain what is left on the calling thread, wait for the jobs that
+        other threads hold, and return each body's estimate by label; the
+        first error of any job is raised here."""
+        self._drain()
+        with self._ready:
+            self._ready.wait_for(
+                lambda: self._stopped or self._done == self._jobs)
+            if self._error is not None:
+                raise self._error
+            if self._done < self._jobs:
+                raise RuntimeError("the MC run was stopped")
+        return dict(zip(self._labels, self._estimates))
+
+    def _help(self) -> None:
+        try:
+            self._drain()
+        except BaseException:
+            # kept for result() by _drain; nothing reads a helper's error
+            pass
+
+    def _drain(self) -> None:
+        """Run jobs until none is left to take or the list is stopped.  A
+        job's error stops the list, is kept for ``result`` and is raised."""
+        chunks = len(self._chunks)
+        while True:
+            with self._ready:
+                if self._stopped or self._taken == self._jobs:
+                    return
+                job = self._taken
+                self._taken += 1
+                if job == 0:
+                    self._first_draw = time.perf_counter()
+                elif job >= chunks:
+                    # a body's test reads every chunk
+                    self._ready.wait_for(
+                        lambda: self._stopped or self.draws is not None)
+                    if self._stopped:
+                        return
+            try:
+                if job < chunks:
+                    self._chunks[job] = draw_chunk(self.mc, job, self._hull)
+                else:
+                    i = job - chunks
+                    started = time.perf_counter()
+                    self._estimates[i] = self._estimate(
+                        self.bodies[i], self.mc, self.draws)
+                    self._seconds[i] = time.perf_counter() - started
+            except BaseException as exc:
+                with self._ready:
+                    if self._error is None:
+                        self._error = exc
+                    self._stopped = True
+                    self._ready.notify_all()
+                raise
+            with self._ready:
+                self._done += 1
+                # no body job ends before the draws are whole, so the
+                # chunk-th job to end is the last chunk's
+                if self._done == chunks:
+                    self.draws = UnitDraws(mc=self.mc, bodies=self.bodies,
+                                           rows=tuple(self._chunks))
+                    self.draws_s = time.perf_counter() - self._first_draw
+                self._ready.notify_all()
+
+
+def unit_draws(bodies, mc: McConfig) -> UnitDraws:
+    """Draw every chunk of ``mc`` once, over ``mc.workers`` threads, and
+    keep the draws that some body's unit window may keep."""
+    with McRun(bodies, mc) as run:
+        run.result()
+    return run.draws
 
 
 def mc_volume(body: BodySpec, mc: McConfig,
@@ -293,15 +430,15 @@ def mc_volume(body: BodySpec, mc: McConfig,
     """Unbiased hit-or-miss volume estimate over the bounding box.
 
     The unit draws come from ``draws``, drawn for a set of bodies that holds
-    this one, or, without it, from a pool drawn for this body alone.  Draws
-    outside the unit window of ``_unit_window`` skip the scaling and the
-    exact test, which would reject them; hit counts are those of testing
-    every draw.
+    this one, or, without it, from a pool drawn for this body alone over
+    ``mc.workers`` threads.  Draws outside the unit window of
+    ``_unit_window`` skip the scaling and the exact test, which would reject
+    them; hit counts are those of testing every draw.
     """
     if draws is None:
         draws = unit_draws((body,), mc)
     else:
-        label = body_label(body.kind, body.wedge_index, len(body.arcs))
+        label = _label(body)
         drawn = draws.mc
         if (drawn.seed, drawn.samples, drawn.batch) != \
                 (mc.seed, mc.samples, mc.batch):
@@ -315,18 +452,12 @@ def mc_volume(body: BodySpec, mc: McConfig,
     lo, span = _box(body)
     window = _unit_window(body, lo, span)
     box_volume = float(np.prod(span))
-
-    def hits_of(block: np.ndarray) -> int:
+    hits = 0
+    for block in draws.rows:
         pts = block.take(_kept(block, window), axis=1)
         pts *= span[:, None]
         pts += lo[:, None]
-        return len(_members(body, pts))
-
-    if mc.workers > 1 and len(draws.rows) > 1:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            hits = sum(pool.map(hits_of, draws.rows))
-    else:
-        hits = sum(map(hits_of, draws.rows))
+        hits += len(_members(body, pts))
     n = mc.samples
     p = hits / n
     return McEstimate(

@@ -303,8 +303,12 @@ corpus(CLI, "report_full", [(name,) for name in PAYLOAD_INPUTS])(
                                 "20000", "--batch", "5000", "--refine", "16"))
 
 
-@corpus(CLI, "mesh", itertools.product(
-    PAYLOAD_INPUTS, ("reuleaux", "meissner", "wedge:0"), ("obj", "ply")))
+# the OBJ files of tetra's and pentad's reuleaux, meissner and wedge:0 are
+# pinned once, by cap_obj and wedge_obj
+@corpus(CLI, "mesh", [
+    key for key in itertools.product(
+        PAYLOAD_INPUTS, ("reuleaux", "meissner", "wedge:0"), ("obj", "ply"))
+    if key[0] == "pyramid5" or key[2] == "ply"])
 def mesh_file(name, body, fmt):
     """The file ``reuleaux mesh`` writes at refine 16."""
     with tempfile.TemporaryDirectory() as out:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reuleaux import cli, formulas
+from reuleaux import cli, formulas, oracle
 from reuleaux.cli import main
 from reuleaux.errors import DomainError, MeshError
 from reuleaux.formulas import AnglePair, BodyScalars, PairTerm, \
@@ -19,7 +19,7 @@ from reuleaux.formulas import AnglePair, BodyScalars, PairTerm, \
 from reuleaux.mesh import MeshStats, build_body_mesh, import_obj, \
     mesh_area, mesh_volume
 from reuleaux.oracle import BodySpec, McEstimate, body_from_structure, \
-    mc_volume
+    draw_chunk, mc_volume
 from reuleaux.polyhedron import ExtremalityReport, StructureReport, \
     analyze_config, body_label, config_from_generator, tetra_points
 import golden
@@ -499,30 +499,62 @@ class TestReportRun:
         assert sum(seconds) < timing["elapsed_s"]
 
     def test_timing_under_overlap(self, tmp_path):
-        # with 2 workers the MC runs beside the meshes, so each stage fits
-        # in the elapsed time but the two together may not
+        # with 2 workers a helper draws beside the meshes, then both threads
+        # test bodies: each body's test starts once the draws are whole, and
+        # each thread runs one job at a time
         out = tmp_path / "r.json"
         assert run(["report", "generator:tetra", "--full", "--samples",
                     "2000", "--refine", "4", "--workers", "2",
                     "--json", str(out)]) == 0
         timing = load(out)["timing"]
         assert sorted(timing) == ["draws_s", "elapsed_s", "mc_s", "mesh_s"]
-        assert sum(timing["mesh_s"].values()) < timing["elapsed_s"]
-        assert timing["draws_s"] + sum(timing["mc_s"].values()) \
-            < timing["elapsed_s"]
+        mesh_s, mc_s = timing["mesh_s"].values(), timing["mc_s"].values()
+        assert sum(mesh_s) < timing["elapsed_s"]
+        assert timing["draws_s"] + max(mc_s) < timing["elapsed_s"]
+        assert sum(mesh_s) + sum(mc_s) < 2 * timing["elapsed_s"]
+
+    def test_workers_bound_the_threads(self, tmp_path, monkeypatch):
+        # --workers 3 runs two helpers beside the main thread and no more;
+        # each body is tested once, and the report does not depend on it
+        threads = threading.active_count()
+        calls = []
+
+        def counted(body, mc, draws):
+            calls.append((body_label(body.kind, body.wedge_index,
+                                     len(body.arcs)),
+                          threading.active_count()))
+            return mc_volume(body, mc, draws)
+
+        monkeypatch.setattr(cli, "mc_volume", counted)
+        reports = []
+        for workers in (1, 2, 3):
+            calls.clear()
+            out = tmp_path / f"w{workers}.json"
+            assert run(["report", "generator:pentad", "--full", "--samples",
+                        "200000", "--batch", "25000", "--refine", "8",
+                        "--workers", str(workers), "--json", str(out)]) == 0
+            assert sorted(label for label, _ in calls) == [
+                "meissner", "reuleaux", "wedge:0", "wedge:1", "wedge:2",
+                "wedge:3"]
+            assert max(n for _, n in calls) <= threads + workers - 1
+            payload = load(out)
+            del payload["timing"]
+            reports.append(json.dumps(payload, sort_keys=True))
+        assert threading.active_count() == threads
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bad_refine_exits_before_any_draw(self, capsys, monkeypatch,
                                               workers):
-        # an MC thread's error would be lost behind the refine error, so
-        # the calls are counted
+        # a helper's error would be lost behind the refine error, so the
+        # calls are counted
         calls = []
 
         def refused(*args):
             calls.append(args)
             raise AssertionError("MC ran before the refine check")
 
-        monkeypatch.setattr(cli, "unit_draws", refused)
+        monkeypatch.setattr(oracle, "draw_chunk", refused)
         monkeypatch.setattr(cli, "mc_volume", refused)
         assert run(["report", "generator:tetra", "--full",
                     "--refine", "1", "--workers", workers]) == 2
@@ -531,17 +563,57 @@ class TestReportRun:
 
     def test_mesh_error_beside_the_mc_exits_three(self, capsys,
                                                   monkeypatch):
+        # the error stops the MC's job list: the helper returns after the
+        # chunk it draws, long before the ten chunks are drawn
+        drawn = []
+
+        def counted(mc, k, hull):
+            drawn.append(k)
+            return draw_chunk(mc, k, hull)
+
         def refused(*args, **kwargs):
             raise MeshError("reuleaux mesh is not closed")
 
+        monkeypatch.setattr(oracle, "draw_chunk", counted)
         monkeypatch.setattr(cli, "build_body_mesh", refused)
         threads = threading.active_count()
-        assert run(["report", "generator:tetra", "--full", "--samples",
-                    "2000", "--workers", "2"]) == 3
+        assert run(["report", "generator:pentad", "--full", "--samples",
+                    str(10 ** 7), "--batch", str(10 ** 6),
+                    "--workers", "2"]) == 3
         assert threading.active_count() == threads
+        assert len(drawn) < 10
         error = one_error(capsys, 3)
         assert error == {"exit_code": 3, "kind": "structure",
                          "message": "reuleaux mesh is not closed"}
+
+    def test_helper_error_stops_the_report(self, capsys, monkeypatch):
+        # the meshes wait until the helper's first draw has failed: the
+        # error stops the job list and is the report's exit
+        failed = threading.Event()
+        drawn = []
+
+        def helper_fails(mc, k, hull):
+            drawn.append(k)
+            if threading.current_thread() is threading.main_thread():
+                return draw_chunk(mc, k, hull)
+            failed.set()
+            raise MemoryError("Unable to allocate the draw")
+
+        def after_failure(*args, **kwargs):
+            assert failed.wait(timeout=60)
+            return build_body_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "draw_chunk", helper_fails)
+        monkeypatch.setattr(cli, "build_body_mesh", after_failure)
+        threads = threading.active_count()
+        assert run(["report", "generator:pentad", "--full", "--samples",
+                    str(10 ** 7), "--batch", str(10 ** 6), "--refine", "4",
+                    "--workers", "2"]) == 4
+        assert threading.active_count() == threads
+        assert drawn[0] == 0 and len(drawn) < 10
+        assert one_error(capsys, 4) == {
+            "exit_code": 4, "kind": "domain",
+            "message": "Unable to allocate the draw"}
 
 
 def one_error(capsys, code):
@@ -678,7 +750,7 @@ class TestOptionErrors:
         ["mesh", "generator:tetra", "--refine", str(10 ** 14)],
         ["mc", "generator:tetra", "--samples", str(10 ** 13),
          "--batch", str(10 ** 13)],
-        # the MC fails on its own thread, beside the meshes
+        # the MC fails on a helper thread, beside the meshes
         ["report", "generator:tetra", "--full", "--workers", "2",
          "--samples", str(10 ** 13), "--batch", str(10 ** 13)]])
     def test_allocation_failure_exits_four(self, capsys, argv):

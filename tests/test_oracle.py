@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from reuleaux.formulas import volume_meissner, volume_reuleaux, wedge_volume
 from reuleaux.geom import Tolerances, max_distance_to_arc_many
-from reuleaux.oracle import (BodySpec, McConfig, _unit_window,
+from reuleaux.oracle import (BodySpec, McConfig, McRun, _unit_window,
                              body_from_structure, bounding_box, contains_many,
                              mc_volume, unit_draws)
 from reuleaux.polyhedron import (PointConfig, analyze_config, angle_pairs,
@@ -327,6 +329,65 @@ class TestUnitDraws:
         with pytest.raises(ValueError, match="at least one body"):
             unit_draws([], self.MC)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_job_stops_the_run(self, tetra_structure, workers):
+        # a body job's error reaches result() on the calling thread, no job
+        # starts after it, and leaving the run joins its helpers
+        bodies = [body_from_structure(tetra_structure, kind, idx)
+                  for kind, idx in (("reuleaux", None), ("wedge", 0),
+                                    ("wedge", 1), ("wedge", 2))]
+        tested = []
+
+        def failing(body, mc, draws):
+            tested.append(body.wedge_index)
+            if body.wedge_index == 0:
+                raise MemoryError("wedge:0")
+            return mc_volume(body, mc, draws)
+
+        threads = threading.active_count()
+        mc = dataclasses.replace(self.MC, workers=workers)
+        with pytest.raises(MemoryError, match="wedge:0"):
+            with McRun(bodies, mc, failing) as run:
+                run.result()
+        assert threading.active_count() == threads
+        if workers == 1:
+            assert tested == [None, 0]
+        else:
+            # the helper may test a body while the error is raised
+            assert 0 in tested and len(set(tested)) == len(tested)
+
+    def test_more_threads_than_cores_keep_every_count(self,
+                                                      pentad_structure):
+        # eight threads switching every microsecond over 40 chunks and six
+        # bodies: a lost update of the job list would skip or repeat a job
+        # and move a count
+        bodies = [body_from_structure(pentad_structure, kind, idx)
+                  for kind, idx in every_body(pentad_structure)]
+        mc = McConfig(seed=8, samples=40_000, batch=1_000)
+        expect = [mc_volume(body, mc).hit_count for body in bodies]
+        tested, results = [], []
+
+        def counted(body, mc, draws):
+            tested.append(body)
+            return mc_volume(body, mc, draws)
+
+        def run():
+            with McRun(bodies, dataclasses.replace(mc, workers=8),
+                       counted) as threaded:
+                results.append(threaded.result())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert sorted(map(id, tested)) == sorted(map(id, bodies))
+        assert [e.hit_count for e in results[0].values()] == expect
+
     def test_an_uncut_window_leaves_the_pool_unchanged(self):
         # four centers within 1e-15 of each other: the window is the whole
         # box, so the body reads every pooled row as the pool holds it
@@ -405,7 +466,8 @@ class TestMcVolume:
     def test_determinism_across_runs_and_workers(self, tetra_structure):
         body = body_from_structure(tetra_structure, "meissner")
         runs = [mc_volume(body, McConfig(seed=9, samples=400_000, batch=50_000,
-                                         workers=w)) for w in (1, 1, 4, 8)]
+                                         workers=w))
+                for w in (1, 1, 2, 4, 8)]
         assert len({e.hit_count for e in runs}) == 1
         assert len({e.volume_mean for e in runs}) == 1
 

@@ -74,7 +74,7 @@ def test_removed_names_are_gone(module, name):
     (polyhedron, "_match_vertices"), (geom, "reference_direction"),
     (geom, "_unit"), (polyhedron, "_chord_angle"),
     (geom, "circle_of_sphere_pair"), (geom, "Circle3.angle_of"),
-    (geom, "as_point")])
+    (geom, "as_point"), (oracle, "_pooled")])
 def test_retired_surface_is_gone(module, name):
     assert resolve(module, name) is None
     assert name.rpartition(".")[2] not in reuleaux.__all__
